@@ -5,24 +5,23 @@
  *
  *   cold          nothing shared: every request through a fresh
  *                 registry with no cache directory (what any single
- *                 pre-PR-4 CLI invocation cost).
+ *                 CLI invocation without --cache-dir costs).
  *   process-warm  the same registry answers the set a second time
- *                 (PR 2/3 behaviour: sessions + row store resident).
- *   disk-warm     a *fresh* process image — new FrontierCache, new
+ *                 (sessions + row store resident).
+ *   mmap-warm     a *fresh* process image — new FrontierCache, new
  *                 registry, new sessions — on a populated cache
- *                 directory with the mmap segment disabled, so all
- *                 reuse comes from the eager record-file decode.
- *   mmap-warm     the same fresh-image setup serving lazily from the
- *                 published read-only segment: startup skips the
- *                 eager decode entirely and staircases stream out of
- *                 the mapping on demand.
+ *                 directory: opening maps the published segment and
+ *                 validates one checksum, and staircases stream out
+ *                 of the mapping on demand.
  *
- * The run also measures the delta compaction: the v3 record file on
- * disk against the bytes the same records would occupy in the legacy
- * v2 SoA encoding (re-encoded record for record, framing included).
+ * The run also measures the delta compaction: the segment image on
+ * disk against the bytes its records would occupy as legacy SoA
+ * records (each decoded out of the segment and re-encoded through the
+ * legacy encoder, 12-byte record frames included).
  *
- * All tiers must produce byte-identical responses (the exit code
- * enforces it); the numbers land in BENCH_optimizer.json under
+ * All tiers must produce byte-identical responses and the segment
+ * must stay at least 2x smaller than the legacy encoding (the exit
+ * code enforces both); the numbers land in BENCH_optimizer.json under
  * "cache" / "cache_tiers".
  */
 
@@ -33,11 +32,11 @@
 
 #include "bench_common.h"
 #include "core/frontier_cache.h"
+#include "core/frontier_cache_segment.h"
 #include "core/frontier_codec.h"
 #include "core/session_registry.h"
 #include "service/dse_codec.h"
 #include "service/dse_service.h"
-#include "util/record_file.h"
 #include "util/string_utils.h"
 #include "util/table.h"
 
@@ -76,47 +75,32 @@ answerAll(core::SessionRegistry &registry,
 }
 
 /**
- * The bytes the v3 record file's contents would occupy in the legacy
- * v2 SoA encoding: every record decoded and re-encoded through the
- * legacy encoder, record framing (12-byte frame per record) included
- * on both sides of the comparison.
+ * The bytes the segment's records would occupy as legacy SoA records:
+ * every record decoded out of the mapping and re-encoded through the
+ * legacy encoder, with the legacy format's 12-byte record frame.
  */
 size_t
 legacyEquivalentBytes(const std::string &path, size_t *records)
 {
-    util::RecordFileReader reader(path);
-    std::string header;
-    if (!reader.opened() || !reader.header(header))
-        return 0;
-    size_t legacy =
-        12 + core::legacyCacheHeaderPayload(
-                 core::modelFormulaFingerprint())
-                 .size();
-    std::string_view record;
-    while (reader.next(record)) {
-        util::ByteReader in(record);
-        uint8_t kind = 0;
-        uint32_t hits = 0, last_gen = 0;
-        std::vector<int64_t> key;
-        if (!in.u8(kind) || !core::readCacheKey(in, key) ||
-            !in.u32(hits) || !in.u32(last_gen))
-            continue;
-        std::string_view payload = in.rest();
-        if (kind == core::kCacheRecordRow) {
-            auto row = core::decodeRowPayload(payload);
-            if (row)
-                legacy +=
-                    12 + core::encodeLegacyRowRecord(key, *row).size();
-        } else if (kind == core::kCacheRecordTrace) {
-            core::FrontierTraceImage image;
-            if (core::decodeTracePayload(
-                    payload, core::traceKeyGroups(key), image))
-                legacy += 12 +
-                          core::encodeLegacyTraceRecord(key, image)
-                              .size();
-        }
-        ++*records;
-    }
+    size_t legacy = 0;
+    core::FrontierCacheSegment::open(path, core::modelFormulaFingerprint())
+        .forEach([&](const core::FrontierCacheSegment::Entry &entry) {
+            if (entry.kind == core::kCacheRecordRow) {
+                if (auto row = core::decodeRowPayload(entry.payload))
+                    legacy += 12 + core::encodeLegacyRowRecord(entry.key,
+                                                               *row)
+                                       .size();
+            } else if (entry.kind == core::kCacheRecordTrace) {
+                core::FrontierTraceImage image;
+                if (core::decodeTracePayload(
+                        entry.payload, core::traceKeyGroups(entry.key),
+                        image))
+                    legacy += 12 + core::encodeLegacyTraceRecord(
+                                       entry.key, image)
+                                       .size();
+            }
+            ++*records;
+        });
     return legacy;
 }
 
@@ -126,9 +110,8 @@ int
 main()
 {
     bench::printBenchHeader(
-        "Persistent frontier cache: cold vs process-warm vs disk-warm "
-        "vs mmap-warm",
-        "ROADMAP 'persist warm state' (PR 4) + shared cache tier (PR 8)");
+        "Persistent frontier cache: cold vs process-warm vs mmap-warm",
+        "ROADMAP 'persist warm state' + shared cache tier");
 
     namespace fs = std::filesystem;
     fs::path dir = fs::temp_directory_path() / "mclp_cache_reuse_bench";
@@ -163,39 +146,18 @@ main()
     double populate_ms =
         bench::msSince(populate_start) - process_warm_ms;
 
-    // Compaction: the delta-encoded v3 file on disk vs the bytes the
-    // same records would occupy as legacy v2 SoA lanes.
-    std::string record_file =
-        (dir / core::kFrontierCacheFileName).string();
-    size_t compact_bytes = fs::file_size(record_file);
+    // Compaction: the segment image on disk vs the bytes the same
+    // records would occupy as legacy SoA records.
+    std::string segment_file =
+        (dir / core::kFrontierSegmentFileName).string();
+    size_t segment_bytes = fs::file_size(segment_file);
     size_t record_count = 0;
     size_t legacy_bytes =
-        legacyEquivalentBytes(record_file, &record_count);
-    size_t segment_bytes =
-        fs::file_size(dir / core::kFrontierSegmentFileName);
+        legacyEquivalentBytes(segment_file, &record_count);
 
-    // Tier 3: disk-warm (fresh cache + registry on the populated
-    // directory, mmap tier off — only the record file serves). The
-    // cache-open time is the eager decode of every record.
-    auto disk_start = std::chrono::steady_clock::now();
-    std::vector<std::string> disk_warm;
-    core::FrontierCache::Stats disk_stats;
-    double disk_load_ms;
-    {
-        core::FrontierCacheOptions no_mmap;
-        no_mmap.mmapSegment = false;
-        auto cache = std::make_shared<core::FrontierCache>(
-            dir.string(), no_mmap);
-        disk_load_ms = bench::msSince(disk_start);
-        core::SessionRegistry registry(8, 0, 1, cache);
-        disk_warm = answerAll(registry, lines);
-        disk_stats = cache->stats();
-    }
-    double disk_ms = bench::msSince(disk_start);
-
-    // Tier 4: mmap-warm (same fresh-image setup, segment mapped:
-    // startup validates a checksum instead of decoding records, and
-    // only the staircases the requests actually touch are decoded).
+    // Tier 3: mmap-warm (fresh cache + registry on the populated
+    // directory: startup maps the segment and validates one checksum,
+    // and only the staircases the requests actually touch decode).
     auto mmap_start = std::chrono::steady_clock::now();
     std::vector<std::string> mmap_warm;
     core::FrontierCache::Stats mmap_stats;
@@ -214,7 +176,7 @@ main()
     size_t mismatched = 0;
     for (size_t i = 0; i < lines.size(); ++i) {
         if (cold[i] != populate[i] || cold[i] != process_warm[i] ||
-            cold[i] != disk_warm[i] || cold[i] != mmap_warm[i])
+            cold[i] != mmap_warm[i])
             ++mismatched;
     }
 
@@ -232,34 +194,26 @@ main()
                   speedup(populate_ms), "none; writes cache dir"});
     table.addRow({"process-warm", "-",
                   util::strprintf("%.1f", process_warm_ms),
-                  speedup(process_warm_ms),
-                  "resident sessions (PR 3)"});
-    table.addRow({"disk-warm", util::strprintf("%.1f", disk_load_ms),
-                  util::strprintf("%.1f", disk_ms), speedup(disk_ms),
-                  "record file, eager decode (PR 4)"});
+                  speedup(process_warm_ms), "resident sessions"});
     table.addRow({"mmap-warm", util::strprintf("%.1f", mmap_load_ms),
                   util::strprintf("%.1f", mmap_ms), speedup(mmap_ms),
-                  "mmap'd segment, lazy decode (PR 8)"});
+                  "mmap'd segment, lazy decode"});
     table.addNote(util::strprintf(
-        "compaction: %zu records, v3 delta file %.2f MB vs legacy v2 "
-        "SoA %.2f MB (%.1fx smaller); segment image %.2f MB",
-        record_count, compact_bytes / 1e6, legacy_bytes / 1e6,
-        static_cast<double>(legacy_bytes) / compact_bytes,
-        segment_bytes / 1e6));
+        "compaction: %zu records, segment image %.2f MB vs legacy SoA "
+        "records %.2f MB (%.1fx smaller)",
+        record_count, segment_bytes / 1e6, legacy_bytes / 1e6,
+        static_cast<double>(legacy_bytes) / segment_bytes));
     table.addNote(util::strprintf(
-        "disk-warm decoded %zu rows eagerly; mmap-warm decoded %zu "
-        "rows / %zu traces on demand (%zu / %zu segment hits); "
-        "responses %s",
-        disk_stats.rowsLoaded, mmap_stats.segmentRowHits,
-        mmap_stats.segmentTraceHits, mmap_stats.rowHits,
-        mmap_stats.traceHits,
+        "mmap-warm decoded %zu rows / %zu traces on demand; responses "
+        "%s",
+        mmap_stats.segmentRowHits, mmap_stats.segmentTraceHits,
         mismatched == 0 ? "byte-identical across all tiers"
                         : "MISMATCHED (bug!)"));
     std::printf("%s\n", table.render().c_str());
 
-    bool compaction_ok = compact_bytes * 2 <= legacy_bytes;
+    bool compaction_ok = segment_bytes * 2 <= legacy_bytes;
     if (!compaction_ok)
-        std::printf("FAIL: v3 file is not 2x smaller than the v2 "
-                    "encoding\n");
+        std::printf("FAIL: the segment is not 2x smaller than the "
+                    "legacy SoA encoding\n");
     return mismatched == 0 && compaction_ok ? 0 : 1;
 }

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <filesystem>
@@ -102,97 +101,6 @@ modelFormulaFingerprint()
     return fingerprint;
 }
 
-namespace {
-
-/** What the record-file header says about the file, read without
- * slurping the record log (the lazy segment path's whole point is to
- * skip that read). */
-enum class HeaderProbe
-{
-    Missing,  ///< no file: clean cold start
-    Damaged,  ///< truncated/corrupt header frame: dirty cold start
-    Foreign,  ///< checksummed but not a frontier cache: dirty cold
-    Stale,    ///< other version or fingerprint: clean invalidation
-    LegacyV2, ///< SoA file, our fingerprint: eager load + upgrade
-    LegacyV3, ///< delta file, 3-lane row keys: eager load + upgrade
-    Current,  ///< current-format delta file, our fingerprint
-};
-
-HeaderProbe
-probeHeader(const std::string &path, uint64_t fingerprint,
-            uint64_t *generation)
-{
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file)
-        return HeaderProbe::Missing;
-    unsigned char frame[12];
-    unsigned char payload[64];
-    size_t got = std::fread(frame, 1, sizeof(frame), file);
-    uint32_t length = 0;
-    uint64_t checksum = 0;
-    for (size_t i = 0; i < 4; ++i)
-        length |= static_cast<uint32_t>(frame[i]) << (8 * i);
-    for (size_t i = 0; i < 8; ++i)
-        checksum |= static_cast<uint64_t>(frame[4 + i]) << (8 * i);
-    bool framed = got == sizeof(frame) && length <= sizeof(payload) &&
-                  std::fread(payload, 1, length, file) == length;
-    std::fclose(file);
-    if (!framed || util::fnv1aBytes(payload, length) != checksum)
-        return HeaderProbe::Damaged;
-
-    util::ByteReader in(
-        {reinterpret_cast<const char *>(payload), length});
-    uint64_t magic = 0, fp = 0;
-    uint32_t version = 0;
-    if (!in.u64(magic) || magic != kFrontierCacheMagic)
-        return HeaderProbe::Foreign;
-    if (!in.u32(version) || !in.u64(fp) || fp != fingerprint)
-        return HeaderProbe::Stale;
-    if (version == kFrontierCacheFormatVersion)
-        return in.u64(*generation) && in.atEnd()
-                   ? HeaderProbe::Current
-                   : HeaderProbe::Damaged;
-    // A v3 header carries the generation stamp too. Real pre-groups
-    // files never reach here — their fingerprint lacks the grouped
-    // probes, so they go Stale above — but the upgrade path stays
-    // live for files the format tests author deliberately.
-    if (version == kFrontierCacheLegacyV3FormatVersion &&
-        in.u64(*generation) && in.atEnd())
-        return HeaderProbe::LegacyV3;
-    if (version == kFrontierCacheLegacyFormatVersion && in.atEnd())
-        return HeaderProbe::LegacyV2;
-    return HeaderProbe::Stale;
-}
-
-/**
- * Upgrade a v3 staircase row key (three lanes per layer: {n, m,
- * r*c*k^2} after the two header words) to the v4 shape by appending
- * the group lane to every triple. Every v3-era layer was plain
- * convolution, so g=1 throughout. Empty on a malformed length —
- * the caller treats that like any other corrupt record.
- * Trace keys are untouched by v4 (their n lane was already a
- * per-group ceiling, and g=1 makes it the same number).
- */
-std::vector<int64_t>
-upgradeV3RowKey(const std::vector<int64_t> &key)
-{
-    std::vector<int64_t> upgraded;
-    if (key.size() < 2 || (key.size() - 2) % 3 != 0)
-        return upgraded;
-    upgraded.reserve(2 + (key.size() - 2) / 3 * 4);
-    upgraded.push_back(key[0]);
-    upgraded.push_back(key[1]);
-    for (size_t i = 2; i < key.size(); i += 3) {
-        upgraded.push_back(key[i]);
-        upgraded.push_back(key[i + 1]);
-        upgraded.push_back(key[i + 2]);
-        upgraded.push_back(1);
-    }
-    return upgraded;
-}
-
-} // namespace
-
 FrontierCache::FrontierCache(std::string dir,
                              FrontierCacheOptions options)
     : dir_(std::move(dir)), options_(options),
@@ -200,10 +108,10 @@ FrontierCache::FrontierCache(std::string dir,
 {
     namespace fs = std::filesystem;
     std::error_code ec;
-    fs::create_directories(dir_, ec);  // best effort; load just misses
-    filePath_ = (fs::path(dir_) / kFrontierCacheFileName).string();
+    fs::create_directories(dir_, ec);  // best effort; open just misses
     lockPath_ = (fs::path(dir_) / kFrontierCacheLockName).string();
     segmentPath_ = (fs::path(dir_) / kFrontierSegmentFileName).string();
+    legacyFilePath_ = (fs::path(dir_) / kFrontierCacheFileName).string();
     // Sibling shards attach lazily: a sibling may not have published
     // anything yet (or even exist yet) — findInSiblings() maps each
     // segment the first time its file shows up on a miss.
@@ -214,149 +122,30 @@ FrontierCache::FrontierCache(std::string dir,
             (fs::path(sibling) / kFrontierSegmentFileName).string();
         siblings_.push_back(std::move(entry));
     }
-    // Loading under the advisory lock keeps the sequence simple to
-    // reason about when several CLIs share the directory; the lock is
-    // held only for the read.
-    util::FileLock lock(lockPath_);
-    loadLocked();
-}
 
-void
-FrontierCache::loadLocked()
-{
-    switch (probeHeader(filePath_, fingerprint_, &generation_)) {
-    case HeaderProbe::Missing:
-        return;  // no cache yet: clean cold start
-    case HeaderProbe::Damaged:
-        loadedClean_ = false;
-        util::warn("frontier cache: %s has a corrupt header; "
-                   "starting cold", filePath_.c_str());
-        return;
-    case HeaderProbe::Foreign:
-        loadedClean_ = false;
-        util::warn("frontier cache: %s is not a frontier cache file; "
-                   "starting cold", filePath_.c_str());
-        return;
-    case HeaderProbe::Stale:
-        // Expected invalidation (older binary, changed model
-        // formulas): stay clean and quiet; the next flush rewrites
-        // the file under the current header.
+    // No lock needed: the segment only ever changes by atomic rename,
+    // so the mapping is one complete image and pins its inode.
+    segment_ = FrontierCacheSegment::open(segmentPath_, fingerprint_);
+    switch (segment_.state()) {
+    case SegmentState::Valid:
+        generation_ = segment_.generation();
+        break;
+    case SegmentState::Missing:
+        break;  // no cache yet: clean cold start
+    case SegmentState::Stale:
+        // Expected invalidation (older layout, changed model
+        // formulas): stay clean and quiet; the next flush replaces
+        // the image under the current header.
         util::inform("frontier cache: %s was written under a "
                      "different format/model version; rebuilding",
-                     filePath_.c_str());
-        return;
-    case HeaderProbe::Current:
-        if (options_.mmapSegment) {
-            segment_ =
-                FrontierCacheSegment::open(segmentPath_, fingerprint_);
-            if (segment_.valid() &&
-                segment_.generation() == generation_) {
-                // Lazy mode: the segment is this exact record set,
-                // hash-indexed and shared host-wide. Skip the eager
-                // decode entirely; rows and traces stream out of the
-                // mapping on demand.
-                return;
-            }
-            // Absent, damaged, or generation-skewed (e.g. a publish
-            // torn between record-file commit and segment rename):
-            // the record file is authoritative, so fall back to it.
-            segment_ = FrontierCacheSegment();
-        }
-        loadRecordsLocked(kFrontierCacheFormatVersion);
-        return;
-    case HeaderProbe::LegacyV3:
-        // Never serve a v3-generation segment: it indexes the same
-        // records under 3-lane row keys, so the lazy path would miss
-        // every upgraded lookup while claiming to be warm. Eager-load
-        // with key upgrade; the next flush rewrites file and segment.
-        upgradePending_ = true;
-        util::inform("frontier cache: %s uses the 3-lane v3 row keys; "
-                     "it will be rewritten with group lanes on the "
-                     "next flush", filePath_.c_str());
-        loadRecordsLocked(kFrontierCacheLegacyV3FormatVersion);
-        return;
-    case HeaderProbe::LegacyV2:
-        upgradePending_ = true;
-        util::inform("frontier cache: %s uses the SoA v2 format; it "
-                     "will be rewritten delta-compacted on the next "
-                     "flush", filePath_.c_str());
-        loadRecordsLocked(kFrontierCacheLegacyFormatVersion);
-        return;
-    }
-}
-
-void
-FrontierCache::loadRecordsLocked(uint32_t version)
-{
-    util::RecordFileReader reader(filePath_);
-    std::string header;
-    if (!reader.opened() || !reader.header(header)) {
-        loadedClean_ = !reader.sawCorruption();
-        return;  // probe validated the header; a race truncated it
-    }
-
-    // v3 and v4 records are framed identically (kind, key, counters,
-    // delta payload); only the row-key lane count differs. v2 lacks
-    // counters and carries the SoA bodies.
-    bool delta = version != kFrontierCacheLegacyFormatVersion;
-    std::string_view record;
-    while (reader.next(record)) {
-        util::ByteReader in(record);
-        uint8_t kind = 0;
-        std::vector<int64_t> key;
-        if (!in.u8(kind) || !readCacheKey(in, key)) {
-            loadedClean_ = false;
-            break;
-        }
-        if (delta) {
-            uint32_t hits = 0, last_gen = 0;
-            if (!in.u32(hits) || !in.u32(last_gen)) {
-                loadedClean_ = false;
-                break;
-            }
-        }
-        if (kind == kCacheRecordRow) {
-            if (version == kFrontierCacheLegacyV3FormatVersion) {
-                key = upgradeV3RowKey(key);
-                if (key.empty()) {
-                    loadedClean_ = false;
-                    break;
-                }
-            }
-            auto frontier = delta ? decodeRowPayload(in.rest())
-                                  : decodeLegacyRowBody(in);
-            if (!frontier) {
-                loadedClean_ = false;
-                break;
-            }
-            diskRows_[std::move(key)] =
-                std::make_shared<const ShapeFrontier>(
-                    std::move(*frontier));
-            ++rowsLoaded_;
-        } else if (kind == kCacheRecordTrace) {
-            FrontierTraceImage image;
-            size_t groups = traceKeyGroups(key);
-            bool valid = delta
-                    ? decodeTracePayload(in.rest(), groups, image)
-                    : decodeLegacyTraceBody(in, groups, image);
-            if (!valid) {
-                loadedClean_ = false;
-                break;
-            }
-            diskTraces_[std::move(key)] = std::move(image);
-            ++tracesLoaded_;
-        } else {
-            loadedClean_ = false;
-            break;
-        }
-    }
-    if (reader.sawCorruption())
+                     segmentPath_.c_str());
+        break;
+    case SegmentState::Damaged:
         loadedClean_ = false;
-    if (!loadedClean_)
-        util::warn("frontier cache: %s is truncated or corrupt past "
-                   "%zu rows / %zu traces; the valid prefix is kept "
-                   "and the rest rebuilds cold",
-                   filePath_.c_str(), rowsLoaded_, tracesLoaded_);
+        util::warn("frontier cache: %s is truncated or corrupt; "
+                   "starting cold", segmentPath_.c_str());
+        break;
+    }
 }
 
 std::string_view
@@ -405,15 +194,7 @@ FrontierCache::loadRow(const std::vector<int64_t> &key, CacheTier *tier)
     std::lock_guard<std::mutex> lock(mutex_);
     if (tier)
         *tier = CacheTier::None;
-    auto it = diskRows_.find(key);
-    if (it != diskRows_.end()) {
-        ++rowHits_;
-        ++rowHitDelta_[key];
-        if (tier)
-            *tier = CacheTier::Disk;
-        return it->second;
-    }
-    it = mmapRows_.find(key);
+    auto it = mmapRows_.find(key);
     if (it == mmapRows_.end() && segment_.valid()) {
         std::string_view payload = segment_.find(kCacheRecordRow, key);
         if (!payload.empty()) {
@@ -468,7 +249,7 @@ FrontierCache::noteRow(const std::vector<int64_t> &key,
                        std::shared_ptr<const ShapeFrontier> row)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (diskRows_.count(key) || mmapRows_.count(key))
+    if (mmapRows_.count(key))
         return;  // already persistent
     if (segment_.valid() &&
         !segment_.find(kCacheRecordRow, key).empty())
@@ -485,27 +266,17 @@ FrontierCache::seedTrace(const std::vector<int64_t> &key,
     if (tier)
         *tier = CacheTier::None;
     const FrontierTraceImage *image = nullptr;
-    CacheTier source = CacheTier::Disk;
-    auto it = diskTraces_.find(key);
-    if (it != diskTraces_.end()) {
-        image = &it->second;
-    } else {
-        auto mit = mmapTraces_.find(key);
-        if (mit == mmapTraces_.end() && segment_.valid()) {
-            std::string_view payload =
-                segment_.find(kCacheRecordTrace, key);
-            FrontierTraceImage decoded;
-            if (!payload.empty() &&
-                decodeTracePayload(payload, traceKeyGroups(key),
-                                   decoded))
-                mit = mmapTraces_.emplace(key, std::move(decoded))
-                          .first;
-        }
-        if (mit != mmapTraces_.end()) {
-            image = &mit->second;
-            source = CacheTier::Mmap;
-        }
+    CacheTier source = CacheTier::Mmap;
+    auto it = mmapTraces_.find(key);
+    if (it == mmapTraces_.end() && segment_.valid()) {
+        std::string_view payload = segment_.find(kCacheRecordTrace, key);
+        FrontierTraceImage decoded;
+        if (!payload.empty() &&
+            decodeTracePayload(payload, traceKeyGroups(key), decoded))
+            it = mmapTraces_.emplace(key, std::move(decoded)).first;
     }
+    if (it != mmapTraces_.end())
+        image = &it->second;
     if (!image && !siblings_.empty()) {
         // Sideways before cold, same as rows: a sibling's published
         // walk prefix seeds this shard's trace too.
@@ -533,12 +304,12 @@ FrontierCache::seedTrace(const std::vector<int64_t> &key,
     trace.steps.assign(image->steps.data(), image->steps.size());
     trace.complete = image->complete;
     ++traceHits_;
-    if (source == CacheTier::Mmap)
-        ++segmentTraceHits_;
-    if (source == CacheTier::Sibling)
+    if (source == CacheTier::Sibling) {
         ++siblingTraceHits_;
-    else
+    } else {
+        ++segmentTraceHits_;
         ++traceHitDelta_[key];
+    }
     if (tier)
         *tier = source;
     return true;
@@ -564,25 +335,22 @@ FrontierCache::flush()
         std::vector<int64_t>,
         std::shared_ptr<TradeoffCurveCache::PartitionTrace>>>
         noted;
-    /** What disk held at load/last flush: key -> (steps, complete). */
+    /** What disk held at open/last flush: key -> (steps, complete). */
     std::unordered_map<std::vector<int64_t>, std::pair<size_t, bool>,
                        util::Int64VectorHash>
         known;
     HitMap row_deltas, trace_deltas;
-    bool upgrade_pending;
+    uint64_t known_gen = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         pending_rows = pendingRows_;
         noted.assign(notedTraces_.begin(), notedTraces_.end());
-        for (const auto &[key, image] : diskTraces_)
-            known.emplace(key, std::make_pair(image.steps.size(),
-                                              image.complete));
         for (const auto &[key, image] : mmapTraces_)
             known.emplace(key, std::make_pair(image.steps.size(),
                                               image.complete));
         row_deltas = rowHitDelta_;
         trace_deltas = traceHitDelta_;
-        upgrade_pending = upgradePending_;
+        known_gen = generation_;
     }
 
     // Phase 2: snapshot each live trace under its own mutex, keeping
@@ -606,22 +374,23 @@ FrontierCache::flush()
         trace_images.emplace(key, std::move(image));
     }
 
-    // Nothing new? Then the file — whatever concurrent CLIs did to it
-    // since — holds at least everything we could add: skip the lock
-    // and the whole read-merge-write round trip. Hit-counter deltas
-    // alone never force a rewrite either — they stay in memory and
-    // ride the next flush that rewrites the file for a real reason
-    // (tests/core/test_frontier_cache.cc pins the no-op). A pending
-    // v2/v3 format upgrade is a real reason.
-    if (pending_rows.empty() && trace_images.empty() &&
-        !upgrade_pending)
+    // Nothing new? Then the published image — whatever concurrent
+    // CLIs did to it since — holds at least everything we could add:
+    // skip the lock and the whole map-merge-publish round trip.
+    // Hit-counter deltas alone never force a rewrite either — they
+    // stay in memory and ride the next flush that rewrites the image
+    // for a real reason (tests/core/test_frontier_cache.cc pins the
+    // no-op).
+    if (pending_rows.empty() && trace_images.empty())
         return true;
 
-    // Phase 3: merge with the file's *current* contents under the
-    // advisory lock and rewrite atomically. Another process may have
-    // flushed since we loaded, so the file is re-read here; records
-    // are deterministic functions of their keys, so "first writer
-    // wins" is exact for rows, and the deeper prefix wins for traces.
+    // Phase 3: merge with the image published *now* under the
+    // advisory lock and publish atomically. Another process may have
+    // flushed since we opened, so the segment is mapped afresh here;
+    // records are deterministic functions of their keys, so "first
+    // writer wins" is exact for rows, and the deeper prefix wins for
+    // traces. A stale or damaged image contributes nothing and is
+    // replaced wholesale.
     util::FileLock lock(lockPath_);
     if (!lock.locked()) {
         util::warn("frontier cache: cannot lock %s; skipping flush",
@@ -631,10 +400,9 @@ FrontierCache::flush()
 
     struct DiskRecord
     {
-        /** Delta payload only (no kind/key/counter framing): views
-         * into the (still-alive) reader's buffer for existing
-         * records, or into `fresh` for newly encoded ones — the
-         * merge never copies a multi-megabyte file's payloads. */
+        /** Delta payload: a view into the base mapping for existing
+         * records, or into `fresh` for newly encoded ones — the merge
+         * never copies the old image into the heap. */
         std::string_view payload;
         uint32_t hits = 0;
         uint32_t lastGen = 0;
@@ -644,94 +412,26 @@ FrontierCache::flush()
     std::unordered_map<std::vector<int64_t>, DiskRecord,
                        util::Int64VectorHash>
         rows, traces;
+    FrontierCacheSegment base =
+        FrontierCacheSegment::open(segmentPath_, fingerprint_);
+    base.forEach([&](const FrontierCacheSegment::Entry &entry) {
+        DiskRecord disk{entry.payload, entry.hits, entry.lastGen};
+        // A record of unknown kind, or a trace whose header does not
+        // parse, cannot be served; dropping it costs a cold rebuild.
+        if (entry.kind == kCacheRecordRow)
+            rows.emplace(entry.key, disk);
+        else if (entry.kind == kCacheRecordTrace &&
+                 peekTraceMeta(entry.payload, &disk.complete,
+                               &disk.steps))
+            traces.emplace(entry.key, disk);
+    });
+    // Every publish advances the generation past both the image it
+    // replaces and anything this process published or mapped, so
+    // sibling readers (which never swap to an older image) follow.
+    uint64_t new_gen = std::max(base.generation(), known_gen) + 1;
+
     std::deque<std::string> fresh;  ///< owns newly encoded payloads
     bool rewrite = false;  // anything to change on disk?
-    uint64_t file_gen = 0;
-    util::RecordFileReader reader(filePath_);  // alive through the write
-    {
-        uint32_t file_version = 0;
-        std::string header;
-        if (reader.opened() && reader.header(header)) {
-            util::ByteReader in(header);
-            uint64_t magic = 0, fp = 0;
-            uint32_t version = 0;
-            if (in.u64(magic) && magic == kFrontierCacheMagic &&
-                in.u32(version) && in.u64(fp) && fp == fingerprint_) {
-                if (version == kFrontierCacheFormatVersion &&
-                    in.u64(file_gen) && in.atEnd())
-                    file_version = kFrontierCacheFormatVersion;
-                else if (version == kFrontierCacheLegacyV3FormatVersion &&
-                         in.u64(file_gen) && in.atEnd())
-                    file_version = kFrontierCacheLegacyV3FormatVersion;
-                else if (version == kFrontierCacheLegacyFormatVersion &&
-                         in.atEnd())
-                    file_version = kFrontierCacheLegacyFormatVersion;
-            }
-        }
-        if (reader.opened() && file_version == 0)
-            rewrite = true;  // stale or damaged file: replace wholesale
-        if (file_version == kFrontierCacheLegacyFormatVersion ||
-            file_version == kFrontierCacheLegacyV3FormatVersion)
-            rewrite = true;  // upgrade-on-flush: rewrite current-format
-
-        std::string_view record;
-        while (file_version != 0 && reader.next(record)) {
-            util::ByteReader in(record);
-            uint8_t kind = 0;
-            std::vector<int64_t> key;
-            if (!in.u8(kind) || !readCacheKey(in, key))
-                break;
-            DiskRecord disk;
-            if (file_version != kFrontierCacheLegacyFormatVersion) {
-                if (!in.u32(disk.hits) || !in.u32(disk.lastGen))
-                    break;
-                disk.payload = in.rest();
-                if (kind == kCacheRecordTrace &&
-                    !peekTraceMeta(disk.payload, &disk.complete,
-                                   &disk.steps))
-                    break;
-            } else if (kind == kCacheRecordRow) {
-                auto row = decodeLegacyRowBody(in);
-                if (!row)
-                    break;
-                util::ByteWriter out;
-                encodeRowPayload(out, *row);
-                fresh.push_back(out.bytes());
-                disk.payload = fresh.back();
-            } else if (kind == kCacheRecordTrace) {
-                FrontierTraceImage image;
-                if (!decodeLegacyTraceBody(in, traceKeyGroups(key),
-                                           image))
-                    break;
-                util::ByteWriter out;
-                encodeTracePayload(out, image);
-                fresh.push_back(out.bytes());
-                disk.payload = fresh.back();
-                disk.steps = image.steps.size();
-                disk.complete = image.complete;
-            }
-            if (kind == kCacheRecordRow) {
-                if (file_version ==
-                    kFrontierCacheLegacyV3FormatVersion) {
-                    key = upgradeV3RowKey(key);
-                    if (key.empty())
-                        break;  // corrupt tail: rewrite the valid set
-                }
-                rows.emplace(std::move(key), disk);
-            } else if (kind == kCacheRecordTrace) {
-                traces.emplace(std::move(key), disk);
-            } else {
-                break;
-            }
-        }
-        // A corrupt tail is dropped by rewriting the valid set.
-        rewrite = rewrite || reader.sawCorruption();
-    }
-    // Every rewrite advances the generation; the segment published
-    // below carries the same stamp, which is how readers know the
-    // pair is coherent.
-    uint64_t new_gen = file_gen + 1;
-
     for (const auto &[key, row] : pending_rows) {
         if (rows.count(key))
             continue;  // a concurrent CLI beat us to an identical row
@@ -778,60 +478,68 @@ FrontierCache::flush()
     }
 
     // Fold this process's hit counts into the record counters — but
-    // only when the file is being rewritten for a real reason. A hit
+    // only when the image is being rewritten for a real reason. A hit
     // also stamps the record with the new generation: "recently hit"
     // is what the byte-budget eviction below spares.
     size_t evicted = 0;
     if (rewrite) {
-        for (const auto &[key, delta] : row_deltas) {
-            auto it = rows.find(key);
-            if (it == rows.end())
-                continue;
-            it->second.hits += delta;
-            it->second.lastGen = static_cast<uint32_t>(new_gen);
-        }
-        for (const auto &[key, delta] : trace_deltas) {
-            auto it = traces.find(key);
-            if (it == traces.end())
-                continue;
-            it->second.hits += delta;
-            it->second.lastGen = static_cast<uint32_t>(new_gen);
-        }
+        auto fold = [&](auto &records, const HitMap &deltas) {
+            for (const auto &[key, delta] : deltas) {
+                auto it = records.find(key);
+                if (it == records.end())
+                    continue;
+                uint32_t &hits = it->second.hits;
+                hits = delta > UINT32_MAX - hits ? UINT32_MAX
+                                                 : hits + delta;
+                it->second.lastGen = static_cast<uint32_t>(new_gen);
+            }
+        };
+        fold(rows, row_deltas);
+        fold(traces, trace_deltas);
 
         if (options_.maxBytes > 0) {
-            // Least-recently-hit eviction: drop records whose last
-            // hit is oldest (then fewest hits, then larger first —
-            // freeing the budget with the fewest casualties) until
-            // the rewrite fits. Fresh and just-hit records carry
-            // new_gen, so they are the last candidates.
-            auto recordBytes = [](const std::vector<int64_t> &key,
-                                  const DiskRecord &disk) {
-                return 12 + 1 + 4 + 8 * key.size() + 8 +
-                       disk.payload.size();
+            // Least-recently-hit eviction against the exact image
+            // size: drop records whose last hit is oldest (then fewest
+            // hits, then larger first — freeing the budget with the
+            // fewest casualties) until the image fits. Fresh and
+            // just-hit records carry new_gen, so they are the last
+            // candidates.
+            size_t records = rows.size() + traces.size();
+            size_t key_words = 0;
+            size_t payload_bytes = 0;
+            for (const auto *map : {&rows, &traces}) {
+                for (const auto &[key, disk] : *map) {
+                    key_words += key.size();
+                    payload_bytes += disk.payload.size();
+                }
+            }
+            auto imageBytes = [&] {
+                return FrontierCacheSegment::imageBytes(
+                    records, key_words, payload_bytes);
             };
-            size_t total = 12 + 28;  // header frame + v4 payload
-            for (const auto &[key, disk] : rows)
-                total += recordBytes(key, disk);
-            for (const auto &[key, disk] : traces)
-                total += recordBytes(key, disk);
-            if (total > options_.maxBytes) {
+            if (imageBytes() > options_.maxBytes) {
                 struct Victim
                 {
                     uint32_t lastGen;
                     uint32_t hits;
-                    size_t bytes;
+                    size_t payload;
                     uint8_t kind;
                     const std::vector<int64_t> *key;
+
+                    size_t bytes() const
+                    {
+                        return 8 * key->size() + payload;
+                    }
                 };
                 std::vector<Victim> victims;
-                victims.reserve(rows.size() + traces.size());
+                victims.reserve(records);
                 for (const auto &[key, disk] : rows)
                     victims.push_back({disk.lastGen, disk.hits,
-                                       recordBytes(key, disk),
+                                       disk.payload.size(),
                                        kCacheRecordRow, &key});
                 for (const auto &[key, disk] : traces)
                     victims.push_back({disk.lastGen, disk.hits,
-                                       recordBytes(key, disk),
+                                       disk.payload.size(),
                                        kCacheRecordTrace, &key});
                 std::sort(victims.begin(), victims.end(),
                           [](const Victim &a, const Victim &b) {
@@ -839,18 +547,20 @@ FrontierCache::flush()
                                   return a.lastGen < b.lastGen;
                               if (a.hits != b.hits)
                                   return a.hits < b.hits;
-                              if (a.bytes != b.bytes)
-                                  return a.bytes > b.bytes;
+                              if (a.bytes() != b.bytes())
+                                  return a.bytes() > b.bytes();
                               return *a.key < *b.key;  // determinism
                           });
                 for (const Victim &victim : victims) {
-                    if (total <= options_.maxBytes)
+                    if (imageBytes() <= options_.maxBytes)
                         break;
+                    --records;
+                    key_words -= victim.key->size();
+                    payload_bytes -= victim.payload;
                     if (victim.kind == kCacheRecordRow)
                         rows.erase(*victim.key);
                     else
                         traces.erase(*victim.key);
-                    total -= victim.bytes;
                     ++evicted;
                 }
                 util::inform("frontier cache: byte budget evicted "
@@ -865,18 +575,15 @@ FrontierCache::flush()
     // only considers genuinely new state (and stats stop reporting it
     // as pending).
     auto absorb = [&](bool wrote,
-                      FrontierCacheSegment new_segment =
+                      FrontierCacheSegment published =
                           FrontierCacheSegment()) {
         std::lock_guard<std::mutex> lock_state(mutex_);
         for (auto &[key, row] : pending_rows) {
-            diskRows_.emplace(key, std::move(row));
+            mmapRows_.emplace(key, std::move(row));
             pendingRows_.erase(key);
         }
         for (const std::vector<int64_t> *key : written_traces)
-            diskTraces_[*key] = std::move(trace_images[*key]);
-        // The file is current-format now (either we rewrote it or a
-        // concurrent CLI upgraded it first) — stop forcing rewrites.
-        upgradePending_ = false;
+            mmapTraces_[*key] = std::move(trace_images[*key]);
         if (!wrote)
             return;
         ++flushes_;
@@ -897,64 +604,39 @@ FrontierCache::flush()
         };
         settle(rowHitDelta_, row_deltas);
         settle(traceHitDelta_, trace_deltas);
-        if (options_.mmapSegment)
-            segment_ = std::move(new_segment);
+        segment_ = std::move(published);
     };
 
     if (!rewrite) {
         // Disk already holds at least everything we know (every
-        // pending row matched an on-disk record, every trace lost to
-        // a deeper on-disk prefix).
+        // pending row matched a published record, every trace lost to
+        // a deeper published prefix).
         absorb(false);
         return true;
     }
 
-    util::RecordFileWriter writer(
-        filePath_, cacheHeaderPayload(fingerprint_, new_gen));
-    auto appendRecord = [&](uint8_t kind,
-                            const std::vector<int64_t> &key,
-                            const DiskRecord &disk) {
-        util::ByteWriter out;
-        out.u8(kind);
-        writeCacheKey(out, key);
-        out.u32(disk.hits);
-        out.u32(disk.lastGen);
-        out.raw(disk.payload);
-        writer.append(out.bytes());
-    };
+    std::vector<SegmentRecord> records;
+    records.reserve(rows.size() + traces.size());
     for (const auto &[key, disk] : rows)
-        appendRecord(kCacheRecordRow, key, disk);
+        records.push_back({kCacheRecordRow, &key, disk.payload,
+                           disk.hits, disk.lastGen});
     for (const auto &[key, disk] : traces)
-        appendRecord(kCacheRecordTrace, key, disk);
-    if (!writer.commit()) {
-        util::warn("frontier cache: writing %s failed; previous cache "
-                   "file kept", filePath_.c_str());
+        records.push_back({kCacheRecordTrace, &key, disk.payload,
+                           disk.hits, disk.lastGen});
+    // The image is a temporary, freed before the new mapping is
+    // validated below: the flush never holds two copies of it.
+    if (!util::publishFileAtomic(
+            segmentPath_,
+            FrontierCacheSegment::build(fingerprint_, new_gen, records))) {
+        util::warn("frontier cache: publishing %s failed; previous "
+                   "image kept", segmentPath_.c_str());
         return false;
     }
-
-    // Publish the segment from the exact record set just committed —
-    // record file first, segment second, so a crash in between leaves
-    // a generation mismatch (old segment distrusted, file read
-    // eagerly), never a segment claiming records the file lost.
-    FrontierCacheSegment new_segment;
-    if (options_.mmapSegment) {
-        std::vector<SegmentRecord> records;
-        records.reserve(rows.size() + traces.size());
-        for (const auto &[key, disk] : rows)
-            records.push_back({kCacheRecordRow, &key, disk.payload});
-        for (const auto &[key, disk] : traces)
-            records.push_back({kCacheRecordTrace, &key, disk.payload});
-        std::string image =
-            FrontierCacheSegment::build(fingerprint_, new_gen, records);
-        if (util::publishFileAtomic(segmentPath_, image))
-            new_segment =
-                FrontierCacheSegment::open(segmentPath_, fingerprint_);
-        else
-            util::warn("frontier cache: publishing %s failed; workers "
-                       "will load the record file eagerly",
-                       segmentPath_.c_str());
-    }
-    absorb(true, std::move(new_segment));
+    // Nothing reads a record file an older binary left beside the
+    // segment; the first publish removes it.
+    std::error_code ec;
+    std::filesystem::remove(legacyFilePath_, ec);
+    absorb(true, FrontierCacheSegment::open(segmentPath_, fingerprint_));
     return true;
 }
 
@@ -963,8 +645,6 @@ FrontierCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     Stats stats;
-    stats.rowsLoaded = rowsLoaded_;
-    stats.tracesLoaded = tracesLoaded_;
     stats.rowHits = rowHits_;
     stats.traceHits = traceHits_;
     stats.rowsPending = pendingRows_.size();

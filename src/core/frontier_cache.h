@@ -3,68 +3,62 @@
  * The persistent frontier cache: warm DSE state that survives the
  * process, shared across processes through an mmap'd segment.
  *
- * PR 2/3 made warm state the engine's superpower — one frontier build
- * answers a whole budget ladder, one registry serves many networks —
- * but every fresh mclp-opt/dse-sweep invocation and every mclp-serve
- * restart rebuilt the same Pareto staircases from scratch.
- * FrontierCache serializes the two expensive, budget-independent
- * artifacts to disk:
+ * Warm sessions and the session registry make one frontier build
+ * answer a whole budget ladder and one registry serve many networks,
+ * but without a persistent tier every fresh mclp-opt/dse-sweep
+ * invocation and every mclp-serve restart would rebuild the same
+ * Pareto staircases from scratch. FrontierCache serializes the two
+ * expensive, budget-independent artifacts to disk:
  *
  *  - ShapeFrontier staircases, keyed by the FrontierRowStore's
- *    dims-sequence keys (type, units cap, per-layer n/m/r*c*k^2) —
+ *    dims-sequence keys (type, units cap, per-layer n/m/r*c*k^2/g) —
  *    network identity never enters, so a cache populated by one CNN
  *    warms dims-identical ranges of another;
  *  - MemoryOptimizer greedy-walk traces, keyed by the
  *    TradeoffCurveCache partition signatures (type, per-group shape
  *    and layer tiling dims).
  *
- * Storage is tiered. The **record file** (frontier_cache.bin) is the
- * authoritative, crash-safe merge log: delta-compacted records
- * (core/frontier_codec.h — format v4, several-fold smaller than the
- * SoA v2 lanes it replaces; v2 and 3-lane-key v3 files upgrade in
- * place on their first flush), each carrying a hit counter and the
- * generation of its last
- * hit so a byte budget (FrontierCacheOptions::maxBytes) can evict the
- * least-recently-hit records at flush time. The **segment**
- * (frontier_cache.seg, core/frontier_cache_segment.h) is a
- * hash-indexed immutable image of the same records, published after
- * every flush; when its generation stamp matches the record file's,
- * startup maps it read-only and skips the eager decode entirely —
- * rows and traces then decode lazily, straight out of the mapping,
- * and N worker processes share one page-cache copy. Sharded fronts
- * extend the ladder sideways: FrontierCacheOptions::siblingDirs
+ * The cache's one on-disk artifact is the **segment**
+ * (frontier_cache.seg, core/frontier_cache_segment.h): an immutable,
+ * checksummed, hash-indexed image of delta-compacted records
+ * (core/frontier_codec.h), each carrying a hit counter and the
+ * generation of its last hit so a byte budget
+ * (FrontierCacheOptions::maxBytes) can evict the least-recently-hit
+ * records at flush time. Opening the cache maps the segment
+ * read-only; rows and traces decode lazily, straight out of the
+ * mapping, and N worker processes share one page-cache copy. Sharded
+ * fronts extend the ladder sideways: FrontierCacheOptions::siblingDirs
  * attaches the *other* shards' published segments read-only, so a
- * row any shard on the host flushed warms every shard. Lookups
- * report which tier answered (CacheTier), so cache-stats can show
- * the full ladder: process -> mmap -> disk -> sibling -> cold.
+ * row any shard on the host flushed warms every shard. Lookups report
+ * which tier answered (CacheTier), so cache-stats can show the full
+ * ladder: process -> mmap -> sibling -> cold.
  *
- * Invalidation is versioned, never heuristic: the file header carries
- * a format version and a *model-formula fingerprint* — a hash over
- * probe evaluations of the cycle/DSP/BRAM/bandwidth models — so a
- * cache written by a binary with different model constants is
- * rejected wholesale and rebuilt, rather than silently corrupting
- * results. Within a valid file, every record is checksummed; a
- * truncated or bit-rotted tail degrades to a cold build of exactly
- * the affected entries. A damaged or stale segment merely degrades to
- * the eager record-file load — the segment is an accelerator, never
- * a source of truth, which is also why flush() commits the record
- * file *before* publishing the segment: a crash between the two
- * leaves a generation mismatch, and the next process distrusts the
- * old segment instead of serving stale entries.
+ * Invalidation is versioned, never heuristic: the segment header
+ * carries a layout version and a *model-formula fingerprint* — a hash
+ * over probe evaluations of the cycle/DSP/BRAM/bandwidth models — so
+ * an image written by another layout or by a binary with different
+ * model constants is stale: ignored wholesale, a clean cold start.
+ * Every record is a pure function of its key and that fingerprint, so
+ * anything other than a current, valid image may simply be rebuilt.
+ * A damaged image (short, foreign, failed checksum, out-of-bounds
+ * slot) is refused whole as well, with a warning: damage anywhere
+ * costs the whole cache, never a wrong byte. A frontier_cache.bin
+ * record file left by an older binary is ignored and removed by the
+ * first flush that publishes.
  *
  * The cache is a read-through/write-back layer: FrontierRowStore and
  * TradeoffCurveCache consult it on a miss and note fresh builds, and
- * flush() merges pending entries with whatever is on disk *now*
- * (concurrent CLIs interleave safely under a per-file advisory lock;
- * writes are staged in a temp file and renamed atomically, so a crash
- * never leaves a half-written cache). SessionRegistry flushes on
- * destruction, which covers mclp-opt, dse-sweep, and mclp-serve
- * shutdown alike. A flush with nothing new — including one where only
- * hit counters moved — is a no-op; counter updates piggyback on the
- * next flush that rewrites the file anyway.
+ * flush() merges pending entries with whatever image is published
+ * *now* (concurrent CLIs interleave safely under a per-directory
+ * advisory lock; the merged image is staged in a temp file and
+ * renamed atomically, so a crash never leaves a half-written cache).
+ * SessionRegistry flushes on destruction, which covers mclp-opt,
+ * dse-sweep, and mclp-serve shutdown alike. A flush with nothing new
+ * — including one where only hit counters moved — is a no-op; counter
+ * updates piggyback on the next flush that rewrites the image anyway.
  *
- * The project invariant extends to disk: designs answered from a
- * disk-warm or mmap-warm cache are byte-for-byte identical to cold
+ * The project invariant extends to disk: designs answered from an
+ * mmap-warm or sibling-warm cache are byte-for-byte identical to cold
  * runs (tests/core/test_frontier_cache.cc pins this on fixed and
  * random networks; the CI smoke diffs whole mclp-opt responses).
  */
@@ -89,29 +83,11 @@
 namespace mclp {
 namespace core {
 
-/** First bytes of a cache file ("MCLPFC01", little-endian u64). */
-constexpr uint64_t kFrontierCacheMagic = 0x31304346504C434DULL;
-
-/** Bump on any change to the record layout. v4: identical delta
- * payloads to v3, but staircase row keys carry four lanes per layer
- * ({n, m, r*c*k^2, groups}) instead of three — without the version
- * bump a 3-lane key of one range and a 4-lane key of another could
- * collide byte-for-byte. */
-constexpr uint32_t kFrontierCacheFormatVersion = 4;
-
-/** The delta format v4 replaced: same record layout, 3-lane row keys
- * (every layer was plain conv, g=1). Still readable: row keys gain
- * their g=1 lanes on load and the file is rewritten as v4 on the
- * first flush (upgrade-on-flush, never in place). */
-constexpr uint32_t kFrontierCacheLegacyV3FormatVersion = 3;
-
-/** The SoA format v3 replaced. Still readable: a v2 file with a
- * matching fingerprint loads eagerly and is rewritten in the current
- * format on the first flush (upgrade-on-flush, never in place). */
-constexpr uint32_t kFrontierCacheLegacyFormatVersion = 2;
-
-/** Cache file and lock file names inside the cache directory. */
+/** Record-file name of the pre-segment cache format. Nothing reads
+ * or writes it any more: a leftover one is ignored at open and
+ * removed by the first flush that publishes a segment. */
 constexpr const char *kFrontierCacheFileName = "frontier_cache.bin";
+/** Advisory lock file that serializes flushes of one directory. */
 constexpr const char *kFrontierCacheLockName = "frontier_cache.lock";
 
 /**
@@ -119,7 +95,7 @@ constexpr const char *kFrontierCacheLockName = "frontier_cache.lock";
  * computed by hashing probe evaluations of the cycle, DSP, BRAM, and
  * bandwidth models (not source text — exactly the formulas). Any
  * constant tweak in those models changes the fingerprint, and every
- * cache file written under the old formulas self-invalidates.
+ * segment written under the old formulas self-invalidates.
  */
 uint64_t modelFormulaFingerprint();
 
@@ -128,20 +104,16 @@ enum class CacheTier
 {
     None,     ///< not in the persistent cache at all (cold build)
     Mmap,     ///< decoded on demand from the mmap'd segment
-    Disk,     ///< decoded from the record file at load
     Sibling,  ///< decoded from a sibling shard's published segment
 };
 
 struct FrontierCacheOptions
 {
-    /** Map the published segment and load lazily from it when its
-     * generation matches the record file. Off = always eager-load
-     * the record file (the pre-segment behavior). */
-    bool mmapSegment = true;
-    /** Byte budget for the record file (0 = unbounded). When a flush
-     * would exceed it, the least-recently-hit records (oldest
-     * last-hit generation, then fewest hits) are evicted until the
-     * rewrite fits; records touched this session survive first. */
+    /** Byte budget for the segment image (0 = unbounded): header,
+     * slot table, key words and payloads. When a flush would exceed
+     * it, the least-recently-hit records (oldest last-hit generation,
+     * then fewest hits) are evicted until the image fits; records
+     * touched this session survive first. */
     size_t maxBytes = 0;
     /**
      * Cache directories of sibling shards (mclp-serve
@@ -153,7 +125,7 @@ struct FrontierCacheOptions
      * checksummed, fingerprint-validated images, and every record is
      * a deterministic function of its key, so a sibling hit is
      * byte-identical to a local build. Sibling records are never
-     * written back into this shard's record file.
+     * written back into this shard's own segment.
      */
     std::vector<std::string> siblingDirs;
 };
@@ -167,18 +139,16 @@ class FrontierCache
   public:
     struct Stats
     {
-        size_t rowsLoaded = 0;     ///< staircases decoded from disk
-        size_t tracesLoaded = 0;   ///< walk traces decoded from disk
         size_t rowHits = 0;        ///< lookups answered from disk
         size_t traceHits = 0;      ///< trace seeds answered from disk
         size_t rowsPending = 0;    ///< fresh rows awaiting flush
         size_t tracesNoted = 0;    ///< live traces tracked for flush
         size_t flushes = 0;        ///< successful flush() commits
-        /** File was absent, or its whole tail validated. A stale
-         * version/fingerprint also counts as clean (expected
-         * invalidation); truncation and bit rot do not. */
+        /** Segment was absent, valid, or stale (another version or
+         * fingerprint: an expected invalidation); a damaged image —
+         * truncation, bit rot, a forged slot — is not clean. */
         bool loadedClean = true;
-        uint64_t generation = 0;   ///< record-file generation
+        uint64_t generation = 0;   ///< of the image mapped or published
         bool segmentMapped = false;   ///< serving from the mmap tier
         size_t segmentEntries = 0;    ///< records in the mapped image
         size_t segmentBytes = 0;      ///< bytes of the mapped image
@@ -192,13 +162,11 @@ class FrontierCache
     };
 
     /**
-     * Open (and create if needed) cache directory @p dir and load the
-     * cache file. Any defect — missing directory, stale version or
-     * fingerprint, truncation, checksum mismatch — degrades to an
-     * empty (cold) cache; construction never throws for file reasons.
-     * When a published segment matches the record file's generation,
-     * the eager decode is skipped and entries stream from the mapping
-     * on demand instead.
+     * Open (and create if needed) cache directory @p dir and map its
+     * segment; entries then decode from the mapping on demand. Any
+     * defect — missing directory, stale version or fingerprint,
+     * truncation, checksum or bounds failure — degrades to an empty
+     * (cold) cache; construction never throws for file reasons.
      */
     explicit FrontierCache(std::string dir,
                            FrontierCacheOptions options = {});
@@ -207,8 +175,8 @@ class FrontierCache
 
     /**
      * The persisted staircase for a FrontierRowStore key, or null.
-     * Loaded rows stay resident for the process lifetime (they mirror
-     * the file), so repeated lookups share one immutable object.
+     * Decoded rows stay resident for the process lifetime, so
+     * repeated lookups share one immutable object.
      * @p tier, when given, reports which tier answered.
      */
     std::shared_ptr<const ShapeFrontier>
@@ -239,14 +207,14 @@ class FrontierCache
         std::shared_ptr<TradeoffCurveCache::PartitionTrace> trace);
 
     /**
-     * Write-back: merge pending rows and grown traces with the file's
-     * *current* contents under the advisory lock (a concurrent CLI
-     * may have flushed since we loaded), fold this process's hit
-     * counts into the record counters, evict past the byte budget,
-     * stage to a temp file, rename atomically, and republish the
-     * segment. No-op (returning true) when nothing but hit counters
-     * changed — counter updates ride the next real rewrite. False on
-     * I/O failure — the previous file survives.
+     * Write-back: merge pending rows and grown traces with the
+     * *currently published* segment under the advisory lock (a
+     * concurrent CLI may have flushed since we opened), fold this
+     * process's hit counts into the image's counters, evict past the
+     * byte budget, and publish the new image atomically. No-op
+     * (returning true) when nothing but hit counters changed —
+     * counter updates ride the next real rewrite. False on I/O
+     * failure — the previous image survives.
      */
     bool flush();
 
@@ -282,26 +250,24 @@ class FrontierCache
         int64_t statMtimeNs = -1;
     };
 
-    void loadLocked();
-    void loadRecordsLocked(uint32_t version);
     /** Probe every sibling segment for (kind, key), refreshing stale
      * mappings first. Empty view on a miss. Call under mutex_. */
     std::string_view findInSiblings(uint8_t kind,
                                     const std::vector<int64_t> &key);
 
     std::string dir_;
-    std::string filePath_;
     std::string lockPath_;
     std::string segmentPath_;
+    std::string legacyFilePath_;  ///< leftover record file to remove
     FrontierCacheOptions options_;
     uint64_t fingerprint_;
 
     mutable std::mutex mutex_;
-    FrontierCacheSegment segment_;  ///< invalid when distrusted
-    RowMap diskRows_;    ///< rows decoded from the record file
-    TraceMap diskTraces_;  ///< trace images decoded from the file
-    RowMap mmapRows_;      ///< rows decoded on demand from segment_
-    TraceMap mmapTraces_;  ///< traces decoded on demand from segment_
+    FrontierCacheSegment segment_;  ///< this directory's image
+    /** Rows and traces known to be persistent: decoded on demand from
+     * segment_, or published by this process's own flushes. */
+    RowMap mmapRows_;
+    TraceMap mmapTraces_;
     std::vector<SiblingSegment> siblings_;  ///< other shards' tiers
     RowMap siblingRows_;     ///< rows decoded from sibling segments
     TraceMap siblingTraces_; ///< traces decoded from sibling segments
@@ -314,14 +280,11 @@ class FrontierCache
         std::shared_ptr<TradeoffCurveCache::PartitionTrace>,
         util::Int64VectorHash>
         notedTraces_;
-    /** Hits this process scored per key, folded into the on-disk
-     * counters by the next flush that rewrites the file anyway. */
+    /** Hits this process scored per key, folded into the image's
+     * counters by the next flush that rewrites it anyway. */
     HitMap rowHitDelta_;
     HitMap traceHitDelta_;
-    uint64_t generation_ = 0;  ///< of the record file as loaded
-    bool upgradePending_ = false;  ///< legacy v2/v3 file awaiting rewrite
-    size_t rowsLoaded_ = 0;
-    size_t tracesLoaded_ = 0;
+    uint64_t generation_ = 0;  ///< of the image mapped or last published
     size_t rowHits_ = 0;
     size_t traceHits_ = 0;
     size_t segmentRowHits_ = 0;

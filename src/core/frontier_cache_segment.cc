@@ -1,8 +1,9 @@
 #include "core/frontier_cache_segment.h"
 
+#include <unistd.h>
+
 #include <cstring>
 
-#include "util/hash.h"
 #include "util/record_file.h"
 
 namespace mclp {
@@ -13,9 +14,9 @@ namespace {
 /** Fixed header size; the layout below must stay within it. */
 constexpr size_t kHeaderBytes = 64;
 /** Slot: u64 hash | u32 keyOff | u32 kind<<24|keyWords | u32
- * payloadOff | u32 payloadLen. kindWords == 0 marks an empty slot
- * (keys are never empty). */
-constexpr size_t kSlotBytes = 24;
+ * payloadOff | u32 payloadLen | u32 hits | u32 lastGen. kindWords
+ * == 0 marks an empty slot (keys are never empty). */
+constexpr size_t kSlotBytes = 32;
 
 uint64_t
 slotHash(uint8_t kind, const int64_t *words, size_t count)
@@ -30,6 +31,17 @@ slotHash(uint8_t kind, const int64_t *words, size_t count)
         hash *= 1099511628211ULL;
     }
     return hash;
+}
+
+/** Slots for @p records: a power of two, at most half full, so every
+ * probe chain ends at an empty slot. */
+uint32_t
+slotCountFor(size_t records)
+{
+    uint32_t slot_count = 8;
+    while (slot_count < 2 * records)
+        slot_count *= 2;
+    return slot_count;
 }
 
 uint64_t
@@ -56,6 +68,20 @@ loadI64(const unsigned char *bytes)
     return static_cast<int64_t>(loadU64(bytes));
 }
 
+void
+storeU64(char *bytes, uint64_t value)
+{
+    for (size_t i = 0; i < 8; ++i)
+        bytes[i] = static_cast<char>(value >> (8 * i));
+}
+
+void
+storeU32(char *bytes, uint32_t value)
+{
+    for (size_t i = 0; i < 4; ++i)
+        bytes[i] = static_cast<char>(value >> (8 * i));
+}
+
 } // namespace
 
 FrontierCacheSegment
@@ -63,13 +89,29 @@ FrontierCacheSegment::open(const std::string &path, uint64_t fingerprint)
 {
     FrontierCacheSegment segment;
     util::MappedFile map = util::MappedFile::map(path);
-    if (!map.valid() || map.size() < kHeaderBytes)
+    if (!map.valid()) {
+        // Absent is a clean cold start; present but unmappable (empty,
+        // unreadable) is damage.
+        if (::access(path.c_str(), F_OK) == 0)
+            segment.state_ = SegmentState::Damaged;
         return segment;
+    }
+    segment.state_ = SegmentState::Damaged;
     const unsigned char *base = map.data();
-    if (loadU64(base) != kFrontierSegmentMagic ||
-        loadU32(base + 8) != kFrontierSegmentVersion ||
-        loadU64(base + 16) != fingerprint)
+    if (map.size() < 12 || loadU64(base) != kFrontierSegmentMagic)
         return segment;
+    // Our file under another layout version (v1 images included) is an
+    // expected invalidation, as is another binary's model fingerprint.
+    if (loadU32(base + 8) != kFrontierSegmentVersion) {
+        segment.state_ = SegmentState::Stale;
+        return segment;
+    }
+    if (map.size() < kHeaderBytes)
+        return segment;
+    if (loadU64(base + 16) != fingerprint) {
+        segment.state_ = SegmentState::Stale;
+        return segment;
+    }
     uint32_t slot_count = loadU32(base + 12);
     uint64_t generation = loadU64(base + 24);
     uint64_t entry_count = loadU64(base + 32);
@@ -92,7 +134,8 @@ FrontierCacheSegment::open(const std::string &path, uint64_t fingerprint)
     size_t payload_off = key_off + static_cast<size_t>(key_words) * 8;
     size_t payload_bytes = map.size() - payload_off;
 
-    // Validate every slot once so find() can trust offsets blindly.
+    // Validate every slot once so find() and forEach() can trust
+    // offsets blindly.
     size_t live = 0;
     for (uint32_t s = 0; s < slot_count; ++s) {
         const unsigned char *slot = base + slots_off + s * kSlotBytes;
@@ -109,17 +152,17 @@ FrontierCacheSegment::open(const std::string &path, uint64_t fingerprint)
             return segment;
         ++live;
     }
-    if (live != entry_count)
+    // A full table would leave find() no empty slot to stop at.
+    if (live != entry_count || live == slot_count)
         return segment;
 
     segment.map_ = std::move(map);
+    segment.state_ = SegmentState::Valid;
     segment.generation_ = generation;
     segment.slotCount_ = slot_count;
     segment.entryCount_ = static_cast<size_t>(entry_count);
     segment.keyWordsOff_ = key_off;
-    segment.keyWords_ = static_cast<size_t>(key_words);
     segment.payloadOff_ = payload_off;
-    segment.payloadBytes_ = payload_bytes;
     return segment;
 }
 
@@ -157,69 +200,103 @@ FrontierCacheSegment::find(uint8_t kind,
     return {};
 }
 
+void
+FrontierCacheSegment::forEach(
+    const std::function<void(const Entry &)> &fn) const
+{
+    if (!valid())
+        return;
+    const unsigned char *base = map_.data();
+    Entry entry;
+    for (uint32_t s = 0; s < slotCount_; ++s) {
+        const unsigned char *slot = base + kHeaderBytes + s * kSlotBytes;
+        uint32_t kind_words = loadU32(slot + 12);
+        if (kind_words == 0)
+            continue;
+        const unsigned char *stored =
+            base + keyWordsOff_ + size_t{loadU32(slot + 8)} * 8;
+        entry.kind = static_cast<uint8_t>(kind_words >> 24);
+        entry.key.resize(kind_words & 0xffffff);
+        for (size_t i = 0; i < entry.key.size(); ++i)
+            entry.key[i] = loadI64(stored + i * 8);
+        entry.payload = {reinterpret_cast<const char *>(base) +
+                             payloadOff_ + loadU32(slot + 16),
+                         loadU32(slot + 20)};
+        entry.hits = loadU32(slot + 24);
+        entry.lastGen = loadU32(slot + 28);
+        fn(entry);
+    }
+}
+
+size_t
+FrontierCacheSegment::imageBytes(size_t records, size_t key_words,
+                                 size_t payload_bytes)
+{
+    return kHeaderBytes + size_t{slotCountFor(records)} * kSlotBytes +
+           key_words * 8 + payload_bytes;
+}
+
 std::string
 FrontierCacheSegment::build(uint64_t fingerprint, uint64_t generation,
                             const std::vector<SegmentRecord> &records)
 {
-    uint32_t slot_count = 8;
-    while (slot_count < 2 * records.size())
-        slot_count *= 2;
+    size_t key_words = 0;
+    size_t payload_bytes = 0;
+    for (const SegmentRecord &record : records) {
+        key_words += record.key->size();
+        payload_bytes += record.payload.size();
+    }
+    uint32_t slot_count = slotCountFor(records.size());
+    // One exact-size allocation, filled in place: the flush's peak
+    // memory is this image plus the payloads it copies, nothing more.
+    std::string image(imageBytes(records.size(), key_words, payload_bytes),
+                      '\0');
+    char *slots = image.data() + kHeaderBytes;
+    char *keys = slots + size_t{slot_count} * kSlotBytes;
+    char *payloads = keys + key_words * 8;
 
-    struct Slot
-    {
-        uint64_t hash = 0;
-        uint32_t keyOff = 0;
-        uint32_t kindWords = 0;
-        uint32_t payloadOff = 0;
-        uint32_t payloadLen = 0;
-    };
-    std::vector<Slot> slots(slot_count);
-    util::ByteWriter keys;
-    util::ByteWriter payloads;
     uint32_t mask = slot_count - 1;
+    std::vector<bool> taken(slot_count);
+    uint32_t key_off = 0;
+    uint32_t payload_off = 0;
     for (const SegmentRecord &record : records) {
         const std::vector<int64_t> &key = *record.key;
-        Slot slot;
-        slot.hash = slotHash(record.kind, key.data(), key.size());
-        slot.keyOff = static_cast<uint32_t>(keys.bytes().size() / 8);
-        slot.kindWords = (static_cast<uint32_t>(record.kind) << 24) |
-                         static_cast<uint32_t>(key.size());
-        slot.payloadOff =
-            static_cast<uint32_t>(payloads.bytes().size());
-        slot.payloadLen = static_cast<uint32_t>(record.payload.size());
-        keys.i64Words(key.data(), key.size());
-        payloads.raw(record.payload);
-        uint32_t s = static_cast<uint32_t>(slot.hash) & mask;
-        while (slots[s].kindWords != 0)
+        uint64_t hash = slotHash(record.kind, key.data(), key.size());
+        uint32_t s = static_cast<uint32_t>(hash) & mask;
+        while (taken[s])
             s = (s + 1) & mask;
-        slots[s] = slot;
+        taken[s] = true;
+        char *slot = slots + s * kSlotBytes;
+        storeU64(slot, hash);
+        storeU32(slot + 8, key_off);
+        storeU32(slot + 12, (static_cast<uint32_t>(record.kind) << 24) |
+                                static_cast<uint32_t>(key.size()));
+        storeU32(slot + 16, payload_off);
+        storeU32(slot + 20, static_cast<uint32_t>(record.payload.size()));
+        storeU32(slot + 24, record.hits);
+        storeU32(slot + 28, record.lastGen);
+        for (int64_t word : key) {
+            storeU64(keys + size_t{key_off} * 8,
+                     static_cast<uint64_t>(word));
+            ++key_off;
+        }
+        if (!record.payload.empty())
+            std::memcpy(payloads + payload_off, record.payload.data(),
+                        record.payload.size());
+        payload_off += static_cast<uint32_t>(record.payload.size());
     }
 
-    util::ByteWriter body;
-    for (const Slot &slot : slots) {
-        body.u64(slot.hash);
-        body.u32(slot.keyOff);
-        body.u32(slot.kindWords);
-        body.u32(slot.payloadOff);
-        body.u32(slot.payloadLen);
-    }
-    body.raw(keys.bytes());
-    body.raw(payloads.bytes());
-
-    util::ByteWriter header;
-    header.u64(kFrontierSegmentMagic);
-    header.u32(kFrontierSegmentVersion);
-    header.u32(slot_count);
-    header.u64(fingerprint);
-    header.u64(generation);
-    header.u64(records.size());
-    header.u64(keys.bytes().size() / 8);
-    header.u64(kHeaderBytes + body.bytes().size());
-    header.u64(util::fnv1aBytes(body.bytes().data(),
-                                body.bytes().size()));
-
-    std::string image = header.bytes();
-    image += body.bytes();
+    char *header = image.data();
+    storeU64(header, kFrontierSegmentMagic);
+    storeU32(header + 8, kFrontierSegmentVersion);
+    storeU32(header + 12, slot_count);
+    storeU64(header + 16, fingerprint);
+    storeU64(header + 24, generation);
+    storeU64(header + 32, records.size());
+    storeU64(header + 40, key_words);
+    storeU64(header + 48, image.size());
+    storeU64(header + 56, util::fnv1aBytes(image.data() + kHeaderBytes,
+                                           image.size() - kHeaderBytes));
     return image;
 }
 

@@ -1,41 +1,39 @@
 /**
  * @file
- * The mmap'd cache segment: an immutable, checksummed, hash-indexed
- * image of the frontier cache that every worker process on a host
- * maps read-only.
- *
- * The record file (core/frontier_cache.h) is a merge log — perfect
- * for crash-safe write-back, wrong for sharing: every process that
- * opens it re-reads and re-decodes the whole thing into a private
- * heap. The segment is the same record set laid out for readers:
+ * The mmap'd cache segment: the frontier cache's one on-disk artifact,
+ * an immutable, checksummed, hash-indexed image that every worker
+ * process on a host maps read-only.
  *
  *   [64-byte header | slot table | key blob | payload blob]
  *
  * The slot table is an open-addressed, linearly probed hash table
- * over (kind, key words) — util::hashInt64Words, the same hash every
- * memo table in the stack keys by — so find() is a probe walk plus
- * one key memcmp, no allocation, no decode. Payloads are the delta
- * staircase encodings of core/frontier_codec.h, decoded lazily by
- * whoever actually needs the row; N workers mapping one segment share
- * one page-cache copy of the bytes and decode only what they touch.
+ * over an FNV-1a hash of (kind, key words), so find() is a probe walk
+ * plus one key compare, no allocation, no decode. Each slot also
+ * carries the record's hit counter and the generation of its last
+ * hit, which the byte budget's least-recently-hit eviction reads at
+ * the next flush. Payloads are the delta staircase encodings of
+ * core/frontier_codec.h, decoded lazily by whoever actually needs the
+ * row; N workers mapping one segment share one page-cache copy of the
+ * bytes and decode only what they touch.
  *
- * Publication order makes torn states safe: flush() commits the
- * record file first, then publishes the segment image with an atomic
- * tmp+rename (util::publishFileAtomic). The header carries the
- * model-formula fingerprint and the *generation* stamp of the record
- * file it was built from; a reader trusts the segment only when both
- * match, so a crash between the two writes (segment one generation
- * behind) simply degrades that process to the eager record-file load.
- * Every byte after the header is covered by one FNV-1a checksum,
- * checked once at open; all slot offsets are bounds-validated then
- * too, so find() never reads outside the mapping however the file was
- * damaged.
+ * The segment owns the file layout; the codec owns the payloads.
+ * Writers never modify an image in place: flush() builds a complete
+ * new image and publishes it with an atomic tmp+rename
+ * (util::publishFileAtomic), so a reader maps either the previous
+ * complete generation or the new one, never a torn mix. Every byte
+ * after the header is covered by one FNV-1a checksum, checked once at
+ * open; all slot offsets are bounds-validated then too, so find() and
+ * forEach() never read outside the mapping however the file was
+ * damaged. open() says why it refused an image (SegmentState): a
+ * stale image (our magic, another version or model fingerprint) is an
+ * expected invalidation, a damaged one is not.
  */
 
 #ifndef MCLP_CORE_FRONTIER_CACHE_SEGMENT_H
 #define MCLP_CORE_FRONTIER_CACHE_SEGMENT_H
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,8 +46,9 @@ namespace core {
 /** First bytes of a segment file ("MCLPSG01", little-endian u64). */
 constexpr uint64_t kFrontierSegmentMagic = 0x3130475350434C4DULL;
 
-/** Bump on any change to the segment layout. */
-constexpr uint32_t kFrontierSegmentVersion = 1;
+/** Bump on any change to the segment layout. v2: each slot carries
+ * the record's hit counter and last-hit generation (24 -> 32 bytes). */
+constexpr uint32_t kFrontierSegmentVersion = 2;
 
 /** Segment file name inside the cache directory. */
 constexpr const char *kFrontierSegmentFileName = "frontier_cache.seg";
@@ -62,38 +61,61 @@ struct SegmentRecord
     uint8_t kind = 0;
     const std::vector<int64_t> *key = nullptr;
     std::string_view payload;
+    uint32_t hits = 0;     ///< lookups answered from disk, all time
+    uint32_t lastGen = 0;  ///< generation of the most recent hit
+};
+
+/** What open() found at the path. */
+enum class SegmentState
+{
+    Missing,  ///< no file: a clean cold start
+    Stale,    ///< our magic, another version or fingerprint: clean cold
+    Damaged,  ///< short, foreign, checksum or bounds failure: dirty cold
+    Valid,    ///< mapped and validated
 };
 
 /**
- * A validated read-only mapping of a segment file. Invalid (absent,
- * foreign, corrupt, fingerprint-mismatched) segments yield
- * !valid() — callers treat that as "no segment", never an error.
- * Movable; the mapping pins the published inode even after a newer
- * generation renames over the path.
+ * A validated read-only mapping of a segment file. Invalid segments
+ * (every state but Valid) are empty — callers treat that as "no
+ * segment", never an error. Movable; the mapping pins the published
+ * inode even after a newer generation renames over the path.
  */
 class FrontierCacheSegment
 {
   public:
+    /** One stored record, as forEach() hands it out. */
+    struct Entry
+    {
+        uint8_t kind = 0;
+        std::vector<int64_t> key;
+        std::string_view payload;  ///< aliases the mapping
+        uint32_t hits = 0;
+        uint32_t lastGen = 0;
+    };
+
     FrontierCacheSegment() = default;
 
     /**
      * Map and validate @p path: magic, version, fingerprint,
-     * whole-body checksum, and every slot's offsets in bounds. Any
-     * defect yields an invalid segment.
+     * whole-body checksum, table geometry, and every slot's offsets
+     * in bounds. state() reports the outcome.
      */
     static FrontierCacheSegment open(const std::string &path,
                                      uint64_t fingerprint);
 
-    /**
-     * Serialize @p records as a complete segment image for
-     * util::publishFileAtomic. @p generation must be the record-file
-     * generation the records were read from — readers revalidate
-     * against it.
-     */
+    /** Exact byte size of the image build() makes for @p records
+     * records holding @p key_words key words and @p payload_bytes
+     * payload bytes in total (the byte budget's yardstick). */
+    static size_t imageBytes(size_t records, size_t key_words,
+                             size_t payload_bytes);
+
+    /** Serialize @p records as a complete segment image for
+     * util::publishFileAtomic. */
     static std::string build(uint64_t fingerprint, uint64_t generation,
                              const std::vector<SegmentRecord> &records);
 
-    bool valid() const { return map_.valid(); }
+    SegmentState state() const { return state_; }
+    bool valid() const { return state_ == SegmentState::Valid; }
     uint64_t generation() const { return generation_; }
     size_t entryCount() const { return entryCount_; }
     /** Mapped bytes of the whole image (what cache-stats reports). */
@@ -108,15 +130,18 @@ class FrontierCacheSegment
     std::string_view find(uint8_t kind,
                           const std::vector<int64_t> &key) const;
 
+    /** Visit every stored record in slot order (the flush merge reads
+     * the previous image this way, payloads as views). */
+    void forEach(const std::function<void(const Entry &)> &fn) const;
+
   private:
     util::MappedFile map_;
+    SegmentState state_ = SegmentState::Missing;
     uint64_t generation_ = 0;
     uint32_t slotCount_ = 0;
     size_t entryCount_ = 0;
     size_t keyWordsOff_ = 0;   ///< byte offset of the key blob
-    size_t keyWords_ = 0;      ///< i64 words in the key blob
     size_t payloadOff_ = 0;    ///< byte offset of the payload blob
-    size_t payloadBytes_ = 0;
 };
 
 } // namespace core

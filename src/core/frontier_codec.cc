@@ -3,27 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/frontier_cache.h"
 
 namespace mclp {
 namespace core {
-
-void
-writeCacheKey(util::ByteWriter &out, const std::vector<int64_t> &key)
-{
-    out.u32(static_cast<uint32_t>(key.size()));
-    out.i64Words(key.data(), key.size());
-}
-
-bool
-readCacheKey(util::ByteReader &in, std::vector<int64_t> &key)
-{
-    uint32_t count = 0;
-    if (!in.u32(count) || count == 0 || count > kCacheMaxKeyWords)
-        return false;
-    key.resize(count);
-    return in.i64Words(key.data(), count);
-}
 
 size_t
 traceKeyGroups(const std::vector<int64_t> &key)
@@ -32,39 +14,7 @@ traceKeyGroups(const std::vector<int64_t> &key)
         std::count(key.begin(), key.end(), int64_t{-1}));
 }
 
-std::string
-cacheHeaderPayload(uint64_t fingerprint, uint64_t generation)
-{
-    util::ByteWriter out;
-    out.u64(kFrontierCacheMagic);
-    out.u32(kFrontierCacheFormatVersion);
-    out.u64(fingerprint);
-    out.u64(generation);
-    return out.bytes();
-}
-
-std::string
-legacyV3CacheHeaderPayload(uint64_t fingerprint, uint64_t generation)
-{
-    util::ByteWriter out;
-    out.u64(kFrontierCacheMagic);
-    out.u32(kFrontierCacheLegacyV3FormatVersion);
-    out.u64(fingerprint);
-    out.u64(generation);
-    return out.bytes();
-}
-
-std::string
-legacyCacheHeaderPayload(uint64_t fingerprint)
-{
-    util::ByteWriter out;
-    out.u64(kFrontierCacheMagic);
-    out.u32(kFrontierCacheLegacyFormatVersion);
-    out.u64(fingerprint);
-    return out.bytes();
-}
-
-// ------------------------------------------------ delta payloads (v3)
+// ---------------------------------------------------- delta payloads
 
 namespace {
 
@@ -251,7 +201,19 @@ peekTraceMeta(std::string_view payload, bool *complete, size_t *steps)
     return true;
 }
 
-// --------------------------------------- legacy SoA records (v2)
+// ------------------------------------- legacy SoA records (baseline)
+
+namespace {
+
+/** Length-prefixed key block ([u32 words][i64 words...]). */
+void
+writeLegacyKey(util::ByteWriter &out, const std::vector<int64_t> &key)
+{
+    out.u32(static_cast<uint32_t>(key.size()));
+    out.i64Words(key.data(), key.size());
+}
+
+} // namespace
 
 std::string
 encodeLegacyRowRecord(const std::vector<int64_t> &key,
@@ -259,7 +221,7 @@ encodeLegacyRowRecord(const std::vector<int64_t> &key,
 {
     util::ByteWriter out;
     out.u8(kCacheRecordRow);
-    writeCacheKey(out, key);
+    writeLegacyKey(out, key);
     size_t count = row.size();
     out.u32(static_cast<uint32_t>(count));
     std::vector<int64_t> lane(count);
@@ -280,7 +242,7 @@ encodeLegacyTraceRecord(const std::vector<int64_t> &key,
 {
     util::ByteWriter out;
     out.u8(kCacheRecordTrace);
-    writeCacheKey(out, key);
+    writeLegacyKey(out, key);
     out.u8(image.complete ? 1 : 0);
     out.i64(image.initialBram);
     out.f64(image.initialPeak);
@@ -293,63 +255,6 @@ encodeLegacyTraceRecord(const std::vector<int64_t> &key,
         out.f64(step.totalPeak);
     }
     return out.bytes();
-}
-
-std::optional<ShapeFrontier>
-decodeLegacyRowBody(util::ByteReader &in)
-{
-    uint32_t count = 0;
-    if (!in.u32(count) || count > kCacheMaxListEntries)
-        return std::nullopt;
-    size_t n = count;
-    std::vector<int64_t> tn(n), tm(n), dsp(n), cycles(n);
-    in.i64Words(tn.data(), n);
-    in.i64Words(tm.data(), n);
-    in.i64Words(dsp.data(), n);
-    in.i64Words(cycles.data(), n);
-    if (!in.ok() || !in.atEnd())
-        return std::nullopt;
-    std::vector<FrontierPoint> points(n);
-    for (size_t i = 0; i < n; ++i) {
-        points[i].shape = model::ClpShape{tn[i], tm[i]};
-        points[i].dsp = dsp[i];
-        points[i].cycles = cycles[i];
-    }
-    return ShapeFrontier::fromPoints(std::move(points));
-}
-
-bool
-decodeLegacyTraceBody(util::ByteReader &in, size_t key_groups,
-                      FrontierTraceImage &image)
-{
-    uint8_t complete = 0;
-    uint32_t count = 0;
-    if (!in.u8(complete) || !in.i64(image.initialBram) ||
-        !in.f64(image.initialPeak) || !in.u32(count) ||
-        count > kCacheMaxListEntries)
-        return false;
-    image.complete = complete != 0;
-    image.steps.resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-        TradeoffCurveCache::PartitionStep &step = image.steps[i];
-        if (!in.u32(step.clp) || !in.i64(step.inCap) ||
-            !in.i64(step.outCap) || !in.i64(step.totalBram) ||
-            !in.f64(step.totalPeak))
-            break;
-    }
-    bool valid = in.ok() && in.atEnd() && image.initialBram >= 0 &&
-                 std::isfinite(image.initialPeak);
-    int64_t prev_bram = image.initialBram;
-    for (const auto &step : image.steps) {
-        if (!valid)
-            break;
-        valid = step.clp < key_groups && step.inCap >= 0 &&
-                step.outCap >= 0 && step.totalBram >= 0 &&
-                step.totalBram < prev_bram &&
-                std::isfinite(step.totalPeak);
-        prev_bram = step.totalBram;
-    }
-    return valid;
 }
 
 } // namespace core

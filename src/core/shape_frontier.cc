@@ -684,19 +684,17 @@ FrontierRowStore::lookup(const std::vector<int64_t> &key)
         // Read through to the persistent tiers: a loaded staircase is
         // as good as a resident one (immutable, validated at decode),
         // so it joins the store and counts as a hit — no build
-        // happened. The tier the cache answered from (mmap'd segment
-        // vs eagerly decoded record file) splits the hit counters so
+        // happened. The tier the cache answered from (this shard's
+        // mmap'd segment vs a sibling's) splits the hit counters so
         // cache-stats can show the whole ladder.
         CacheTier tier = CacheTier::None;
         if (auto row = cache_->loadRow(key, &tier)) {
             rows_.emplace(key, row);
             ++hits_;
-            if (tier == CacheTier::Mmap)
-                ++mmapHits_;
-            else if (tier == CacheTier::Sibling)
+            if (tier == CacheTier::Sibling)
                 ++siblingHits_;
             else
-                ++diskHits_;
+                ++mmapHits_;
             return row;
         }
     }
@@ -726,7 +724,6 @@ FrontierRowStore::stats() const
     stats.hits = hits_;
     stats.misses = misses_;
     stats.rows = rows_.size();
-    stats.diskHits = diskHits_;
     stats.mmapHits = mmapHits_;
     stats.siblingHits = siblingHits_;
     return stats;

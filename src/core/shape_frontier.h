@@ -431,7 +431,10 @@ class FrontierRowStore
         size_t hits = 0;      ///< lookups answered by an existing row
         size_t misses = 0;    ///< lookups that forced a build
         size_t rows = 0;      ///< rows currently resident
-        size_t diskHits = 0;  ///< hits decoded from the record file
+        /** Always 0: the eager record-file tier it counted is gone.
+         * Kept because the serving benchmark (perfbench/trace.cc)
+         * still reads it and must keep compiling unchanged. */
+        size_t diskHits = 0;
         size_t mmapHits = 0;  ///< hits decoded from the mmap'd segment
         /** Hits decoded from a sibling shard's published segment
          * (cross-shard sharing under a sharded front). */
@@ -440,7 +443,7 @@ class FrontierRowStore
 
     /**
      * Attach a persistent cache: lookup() falls through to it on a
-     * miss (a disk hit counts as a hit and avoids the build), and
+     * miss (a cache hit counts as a hit and avoids the build), and
      * insert() notes fresh rows for write-back. Attach before first
      * use; the store never flushes — its owner does. The cache pins
      * every row it mirrors for the process lifetime, so memoryBytes()
@@ -479,7 +482,6 @@ class FrontierRowStore
         rows_;
     size_t hits_ = 0;
     size_t misses_ = 0;
-    size_t diskHits_ = 0;
     size_t mmapHits_ = 0;
     size_t siblingHits_ = 0;
 };

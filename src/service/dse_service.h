@@ -105,13 +105,7 @@ struct ServiceOptions
      */
     std::string cacheDir;
 
-    /** Map the published cache segment read-only and serve lazily
-     * from it (mclp-serve --cache-mmap; on by default). Sharded
-     * workers on one host then share one page-cache copy of the
-     * staircase bytes. Off = always eager-load the record file. */
-    bool cacheMmap = true;
-
-    /** Byte budget for the cache record file (mclp-serve
+    /** Byte budget for the cache segment image (mclp-serve
      * --cache-max-mb; 0 = unbounded): flushes evict the
      * least-recently-hit records past it. */
     size_t cacheMaxBytes = 0;

@@ -5,9 +5,7 @@
 #include <unistd.h>
 
 #include <bit>
-#include <cstdio>
 #include <cstring>
-#include <utility>
 
 namespace mclp {
 namespace util {
@@ -97,12 +95,6 @@ ByteWriter::varint(uint64_t value)
     buf_.push_back(static_cast<char>(value));
 }
 
-void
-ByteWriter::raw(std::string_view bytes)
-{
-    buf_.append(bytes.data(), bytes.size());
-}
-
 bool
 ByteReader::take(void *out, size_t count)
 {
@@ -177,18 +169,6 @@ ByteReader::f64(double &value)
 }
 
 bool
-ByteReader::i64Words(int64_t *words, size_t count)
-{
-    if constexpr (std::endian::native == std::endian::little)
-        return take(words, count * sizeof(int64_t));
-    for (size_t i = 0; i < count; ++i) {
-        if (!i64(words[i]))
-            return false;
-    }
-    return true;
-}
-
-bool
 ByteReader::varint(uint64_t &value)
 {
     value = 0;
@@ -202,16 +182,6 @@ ByteReader::varint(uint64_t &value)
     }
     ok_ = false;  // 11+ continuation bytes: not a valid varint
     return false;
-}
-
-std::string_view
-ByteReader::rest()
-{
-    if (!ok_)
-        return {};
-    std::string_view tail = data_.substr(pos_);
-    pos_ = data_.size();
-    return tail;
 }
 
 FileLock::FileLock(const std::string &path)
@@ -231,122 +201,6 @@ FileLock::~FileLock()
         ::flock(fd_, LOCK_UN);
         ::close(fd_);
     }
-}
-
-RecordFileWriter::RecordFileWriter(std::string path,
-                                   std::string_view header)
-    : path_(std::move(path)), tmpPath_(path_ + ".tmp")
-{
-    file_ = std::fopen(tmpPath_.c_str(), "wb");
-    ok_ = file_ != nullptr;
-    if (ok_)
-        append(header);
-}
-
-RecordFileWriter::~RecordFileWriter()
-{
-    if (file_)
-        std::fclose(file_);
-    if (!committed_)
-        ::unlink(tmpPath_.c_str());
-}
-
-void
-RecordFileWriter::append(std::string_view payload)
-{
-    if (!ok_)
-        return;
-    std::string frame;
-    putLe(frame, static_cast<uint32_t>(payload.size()), 4);
-    putLe(frame, fnv1aBytes(payload.data(), payload.size()), 8);
-    ok_ = std::fwrite(frame.data(), 1, frame.size(), file_) ==
-              frame.size() &&
-          (payload.empty() ||
-           std::fwrite(payload.data(), 1, payload.size(), file_) ==
-               payload.size());
-}
-
-bool
-RecordFileWriter::commit()
-{
-    if (!ok_ || committed_)
-        return false;
-    ok_ = std::fflush(file_) == 0 && ::fsync(::fileno(file_)) == 0;
-    ok_ = std::fclose(file_) == 0 && ok_;
-    file_ = nullptr;
-    if (!ok_)
-        return false;
-    if (std::rename(tmpPath_.c_str(), path_.c_str()) != 0) {
-        ok_ = false;
-        return false;
-    }
-    committed_ = true;
-    return true;
-}
-
-RecordFileReader::RecordFileReader(const std::string &path)
-{
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file)
-        return;
-    // One allocation, one read: cache files reach tens of megabytes
-    // and chunked appends would re-copy the buffer repeatedly.
-    long size = -1;
-    if (std::fseek(file, 0, SEEK_END) == 0)
-        size = std::ftell(file);
-    if (size >= 0 && std::fseek(file, 0, SEEK_SET) == 0) {
-        data_.resize(static_cast<size_t>(size));
-        size_t got = std::fread(data_.data(), 1, data_.size(), file);
-        opened_ = got == data_.size() && std::ferror(file) == 0;
-    }
-    std::fclose(file);
-    if (!opened_)
-        data_.clear();
-}
-
-bool
-RecordFileReader::next(std::string &out)
-{
-    std::string_view view;
-    if (!next(view))
-        return false;
-    out.assign(view.data(), view.size());
-    return true;
-}
-
-bool
-RecordFileReader::next(std::string_view &out)
-{
-    if (!opened_ || corrupt_)
-        return false;
-    if (pos_ == data_.size())
-        return false;  // clean end of file
-    if (data_.size() - pos_ < 12) {
-        corrupt_ = true;  // truncated mid-frame
-        return false;
-    }
-    uint32_t length = 0;
-    uint64_t checksum = 0;
-    for (size_t i = 0; i < 4; ++i)
-        length |= static_cast<uint32_t>(
-                      static_cast<unsigned char>(data_[pos_ + i]))
-                  << (8 * i);
-    for (size_t i = 0; i < 8; ++i)
-        checksum |= static_cast<uint64_t>(
-                        static_cast<unsigned char>(data_[pos_ + 4 + i]))
-                    << (8 * i);
-    if (data_.size() - pos_ - 12 < length) {
-        corrupt_ = true;  // truncated mid-payload
-        return false;
-    }
-    const char *payload = data_.data() + pos_ + 12;
-    if (fnv1aBytes(payload, length) != checksum) {
-        corrupt_ = true;  // bit rot; nothing after is trustworthy
-        return false;
-    }
-    out = std::string_view(payload, length);
-    pos_ += 12 + length;
-    return true;
 }
 
 } // namespace util

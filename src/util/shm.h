@@ -1,19 +1,20 @@
 /**
  * @file
- * Shared-memory primitives for the host-wide cache tier: read-only
- * file mappings and atomic whole-file publication.
+ * Shared-memory primitives for the persistent cache: read-only file
+ * mappings and atomic whole-file publication.
  *
- * The frontier-cache segment (core/frontier_cache_segment.h) is an
- * immutable image that every worker process on a host maps read-only:
- * N workers then share one page-cache copy of the staircase bytes
- * instead of N private decoded heaps. Immutability is what makes the
- * sharing trivially safe — a segment file is never modified in place;
- * publishers write a complete new image to "<path>.tmp" and rename it
- * over the old one (publishFileAtomic), so a reader either maps the
- * previous complete generation or the new complete generation, never
- * a torn mix. Existing mappings keep the *old* inode alive until they
- * unmap (POSIX rename semantics), so a publish never invalidates a
- * worker mid-read; workers pick up new generations by re-opening
+ * The frontier-cache segment (core/frontier_cache_segment.h) is the
+ * cache's only on-disk form: an immutable image that every worker
+ * process on a host maps read-only, so N workers share one page-cache
+ * copy of the staircase bytes instead of N private decoded heaps.
+ * Immutability is what makes the sharing trivially safe — a segment
+ * file is never modified in place; publishers write a complete new
+ * image to "<path>.tmp" and rename it over the old one
+ * (publishFileAtomic), so a reader either maps the previous complete
+ * generation or the new complete generation, never a torn mix.
+ * Existing mappings keep the *old* inode alive until they unmap
+ * (POSIX rename semantics), so a publish never invalidates a worker
+ * mid-read; workers pick up new generations by re-opening
  * (MappedFile::map) and checking the embedded generation stamp.
  */
 

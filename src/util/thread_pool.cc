@@ -67,12 +67,17 @@ ThreadPool::workerLoop(size_t)
 {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        wake_.wait(lock, [this] {
-            return stop_ || stealLocked(nullptr) != nullptr;
+        // Take the job in the same look that found it. The submitting
+        // thread claims indices without the lock, so a job seen with
+        // work left may be exhausted by the time of a second look;
+        // a null take means "go back to waiting", never a dereference.
+        std::shared_ptr<Job> job;
+        wake_.wait(lock, [&] {
+            job = stealLocked(nullptr);
+            return stop_ || job != nullptr;
         });
         if (stop_)
             return;
-        std::shared_ptr<Job> job = stealLocked(nullptr);
         lock.unlock();
         runJob(*job);
         job.reset();

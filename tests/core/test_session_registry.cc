@@ -364,7 +364,7 @@ TEST(SessionRegistry, JointSessionStartsDiskWarmFromSoloCaches)
     // The fire-module twins of a joint request must hit frontier rows
     // a previous *process* built for the solo networks: solo sessions
     // flush to the persistent cache, and the joint session's in-range
-    // lookups come back as disk hits.
+    // lookups come back as hits on the mapped segment.
     namespace fs = std::filesystem;
     fs::path dir = fs::temp_directory_path() /
                    ("mclp_joint_cache_" +
@@ -392,10 +392,9 @@ TEST(SessionRegistry, JointSessionStartsDiskWarmFromSoloCaches)
     auto result = registry.session(joint, "", fpga::DataType::Float32)
                       ->sweep(budgets, {});
     core::FrontierRowStore::Stats stats = registry.rowStore()->stats();
-    // A fresh process loads through whichever persistent tier is
-    // available — the mmap'd segment when the solo flush published
-    // one, the record file otherwise.
-    EXPECT_GT(stats.diskHits + stats.mmapHits, 0u)
+    // A fresh process loads through the segment the solo flush
+    // published — the cache's only persistent tier.
+    EXPECT_GT(stats.mmapHits, 0u)
         << "joint ranges inside one sub-network must load from the "
            "solo networks' persistent cache";
     expectSameResult(result[0],

@@ -57,6 +57,21 @@ TEST(ThreadPool, SequentialLoopsReuseWorkers)
     }
 }
 
+TEST(ThreadPool, TinyLoopsNeverHandAWorkerAnExhaustedJob)
+{
+    // Two indices on a 3-thread pool: the caller often claims both
+    // before a woken worker looks again, so a worker must cope with
+    // finding the job it was woken for already exhausted.
+    util::ThreadPool pool(3);
+    for (int round = 0; round < 20000; ++round) {
+        std::atomic<int> count{0};
+        pool.parallelFor(2, [&](size_t) {
+            count.fetch_add(1, std::memory_order_relaxed);
+        });
+        ASSERT_EQ(count.load(), 2) << "round " << round;
+    }
+}
+
 TEST(ThreadPool, ResolveThreads)
 {
     EXPECT_EQ(util::resolveThreads(3), 3);
