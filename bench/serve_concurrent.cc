@@ -113,7 +113,6 @@ main()
 
     service::Server::Options server_opts;
     server_opts.unixPath = socketPath();
-    server_opts.workers = service_opts.threads;
     service::Server server(service, server_opts);
     if (!server.listening()) {
         std::fprintf(stderr, "serve_concurrent: bind failed\n");
@@ -140,12 +139,12 @@ main()
     bool any_failed = false;
     for (int clients : {1, 4, 16}) {
         std::vector<std::vector<double>> latencies(clients);
-        std::vector<bool> failed(clients, false);
+        // One char per client, not vector<bool>: that packs the flags
+        // into shared words, so the clients' writes would race.
+        std::vector<char> failed(clients, 0);
         std::vector<std::thread> threads;
         auto start = std::chrono::steady_clock::now();
         for (int c = 0; c < clients; ++c) {
-            // vector<bool> hands out proxies, not bool&; give each
-            // thread a stable target instead.
             threads.emplace_back([&, c] {
                 bool client_failed = false;
                 clientLoop(server_opts.unixPath, expected,
@@ -162,7 +161,7 @@ main()
             all.insert(all.end(), per_client.begin(),
                        per_client.end());
         std::sort(all.begin(), all.end());
-        for (bool f : failed)
+        for (char f : failed)
             any_failed = any_failed || f;
 
         size_t total = all.size();

@@ -14,7 +14,6 @@
 #include "model/bram_model.h"
 #include "model/dsp_model.h"
 #include "service/dse_codec.h"
-#include "service/server.h"
 #include "util/logging.h"
 #include "util/prof.h"
 #include "util/string_utils.h"
@@ -391,24 +390,6 @@ DseService::serveStream(std::istream &in, std::ostream &out)
             out << response << '\n';
     }
     out.flush();
-}
-
-int
-DseService::serveSocket(const std::string &path, int max_connections)
-{
-    // The event-driven server subsumes the old one-batch-at-a-time
-    // accept loop: batch clients see identical bytes (per-connection
-    // request order is preserved), they just start receiving answers
-    // before their batch is complete.
-    Server::Options options;
-    options.unixPath = path;
-    options.acceptLimit = max_connections;
-    options.workers = options_.threads;
-    options.maxLineBytes = options_.maxLineBytes;
-    Server server(*this, options);
-    if (!server.listening())
-        return 1;
-    return server.run();
 }
 
 void

@@ -159,22 +159,6 @@ class DseService
      */
     void serveStream(std::istream &in, std::ostream &out);
 
-    /**
-     * Listen on a Unix stream socket at @p path through the
-     * event-driven server (service/server.h) with its defaults:
-     * many concurrent connections, pipelined per-line answers in
-     * request order, bounded buffers, overload shedding, graceful
-     * drain on a "shutdown" line. Batch clients keep working
-     * unchanged — write lines, shutdown(SHUT_WR), read responses
-     * until EOF — they simply start receiving answers earlier.
-     * Serves until @p max_connections connections were handled (-1 =
-     * until drained). A client that dies mid-batch costs only its
-     * own connection. Returns 0 on clean exit, 1 on listener errors.
-     * Front ends needing the TCP listener or tuned limits construct
-     * a service::Server directly.
-     */
-    int serveSocket(const std::string &path, int max_connections = -1);
-
     /** Attach (or detach, with nullptr) a server's transport
      * counters; the `stats` verb reports them while attached. */
     void attachTransportStats(const TransportStats *stats)
@@ -187,6 +171,8 @@ class DseService
     void flushCache();
 
     core::SessionRegistry &registry() { return registry_; }
+
+    const ServiceOptions &options() const { return options_; }
 
     /** The persistent cache, when --cache-dir enabled one. */
     const std::shared_ptr<core::FrontierCache> &cache() const

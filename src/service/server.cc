@@ -7,13 +7,160 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <utility>
 
+#include "util/flags.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace mclp {
 namespace service {
+
+namespace {
+
+/**
+ * The local crew: worker threads that execute admitted lines on a
+ * DseService. The poll thread never executes requests, so a stuck
+ * optimization can never stall accepts, reads, writes, or timeouts.
+ */
+class LocalCrew final : public Dispatcher
+{
+  public:
+    explicit LocalCrew(DseService &service) : service_(service) {}
+
+    ~LocalCrew() override
+    {
+        stop();
+        service_.attachTransportStats(nullptr);
+    }
+
+    bool start(Server &server) override
+    {
+        server_ = &server;
+        service_.attachTransportStats(&server.stats());
+        for (int i = util::resolveThreads(service_.options().threads);
+             i > 0; --i)
+            threads_.emplace_back([this] { work(); });
+        return true;
+    }
+
+    void dispatch(Ticket ticket, std::string line) override
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            tasks_.emplace_back(std::move(ticket), std::move(line));
+        }
+        ready_.notify_one();
+    }
+
+    int finish() override
+    {
+        // Drain order: the crew empties the task queue first, and only
+        // then is the persistent cache flushed — so a flush never
+        // races an in-flight request's row insertions.
+        stop();
+        service_.flushCache();
+        return 0;
+    }
+
+  private:
+    void work()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        while (true) {
+            ready_.wait(lock,
+                        [this] { return !tasks_.empty() || stopping_; });
+            // Drain before exiting: admitted work always finishes,
+            // even when its connection was hard-closed meanwhile.
+            if (tasks_.empty())
+                return;
+            std::pair<Ticket, std::string> task = std::move(tasks_.front());
+            tasks_.pop_front();
+            lock.unlock();
+            server_->complete(task.first, service_.handleLine(task.second));
+            lock.lock();
+        }
+    }
+
+    void stop()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            stopping_ = true;
+        }
+        ready_.notify_all();
+        for (std::thread &thread : threads_)
+            thread.join();
+        threads_.clear();
+    }
+
+    DseService &service_;
+    Server *server_ = nullptr;
+    std::mutex mutex_;  ///< guards tasks_ and stopping_
+    std::condition_variable ready_;
+    std::deque<std::pair<Ticket, std::string>> tasks_;
+    bool stopping_ = false;
+    std::vector<std::thread> threads_;
+};
+
+} // namespace
+
+const char kTransportFlagsHelp[] =
+    "transport (the per-connection policies apply to every socket\n"
+    "client):\n"
+    "  --socket PATH        listen on a Unix stream socket\n"
+    "  --tcp-port N         also listen on loopback TCP port N\n"
+    "                       (0 = ephemeral; the bound port is\n"
+    "                       printed to stderr)\n"
+    "  --max-line-bytes N   request lines past N bytes answer\n"
+    "                       'err ... msg=line-too-long' (default\n"
+    "                       1048576)\n"
+    "  --max-pipeline N     per-connection in-flight cap; excess\n"
+    "                       lines shed 'err ... msg=busy'\n"
+    "                       (default 64)\n"
+    "  --max-inflight N     global in-flight cap across all\n"
+    "                       connections (default 256)\n"
+    "  --read-timeout-ms N  drop a connection whose partial\n"
+    "                       request line is older than N ms\n"
+    "                       (slow-loris guard; default 30000;\n"
+    "                       0 = off)\n"
+    "  --idle-timeout-ms N  drop a fully idle connection after\n"
+    "                       N ms (default 0 = off)\n";
+
+bool
+parseTransportFlag(int argc, char **argv, int &i, Server::Options &options)
+{
+    std::string arg = argv[i];
+    auto value = [&]() -> const char * {
+        if (i + 1 >= argc)
+            util::fatal("%s needs a value", arg.c_str());
+        return argv[++i];
+    };
+    auto int_value = [&](int64_t min, int64_t max) {
+        return static_cast<int>(
+            util::parseIntFlag(arg.c_str(), value(), min, max));
+    };
+    if (arg == "--socket")
+        options.unixPath = value();
+    else if (arg == "--tcp-port")
+        options.tcpPort = int_value(0, 65535);
+    else if (arg == "--max-line-bytes")
+        options.maxLineBytes = static_cast<size_t>(int_value(64, 1 << 30));
+    else if (arg == "--max-pipeline")
+        options.maxPipeline = int_value(1, 1 << 20);
+    else if (arg == "--max-inflight")
+        options.maxInflight = int_value(1, 1 << 20);
+    else if (arg == "--read-timeout-ms")
+        options.readTimeoutMs = int_value(0, 1 << 30);
+    else if (arg == "--idle-timeout-ms")
+        options.idleTimeoutMs = int_value(0, 1 << 30);
+    else
+        return false;
+    return true;
+}
 
 Server *Server::signalTarget_ = nullptr;
 
@@ -30,52 +177,78 @@ Server::sigtermHandler(int)
 }
 
 Server::Server(DseService &service, Options options)
-    : service_(service), options_(std::move(options))
+    : dispatcher_(nullptr), options_(std::move(options)),
+      ownedDispatcher_(std::make_unique<LocalCrew>(service))
+{
+    dispatcher_ = ownedDispatcher_.get();
+    open();
+}
+
+Server::Server(Dispatcher &dispatcher, Options options)
+    : dispatcher_(&dispatcher), options_(std::move(options))
+{
+    open();
+}
+
+void
+Server::open()
 {
     if (!wake_.valid()) {
         startError_ = "self-pipe creation failed";
         util::warn("mclp-serve: %s", startError_.c_str());
         return;
     }
-    if (!options_.unixPath.empty()) {
-        std::string error;
-        int fd = util::listenUnix(options_.unixPath, &error);
+    // The handler goes in before the dispatcher starts: a SIGTERM
+    // that lands while the front's workers come up still drains them.
+    if (options_.handleSigterm) {
+        signalTarget_ = this;
+        struct sigaction action
+        {
+        };
+        action.sa_handler = &Server::sigtermHandler;
+        sigemptyset(&action.sa_mask);
+        ::sigaction(SIGTERM, &action, &oldTerm_);
+    }
+    if (!dispatcher_->start(*this)) {
+        startError_ = "dispatcher failed to start";
+        return;
+    }
+    std::string error;
+    auto keep = [&](int fd, util::ScopedFd &listener) {
         if (fd < 0) {
             startError_ = error;
             util::warn("mclp-serve: %s", error.c_str());
-            return;
+            return false;
         }
         // Non-blocking listeners: acceptPending() drains until
         // EAGAIN, which a blocking accept would turn into a hang.
         util::setNonBlocking(fd);
-        unixListener_.reset(fd);
-    }
-    if (options_.tcpPort >= 0) {
-        std::string error;
-        int fd = util::listenTcp(
-            static_cast<uint16_t>(options_.tcpPort), &tcpPort_, &error);
-        if (fd < 0) {
-            startError_ = error;
-            util::warn("mclp-serve: %s", error.c_str());
-            return;
-        }
-        util::setNonBlocking(fd);
-        tcpListener_.reset(fd);
-    }
+        listener.reset(fd);
+        return true;
+    };
+    if (!options_.unixPath.empty() &&
+        !keep(util::listenUnix(options_.unixPath, &error), unixListener_))
+        return;
+    if (options_.tcpPort >= 0 &&
+        !keep(util::listenTcp(static_cast<uint16_t>(options_.tcpPort),
+                              &tcpPort_, &error),
+              tcpListener_))
+        return;
     if (!unixListener_.valid() && !tcpListener_.valid()) {
         startError_ = "no listeners configured (need a socket path "
                       "or a TCP port)";
         util::warn("mclp-serve: %s", startError_.c_str());
-        return;
     }
-    service_.attachTransportStats(&stats_);
 }
 
 Server::~Server()
 {
-    service_.attachTransportStats(nullptr);
     if (unixListener_.valid())
         ::unlink(options_.unixPath.c_str());
+    if (signalTarget_ == this) {
+        ::sigaction(SIGTERM, &oldTerm_, nullptr);
+        signalTarget_ = nullptr;
+    }
 }
 
 void
@@ -85,40 +258,27 @@ Server::requestDrain()
     wake_.notify();
 }
 
+void
+Server::complete(const Ticket &ticket, std::string response)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ticket.conn->complete(ticket.seq, std::move(response));
+        --ticket.conn->inflight;
+        --globalInflight_;
+    }
+    // The poll thread moves finished responses out at the top of every
+    // iteration; only a completion from another thread must wake it.
+    if (std::this_thread::get_id() != pollThread_)
+        wake_.notify();
+}
+
 bool
 Server::acceptingClosed() const
 {
     return options_.acceptLimit >= 0 &&
            acceptedTotal_ >=
                static_cast<uint64_t>(options_.acceptLimit);
-}
-
-void
-Server::workerLoop()
-{
-    while (true) {
-        Task task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            taskReady_.wait(lock, [this] {
-                return !tasks_.empty() || stopWorkers_;
-            });
-            // Drain before exiting: admitted work always finishes,
-            // even when its connection was hard-closed meanwhile.
-            if (tasks_.empty())
-                return;
-            task = std::move(tasks_.front());
-            tasks_.pop_front();
-        }
-        std::string response = service_.handleLine(task.line);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            task.conn->complete(task.seq, std::move(response));
-            --task.conn->inflight;
-            --globalInflight_;
-        }
-        wake_.notify();
-    }
 }
 
 void
@@ -149,6 +309,7 @@ Server::handleLine(const std::shared_ptr<Connection> &conn,
         draining_ = true;
         return;
     }
+    Ticket ticket{conn, 0};
     {
         std::lock_guard<std::mutex> lock(mutex_);
         bool shed =
@@ -164,15 +325,11 @@ Server::handleLine(const std::shared_ptr<Connection> &conn,
             return;
         }
         stats_.requests.fetch_add(1, std::memory_order_relaxed);
-        Task task;
-        task.conn = conn;
-        task.seq = conn->allocSeq();
-        task.line = std::move(text);
+        ticket.seq = conn->allocSeq();
         ++conn->inflight;
         ++globalInflight_;
-        tasks_.push_back(std::move(task));
     }
-    taskReady_.notify_one();
+    dispatcher_->dispatch(std::move(ticket), std::move(text));
 }
 
 void
@@ -381,33 +538,12 @@ Server::run()
 {
     if (!listening())
         return 1;
-
-    struct sigaction old_term
-    {
-    };
-    if (options_.handleSigterm) {
-        signalTarget_ = this;
-        struct sigaction action
-        {
-        };
-        action.sa_handler = &Server::sigtermHandler;
-        sigemptyset(&action.sa_mask);
-        ::sigaction(SIGTERM, &action, &old_term);
-    }
-
-    int worker_count = options_.workers > 0
-                           ? options_.workers
-                           : static_cast<int>(std::max(
-                                 1u, std::thread::hardware_concurrency()));
-    // The poll thread never executes requests: a stuck optimization
-    // can never stall accepts, reads, writes, or timeouts.
-    for (int i = 0; i < worker_count; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+    pollThread_ = std::this_thread::get_id();
 
     std::vector<pollfd> pfds;
     std::vector<std::shared_ptr<Connection>> polled;
     while (true) {
-        // Move worker results through each reorder buffer into the
+        // Move finished responses through each reorder buffer into the
         // write queues, then push bytes until the sockets block.
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -454,10 +590,15 @@ Server::run()
             pfds.push_back({conn->fd(), events, 0});
             polled.push_back(conn);
         }
+        size_t dispatcher_base = pfds.size();
+        int timeout = pollTimeoutMs();
+        int dispatcher_timeout = dispatcher_->addPollFds(pfds);
+        if (timeout < 0 ||
+            (dispatcher_timeout >= 0 && dispatcher_timeout < timeout))
+            timeout = dispatcher_timeout;
 
         int ready = ::poll(pfds.data(),
-                           static_cast<nfds_t>(pfds.size()),
-                           pollTimeoutMs());
+                           static_cast<nfds_t>(pfds.size()), timeout);
         if (ready < 0 && errno != EINTR) {
             util::warn("mclp-serve: poll(): %s", std::strerror(errno));
             break;
@@ -468,13 +609,15 @@ Server::run()
         if (sigtermSeen_ ||
             drainRequested_.load(std::memory_order_acquire))
             draining_ = true;
+        dispatcher_->onPolled(pfds.data() + dispatcher_base,
+                              pfds.size() - dispatcher_base);
 
         if (unix_idx >= 0 && (pfds[unix_idx].revents & POLLIN))
             acceptPending(unixListener_.get());
         if (tcp_idx >= 0 && (pfds[tcp_idx].revents & POLLIN))
             acceptPending(tcpListener_.get());
 
-        for (size_t i = fixed; i < pfds.size(); ++i) {
+        for (size_t i = fixed; i < dispatcher_base; ++i) {
             const std::shared_ptr<Connection> &conn = polled[i - fixed];
             if (pfds[i].revents & (POLLIN | POLLHUP))
                 onReadable(conn);
@@ -489,31 +632,14 @@ Server::run()
     }
 
     // Exit epilogue, in drain order: listeners are already effectively
-    // closed (nothing polls them), workers drain the task queue, and
-    // only then is the persistent cache flushed — so a flush never
-    // races an in-flight request's row insertions.
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopWorkers_ = true;
-    }
-    taskReady_.notify_all();
-    for (std::thread &worker : workers_)
-        worker.join();
-    workers_.clear();
-
+    // closed (nothing polls them) and every connection is done; the
+    // dispatcher's own epilogue runs last and names the exit code.
     if (unixListener_.valid()) {
         unixListener_.reset();
         ::unlink(options_.unixPath.c_str());
     }
     tcpListener_.reset();
-
-    service_.flushCache();
-
-    if (options_.handleSigterm) {
-        ::sigaction(SIGTERM, &old_term, nullptr);
-        signalTarget_ = nullptr;
-    }
-    return 0;
+    return dispatcher_->finish();
 }
 
 } // namespace service

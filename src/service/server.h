@@ -1,13 +1,20 @@
 /**
  * @file
- * The event-driven DSE serving loop: one poll()-based thread owning
- * many concurrent Unix and TCP client connections, a small worker
- * crew executing requests, and the policies that keep a long-lived
- * process healthy under hostile or overloaded clients.
+ * The event-driven serving loop: one poll()-based thread owning many
+ * concurrent Unix and TCP client connections, the policies that keep
+ * a long-lived process healthy under hostile or overloaded clients,
+ * and the dispatch seam that decides who answers an admitted line.
  *
- * What the loop guarantees (tests/service/test_server.cc proves each,
- * and the chaos client + CI fault-injection steps re-prove them
- * against a real process):
+ * Two dispatchers implement the seam. The local crew
+ * (Server(DseService &, ...), run by mclp-serve) executes lines on a
+ * worker-thread crew over a DseService. The shard forwarder
+ * (service/shard_forwarder.h, run by mclp-front) forwards them to K
+ * supervised mclp-serve processes. Everything the loop does to a
+ * client line happens here, once, whichever dispatcher answers it.
+ *
+ * What the loop guarantees (tests/service/test_server.cc proves each
+ * against both dispatchers, and the chaos client + CI fault-injection
+ * steps re-prove them against a real mclp-serve and mclp-front):
  *
  *  - **Pipelining.** Request lines are answered as they arrive, not
  *    at connection EOF; a per-connection reorder buffer
@@ -31,8 +38,10 @@
  *    reordered answer.
  *  - **Graceful drain.** A `shutdown` line, SIGTERM (opt-in), or
  *    requestDrain() stops accepting, lets every admitted request
- *    finish and flush, closes connections, flushes the persistent
- *    frontier cache, and returns 0.
+ *    finish and flush, closes connections, and ends in the
+ *    dispatcher's epilogue: the local crew flushes the persistent
+ *    frontier cache and returns 0; the forwarder cascades the drain
+ *    to its workers.
  *
  * The loop is deliberately poll(2), not epoll: the math answers in
  * milliseconds, so realistic connection counts are tens, not tens of
@@ -43,11 +52,12 @@
 #ifndef MCLP_SERVICE_SERVER_H
 #define MCLP_SERVICE_SERVER_H
 
+#include <poll.h>
+#include <signal.h>
+
 #include <atomic>
-#include <condition_variable>
 #include <csignal>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -61,6 +71,50 @@
 
 namespace mclp {
 namespace service {
+
+class Server;
+
+/** One admitted line's response slot, completed through
+ * Server::complete(). */
+struct Ticket
+{
+    std::shared_ptr<Connection> conn;
+    uint64_t seq = 0;
+};
+
+/**
+ * Who answers an admitted line. The server calls every hook on its
+ * poll thread; Server::complete() may be called from any thread.
+ */
+class Dispatcher
+{
+  public:
+    Dispatcher() = default;
+    virtual ~Dispatcher() = default;
+    Dispatcher(const Dispatcher &) = delete;
+    Dispatcher &operator=(const Dispatcher &) = delete;
+
+    /** Called once from the Server constructor, before the listeners
+     * bind, so a bound socket means "ready to answer". False fails
+     * the server (listening() is false); the reason was warn()ed. */
+    virtual bool start(Server &server) = 0;
+
+    /** Answer @p line (trimmed; never blank, a comment or `shutdown`)
+     * exactly once, now or later, through Server::complete(). */
+    virtual void dispatch(Ticket ticket, std::string line) = 0;
+
+    /** Append fds to the loop's poll(2) set; return how long the loop
+     * may sleep before this dispatcher's next timer (-1 = no limit). */
+    virtual int addPollFds(std::vector<pollfd> &) { return -1; }
+
+    /** After every poll: the entries addPollFds() appended, revents
+     * filled in. Runs each iteration, so timers fire here too. */
+    virtual void onPolled(const pollfd *, size_t) {}
+
+    /** The last step of run(), after every connection closed and the
+     * listeners are gone; returns run()'s exit code. */
+    virtual int finish() = 0;
+};
 
 class Server
 {
@@ -78,12 +132,6 @@ class Server
          * they close (-1 = serve until drain). The mclp-serve
          * --accept flag and the one-batch tests use this. */
         int acceptLimit = -1;
-
-        /** Request-execution worker threads (0 = hardware
-         * concurrency). At least one is always spawned: the poll
-         * thread never executes requests, so a stuck optimization
-         * can never stall accepts, reads, or timeouts. */
-        int workers = 1;
 
         /** Request lines longer than this answer
          * `err ... msg=line-too-long` (the rest of the line is
@@ -115,26 +163,36 @@ class Server
          * work, and no unsent output after this long (0 = disabled). */
         int idleTimeoutMs = 0;
 
-        /** Install a SIGTERM handler for the duration of run() that
-         * triggers a graceful drain (mclp-serve sets this; embedded
-         * servers and tests use requestDrain()). */
+        /** Install a SIGTERM handler for the server's lifetime that
+         * triggers a graceful drain (mclp-serve and mclp-front set
+         * this; embedded servers and tests use requestDrain()). */
         bool handleSigterm = false;
     };
 
     /**
-     * Binds the listeners immediately (so tcpPort() is valid and
-     * bind failures surface before run()); attaches its transport
-     * counters to @p service so the `stats` verb reports them.
-     * @p service must outlive the server.
+     * A server whose lines run on a local worker crew over @p service
+     * (mclp-serve). The crew has ServiceOptions::threads threads (0 =
+     * hardware concurrency); the poll thread never executes requests,
+     * so a stuck optimization can never stall accepts, reads, or
+     * timeouts. The `stats` verb reports this server's transport
+     * counters. @p service must outlive the server.
      */
     Server(DseService &service, Options options);
+
+    /**
+     * A server over any dispatcher (mclp-front passes the shard
+     * forwarder); @p dispatcher must outlive the server. Both
+     * constructors start the dispatcher, then bind the listeners (so
+     * tcpPort() is valid and bind failures surface before run()).
+     */
+    Server(Dispatcher &dispatcher, Options options);
     ~Server();
 
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
-    /** False when a listener failed to bind (run() would return 1);
-     * the reason was warn()ed. */
+    /** False when the dispatcher or a listener failed to start (run()
+     * would return 1); the reason was warn()ed. */
     bool listening() const { return startError_.empty(); }
 
     /** The bound TCP port (resolves port 0), 0 without a TCP
@@ -143,26 +201,31 @@ class Server
 
     /**
      * Run the event loop until drained (shutdown verb, SIGTERM,
-     * requestDrain()) or the accept limit is exhausted. Returns 0 on
-     * clean exit (in-flight work finished, cache flushed), 1 when a
-     * listener failed. Call once.
+     * requestDrain()) or the accept limit is exhausted. Returns the
+     * dispatcher's exit code (the local crew's is 0 once in-flight
+     * work finished and the cache flushed), 1 when a listener
+     * failed. Call once.
      */
     int run();
 
     /** Begin a graceful drain; safe from any thread. */
     void requestDrain();
 
+    /** Deliver @p response into @p ticket's slot and release its
+     * admission; safe from any thread. */
+    void complete(const Ticket &ticket, std::string response);
+
+    const Options &options() const { return options_; }
     const TransportStats &stats() const { return stats_; }
 
-  private:
-    struct Task
-    {
-        std::shared_ptr<Connection> conn;
-        uint64_t seq = 0;
-        std::string line;
-    };
+    /** Whether a drain began (shutdown verb, SIGTERM, requestDrain());
+     * poll thread only, so dispatcher hooks may read it. */
+    bool draining() const { return draining_; }
 
-    void workerLoop();
+  private:
+    /** Shared constructor tail: SIGTERM handler, dispatcher start,
+     * listeners. */
+    void open();
     void acceptPending(int listen_fd);
     void onReadable(const std::shared_ptr<Connection> &conn);
     void handleLine(const std::shared_ptr<Connection> &conn,
@@ -181,7 +244,7 @@ class Server
     void enforceDeadlines();
     bool acceptingClosed() const;
 
-    DseService &service_;
+    Dispatcher *dispatcher_;
     Options options_;
     std::string startError_;
 
@@ -196,23 +259,41 @@ class Server
     bool draining_ = false;
     std::atomic<bool> drainRequested_{false};
     volatile std::sig_atomic_t sigtermSeen_ = 0;
+    struct sigaction oldTerm_
+    {
+    };
+    std::thread::id pollThread_;
 
-    /** Guards tasks_, stopWorkers_, globalInflight_, and every
-     * Connection's reorder buffer + inflight count (the state worker
-     * threads touch). Sockets and read buffers are poll-thread-only
-     * and need no lock. */
+    /** Guards globalInflight_ and every Connection's reorder buffer +
+     * inflight count (the state completions touch from any thread).
+     * Sockets and read buffers are poll-thread-only and need no
+     * lock. */
     std::mutex mutex_;
-    std::condition_variable taskReady_;
-    std::deque<Task> tasks_;
     int globalInflight_ = 0;
-    bool stopWorkers_ = false;
-    std::vector<std::thread> workers_;
 
     TransportStats stats_;
+
+    /** The local crew, when this server owns its dispatcher. Declared
+     * last, so it is destroyed first: its threads join while the
+     * server they complete into is still whole. */
+    std::unique_ptr<Dispatcher> ownedDispatcher_;
 
     static Server *signalTarget_;
     static void sigtermHandler(int);
 };
+
+/**
+ * If argv[@p i] is one of the transport flags mclp-serve and
+ * mclp-front share, parse it (and its value, moving @p i past it)
+ * into @p options and return true; false leaves both untouched. A
+ * missing or out-of-range value is fatal().
+ */
+bool parseTransportFlag(int argc, char **argv, int &i,
+                        Server::Options &options);
+
+/** The --help block documenting every flag parseTransportFlag()
+ * accepts, with its default. */
+extern const char kTransportFlagsHelp[];
 
 } // namespace service
 } // namespace mclp

@@ -119,31 +119,33 @@ inline std::atomic<bool> g_forceScalar{false};
 #if MCLP_SIMD_VECTOR_EXT
 typedef int64_t V4 __attribute__((vector_size(4 * sizeof(int64_t))));
 
-inline V4
-load(const int64_t *p)
+// V4 values never cross a function boundary by value: without AVX
+// enabled, GCC warns (-Wpsabi) that passing or returning a 32-byte
+// vector changes the ABI. Results land in out-parameters instead.
+
+inline void
+load(V4 &out, const int64_t *p)
 {
-    V4 v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
+    std::memcpy(&out, p, sizeof(out));
 }
 
 inline void
-store(int64_t *p, V4 v)
+store(int64_t *p, const V4 &v)
 {
     std::memcpy(p, &v, sizeof(v));
 }
 
-inline V4
-splat(int64_t x)
+inline void
+splat(V4 &out, int64_t x)
 {
-    return V4{x, x, x, x};
+    out = V4{x, x, x, x};
 }
 
 /** Lane-wise select: mask lanes are all-ones / all-zeros. */
-inline V4
-select(V4 mask, V4 a, V4 b)
+inline void
+select(V4 &out, const V4 &mask, const V4 &a, const V4 &b)
 {
-    return (a & mask) | (b & ~mask);
+    out = (a & mask) | (b & ~mask);
 }
 #endif
 
@@ -172,11 +174,12 @@ addScaledI64(int64_t *dst, const int64_t *src, int64_t scale, size_t n)
 #if MCLP_SIMD_VECTOR_EXT
     if (!forceScalar()) {
         using detail::V4;
-        V4 vscale = detail::splat(scale);
+        V4 vscale, d, s;
+        detail::splat(vscale, scale);
         size_t i = 0;
         for (; i + kLanes <= n; i += kLanes) {
-            V4 d = detail::load(dst + i);
-            V4 s = detail::load(src + i);
+            detail::load(d, dst + i);
+            detail::load(s, src + i);
             detail::store(dst + i, d + s * vscale);
         }
         scalar::addScaledI64(dst + i, src + i, scale, n - i);
@@ -192,10 +195,11 @@ addI64(int64_t *dst, const int64_t *src, size_t n)
 #if MCLP_SIMD_VECTOR_EXT
     if (!forceScalar()) {
         using detail::V4;
+        V4 d, s;
         size_t i = 0;
         for (; i + kLanes <= n; i += kLanes) {
-            V4 d = detail::load(dst + i);
-            V4 s = detail::load(src + i);
+            detail::load(d, dst + i);
+            detail::load(s, src + i);
             detail::store(dst + i, d + s);
         }
         scalar::addI64(dst + i, src + i, n - i);
@@ -211,10 +215,12 @@ findNonNegativeI64(const int64_t *v, size_t n)
 #if MCLP_SIMD_VECTOR_EXT
     if (!forceScalar()) {
         using detail::V4;
+        V4 x, zero;
+        detail::splat(zero, 0);
         size_t i = 0;
         for (; i + kLanes <= n; i += kLanes) {
-            V4 x = detail::load(v + i);
-            V4 ge = x >= detail::splat(0);
+            detail::load(x, v + i);
+            V4 ge = x >= zero;
             if (ge[0] | ge[1] | ge[2] | ge[3]) {
                 for (size_t l = 0; l < kLanes; ++l) {
                     if (v[i + l] >= 0)
@@ -236,18 +242,19 @@ capScanI64(const int64_t *levels, const int64_t *gates, int64_t gate_cap,
 #if MCLP_SIMD_VECTOR_EXT
     if (!forceScalar()) {
         using detail::V4;
-        V4 vgate_cap = detail::splat(gate_cap);
-        V4 vcap = detail::splat(cap);
-        V4 vlo = detail::splat(std::numeric_limits<int64_t>::max());
-        V4 vhi = detail::splat(std::numeric_limits<int64_t>::min());
+        V4 vgate_cap, vcap, vlo, vhi, lv, gt, gated, below;
+        detail::splat(vgate_cap, gate_cap);
+        detail::splat(vcap, cap);
+        detail::splat(vlo, std::numeric_limits<int64_t>::max());
+        detail::splat(vhi, std::numeric_limits<int64_t>::min());
         size_t i = 0;
         for (; i + kLanes <= n; i += kLanes) {
-            V4 lv = detail::load(levels + i);
-            V4 gt = detail::load(gates + i);
-            V4 gated = detail::select(gt <= vgate_cap, lv, vlo);
-            vlo = detail::select(gated < vlo, gated, vlo);
-            V4 below = detail::select(lv < vcap, lv, vhi);
-            vhi = detail::select(below > vhi, below, vhi);
+            detail::load(lv, levels + i);
+            detail::load(gt, gates + i);
+            detail::select(gated, gt <= vgate_cap, lv, vlo);
+            detail::select(vlo, gated < vlo, gated, vlo);
+            detail::select(below, lv < vcap, lv, vhi);
+            detail::select(vhi, below > vhi, below, vhi);
         }
         int64_t lo = std::numeric_limits<int64_t>::max();
         int64_t hi = std::numeric_limits<int64_t>::min();
@@ -274,12 +281,14 @@ firstWithinCapsI64(const int64_t *a, const int64_t *b, int64_t cap_a,
 #if MCLP_SIMD_VECTOR_EXT
     if (!forceScalar()) {
         using detail::V4;
-        V4 vcap_a = detail::splat(cap_a);
-        V4 vcap_b = detail::splat(cap_b);
+        V4 vcap_a, vcap_b, va, vb;
+        detail::splat(vcap_a, cap_a);
+        detail::splat(vcap_b, cap_b);
         size_t i = 0;
         for (; i + kLanes <= n; i += kLanes) {
-            V4 ok = (detail::load(a + i) <= vcap_a) &
-                    (detail::load(b + i) <= vcap_b);
+            detail::load(va, a + i);
+            detail::load(vb, b + i);
+            V4 ok = (va <= vcap_a) & (vb <= vcap_b);
             if (ok[0] | ok[1] | ok[2] | ok[3]) {
                 for (size_t l = 0; l < kLanes; ++l) {
                     if (a[i + l] <= cap_a && b[i + l] <= cap_b)

@@ -22,6 +22,7 @@
 #include "nn/network.h"
 #include "util/math.h"
 #include "util/simd.h"
+#include "util/string_utils.h"
 
 namespace mclp {
 namespace {
@@ -213,7 +214,7 @@ TEST(SimdKernels, ForcedScalarNeverChangesOptimizedDesigns)
             int64_t k = std::vector<int64_t>{1, 3, 5}[static_cast<size_t>(
                 rng.nextInt(0, 2))];
             layers.push_back(nn::makeConvLayer(
-                "L" + std::to_string(i), rng.nextInt(1, 64),
+                util::strprintf("L%d", i), rng.nextInt(1, 64),
                 rng.nextInt(1, 64), rng.nextInt(3, 14),
                 rng.nextInt(3, 14), k, 1));
         }

@@ -26,7 +26,10 @@ TEST(Zoo, PaperNetworksAreUngrouped)
     // g=1 wire parity the CI checks) are untouched.
     for (const char *name :
          {"alexnet", "vggnet-e", "squeezenet", "googlenet"}) {
-        for (const auto &layer : nn::networkByName(name).layers())
+        // Bind the network first: iterating layers() of the
+        // temporary would dangle once the range-init expression ends.
+        nn::Network network = nn::networkByName(name);
+        for (const auto &layer : network.layers())
             EXPECT_EQ(layer.g, 1) << name << " " << layer.name;
     }
 }

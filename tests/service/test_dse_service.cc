@@ -31,6 +31,7 @@
 #include "nn/zoo.h"
 #include "service/dse_codec.h"
 #include "service/dse_service.h"
+#include "service/server.h"
 #include "util/string_utils.h"
 
 namespace mclp {
@@ -177,8 +178,11 @@ TEST(DseService, UnixSocketServesABatch)
     std::string path = util::strprintf("/tmp/mclp_test_%d.sock",
                                        static_cast<int>(::getpid()));
     service::DseService dse{service::ServiceOptions{}};
-    std::thread server(
-        [&] { EXPECT_EQ(dse.serveSocket(path, 1), 0); });
+    service::Server::Options options;
+    options.unixPath = path;
+    options.acceptLimit = 1;
+    service::Server listener(dse, options);
+    std::thread server([&] { EXPECT_EQ(listener.run(), 0); });
 
     // Wait for the listener, then run one batch over the socket.
     int fd = -1;
@@ -226,8 +230,11 @@ TEST(DseService, ClientDroppingMidResponseDoesNotKillTheServer)
     std::string path = util::strprintf("/tmp/mclp_test_drop_%d.sock",
                                        static_cast<int>(::getpid()));
     service::DseService dse{service::ServiceOptions{}};
-    std::thread server(
-        [&] { EXPECT_EQ(dse.serveSocket(path, 2), 0); });
+    service::Server::Options options;
+    options.unixPath = path;
+    options.acceptLimit = 2;
+    service::Server listener(dse, options);
+    std::thread server([&] { EXPECT_EQ(listener.run(), 0); });
 
     auto connect_to = [&]() -> int {
         sockaddr_un addr{};

@@ -42,8 +42,8 @@
 #include "core/dse_request.h"
 #include "service/dse_codec.h"
 #include "service/dse_service.h"
+#include "service/shard_forwarder.h"
 #include "util/net.h"
-#include "util/record_file.h"
 #include "util/string_utils.h"
 
 #ifndef MCLP_TEST_BINARY_DIR
@@ -83,17 +83,6 @@ coldReference(const std::string &request_line)
     core::DseRequest request = service::decodeRequest(request_line);
     return service::encodeResponse(
         service::answerRequest(request, nullptr));
-}
-
-/** The shard the front routes @p request_line to — the same
- * network-identity hash, reproduced in-process. */
-size_t
-shardFor(const std::string &request_line, size_t workers)
-{
-    core::DseRequest request = service::decodeRequest(request_line);
-    std::string sig =
-        core::networkSignature(core::resolveNetwork(request));
-    return util::fnv1aBytes(sig.data(), sig.size()) % workers;
 }
 
 /** An inline-layer request built from @p copies identical conv
@@ -218,8 +207,9 @@ class FrontProcess
         }
 
         int err_pipe[2] = {-1, -1};
-        if (config_.tcpPort >= 0)
+        if (config_.tcpPort >= 0) {
             EXPECT_EQ(::pipe(err_pipe), 0);
+        }
         pid_ = ::fork();
         ASSERT_GE(pid_, 0);
         if (pid_ == 0) {
@@ -282,9 +272,10 @@ class FrontProcess
             EXPECT_EQ(got, pid_);
             if (config_.expectCleanExit) {
                 EXPECT_TRUE(WIFEXITED(status));
-                if (WIFEXITED(status))
+                if (WIFEXITED(status)) {
                     EXPECT_EQ(WEXITSTATUS(status), 0)
                         << "drain cascade was not clean";
+                }
             }
         }
         std::filesystem::remove(socketPath_);
@@ -319,9 +310,9 @@ TEST(Front, RoutingIsDeterministicByNetworkIdentity)
     std::string req_a, req_b;
     for (int copies = 1; copies <= 8; ++copies) {
         std::string req = layeredRequest("r", copies);
-        if (req_a.empty() && shardFor(req, 2) == 0)
+        if (req_a.empty() && service::shardFor(req, 2) == 0)
             req_a = req;
-        if (req_b.empty() && shardFor(req, 2) == 1)
+        if (req_b.empty() && service::shardFor(req, 2) == 1)
             req_b = req;
     }
     ASSERT_FALSE(req_a.empty()) << "no candidate routed to shard 0";
@@ -354,10 +345,10 @@ TEST(Front, PipelinedAnswersKeepRequestOrderAcrossShards)
     std::vector<std::string> requests;
     for (int copies = 1; copies <= 6; ++copies)
         requests.push_back(
-            layeredRequest("p" + std::to_string(copies), copies));
+            layeredRequest(util::strprintf("p%d", copies), copies));
     bool shard0 = false, shard1 = false;
     for (const std::string &req : requests) {
-        (shardFor(req, 2) == 0 ? shard0 : shard1) = true;
+        (service::shardFor(req, 2) == 0 ? shard0 : shard1) = true;
     }
     ASSERT_TRUE(shard0 && shard1)
         << "candidates all hash to one shard; widen the range";
@@ -430,7 +421,7 @@ TEST(Front, KilledWorkerAnswersPendingRespawnsAndStaysWarm)
     std::string dir = cacheDir("kill");
     FrontProcess front("kill", {2, dir, /*flushIntervalMs=*/25});
     std::string req = layeredRequest("k1", 1);
-    size_t target = shardFor(req, 2);
+    size_t target = service::shardFor(req, 2);
 
     // Warm the target shard's cache and wait for the background
     // flush to publish it: a SIGKILLed worker flushes nothing, so
@@ -492,7 +483,7 @@ TEST(Front, KilledWorkerAnswersPendingRespawnsAndStaysWarm)
     // The respawned shard answers byte-identical to a cold run, on
     // the connection that lived through the whole failure.
     std::string warm = layeredRequest("k4", 1);
-    ASSERT_EQ(shardFor(warm, 2), target);
+    ASSERT_EQ(service::shardFor(warm, 2), target);
     ASSERT_TRUE(sendLine(fd.get(), warm));
     ASSERT_TRUE(readLine(fd.get(), &reply));
     EXPECT_EQ(reply, coldReference(warm));
@@ -518,10 +509,11 @@ TEST(Front, SiblingSegmentsServeRowsAcrossShards)
     std::string first, second;
     for (int copies = 1; copies <= 8 && second.empty(); ++copies) {
         std::string req =
-            layeredRequest("s" + std::to_string(copies), copies);
+            layeredRequest(util::strprintf("s%d", copies), copies);
         if (first.empty()) {
             first = req;
-        } else if (shardFor(req, 2) != shardFor(first, 2)) {
+        } else if (service::shardFor(req, 2) !=
+                   service::shardFor(first, 2)) {
             second = req;
         }
     }
@@ -565,7 +557,7 @@ TEST(Front, TcpListenerAnswersIdenticallyToUnixSocket)
     // Pipelined conversation over TCP: same ordering, same bytes.
     for (int copies = 1; copies <= 3; ++copies) {
         std::string req =
-            layeredRequest("t" + std::to_string(copies), copies);
+            layeredRequest(util::strprintf("t%d", copies), copies);
         ASSERT_TRUE(sendLine(fd.get(), req));
         std::string reply;
         ASSERT_TRUE(readLine(fd.get(), &reply));

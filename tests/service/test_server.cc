@@ -9,6 +9,12 @@
  * invisible in results: every surviving response is byte-identical
  * to a cold run of the same request, no matter what the other
  * clients were doing.
+ *
+ * Each proof runs on both dispatchers behind the one loop: as
+ * `Server.*` on a lone server (the local crew over an in-process
+ * DseService), and as `FrontServer.*` on the shard forwarder over 2
+ * real mclp-serve workers — what mclp-front runs. CMake points
+ * MCLP_TEST_BINARY_DIR at the build tree for the worker binary.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +23,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,8 +31,13 @@
 #include "service/dse_codec.h"
 #include "service/dse_service.h"
 #include "service/server.h"
+#include "service/shard_forwarder.h"
 #include "util/net.h"
 #include "util/string_utils.h"
+
+#ifndef MCLP_TEST_BINARY_DIR
+#error "CMake must define MCLP_TEST_BINARY_DIR (the build tree)"
+#endif
 
 namespace mclp {
 namespace {
@@ -91,16 +103,67 @@ splitLines(const std::string &reply)
 const char *kCheap =
     "dse id=c net=mini layers=conv1:3:16:14:14:3:1 budgets=200";
 
-TEST(Server, PipelinedAnswersArriveBeforeConnectionEof)
+/** A server under test plus whatever answers its lines. */
+struct Harness
+{
+    std::unique_ptr<service::DseService> dse;        ///< lone only
+    std::unique_ptr<service::Dispatcher> forwarder;  ///< front only
+    /** Declared last, so destroyed before what it dispatches to. */
+    std::unique_ptr<service::Server> server;
+};
+
+using ServerFactory = Harness (*)(const service::Server::Options &,
+                                  int threads);
+
+/** A lone server: the local crew, @p threads wide. */
+Harness
+loneServer(const service::Server::Options &options, int threads)
+{
+    service::ServiceOptions service_options;
+    service_options.threads = threads;
+    Harness harness;
+    harness.dse = std::make_unique<service::DseService>(service_options);
+    harness.server =
+        std::make_unique<service::Server>(*harness.dse, options);
+    return harness;
+}
+
+/** A front: the shard forwarder over 2 mclp-serve workers of
+ * @p threads threads each. */
+Harness
+frontServer(const service::Server::Options &options, int threads)
+{
+    service::ShardForwarderOptions forwarder;
+    forwarder.socketPath = options.unixPath.empty() ? socketPath("front")
+                                                    : options.unixPath;
+    forwarder.workers = 2;
+    forwarder.serveBin = std::string(MCLP_TEST_BINARY_DIR) + "/mclp-serve";
+    forwarder.threads = threads;
+    Harness harness;
+    harness.forwarder = service::makeShardForwarder(forwarder);
+    harness.server =
+        std::make_unique<service::Server>(*harness.forwarder, options);
+    return harness;
+}
+
+/** Define one proof, run as Server.NAME on a lone server and as
+ * FrontServer.NAME on a 2-worker front. */
+#define SERVER_TEST(name)                                              \
+    void name##Body(ServerFactory make);                               \
+    TEST(Server, name) { name##Body(loneServer); }                     \
+    TEST(FrontServer, name) { name##Body(frontServer); }               \
+    void name##Body(ServerFactory make)
+
+SERVER_TEST(PipelinedAnswersArriveBeforeConnectionEof)
 {
     // The old loop answered only at client EOF; the event loop must
     // answer each line as it completes, on a connection that stays
     // open — a request/response conversation, not a batch.
-    service::DseService dse{service::ServiceOptions{}};
     service::Server::Options options;
     options.unixPath = socketPath("pipe");
     options.acceptLimit = 1;
-    service::Server server(dse, options);
+    Harness harness = make(options, 1);
+    service::Server &server = *harness.server;
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 
@@ -121,16 +184,13 @@ TEST(Server, PipelinedAnswersArriveBeforeConnectionEof)
     run.join();
 }
 
-TEST(Server, ConcurrentInterleavedClientsMatchSerialAnswers)
+SERVER_TEST(ConcurrentInterleavedClientsMatchSerialAnswers)
 {
-    service::ServiceOptions service_options;
-    service_options.threads = 4;
-    service::DseService dse(service_options);
     service::Server::Options options;
     options.unixPath = socketPath("concurrent");
     options.acceptLimit = 4;
-    options.workers = 4;
-    service::Server server(dse, options);
+    Harness harness = make(options, 4);
+    service::Server &server = *harness.server;
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 
@@ -171,15 +231,14 @@ TEST(Server, ConcurrentInterleavedClientsMatchSerialAnswers)
     }
 }
 
-TEST(Server, FloodPastAdmissionLimitShedsErrBusyInOrder)
+SERVER_TEST(FloodPastAdmissionLimitShedsErrBusyInOrder)
 {
-    service::DseService dse{service::ServiceOptions{}};
     service::Server::Options options;
     options.unixPath = socketPath("flood");
     options.acceptLimit = 1;
-    options.workers = 1;
     options.maxInflight = 1;  // one admitted request at a time
-    service::Server server(dse, options);
+    Harness harness = make(options, 1);
+    service::Server &server = *harness.server;
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 
@@ -209,14 +268,14 @@ TEST(Server, FloodPastAdmissionLimitShedsErrBusyInOrder)
     EXPECT_EQ(server.stats().shedBusy.load(), 6u);
 }
 
-TEST(Server, OverlongLineAnswersErrAndConnectionStaysUsable)
+SERVER_TEST(OverlongLineAnswersErrAndConnectionStaysUsable)
 {
-    service::DseService dse{service::ServiceOptions{}};
     service::Server::Options options;
     options.unixPath = socketPath("overlong");
     options.acceptLimit = 1;
     options.maxLineBytes = 256;
-    service::Server server(dse, options);
+    Harness harness = make(options, 1);
+    service::Server &server = *harness.server;
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 
@@ -236,15 +295,15 @@ TEST(Server, OverlongLineAnswersErrAndConnectionStaysUsable)
     EXPECT_EQ(server.stats().shedOversize.load(), 1u);
 }
 
-TEST(Server, TornLineAtCloseIsStillAnswered)
+SERVER_TEST(TornLineAtCloseIsStillAnswered)
 {
     // A final line without its newline has always been answered by
     // the batch protocol; through the event loop it must still be.
-    service::DseService dse{service::ServiceOptions{}};
     service::Server::Options options;
     options.unixPath = socketPath("torn");
     options.acceptLimit = 1;
-    service::Server server(dse, options);
+    Harness harness = make(options, 1);
+    service::Server &server = *harness.server;
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 
@@ -258,14 +317,14 @@ TEST(Server, TornLineAtCloseIsStillAnswered)
     EXPECT_EQ(lines[0], coldReference(kCheap));
 }
 
-TEST(Server, SlowLorisTripsReadTimeoutWithoutHurtingOthers)
+SERVER_TEST(SlowLorisTripsReadTimeoutWithoutHurtingOthers)
 {
-    service::DseService dse{service::ServiceOptions{}};
     service::Server::Options options;
     options.unixPath = socketPath("loris");
     options.acceptLimit = 2;
     options.readTimeoutMs = 80;
-    service::Server server(dse, options);
+    Harness harness = make(options, 1);
+    service::Server &server = *harness.server;
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 
@@ -300,14 +359,14 @@ TEST(Server, SlowLorisTripsReadTimeoutWithoutHurtingOthers)
     EXPECT_GE(server.stats().timeouts.load(), 1u);
 }
 
-TEST(Server, IdleConnectionsAreReapedByTheIdleTimeout)
+SERVER_TEST(IdleConnectionsAreReapedByTheIdleTimeout)
 {
-    service::DseService dse{service::ServiceOptions{}};
     service::Server::Options options;
     options.unixPath = socketPath("idle");
     options.acceptLimit = 1;
     options.idleTimeoutMs = 50;
-    service::Server server(dse, options);
+    Harness harness = make(options, 1);
+    service::Server &server = *harness.server;
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 
@@ -322,12 +381,12 @@ TEST(Server, IdleConnectionsAreReapedByTheIdleTimeout)
     EXPECT_EQ(server.stats().timeouts.load(), 1u);
 }
 
-TEST(Server, DrainWhileInFlightFinishesWorkThenExitsZero)
+SERVER_TEST(DrainWhileInFlightFinishesWorkThenExitsZero)
 {
-    service::DseService dse{service::ServiceOptions{}};
     service::Server::Options options;
     options.unixPath = socketPath("drain");
-    service::Server server(dse, options);  // no accept limit
+    Harness harness = make(options, 1);  // no accept limit
+    service::Server &server = *harness.server;
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 
@@ -350,25 +409,25 @@ TEST(Server, DrainWhileInFlightFinishesWorkThenExitsZero)
     run.join();
 }
 
-TEST(Server, RequestDrainStopsAnAcceptUnlimitedServer)
+SERVER_TEST(RequestDrainStopsAnAcceptUnlimitedServer)
 {
-    service::DseService dse{service::ServiceOptions{}};
     service::Server::Options options;
     options.unixPath = socketPath("reqdrain");
-    service::Server server(dse, options);
+    Harness harness = make(options, 1);
+    service::Server &server = *harness.server;
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
     server.requestDrain();
     run.join();
 }
 
-TEST(Server, TcpLoopbackServesWithByteParity)
+SERVER_TEST(TcpLoopbackServesWithByteParity)
 {
-    service::DseService dse{service::ServiceOptions{}};
     service::Server::Options options;
     options.tcpPort = 0;  // ephemeral
     options.acceptLimit = 1;
-    service::Server server(dse, options);
+    Harness harness = make(options, 1);
+    service::Server &server = *harness.server;
     ASSERT_TRUE(server.listening());
     ASSERT_GT(server.tcpPort(), 0);
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
@@ -388,13 +447,15 @@ TEST(Server, TcpLoopbackServesWithByteParity)
               coldReference("dse id=t2 net=alexnet budgets=500"));
 }
 
+// Lone only: a front's `stats` line is the shard aggregate, which
+// Front.StatsAggregateAcrossShardsWithBreakdown pins.
 TEST(Server, StatsVerbReportsTransportCountersWhileAttached)
 {
-    service::DseService dse{service::ServiceOptions{}};
     service::Server::Options options;
     options.unixPath = socketPath("stats");
     options.acceptLimit = 1;
-    service::Server server(dse, options);
+    Harness harness = loneServer(options, 1);
+    service::Server &server = *harness.server;
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 
@@ -420,13 +481,13 @@ TEST(Server, StatsVerbReportsTransportCountersWhileAttached)
         << lines[1];
 }
 
-TEST(Server, MidResponseDisconnectCostsOnlyThatConnection)
+SERVER_TEST(MidResponseDisconnectCostsOnlyThatConnection)
 {
-    service::DseService dse{service::ServiceOptions{}};
     service::Server::Options options;
     options.unixPath = socketPath("vanish");
     options.acceptLimit = 2;
-    service::Server server(dse, options);
+    Harness harness = make(options, 1);
+    service::Server &server = *harness.server;
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 
@@ -453,6 +514,51 @@ TEST(Server, MidResponseDisconnectCostsOnlyThatConnection)
     run.join();
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_EQ(lines[0], coldReference(kCheap));
+}
+
+SERVER_TEST(TwoClientsPipeliningOneNetworkAreNeverShedBusy)
+{
+    // 40 lines per connection and 80 in flight fit the default caps
+    // (64 and 256), so nothing may shed. Through a front, all 80 ride
+    // one worker's trunk: the worker must not re-apply a
+    // per-connection cap to lines the front already admitted.
+    service::Server::Options options;
+    options.unixPath = socketPath("twoclients");
+    options.acceptLimit = 2;
+    Harness harness = make(options, 1);
+    service::Server &server = *harness.server;
+    ASSERT_TRUE(server.listening());
+    std::thread run([&] { EXPECT_EQ(server.run(), 0); });
+
+    constexpr int kLines = 40;
+    auto request = [](int client, int i) {
+        return util::strprintf("dse id=c%di%d net=mini "
+                               "layers=conv1:3:16:14:14:3:1 budgets=200",
+                               client, i);
+    };
+    std::vector<std::string> replies(2);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 2; ++c) {
+        clients.emplace_back([&, c] {
+            std::string batch;
+            for (int i = 0; i < kLines; ++i)
+                batch += request(c, i) + "\n";
+            util::ScopedFd fd(util::connectUnix(options.unixPath));
+            ASSERT_TRUE(fd.valid());
+            replies[c] = batchOverFd(fd.get(), batch);
+        });
+    }
+    for (std::thread &client : clients)
+        client.join();
+    run.join();
+
+    for (int c = 0; c < 2; ++c) {
+        std::vector<std::string> lines = splitLines(replies[c]);
+        ASSERT_EQ(lines.size(), static_cast<size_t>(kLines));
+        for (int i = 0; i < kLines; ++i)
+            EXPECT_EQ(lines[i], coldReference(request(c, i)));
+    }
+    EXPECT_EQ(server.stats().shedBusy.load(), 0u);
 }
 
 } // namespace

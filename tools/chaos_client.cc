@@ -8,8 +8,9 @@
  * (docs/PROTOCOL.md), and every surviving response is byte-identical
  * to a cold in-process run of the same request (the tool links the
  * library, so it computes its own references). CI runs the scenarios
- * against a real server; tests/service/test_server.cc proves the same
- * properties in-process.
+ * against a real mclp-serve and a real 2-worker mclp-front (both run
+ * service::Server); tests/service/test_server.cc proves the same
+ * properties in-process against both.
  *
  * Scenarios:
  *   slow-loris      drip a never-finished line one byte at a time;
@@ -62,10 +63,10 @@
 #include "core/dse_request.h"
 #include "service/dse_codec.h"
 #include "service/dse_service.h"
+#include "service/shard_forwarder.h"
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/net.h"
-#include "util/record_file.h"
 #include "util/string_utils.h"
 
 using namespace mclp;
@@ -426,17 +427,6 @@ parseFrontStats(const std::string &line)
     return shards;
 }
 
-/** The shard mclp-front routes @p request_line to: the same
- * network-identity hash the front computes, reproduced in-process. */
-size_t
-shardForRequest(const std::string &request_line, size_t workers)
-{
-    core::DseRequest request = service::decodeRequest(request_line);
-    std::string sig =
-        core::networkSignature(core::resolveNetwork(request));
-    return util::fnv1aBytes(sig.data(), sig.size()) % workers;
-}
-
 bool
 scenarioWorkerKill()
 {
@@ -466,7 +456,7 @@ scenarioWorkerKill()
     // lands on the worker that owes the in-flight answers.
     std::string heavy = "dse id=%s net=squeezenet device=690t "
                         "budgets=500,1000";
-    size_t target = shardForRequest(
+    size_t target = service::shardFor(
         util::strprintf(heavy.c_str(), "k1"), before.size());
     if (before[target].state != "up" || before[target].pid <= 0)
         return fail(name, util::strprintf(

@@ -1,14 +1,15 @@
 #!/bin/sh
 # Help-text audit: <binary> --help must exit 0 and mention every flag
-# the tool's main() actually parses. The flag inventory is scraped
-# from the source ("--flag" string literals), so adding a flag without
-# documenting it fails this test.
+# the tool actually parses. The flag inventory is scraped from the
+# sources ("--flag" string literals): the tool's own file plus any
+# library file that parses flags on its behalf, so adding a flag
+# without documenting it fails this test.
 #
-# usage: check_help.sh <binary> <source.cc>
+# usage: check_help.sh <binary> <source.cc> [more sources...]
 set -eu
 
 binary="$1"
-source="$2"
+shift
 
 help_text="$("$binary" --help)" || {
     echo "FAIL: $binary --help exited non-zero" >&2
@@ -16,7 +17,7 @@ help_text="$("$binary" --help)" || {
 }
 
 status=0
-for flag in $(grep -o '"--[a-z][a-z-]*"' "$source" | tr -d '"' |
+for flag in $(cat "$@" | grep -o '"--[a-z][a-z-]*"' | tr -d '"' |
               sort -u); do
     case "$help_text" in
       *"$flag"*) ;;

@@ -43,14 +43,12 @@ printUsage()
         "mclp-serve: batch DSE service over stdin/stdout or stream "
         "sockets\n\n"
         "usage: mclp-serve [options]\n"
-        "transport:\n"
-        "  --socket PATH        listen on a Unix stream socket\n"
-        "  --tcp-port N         also listen on loopback TCP port N\n"
-        "                       (0 = ephemeral; the bound port is\n"
-        "                       printed to stderr)\n"
+        "%s"
         "  --accept N           stop accepting after N connections and\n"
         "                       exit once they drain (default: serve\n"
         "                       until a 'shutdown' line or SIGTERM)\n"
+        "without --socket or --tcp-port, requests are read from stdin\n"
+        "(--max-line-bytes caps those lines too)\n"
         "service:\n"
         "  --threads N          request execution threads (0 = all\n"
         "                       cores; default 1; never changes\n"
@@ -81,21 +79,6 @@ printUsage()
         "                       (default 0 = shutdown-only)\n"
         "  --cold               bypass the registry; every request\n"
         "                       runs cold (parity baseline)\n"
-        "robustness (socket mode):\n"
-        "  --max-line-bytes N   request lines past N bytes answer\n"
-        "                       'err ... msg=line-too-long' (default\n"
-        "                       1048576); applies to stdin mode too\n"
-        "  --max-pipeline N     per-connection in-flight cap; excess\n"
-        "                       lines shed 'err ... msg=busy'\n"
-        "                       (default 64)\n"
-        "  --max-inflight N     global in-flight cap across all\n"
-        "                       connections (default 256)\n"
-        "  --read-timeout-ms N  drop a connection whose partial\n"
-        "                       request line is older than N ms\n"
-        "                       (slow-loris guard; default 30000;\n"
-        "                       0 = off)\n"
-        "  --idle-timeout-ms N  drop a fully idle connection after\n"
-        "                       N ms (default 0 = off)\n"
         "  --help               this text\n\n"
         "protocol: one request per line (full spec: docs/PROTOCOL.md)\n"
         "  dse id=ID net=NAME [device=D] [type=float|fixed] [mhz=F]\n"
@@ -107,18 +90,13 @@ printUsage()
         "  stats        registry / row-store / transport counters\n"
         "  cache-stats  persistent-cache counters\n"
         "  shutdown     graceful drain: stop accepting, finish\n"
-        "               in-flight work, flush the cache, exit 0\n");
+        "               in-flight work, flush the cache, exit 0\n",
+        service::kTransportFlagsHelp);
 }
 
 struct Options
 {
-    std::optional<std::string> socketPath;
-    int tcpPort = -1;
-    int accept = -1;
-    int maxPipeline = 64;
-    int maxInflight = 256;
-    int readTimeoutMs = 30000;
-    int idleTimeoutMs = 0;
+    service::Server::Options server;
     service::ServiceOptions service;
 };
 
@@ -140,13 +118,10 @@ parseArgs(int argc, char **argv)
         if (arg == "--help" || arg == "-h") {
             printUsage();
             return std::nullopt;
-        } else if (arg == "--socket") {
-            opts.socketPath = need_value(i, "--socket");
-        } else if (arg == "--tcp-port") {
-            opts.tcpPort =
-                static_cast<int>(int_flag(i, "--tcp-port", 0, 65535));
+        } else if (service::parseTransportFlag(argc, argv, i,
+                                               opts.server)) {
         } else if (arg == "--accept") {
-            opts.accept = static_cast<int>(
+            opts.server.acceptLimit = static_cast<int>(
                 int_flag(i, "--accept", -1, 1 << 30));
         } else if (arg == "--threads") {
             opts.service.threads = static_cast<int>(
@@ -159,21 +134,6 @@ parseArgs(int argc, char **argv)
                 static_cast<size_t>(int_flag(i, "--max-bytes-mb", 0,
                                              int64_t{1} << 40)) *
                 1024 * 1024;
-        } else if (arg == "--max-line-bytes") {
-            opts.service.maxLineBytes = static_cast<size_t>(
-                int_flag(i, "--max-line-bytes", 64, int64_t{1} << 30));
-        } else if (arg == "--max-pipeline") {
-            opts.maxPipeline = static_cast<int>(
-                int_flag(i, "--max-pipeline", 1, 1 << 20));
-        } else if (arg == "--max-inflight") {
-            opts.maxInflight = static_cast<int>(
-                int_flag(i, "--max-inflight", 1, 1 << 20));
-        } else if (arg == "--read-timeout-ms") {
-            opts.readTimeoutMs = static_cast<int>(
-                int_flag(i, "--read-timeout-ms", 0, 1 << 30));
-        } else if (arg == "--idle-timeout-ms") {
-            opts.idleTimeoutMs = static_cast<int>(
-                int_flag(i, "--idle-timeout-ms", 0, 1 << 30));
         } else if (arg == "--cache-dir") {
             opts.service.cacheDir = need_value(i, "--cache-dir");
         } else if (arg == "--cache-max-mb") {
@@ -194,6 +154,8 @@ parseArgs(int argc, char **argv)
                         arg.c_str());
         }
     }
+    opts.service.maxLineBytes = opts.server.maxLineBytes;
+    opts.server.handleSigterm = true;
     return opts;
 }
 
@@ -212,23 +174,11 @@ main(int argc, char **argv)
         if (!opts)
             return 0;
         service::DseService service(opts->service);
-        if (opts->socketPath || opts->tcpPort >= 0) {
-            service::Server::Options server_opts;
-            if (opts->socketPath)
-                server_opts.unixPath = *opts->socketPath;
-            server_opts.tcpPort = opts->tcpPort;
-            server_opts.acceptLimit = opts->accept;
-            server_opts.workers = opts->service.threads;
-            server_opts.maxLineBytes = opts->service.maxLineBytes;
-            server_opts.maxPipeline = opts->maxPipeline;
-            server_opts.maxInflight = opts->maxInflight;
-            server_opts.readTimeoutMs = opts->readTimeoutMs;
-            server_opts.idleTimeoutMs = opts->idleTimeoutMs;
-            server_opts.handleSigterm = true;
-            service::Server server(service, server_opts);
+        if (!opts->server.unixPath.empty() || opts->server.tcpPort >= 0) {
+            service::Server server(service, opts->server);
             if (!server.listening())
                 return 1;
-            if (opts->tcpPort >= 0) {
+            if (opts->server.tcpPort >= 0) {
                 // Ephemeral ports (--tcp-port 0) are useless unless
                 // announced; stderr keeps stdout a pure response
                 // stream.
