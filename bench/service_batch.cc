@@ -9,20 +9,46 @@
  * overhead + truncation queries. The two outputs must be
  * byte-identical — warmth is a speed property, never a results
  * property — and the timings land in BENCH_optimizer.json.
+ *
+ * Two eviction-churn legs then run the same 200 never-seen inline
+ * networks through a fresh DseService each. The cached leg has a
+ * temporary cache directory and the default 8 sessions: every
+ * request past the eighth evicts a session while the cache pins
+ * every row built so far, so the process holds ever more rows. The
+ * uncached leg has no cache and kUncachedSessions sessions: the first
+ * half of the requests fills the registry without evicting (the
+ * first quarter times requests alone), and every later request
+ * evicts one session while the others stay resident, freeing the
+ * evicted session's rows. Evicting must cost only the evicted
+ * session, not the rows the process holds: the binary exits non-zero
+ * when, on either leg, the mean request time of the last quarter
+ * exceeds kChurnRatioLimit times the first quarter's (a same-run
+ * ratio, stable on a noisy host).
  */
+
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <numeric>
 
 #include "bench_common.h"
 #include "core/session_registry.h"
 #include "service/dse_service.h"
+#include "util/math.h"
 #include "util/string_utils.h"
 #include "util/table.h"
 
 namespace {
 
 using namespace mclp;
+
+constexpr int kChurnNetworks = 200;
+/** Session cap of the uncached churn leg: half the networks. */
+constexpr size_t kUncachedSessions = 100;
+/** Largest last-quarter / first-quarter mean request time allowed. */
+constexpr double kChurnRatioLimit = 2.0;
 
 std::vector<std::string>
 mixedBatch()
@@ -41,6 +67,107 @@ mixedBatch()
         "dse id=alat net=alexnet budgets=500,2880 mode=latency",
         "dse id=g690 net=googlenet device=690t budgets=2880",
     };
+}
+
+/**
+ * Request @p index of the churn leg: a never-seen inline network
+ * (its first layer's input channel count is the index's own), 12-24
+ * layers of zoo-like dims, a two-rung ladder on the 690T.
+ */
+std::string
+churnLine(util::SplitMix64 &rng, int index)
+{
+    static const int64_t kChannels[] = {16, 32, 48, 64, 96, 128, 192, 256};
+    int64_t layers = rng.nextInt(12, 24);
+    int64_t spatial = 28;
+    int64_t n = 3 + index;
+    std::string spec;
+    for (int64_t l = 0; l < layers; ++l) {
+        int64_t stride = 1;
+        if (l > 0 && spatial > 7 && rng.nextInt(0, layers - 1) < 2) {
+            spatial /= 2;
+            stride = 2;
+        }
+        int64_t m = kChannels[rng.nextInt(0, 7)];
+        spec += util::strprintf(
+            "%sc%lld:%lld:%lld:%lld:%lld:%lld:%lld", l == 0 ? "" : ";",
+            static_cast<long long>(l), static_cast<long long>(n),
+            static_cast<long long>(m), static_cast<long long>(spatial),
+            static_cast<long long>(spatial), rng.nextInt(0, 2) ? 3LL : 1LL,
+            static_cast<long long>(stride));
+        n = m;
+    }
+    return util::strprintf(
+        "dse id=c%d net=churn%d device=690t budgets=%lld,2880 layers=%s",
+        index, index, static_cast<long long>(rng.nextInt(3, 20) * 100),
+        spec.c_str());
+}
+
+/**
+ * One eviction-churn leg over @p lines through a service of
+ * @p max_sessions sessions, with a temporary cache directory when
+ * @p cached; true when every answer was an ok line and the
+ * last/first quarter ratio stayed within kChurnRatioLimit.
+ */
+bool
+runChurn(const std::vector<std::string> &lines, bool cached,
+         size_t max_sessions)
+{
+    namespace fs = std::filesystem;
+    fs::path dir = fs::temp_directory_path() /
+                   ("mclp_service_batch_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+
+    std::vector<double> request_ms;
+    size_t failed = 0;
+    size_t evictions = 0;
+    {
+        service::ServiceOptions options;
+        options.maxSessions = max_sessions;
+        if (cached)
+            options.cacheDir = dir.string();
+        service::DseService service(options);
+        for (const std::string &line : lines) {
+            auto start = std::chrono::steady_clock::now();
+            std::string answer = service.handleLine(line);
+            request_ms.push_back(bench::msSince(start));
+            if (answer.rfind("ok ", 0) != 0)
+                ++failed;
+        }
+        evictions = service.registry().stats().evictions;
+    }  // the service flushes the cache here, outside the timings
+    fs::remove_all(dir);
+
+    double all = std::accumulate(request_ms.begin(), request_ms.end(), 0.0) /
+                 static_cast<double>(request_ms.size());
+    size_t quarter = request_ms.size() / 4;
+    double first =
+        std::accumulate(request_ms.begin(), request_ms.begin() + quarter,
+                        0.0) /
+        static_cast<double>(quarter);
+    double last = std::accumulate(request_ms.end() - quarter,
+                                  request_ms.end(), 0.0) /
+                  static_cast<double>(quarter);
+    double ratio = last / first;
+    bool pass = failed == 0 && ratio <= kChurnRatioLimit;
+
+    util::TextTable table({"quarter", "requests", "mean request (ms)"});
+    table.setTitle(util::strprintf(
+        "eviction churn: %zu never-seen networks, %s, %zu sessions",
+        lines.size(), cached ? "--cache-dir" : "no cache", max_sessions));
+    table.addRow({"first", std::to_string(quarter),
+                  util::strprintf("%.2f", first)});
+    table.addRow({"last", std::to_string(quarter),
+                  util::strprintf("%.2f", last)});
+    table.addRow({"all", std::to_string(request_ms.size()),
+                  util::strprintf("%.2f", all)});
+    table.addNote(util::strprintf(
+        "last/first %.2f (limit %.1f): %s; %zu evictions, %zu failed "
+        "answers",
+        ratio, kChurnRatioLimit, pass ? "PASS" : "FAIL", evictions,
+        failed));
+    std::printf("%s\n", table.render().c_str());
+    return pass;
 }
 
 } // namespace
@@ -105,5 +232,13 @@ main()
         "frontier-row store: %zu rows, %zu hits / %zu builds",
         rows.rows, rows.hits, rows.misses));
     std::printf("%s\n", table.render().c_str());
-    return mismatched == 0 ? 0 : 1;
+
+    util::SplitMix64 rng(20170624);
+    std::vector<std::string> lines;
+    for (int i = 0; i < kChurnNetworks; ++i)
+        lines.push_back(churnLine(rng, i));
+    bool cached_ok =
+        runChurn(lines, true, service::ServiceOptions().maxSessions);
+    bool uncached_ok = runChurn(lines, false, kUncachedSessions);
+    return mismatched == 0 && cached_ok && uncached_ok ? 0 : 1;
 }

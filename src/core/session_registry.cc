@@ -18,10 +18,8 @@ SessionRegistry::SessionRegistry(size_t max_sessions, size_t max_bytes,
     : maxSessions_(std::max<size_t>(1, max_sessions)),
       maxBytes_(max_bytes), sessionThreads_(session_threads),
       cache_(std::move(cache)),
-      store_(std::make_shared<FrontierRowStore>())
+      store_(std::make_shared<FrontierRowStore>(cache_))
 {
-    if (cache_)
-        store_->attachCache(cache_);
 }
 
 SessionRegistry::~SessionRegistry()
@@ -156,14 +154,14 @@ SessionRegistry::evictLruLocked(const Entry *keep)
     }
     if (victim == entries_.end())
         return false;
+    // Dropping the registry's reference frees the session at once when
+    // no handle holds it; its frontier tables then hand their rows
+    // back to the store, which frees the ones no other session holds
+    // (release by ownership: the cost is the rows this session held,
+    // not the store's size). A held session releases when its last
+    // handle drops.
     entries_.erase(victim);
     ++evictions_;
-    // Frontier rows only the evicted session referenced would
-    // otherwise stay resident forever (the store holds them at use
-    // count 1); reclaim them with the session so byte measurements
-    // reflect what eviction actually freed. Rows mirrored by the
-    // persistent cache stay pinned by it — they are the disk image.
-    store_->purgeUnshared();
     return true;
 }
 

@@ -88,10 +88,12 @@ class SessionRegistry
      * plus the shared row store; 0 = unlimited. Enforced after each
      * acquisition, never against the session just returned, and — for
      * acquisitions carrying a budget hint — *before* a new session is
-     * built (see session()). The budget governs *evictable* state:
-     * with a persistent cache attached, rows mirrored by the cache
-     * are pinned for the process lifetime (eviction could not free
-     * them) and are excluded from the measurement.
+     * built (see session()). Each check reads the store's running
+     * byte total and walks only the resident sessions, never the
+     * store's rows. The budget governs *evictable* state: with a
+     * persistent cache attached, no row is freed for the process
+     * lifetime (eviction could not free them), so row payloads are
+     * excluded from the measurement.
      * @param session_threads worker threads each session uses for
      * budget-ladder fan-out (1 = serial; thread count never changes
      * results).
@@ -172,13 +174,24 @@ class SessionRegistry
      * evicted (the entry just acquired). */
     void enforceCapsLocked(const Entry *keep);
 
-    /** Evict the least-recently-used entry other than @p keep and
-     * reclaim its orphaned store rows; false when nothing evictable
-     * is left. Caller holds mutex_. */
+    /** Evict the least-recently-used entry other than @p keep; false
+     * when nothing evictable is left. Caller holds mutex_. When no
+     * handle holds the session it dies here, and its tables release
+     * their rows to the store (see the lock order on mutex_). */
     bool evictLruLocked(const Entry *keep);
 
     size_t memoryBytesLocked();
 
+    /**
+     * Guards the entries and counters. Lock order: registry mutex_ →
+     * a session's own locks (its caches, its table rows) →
+     * FrontierRowStore → FrontierCache. A session's tables release
+     * their rows to the store on whichever thread drops its last
+     * reference: inside mutex_ when an eviction drops an unheld
+     * session, outside it when a request drops the last handle of an
+     * already-evicted one. The store and the cache never call back
+     * into the registry, so the order never inverts.
+     */
     std::mutex mutex_;
     size_t maxSessions_;
     size_t maxBytes_;

@@ -664,11 +664,16 @@ ShapeFrontier::fromPoints(std::vector<FrontierPoint> points)
     return frontier;
 }
 
-void
-FrontierRowStore::attachCache(std::shared_ptr<FrontierCache> cache)
+FrontierRowStore::FrontierRowStore(std::shared_ptr<FrontierCache> cache)
+    : cache_(std::move(cache))
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    cache_ = std::move(cache);
+}
+
+size_t
+FrontierRowStore::rowBytesLocked(const RowMap::value_type &row) const
+{
+    return row.first.capacity() * sizeof(int64_t) + 4 * sizeof(void *) +
+           (cache_ ? 0 : row.second->memoryBytes());
 }
 
 std::shared_ptr<const ShapeFrontier>
@@ -689,7 +694,7 @@ FrontierRowStore::lookup(const std::vector<int64_t> &key)
         // cache-stats can show the whole ladder.
         CacheTier tier = CacheTier::None;
         if (auto row = cache_->loadRow(key, &tier)) {
-            rows_.emplace(key, row);
+            bytes_ += rowBytesLocked(*rows_.emplace(key, row).first);
             ++hits_;
             if (tier == CacheTier::Sibling)
                 ++siblingHits_;
@@ -711,9 +716,25 @@ FrontierRowStore::insert(const std::vector<int64_t> &key,
     // The first insert wins, so racing builders (which produced
     // bit-identical frontiers anyway) converge on one shared row.
     auto [it, inserted] = rows_.emplace(key, std::move(row));
-    if (inserted && cache_)
-        cache_->noteRow(key, it->second);  // write-back at flush
+    if (inserted) {
+        bytes_ += rowBytesLocked(*it);
+        if (cache_)
+            cache_->noteRow(key, it->second);  // write-back at flush
+    }
     return it->second;
+}
+
+void
+FrontierRowStore::release(const std::vector<std::vector<int64_t>> &keys)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const std::vector<int64_t> &key : keys) {
+        auto it = rows_.find(key);
+        if (it == rows_.end() || it->second.use_count() != 1)
+            continue;
+        bytes_ -= rowBytesLocked(*it);
+        rows_.erase(it);
+    }
 }
 
 FrontierRowStore::Stats
@@ -733,38 +754,7 @@ size_t
 FrontierRowStore::memoryBytes() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    size_t bytes = 0;
-    for (const auto &entry : rows_) {
-        bytes += entry.first.capacity() * sizeof(int64_t) +
-                 4 * sizeof(void *);
-        // With a disk cache attached, every row is pinned by the
-        // cache's in-memory mirror (loaded rows and pending
-        // write-backs) for the process lifetime, so eviction cannot
-        // free it. Counting pinned rows against the SessionRegistry's
-        // byte budget would make the cap unreachable and turn the
-        // eviction loop into pure session thrash; the mirror is the
-        // price of --cache-dir, bounded by the cache file, and
-        // accounted to the cache, not to evictable registry state.
-        if (!cache_)
-            bytes += entry.second->memoryBytes();
-    }
-    return bytes;
-}
-
-size_t
-FrontierRowStore::purgeUnshared()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    size_t freed = 0;
-    for (auto it = rows_.begin(); it != rows_.end();) {
-        if (it->second.use_count() == 1) {
-            it = rows_.erase(it);
-            ++freed;
-        } else {
-            ++it;
-        }
-    }
-    return freed;
+    return bytes_;
 }
 
 FrontierTable::FrontierTable(const nn::Network &network,
@@ -785,6 +775,12 @@ FrontierTable::FrontierTable(const nn::Network &network,
         breakpoints_.breakpoints(network_.layer(idx).groupN());
         breakpoints_.breakpoints(network_.layer(idx).groupM());
     }
+}
+
+FrontierTable::~FrontierTable()
+{
+    for (size_t i = 0; i < rows_.size(); ++i)
+        releaseRowLocked(i);
 }
 
 bool
@@ -820,6 +816,26 @@ FrontierTable::rangeKey(size_t i, size_t j, int64_t units_cap) const
 }
 
 void
+FrontierTable::releaseRowLocked(size_t i)
+{
+    // Private rows die with the table, and with a cache no row is
+    // ever freed.
+    Row &row = rows_[i];
+    if (!store_ || store_->cacheAttached() || row.frontiers.empty())
+        return;
+    // Slot s holds [i..i+s] on a contiguous row, else the full suffix
+    // (see extendRowLocked()), stored at the row's current cap.
+    bool contiguous = usable(i, i);
+    std::vector<std::vector<int64_t>> keys;
+    keys.reserve(row.frontiers.size());
+    for (size_t s = 0; s < row.frontiers.size(); ++s)
+        keys.push_back(rangeKey(i, contiguous ? i + s : order_.size() - 1,
+                                row.builtUnits));
+    row.frontiers.clear();  // the store frees only rows it holds alone
+    store_->release(keys);
+}
+
+void
 FrontierTable::extendRowLocked(size_t i, int64_t dsp_budget,
                                int64_t cycle_target)
 {
@@ -831,7 +847,9 @@ FrontierTable::extendRowLocked(size_t i, int64_t dsp_budget,
         // stored staircases may miss now-affordable shapes. Rebuild
         // the row at the table cap (>= needed, since callers reserve
         // before querying). Only this row pays; others rebuild when
-        // (and if) a big-budget query reaches them.
+        // (and if) a big-budget query reaches them. The old-cap rows
+        // go back to the store.
+        releaseRowLocked(i);
         row.builder.reset();
         row.builderLayers = 0;
         row.frontiers.clear();
@@ -935,26 +953,26 @@ FrontierTable::choose(size_t i, size_t j, int64_t dsp_budget,
     // Rows are contiguous from j = i when usable(i, i); otherwise the
     // only usable range is the full suffix, stored at slot 0.
     size_t idx = usable(i, i) ? j - i : 0;
-    std::shared_ptr<const ShapeFrontier> frontier;
-    {
-        std::lock_guard<std::mutex> lock(rowLocks_[i]);
-        Row &row = rows_[i];
-        if (idx >= row.frontiers.size() ||
-            row.builtUnits < model::macBudget(dsp_budget, type_)) {
-            // Not built far enough for this (budget, target) — a
-            // concurrent rebuild, a bigger budget, or a prepare() that
-            // stopped earlier. Extend in place; if the row still ends
-            // short, some prefix range already misses the target under
-            // this budget, and extensions only add cycles, so [i..j]
-            // is provably infeasible.
-            extendRowLocked(i, dsp_budget, cycle_target);
-            if (idx >= row.frontiers.size())
-                return std::nullopt;
-        }
-        frontier = row.frontiers[idx];
+    std::lock_guard<std::mutex> lock(rowLocks_[i]);
+    Row &row = rows_[i];
+    if (idx >= row.frontiers.size() ||
+        row.builtUnits < model::macBudget(dsp_budget, type_)) {
+        // Not built far enough for this (budget, target) — a
+        // concurrent rebuild, a bigger budget, or a prepare() that
+        // stopped earlier. Extend in place; if the row still ends
+        // short, some prefix range already misses the target under
+        // this budget, and extensions only add cycles, so [i..j] is
+        // provably infeasible.
+        extendRowLocked(i, dsp_budget, cycle_target);
+        if (idx >= row.frontiers.size())
+            return std::nullopt;
     }
-    // The frontier itself is immutable; query outside the row lock.
-    return frontier->query(cycle_target, dsp_budget);
+    // Query under the row lock, without copying the handle out: the
+    // table's slots then stay the only references it holds, so a
+    // concurrent rebuild's release sees exact use counts and never
+    // leaves a row behind in the store. The query is two binary
+    // searches, no dearer than the reference-count pair a copy costs.
+    return row.frontiers[idx]->query(cycle_target, dsp_budget);
 }
 
 size_t

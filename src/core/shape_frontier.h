@@ -420,6 +420,16 @@ class ShapeFrontier::Builder
  * exactly once (the same sharing TilingOptionCache already performs
  * for tiling signatures). Entries are immutable ShapeFrontiers, so a
  * hit is bit-identical to a private rebuild. Thread safe.
+ *
+ * Rows leave by ownership, never by a scan of the store: a
+ * FrontierTable hands its rows back (release()) when it dies and when
+ * it rebuilds a row at a larger units cap, and the store drops each
+ * row it then holds alone. A row therefore goes when the last table
+ * using it does, and dropping a session costs only the rows that
+ * session held. With a persistent cache attached no row is ever
+ * freed: the cache pins every row it decoded or will write back, so
+ * tables skip the release, and the store keeps the rest (a row whose
+ * record failed to decode) rather than rebuild it.
  */
 class FrontierCache;
 
@@ -442,14 +452,18 @@ class FrontierRowStore
     };
 
     /**
-     * Attach a persistent cache: lookup() falls through to it on a
-     * miss (a cache hit counts as a hit and avoids the build), and
-     * insert() notes fresh rows for write-back. Attach before first
-     * use; the store never flushes — its owner does. The cache pins
-     * every row it mirrors for the process lifetime, so memoryBytes()
-     * then reports only evictable overhead (see its definition).
+     * @param cache optional persistent cache, fixed for the store's
+     * life: lookup() falls through to it on a miss (a cache hit counts
+     * as a hit and avoids the build), and insert() notes fresh rows
+     * for write-back. The store never flushes — its owner does. With
+     * a cache no row is ever freed, so memoryBytes() then reports
+     * only evictable overhead (see its definition).
      */
-    void attachCache(std::shared_ptr<FrontierCache> cache);
+    explicit FrontierRowStore(std::shared_ptr<FrontierCache> cache = nullptr);
+
+    /** True when a persistent cache is attached. Then no row is ever
+     * freed, so tables skip release(). */
+    bool cacheAttached() const { return cache_ != nullptr; }
 
     /** The stored frontier for @p key, or nullptr (counts hit/miss). */
     std::shared_ptr<const ShapeFrontier>
@@ -462,24 +476,41 @@ class FrontierRowStore
     std::shared_ptr<const ShapeFrontier>
     insert(const std::vector<int64_t> &key, ShapeFrontier frontier);
 
+    /**
+     * Hand back rows a table has dropped its references to: each key
+     * whose row the store now holds alone (use count 1) is erased.
+     * Keys already gone, or rows another table still holds, are left
+     * — the last holder's release frees them.
+     */
+    void release(const std::vector<std::vector<int64_t>> &keys);
+
     Stats stats() const;
 
-    /** Rough resident bytes of all stored rows. */
+    /**
+     * Rough resident bytes of the stored rows, kept as a running
+     * total. Per row: the key and four pointers of map overhead, plus
+     * the staircase itself only when no cache is attached — with one,
+     * no row is ever freed (see the class comment), so eviction could
+     * not free it; counting pinned rows against the SessionRegistry's
+     * byte budget would make the cap unreachable and turn the
+     * eviction loop into pure session thrash. The pinned rows are the
+     * price of --cache-dir, bounded by its segment and accounted to
+     * the cache, not to evictable registry state.
+     */
     size_t memoryBytes() const;
 
-    /**
-     * Drop rows no table currently references (use count 1), e.g.
-     * after the SessionRegistry evicts sessions. Returns rows freed.
-     */
-    size_t purgeUnshared();
-
   private:
+    using RowMap = std::unordered_map<std::vector<int64_t>,
+                                      std::shared_ptr<const ShapeFrontier>,
+                                      util::Int64VectorHash>;
+
+    /** What @p row adds to memoryBytes(). Caller holds mutex_. */
+    size_t rowBytesLocked(const RowMap::value_type &row) const;
+
     mutable std::mutex mutex_;
-    std::shared_ptr<FrontierCache> cache_;  ///< optional disk layer
-    std::unordered_map<std::vector<int64_t>,
-                       std::shared_ptr<const ShapeFrontier>,
-                       util::Int64VectorHash>
-        rows_;
+    const std::shared_ptr<FrontierCache> cache_;  ///< optional disk layer
+    RowMap rows_;
+    size_t bytes_ = 0;  ///< memoryBytes(): rowBytesLocked() over rows_
     size_t hits_ = 0;
     size_t misses_ = 0;
     size_t mmapHits_ = 0;
@@ -505,7 +536,10 @@ class FrontierRowStore
  * concurrent rebuild or a larger budget left a gap — so concurrent
  * runs of a budget ladder never serialize on a whole-table lock and
  * still read bit-identical answers. When @p store is given, built
- * rows are shared through it across tables and networks.
+ * rows are shared through it across tables and networks, and the
+ * table hands them back (FrontierRowStore::release()) when it dies or
+ * rebuilds a row at a larger cap. The network must outlive the table:
+ * the release recomputes each row's store keys from its dims.
  */
 class FrontierTable
 {
@@ -513,6 +547,12 @@ class FrontierTable
     FrontierTable(const nn::Network &network, fpga::DataType type,
                   std::vector<size_t> order, int max_clps,
                   std::shared_ptr<FrontierRowStore> store = nullptr);
+
+    /** Releases the table's shared rows to the store. */
+    ~FrontierTable();
+
+    FrontierTable(const FrontierTable &) = delete;
+    FrontierTable &operator=(const FrontierTable &) = delete;
 
     /**
      * Grow the units cap to at least @p units_cap. Rows built under a
@@ -540,9 +580,10 @@ class FrontierTable
      * Frontier query for order[i..j]: minimum-DSP shape fitting
      * @p dsp_budget and finishing within @p cycle_target. nullopt when
      * the range cannot meet the target under the budget. Takes the
-     * row's lock and extends the row in place when it has not been
+     * row's lock, extends the row in place when it has not been
      * built far enough for this (budget, target) — prepare() is an
-     * optimization, not a correctness precondition.
+     * optimization, not a correctness precondition — and queries
+     * under it.
      */
     std::optional<FrontierPoint> choose(size_t i, size_t j,
                                         int64_t dsp_budget,
@@ -581,6 +622,15 @@ class FrontierTable
     /** Store key of order_[i..j] at @p units_cap (dims, type, cap). */
     std::vector<int64_t> rangeKey(size_t i, size_t j,
                                   int64_t units_cap) const;
+
+    /**
+     * Drop row @p i's frontiers and hand them back to the store under
+     * the keys they were stored with (recomputed slot by slot at the
+     * row's builtUnits), so it frees each one this table held last.
+     * No-op without a store or with a cache attached. Caller holds
+     * rowLocks_[i] (or owns the table alone).
+     */
+    void releaseRowLocked(size_t i);
 
     const nn::Network &network_;
     fpga::DataType type_;

@@ -1062,5 +1062,78 @@ TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
     }
 }
 
+TEST(FrontierCache, UndecodableRowSurvivesEviction)
+{
+    // A valid image whose record for some row fails to decode: the
+    // store misses it and builds the row cold. The cache does not pin
+    // that row (the image already holds its key, so nothing is
+    // pending), yet with a cache attached tables never release rows:
+    // evicting the session that built it must not free it, and
+    // re-answering the network must build nothing.
+    ScratchDir scratch;
+    const std::string line =
+        "dse id=u net=mini layers=a:3:16:14:14:3:1;b:16:24:7:7:3:1;"
+        "c:24:24:7:7:1:1 budgets=150,400";
+    const std::string other =
+        "dse id=o net=other layers=a:5:12:14:14:3:1;b:12:20:7:7:3:1 "
+        "budgets=150";
+    const std::string cold = coldResponse(line);
+    ASSERT_EQ(cachedResponse(line, scratch.dir()), cold);
+
+    // Forge the first row record's payload into bytes no decoder
+    // accepts (an unterminated varint), checksum recomputed.
+    std::string image = readFileBytes(scratch.segmentFile());
+    const uint32_t slot_count =
+        static_cast<uint32_t>(imageField(image, 12, 4));
+    const size_t key_blob = 64 + slot_count * size_t{32};
+    const size_t payload_blob = key_blob + imageField(image, 40, 8) * 8;
+    std::vector<int64_t> key;
+    for (uint32_t s = 0; s < slot_count && key.empty(); ++s) {
+        size_t slot = 64 + s * size_t{32};
+        uint64_t kind_words = imageField(image, slot + 12, 4);
+        if ((kind_words >> 24) != core::kCacheRecordRow)
+            continue;
+        size_t key_at = key_blob + imageField(image, slot + 8, 4) * 8;
+        for (uint64_t w = 0; w < (kind_words & 0xffffff); ++w)
+            key.push_back(static_cast<int64_t>(
+                imageField(image, key_at + w * 8, 8)));
+        image.replace(payload_blob + imageField(image, slot + 16, 4),
+                      imageField(image, slot + 20, 4),
+                      imageField(image, slot + 20, 4), '\xff');
+    }
+    ASSERT_FALSE(key.empty());
+    resealImage(image);
+    ASSERT_TRUE(util::publishFileAtomic(scratch.segmentFile(), image));
+
+    auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
+    ASSERT_TRUE(cache->stats().segmentMapped);
+    EXPECT_EQ(cache->loadRow(key), nullptr) << "the payload must not decode";
+    {
+        core::SessionRegistry registry(1, 0, 1, cache);
+        auto answer = [&](const std::string &request) {
+            return service::encodeResponse(service::answerRequest(
+                service::decodeRequest(request), &registry));
+        };
+        EXPECT_EQ(answer(line), cold);
+        const std::shared_ptr<core::FrontierRowStore> &store =
+            registry.rowStore();
+        // Built cold; hold no reference past this line, so the
+        // session's tables are the row's only holders besides the
+        // store.
+        ASSERT_NE(store->lookup(key), nullptr);
+        EXPECT_EQ(cache->stats().rowsPending, 0u)
+            << "the image already holds the key";
+
+        // Evict the session that built the row: the store keeps it,
+        // and re-answering the network builds nothing.
+        answer(other);
+        ASSERT_GE(registry.stats().evictions, 1u);
+        size_t misses = store->stats().misses;
+        EXPECT_NE(store->lookup(key), nullptr);
+        EXPECT_EQ(answer(line), cold);
+        EXPECT_EQ(store->stats().misses, misses);
+    }
+}
+
 } // namespace
 } // namespace mclp

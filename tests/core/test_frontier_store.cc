@@ -5,7 +5,9 @@
  * result, concurrent queries at interleaved budgets and targets match
  * a serial table bit for bit, growing the units cap mid-stream only
  * rebuilds lazily (never changing answers), and store-shared tables
- * answer exactly like private ones.
+ * answer exactly like private ones. Rows leave the store by ownership:
+ * a shared row goes with its last table, and a rebuild at a larger
+ * cap hands the old-cap rows back.
  */
 
 #include <gtest/gtest.h>
@@ -178,14 +180,93 @@ TEST(FrontierRowStore, SharedTablesAnswerLikePrivateOnes)
     EXPECT_GT(stats.rows, 0u);
     EXPECT_GT(store->memoryBytes(), 0u);
 
-    // While tables hold the rows, purge frees nothing; dropping the
-    // tables orphans every row and purge reclaims them all.
-    EXPECT_EQ(store->purgeUnshared(), 0u) << "tables still hold rows";
-    size_t resident = store->stats().rows;
+    // Release by ownership: dropping both tables hands every row back
+    // and empties the store, byte total included — no purge call.
     shared_a.reset();
     shared_b.reset();
-    EXPECT_EQ(store->purgeUnshared(), resident);
     EXPECT_EQ(store->stats().rows, 0u);
+    EXPECT_EQ(store->memoryBytes(), 0u);
+}
+
+/** Run choose() over every range from row 0 at @p dsp_budget. */
+void
+queryRowZero(core::FrontierTable &table, int64_t dsp_budget)
+{
+    for (size_t j = 0; j < table.size(); ++j)
+        table.choose(0, j, dsp_budget, 900000);
+}
+
+/** Run choose() over every range of @p table at @p dsp_budget. */
+void
+queryAll(core::FrontierTable &table, int64_t dsp_budget)
+{
+    for (size_t i = 0; i < table.size(); ++i)
+        for (size_t j = i; j < table.size(); ++j)
+            table.choose(i, j, dsp_budget, 900000);
+}
+
+TEST(FrontierRowStore, SharedRowOutlivesItsFirstTableAndLeavesWithItsLast)
+{
+    nn::Network network = nn::makeSqueezeNet();
+    fpga::DataType type = fpga::DataType::Fixed16;
+    std::vector<size_t> order = core::orderLayers(
+        network, core::OrderHeuristic::ComputeToData);
+    int64_t units = model::macBudget(2880, type);
+
+    // Reference: what the narrow query mix holds in a store of its own.
+    auto alone = std::make_shared<core::FrontierRowStore>();
+    core::FrontierTable reference(network, type, order, 6, alone);
+    reference.reserveUnits(units);
+    queryRowZero(reference, 2880);
+
+    // A wide table holds every row; a narrow one shares a subset.
+    auto store = std::make_shared<core::FrontierRowStore>();
+    auto wide = std::make_unique<core::FrontierTable>(network, type, order,
+                                                      6, store);
+    auto narrow = std::make_unique<core::FrontierTable>(network, type,
+                                                        order, 6, store);
+    wide->reserveUnits(units);
+    narrow->reserveUnits(units);
+    queryAll(*wide, 2880);
+    queryRowZero(*narrow, 2880);
+    size_t shared_rows = store->stats().rows;
+
+    // The wide table dies first: exactly the rows the narrow table
+    // also holds survive it…
+    wide.reset();
+    EXPECT_LT(store->stats().rows, shared_rows);
+    EXPECT_EQ(store->stats().rows, alone->stats().rows);
+    EXPECT_EQ(store->memoryBytes(), alone->memoryBytes());
+
+    // …and leave with the narrow one, their last table.
+    narrow.reset();
+    EXPECT_EQ(store->stats().rows, 0u);
+    EXPECT_EQ(store->memoryBytes(), 0u);
+}
+
+TEST(FrontierTable, RebuildAtLargerCapReleasesOldCapRows)
+{
+    nn::Network network = nn::makeAlexNet();
+    fpga::DataType type = fpga::DataType::Float32;
+    std::vector<size_t> order =
+        core::orderLayers(network, core::OrderHeuristic::NmDistance);
+
+    // Row 0 built at a small cap, then rebuilt at a larger one…
+    auto store = std::make_shared<core::FrontierRowStore>();
+    core::FrontierTable grown(network, type, order, 6, store);
+    queryRowZero(grown, 240);
+    ASSERT_GT(store->stats().rows, 0u);
+    grown.reserveUnits(model::macBudget(2880, type));
+    queryRowZero(grown, 2880);
+
+    // …holds exactly what a table built at the larger cap holds: the
+    // rebuild handed every old-cap row back.
+    auto fresh_store = std::make_shared<core::FrontierRowStore>();
+    core::FrontierTable fresh(network, type, order, 6, fresh_store);
+    fresh.reserveUnits(model::macBudget(2880, type));
+    queryRowZero(fresh, 2880);
+    EXPECT_EQ(store->stats().rows, fresh_store->stats().rows);
+    EXPECT_EQ(store->memoryBytes(), fresh_store->memoryBytes());
 }
 
 } // namespace

@@ -6,6 +6,10 @@
  * share a session regardless of name; and the shared FrontierRowStore
  * lets SqueezeNet variants reuse each other's frontier rows while
  * still producing designs bit-identical to private-table runs.
+ * Evicted sessions hand their rows back by ownership: a held session
+ * keeps them until its last handle drops, with a cache none is freed,
+ * and concurrent churn leaves an uncached store empty once every
+ * handle is gone.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +18,9 @@
 
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/dse_request.h"
@@ -23,8 +29,12 @@
 #include "core/optimizer.h"
 #include "core/session_registry.h"
 #include "nn/zoo.h"
+#include "service/dse_codec.h"
+#include "service/dse_service.h"
 #include "test_helpers.h"
 #include "util/logging.h"
+#include "util/math.h"
+#include "util/string_utils.h"
 
 namespace mclp {
 namespace {
@@ -101,6 +111,75 @@ TEST(SessionRegistry, EvictedSessionHandleStaysUsable)
                      coldRun(alexnet, fpga::DataType::Float32,
                              budgets[0]),
                      "evicted-but-held session");
+}
+
+TEST(SessionRegistry, EvictedButHeldSessionKeepsRowsUntilItsHandleDrops)
+{
+    nn::Network alexnet = nn::makeAlexNet();
+    nn::Network squeezenet = nn::makeSqueezeNet();
+    std::vector<fpga::ResourceBudget> budgets =
+        core::dspLadder({800}, 100.0);
+
+    // Reference: the rows a SqueezeNet session alone holds.
+    core::SessionRegistry alone(1);
+    alone.session(squeezenet, "690t", fpga::DataType::Float32)
+        ->sweep(budgets, {});
+    const std::shared_ptr<core::FrontierRowStore> &reference =
+        alone.rowStore();
+
+    core::SessionRegistry registry(1);
+    const std::shared_ptr<core::FrontierRowStore> &store =
+        registry.rowStore();
+    auto held = registry.session(alexnet, "690t", fpga::DataType::Float32);
+    held->sweep(budgets, {});
+    registry.session(squeezenet, "690t", fpga::DataType::Float32)
+        ->sweep(budgets, {});
+    ASSERT_EQ(registry.stats().evictions, 1u);
+    // Evicted but held: the AlexNet rows stay while the handle lives.
+    EXPECT_GT(store->stats().rows, reference->stats().rows);
+
+    // Dropping the handle releases them at once, with no eviction.
+    held.reset();
+    EXPECT_EQ(registry.stats().evictions, 1u);
+    EXPECT_EQ(store->stats().rows, reference->stats().rows);
+    EXPECT_EQ(store->memoryBytes(), reference->memoryBytes());
+}
+
+TEST(SessionRegistry, CachePinnedRowsAnswerAReacquiredSession)
+{
+    // With a cache attached, eviction frees no row: re-acquiring an
+    // evicted network is answered by the row store alone — no build,
+    // no decode.
+    namespace fs = std::filesystem;
+    fs::path dir = fs::temp_directory_path() /
+                   ("mclp_pinned_cache_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    std::vector<fpga::ResourceBudget> budgets =
+        core::dspLadder({800}, 100.0);
+    nn::Network alexnet = nn::makeAlexNet();
+    {
+        auto cache = std::make_shared<core::FrontierCache>(dir.string());
+        core::SessionRegistry registry(1, 0, 1, cache);
+        auto first = registry.session(alexnet, "690t",
+                                      fpga::DataType::Float32)
+                         ->sweep(budgets, {});
+        registry.session(nn::makeSqueezeNet(), "690t",
+                         fpga::DataType::Float32)
+            ->sweep(budgets, {});
+        ASSERT_EQ(registry.stats().evictions, 1u);
+
+        core::FrontierRowStore::Stats before = registry.rowStore()->stats();
+        auto again = registry.session(alexnet, "690t",
+                                      fpga::DataType::Float32)
+                         ->sweep(budgets, {});
+        core::FrontierRowStore::Stats after = registry.rowStore()->stats();
+        EXPECT_GT(after.hits, before.hits);
+        EXPECT_EQ(after.misses, before.misses);
+        EXPECT_EQ(after.mmapHits, before.mmapHits);
+        EXPECT_EQ(after.rows, before.rows);
+        expectSameResult(again[0], first[0], "re-acquired vs first");
+    }
+    fs::remove_all(dir);
 }
 
 TEST(SessionRegistry, DimsSignatureSharesSessionsAcrossNames)
@@ -401,6 +480,100 @@ TEST(SessionRegistry, JointSessionStartsDiskWarmFromSoloCaches)
                      coldRun(joint, fpga::DataType::Float32,
                              budgets[0]),
                      "disk-warm joint vs cold");
+    fs::remove_all(dir);
+}
+
+/** One request line per small never-seen network and ladder: the
+ * first layer's input channels make every network distinct. */
+std::vector<std::vector<std::string>>
+churnLines(size_t networks)
+{
+    util::SplitMix64 rng(20170626);
+    std::vector<std::vector<std::string>> lines(networks);
+    for (size_t n = 0; n < networks; ++n) {
+        int64_t in = static_cast<int64_t>(3 + n);
+        std::string layers;
+        for (int l = 0; l < 3; ++l) {
+            int64_t out = rng.nextInt(8, 40);
+            int64_t hw = rng.nextInt(7, 14);
+            layers += util::strprintf(
+                "%sl%d:%lld:%lld:%lld:%lld:3:1", l == 0 ? "" : ";", l,
+                static_cast<long long>(in), static_cast<long long>(out),
+                static_cast<long long>(hw), static_cast<long long>(hw));
+            in = out;
+        }
+        // Two ladders, so a session can be rebuilt at a larger cap
+        // while another thread queries it.
+        for (const char *budgets : {"150,400", "150,900"})
+            lines[n].push_back(util::strprintf(
+                "dse id=c%zu net=churn%zu device=690t budgets=%s "
+                "layers=%s",
+                n, n, budgets, layers.c_str()));
+    }
+    return lines;
+}
+
+TEST(SessionRegistry, ConcurrentChurnMatchesColdAndReleasesEveryRow)
+{
+    // Threads churn a capacity-2 registry over distinct networks,
+    // each holding its previous session across the next acquisition's
+    // evictions, so sessions die on whichever thread drops the last
+    // handle — inside the registry lock or outside it.
+    constexpr size_t kThreads = 4;
+    const std::vector<std::vector<std::string>> lines = churnLines(8);
+    std::vector<std::vector<std::string>> cold(lines.size());
+    for (size_t n = 0; n < lines.size(); ++n)
+        for (const std::string &line : lines[n])
+            cold[n].push_back(service::encodeResponse(service::answerRequest(
+                service::decodeRequest(line), nullptr)));
+
+    namespace fs = std::filesystem;
+    fs::path dir = fs::temp_directory_path() /
+                   ("mclp_churn_cache_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    for (bool cached : {false, true}) {
+        SCOPED_TRACE(cached ? "with a cache" : "without a cache");
+        auto registry = std::make_unique<core::SessionRegistry>(
+            2, 0, 2,
+            cached ? std::make_shared<core::FrontierCache>(dir.string())
+                   : nullptr);
+        std::vector<size_t> mismatches(kThreads, 0);
+        std::vector<std::thread> threads;
+        for (size_t t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                std::shared_ptr<core::DseSession> held;
+                for (size_t k = 0; k < 2 * lines.size(); ++k) {
+                    size_t n = (3 * t + k) % lines.size();
+                    size_t ladder = (t + k / lines.size()) % 2;
+                    core::DseRequest request =
+                        service::decodeRequest(lines[n][ladder]);
+                    if (service::encodeResponse(service::answerRequest(
+                            request, registry.get())) != cold[n][ladder])
+                        ++mismatches[t];
+                    held = registry->session(
+                        core::resolveNetwork(request), request.device,
+                        request.type);
+                }
+            });
+        }
+        for (std::thread &thread : threads)
+            thread.join();
+        for (size_t t = 0; t < kThreads; ++t)
+            EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+        EXPECT_GT(registry->stats().evictions, 0u);
+
+        // Once the registry's own references go too, an uncached
+        // store has released every row; with a cache none is freed.
+        std::shared_ptr<core::FrontierRowStore> store =
+            registry->rowStore();
+        registry.reset();
+        if (cached) {
+            EXPECT_GT(store->stats().rows, 0u);
+        } else {
+            EXPECT_EQ(store->stats().rows, 0u);
+            EXPECT_EQ(store->memoryBytes(), 0u);
+        }
+    }
     fs::remove_all(dir);
 }
 
