@@ -15,10 +15,8 @@ DseCaches::DseCaches(const nn::Network &network, fpga::DataType type,
                      std::shared_ptr<FrontierCache> cache)
     : network_(network), type_(type), store_(std::move(store)),
       tilings_(std::make_shared<TilingOptionCache>()),
-      curves_(std::make_shared<TradeoffCurveCache>())
+      curves_(std::make_shared<TradeoffCurveCache>(std::move(cache)))
 {
-    if (cache)
-        curves_->attachCache(std::move(cache));
 }
 
 FrontierTable &

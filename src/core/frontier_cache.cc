@@ -1,7 +1,5 @@
 #include "core/frontier_cache.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
@@ -101,9 +99,8 @@ modelFormulaFingerprint()
     return fingerprint;
 }
 
-FrontierCache::FrontierCache(std::string dir,
-                             FrontierCacheOptions options)
-    : dir_(std::move(dir)), options_(options),
+FrontierCache::FrontierCache(std::string dir, size_t max_bytes)
+    : dir_(std::move(dir)), maxBytes_(max_bytes),
       fingerprint_(modelFormulaFingerprint())
 {
     namespace fs = std::filesystem;
@@ -112,16 +109,6 @@ FrontierCache::FrontierCache(std::string dir,
     lockPath_ = (fs::path(dir_) / kFrontierCacheLockName).string();
     segmentPath_ = (fs::path(dir_) / kFrontierSegmentFileName).string();
     legacyFilePath_ = (fs::path(dir_) / kFrontierCacheFileName).string();
-    // Sibling shards attach lazily: a sibling may not have published
-    // anything yet (or even exist yet) — findInSiblings() maps each
-    // segment the first time its file shows up on a miss.
-    siblings_.reserve(options_.siblingDirs.size());
-    for (const std::string &sibling : options_.siblingDirs) {
-        SiblingSegment entry;
-        entry.path =
-            (fs::path(sibling) / kFrontierSegmentFileName).string();
-        siblings_.push_back(std::move(entry));
-    }
 
     // No lock needed: the segment only ever changes by atomic rename,
     // so the mapping is one complete image and pins its inode.
@@ -148,52 +135,10 @@ FrontierCache::FrontierCache(std::string dir,
     }
 }
 
-std::string_view
-FrontierCache::findInSiblings(uint8_t kind,
-                              const std::vector<int64_t> &key)
-{
-    for (SiblingSegment &sibling : siblings_) {
-        // Refresh on a changed stat signature: the sibling republishes
-        // with an atomic rename, so the path flips to a new inode when
-        // (and only when) there is a new complete image. The stat is
-        // nanoseconds against a miss that otherwise costs a cold
-        // build, so probing on every miss is fine. The old mapping
-        // survives an invalid or older replacement (generation guard):
-        // serving it is always correct, merely less warm.
-        struct stat st{};
-        if (::stat(sibling.path.c_str(), &st) == 0 &&
-            (static_cast<int64_t>(st.st_ino) != sibling.statIno ||
-             static_cast<int64_t>(st.st_size) != sibling.statSize ||
-             static_cast<int64_t>(st.st_mtim.tv_sec) * 1000000000 +
-                     st.st_mtim.tv_nsec !=
-                 sibling.statMtimeNs)) {
-            sibling.statIno = static_cast<int64_t>(st.st_ino);
-            sibling.statSize = static_cast<int64_t>(st.st_size);
-            sibling.statMtimeNs =
-                static_cast<int64_t>(st.st_mtim.tv_sec) * 1000000000 +
-                st.st_mtim.tv_nsec;
-            FrontierCacheSegment mapped =
-                FrontierCacheSegment::open(sibling.path, fingerprint_);
-            if (mapped.valid() &&
-                (!sibling.segment.valid() ||
-                 mapped.generation() >= sibling.segment.generation()))
-                sibling.segment = std::move(mapped);
-        }
-        if (!sibling.segment.valid())
-            continue;
-        std::string_view payload = sibling.segment.find(kind, key);
-        if (!payload.empty())
-            return payload;
-    }
-    return {};
-}
-
 std::shared_ptr<const ShapeFrontier>
-FrontierCache::loadRow(const std::vector<int64_t> &key, CacheTier *tier)
+FrontierCache::loadRow(const std::vector<int64_t> &key)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (tier)
-        *tier = CacheTier::None;
     auto it = mmapRows_.find(key);
     if (it == mmapRows_.end() && segment_.valid()) {
         std::string_view payload = segment_.find(kCacheRecordRow, key);
@@ -209,38 +154,10 @@ FrontierCache::loadRow(const std::vector<int64_t> &key, CacheTier *tier)
                          .first;
         }
     }
-    if (it == mmapRows_.end()) {
-        // Sideways before cold: a sibling shard may have published
-        // this row. Its hit is not folded into rowHitDelta_ — the
-        // record belongs to the sibling's file, and our flush cannot
-        // update counters it does not own.
-        auto sit = siblingRows_.find(key);
-        if (sit == siblingRows_.end() && !siblings_.empty()) {
-            std::string_view payload =
-                findInSiblings(kCacheRecordRow, key);
-            if (!payload.empty()) {
-                if (auto row = decodeRowPayload(payload))
-                    sit = siblingRows_
-                              .emplace(
-                                  key,
-                                  std::make_shared<const ShapeFrontier>(
-                                      std::move(*row)))
-                              .first;
-            }
-        }
-        if (sit == siblingRows_.end())
-            return nullptr;
-        ++rowHits_;
-        ++siblingRowHits_;
-        if (tier)
-            *tier = CacheTier::Sibling;
-        return sit->second;
-    }
-    ++rowHits_;
+    if (it == mmapRows_.end())
+        return nullptr;
     ++segmentRowHits_;
     ++rowHitDelta_[key];
-    if (tier)
-        *tier = CacheTier::Mmap;
     return it->second;
 }
 
@@ -259,14 +176,9 @@ FrontierCache::noteRow(const std::vector<int64_t> &key,
 
 bool
 FrontierCache::seedTrace(const std::vector<int64_t> &key,
-                         TradeoffCurveCache::PartitionTrace &trace,
-                         CacheTier *tier)
+                         TradeoffCurveCache::PartitionTrace &trace)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (tier)
-        *tier = CacheTier::None;
-    const FrontierTraceImage *image = nullptr;
-    CacheTier source = CacheTier::Mmap;
     auto it = mmapTraces_.find(key);
     if (it == mmapTraces_.end() && segment_.valid()) {
         std::string_view payload = segment_.find(kCacheRecordTrace, key);
@@ -275,43 +187,16 @@ FrontierCache::seedTrace(const std::vector<int64_t> &key,
             decodeTracePayload(payload, traceKeyGroups(key), decoded))
             it = mmapTraces_.emplace(key, std::move(decoded)).first;
     }
-    if (it != mmapTraces_.end())
-        image = &it->second;
-    if (!image && !siblings_.empty()) {
-        // Sideways before cold, same as rows: a sibling's published
-        // walk prefix seeds this shard's trace too.
-        auto sit = siblingTraces_.find(key);
-        if (sit == siblingTraces_.end()) {
-            std::string_view payload =
-                findInSiblings(kCacheRecordTrace, key);
-            FrontierTraceImage decoded;
-            if (!payload.empty() &&
-                decodeTracePayload(payload, traceKeyGroups(key),
-                                   decoded))
-                sit = siblingTraces_.emplace(key, std::move(decoded))
-                          .first;
-        }
-        if (sit != siblingTraces_.end()) {
-            image = &sit->second;
-            source = CacheTier::Sibling;
-        }
-    }
-    if (!image)
+    if (it == mmapTraces_.end())
         return false;
+    const FrontierTraceImage &image = it->second;
     trace.initialized = true;
-    trace.initialBram = image->initialBram;
-    trace.initialPeak = image->initialPeak;
-    trace.steps.assign(image->steps.data(), image->steps.size());
-    trace.complete = image->complete;
-    ++traceHits_;
-    if (source == CacheTier::Sibling) {
-        ++siblingTraceHits_;
-    } else {
-        ++segmentTraceHits_;
-        ++traceHitDelta_[key];
-    }
-    if (tier)
-        *tier = source;
+    trace.initialBram = image.initialBram;
+    trace.initialPeak = image.initialPeak;
+    trace.steps.assign(image.steps.data(), image.steps.size());
+    trace.complete = image.complete;
+    ++segmentTraceHits_;
+    ++traceHitDelta_[key];
     return true;
 }
 
@@ -426,8 +311,7 @@ FrontierCache::flush()
             traces.emplace(entry.key, disk);
     });
     // Every publish advances the generation past both the image it
-    // replaces and anything this process published or mapped, so
-    // sibling readers (which never swap to an older image) follow.
+    // replaces and anything this process published or mapped.
     uint64_t new_gen = std::max(base.generation(), known_gen) + 1;
 
     std::deque<std::string> fresh;  ///< owns newly encoded payloads
@@ -497,7 +381,7 @@ FrontierCache::flush()
         fold(rows, row_deltas);
         fold(traces, trace_deltas);
 
-        if (options_.maxBytes > 0) {
+        if (maxBytes_ > 0) {
             // Least-recently-hit eviction against the exact image
             // size: drop records whose last hit is oldest (then fewest
             // hits, then larger first — freeing the budget with the
@@ -517,7 +401,7 @@ FrontierCache::flush()
                 return FrontierCacheSegment::imageBytes(
                     records, key_words, payload_bytes);
             };
-            if (imageBytes() > options_.maxBytes) {
+            if (imageBytes() > maxBytes_) {
                 struct Victim
                 {
                     uint32_t lastGen;
@@ -552,7 +436,7 @@ FrontierCache::flush()
                               return *a.key < *b.key;  // determinism
                           });
                 for (const Victim &victim : victims) {
-                    if (imageBytes() <= options_.maxBytes)
+                    if (imageBytes() <= maxBytes_)
                         break;
                     --records;
                     key_words -= victim.key->size();
@@ -645,8 +529,6 @@ FrontierCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     Stats stats;
-    stats.rowHits = rowHits_;
-    stats.traceHits = traceHits_;
     stats.rowsPending = pendingRows_.size();
     stats.tracesNoted = notedTraces_.size();
     stats.flushes = flushes_;
@@ -658,12 +540,6 @@ FrontierCache::stats() const
     stats.segmentRowHits = segmentRowHits_;
     stats.segmentTraceHits = segmentTraceHits_;
     stats.evictedLastFlush = evictedLastFlush_;
-    stats.siblingDirs = siblings_.size();
-    for (const SiblingSegment &sibling : siblings_)
-        if (sibling.segment.valid())
-            ++stats.siblingSegments;
-    stats.siblingRowHits = siblingRowHits_;
-    stats.siblingTraceHits = siblingTraceHits_;
     return stats;
 }
 

@@ -22,16 +22,15 @@
  * (frontier_cache.seg, core/frontier_cache_segment.h): an immutable,
  * checksummed, hash-indexed image of delta-compacted records
  * (core/frontier_codec.h), each carrying a hit counter and the
- * generation of its last hit so a byte budget
- * (FrontierCacheOptions::maxBytes) can evict the least-recently-hit
- * records at flush time. Opening the cache maps the segment
- * read-only; rows and traces decode lazily, straight out of the
- * mapping, and N worker processes share one page-cache copy. Sharded
- * fronts extend the ladder sideways: FrontierCacheOptions::siblingDirs
- * attaches the *other* shards' published segments read-only, so a
- * row any shard on the host flushed warms every shard. Lookups report
- * which tier answered (CacheTier), so cache-stats can show the full
- * ladder: process -> mmap -> sibling -> cold.
+ * generation of its last hit so a byte budget (the constructor's
+ * max_bytes) can evict the least-recently-hit records at flush time.
+ * Opening the cache maps the segment read-only; rows and traces
+ * decode lazily, straight out of the mapping, and processes mapping
+ * one directory share one page-cache copy. The ladder a lookup climbs is process
+ * (the FrontierRowStore's map) -> mmap (this directory's segment) ->
+ * cold: a non-null loadRow() or a true seedTrace() is an mmap hit.
+ * Each shard of a sharded front owns one directory, so a respawned
+ * shard warms from its own segment.
  *
  * Invalidation is versioned, never heuristic: the segment header
  * carries a layout version and a *model-formula fingerprint* — a hash
@@ -58,7 +57,7 @@
  * updates piggyback on the next flush that rewrites the image anyway.
  *
  * The project invariant extends to disk: designs answered from an
- * mmap-warm or sibling-warm cache are byte-for-byte identical to cold
+ * mmap-warm cache are byte-for-byte identical to cold
  * runs (tests/core/test_frontier_cache.cc pins this on fixed and
  * random networks; the CI smoke diffs whole mclp-opt responses).
  */
@@ -99,37 +98,6 @@ constexpr const char *kFrontierCacheLockName = "frontier_cache.lock";
  */
 uint64_t modelFormulaFingerprint();
 
-/** Which storage tier answered a cache lookup. */
-enum class CacheTier
-{
-    None,     ///< not in the persistent cache at all (cold build)
-    Mmap,     ///< decoded on demand from the mmap'd segment
-    Sibling,  ///< decoded from a sibling shard's published segment
-};
-
-struct FrontierCacheOptions
-{
-    /** Byte budget for the segment image (0 = unbounded): header,
-     * slot table, key words and payloads. When a flush would exceed
-     * it, the least-recently-hit records (oldest last-hit generation,
-     * then fewest hits) are evicted until the image fits; records
-     * touched this session survive first. */
-    size_t maxBytes = 0;
-    /**
-     * Cache directories of sibling shards (mclp-serve
-     * --cache-sibling, one per other worker of a sharded front).
-     * Their published segments are attached read-only and consulted
-     * after this shard's own tiers miss, before a cold build — K
-     * shards on one host then form a shared warm tier instead of K
-     * cold silos. Safe by construction: segments are immutable,
-     * checksummed, fingerprint-validated images, and every record is
-     * a deterministic function of its key, so a sibling hit is
-     * byte-identical to a local build. Sibling records are never
-     * written back into this shard's own segment.
-     */
-    std::vector<std::string> siblingDirs;
-};
-
 /**
  * One process's view of an on-disk cache directory. Thread safe; one
  * instance is shared by every session of a SessionRegistry.
@@ -139,8 +107,6 @@ class FrontierCache
   public:
     struct Stats
     {
-        size_t rowHits = 0;        ///< lookups answered from disk
-        size_t traceHits = 0;      ///< trace seeds answered from disk
         size_t rowsPending = 0;    ///< fresh rows awaiting flush
         size_t tracesNoted = 0;    ///< live traces tracked for flush
         size_t flushes = 0;        ///< successful flush() commits
@@ -155,10 +121,6 @@ class FrontierCache
         size_t segmentRowHits = 0;    ///< row hits decoded from mmap
         size_t segmentTraceHits = 0;  ///< trace hits decoded from mmap
         size_t evictedLastFlush = 0;  ///< records the budget dropped
-        size_t siblingDirs = 0;       ///< sibling shards configured
-        size_t siblingSegments = 0;   ///< sibling segments mapped now
-        size_t siblingRowHits = 0;    ///< rows decoded from siblings
-        size_t siblingTraceHits = 0;  ///< traces decoded from siblings
     };
 
     /**
@@ -167,9 +129,14 @@ class FrontierCache
      * defect — missing directory, stale version or fingerprint,
      * truncation, checksum or bounds failure — degrades to an empty
      * (cold) cache; construction never throws for file reasons.
+     *
+     * @param max_bytes byte budget for the segment image (0 =
+     * unbounded): header, slot table, key words and payloads. When a
+     * flush would exceed it, the least-recently-hit records (oldest
+     * last-hit generation, then fewest hits) are evicted until the
+     * image fits; records touched this session survive first.
      */
-    explicit FrontierCache(std::string dir,
-                           FrontierCacheOptions options = {});
+    explicit FrontierCache(std::string dir, size_t max_bytes = 0);
 
     const std::string &dir() const { return dir_; }
 
@@ -177,10 +144,9 @@ class FrontierCache
      * The persisted staircase for a FrontierRowStore key, or null.
      * Decoded rows stay resident for the process lifetime, so
      * repeated lookups share one immutable object.
-     * @p tier, when given, reports which tier answered.
      */
     std::shared_ptr<const ShapeFrontier>
-    loadRow(const std::vector<int64_t> &key, CacheTier *tier = nullptr);
+    loadRow(const std::vector<int64_t> &key);
 
     /** Record a freshly built staircase for the next flush(). */
     void noteRow(const std::vector<int64_t> &key,
@@ -193,8 +159,7 @@ class FrontierCache
      * absent or the stored trace fails validation.
      */
     bool seedTrace(const std::vector<int64_t> &key,
-                   TradeoffCurveCache::PartitionTrace &trace,
-                   CacheTier *tier = nullptr);
+                   TradeoffCurveCache::PartitionTrace &trace);
 
     /**
      * Track a live trace for write-back: at flush() time its current
@@ -231,35 +196,11 @@ class FrontierCache
     using HitMap = std::unordered_map<std::vector<int64_t>, uint32_t,
                                       util::Int64VectorHash>;
 
-    /**
-     * One sibling shard's published segment, attached lazily and
-     * re-attached when the sibling republishes. The mapping pins the
-     * inode, so a rename-over by the sibling never tears a reader; a
-     * stat snapshot of the path detects republication cheaply, and
-     * the generation stamp guards against replacing a newer mapping
-     * with an older image (a wiped-and-recreated sibling restarts at
-     * generation 1 — staleness only costs warmth, never correctness,
-     * because records are pure functions of their keys).
-     */
-    struct SiblingSegment
-    {
-        std::string path;  ///< DIR/frontier_cache.seg
-        FrontierCacheSegment segment;
-        int64_t statIno = -1;
-        int64_t statSize = -1;
-        int64_t statMtimeNs = -1;
-    };
-
-    /** Probe every sibling segment for (kind, key), refreshing stale
-     * mappings first. Empty view on a miss. Call under mutex_. */
-    std::string_view findInSiblings(uint8_t kind,
-                                    const std::vector<int64_t> &key);
-
     std::string dir_;
     std::string lockPath_;
     std::string segmentPath_;
     std::string legacyFilePath_;  ///< leftover record file to remove
-    FrontierCacheOptions options_;
+    size_t maxBytes_;
     uint64_t fingerprint_;
 
     mutable std::mutex mutex_;
@@ -268,9 +209,6 @@ class FrontierCache
      * segment_, or published by this process's own flushes. */
     RowMap mmapRows_;
     TraceMap mmapTraces_;
-    std::vector<SiblingSegment> siblings_;  ///< other shards' tiers
-    RowMap siblingRows_;     ///< rows decoded from sibling segments
-    TraceMap siblingTraces_; ///< traces decoded from sibling segments
     RowMap pendingRows_;   ///< built this process, not yet flushed
     /** Live traces to serialize at flush; deduped by key, first noted
      * wins (concurrent sessions converge on one trace per key in
@@ -285,12 +223,8 @@ class FrontierCache
     HitMap rowHitDelta_;
     HitMap traceHitDelta_;
     uint64_t generation_ = 0;  ///< of the image mapped or last published
-    size_t rowHits_ = 0;
-    size_t traceHits_ = 0;
     size_t segmentRowHits_ = 0;
     size_t segmentTraceHits_ = 0;
-    size_t siblingRowHits_ = 0;
-    size_t siblingTraceHits_ = 0;
     size_t evictedLastFlush_ = 0;
     size_t flushes_ = 0;
     bool loadedClean_ = true;

@@ -197,6 +197,11 @@ TilingOptionCache::get(const nn::ConvLayer &layer,
     return table_.emplace(key, std::move(options)).first->second;
 }
 
+TradeoffCurveCache::TradeoffCurveCache(std::shared_ptr<FrontierCache> cache)
+    : cache_(std::move(cache))
+{
+}
+
 const TradeoffCurveCache::ProbePair *
 TradeoffCurveCache::GroupCurve::find(int64_t in_cap,
                                      int64_t out_cap) const
@@ -273,21 +278,19 @@ TradeoffCurveCache::partitionTrace(fpga::DataType type,
             key.push_back(util::ceilDiv(layer.groupN(), group.shape.tn));
         }
     }
-    std::shared_ptr<FrontierCache> cache;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = traces_.find(key);
         if (it != traces_.end())
             return it->second;
-        cache = cache_;
     }
     // Seed outside mutex_ (the disk cache locks trace mutexes during
     // its flush, and walks holding a trace mutex re-enter mutex_ via
     // curve() — touching the cache under mutex_ would close an
     // AB-BA-CA cycle). The trace is still private here.
     auto trace = std::make_shared<PartitionTrace>();
-    if (cache)
-        cache->seedTrace(key, *trace);
+    if (cache_)
+        cache_->seedTrace(key, *trace);
     std::shared_ptr<PartitionTrace> winner;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -295,16 +298,9 @@ TradeoffCurveCache::partitionTrace(fpga::DataType type,
     }
     // Only the canonical trace is tracked for write-back (a losing
     // racer's copy is dropped along with its seed).
-    if (cache && winner == trace)
-        cache->noteTrace(key, winner);
+    if (cache_ && winner == trace)
+        cache_->noteTrace(key, winner);
     return winner;
-}
-
-void
-TradeoffCurveCache::attachCache(std::shared_ptr<FrontierCache> cache)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    cache_ = std::move(cache);
 }
 
 size_t

@@ -169,15 +169,17 @@ class TradeoffCurveCache
     using ProbePair = std::array<std::optional<BufferMove>, 2>;
 
     /**
-     * Attach a persistent cache (core/frontier_cache.h): newly
-     * created partition traces are seeded from disk when their key is
-     * there, and live traces are noted for write-back at the cache's
-     * next flush. Attach before first use. Seeded and cold traces are
-     * interchangeable — the walk resumes from wherever the stored
-     * prefix ends, and a prefix deeper than a query needs is answered
-     * by the same binary search the process-warm path already uses.
+     * @param cache optional persistent cache (core/frontier_cache.h),
+     * fixed for the memo's life: newly created partition traces are
+     * seeded from disk when their key is there, and live traces are
+     * noted for write-back at the cache's next flush. Seeded and cold
+     * traces are interchangeable — the walk resumes from wherever the
+     * stored prefix ends, and a prefix deeper than a query needs is
+     * answered by the same binary search the process-warm path
+     * already uses.
      */
-    void attachCache(std::shared_ptr<FrontierCache> cache);
+    explicit TradeoffCurveCache(
+        std::shared_ptr<FrontierCache> cache = nullptr);
 
     /** One group's memoized walk states: (inCap, outCap) -> probes. */
     class GroupCurve
@@ -272,7 +274,7 @@ class TradeoffCurveCache
 
   private:
     std::mutex mutex_;
-    std::shared_ptr<FrontierCache> cache_;  ///< optional disk layer
+    const std::shared_ptr<FrontierCache> cache_;  ///< optional disk layer
     std::unordered_map<std::vector<int64_t>, std::shared_ptr<GroupCurve>,
                        Int64VectorHash>
         curves_;

@@ -686,20 +686,15 @@ FrontierRowStore::lookup(const std::vector<int64_t> &key)
         return it->second;
     }
     if (cache_) {
-        // Read through to the persistent tiers: a loaded staircase is
+        // Read through to the mmap'd segment: a loaded staircase is
         // as good as a resident one (immutable, validated at decode),
         // so it joins the store and counts as a hit — no build
-        // happened. The tier the cache answered from (this shard's
-        // mmap'd segment vs a sibling's) splits the hit counters so
-        // cache-stats can show the whole ladder.
-        CacheTier tier = CacheTier::None;
-        if (auto row = cache_->loadRow(key, &tier)) {
+        // happened — and as an mmap hit, so cache-stats can split
+        // the ladder.
+        if (auto row = cache_->loadRow(key)) {
             bytes_ += rowBytesLocked(*rows_.emplace(key, row).first);
             ++hits_;
-            if (tier == CacheTier::Sibling)
-                ++siblingHits_;
-            else
-                ++mmapHits_;
+            ++mmapHits_;
             return row;
         }
     }
@@ -746,7 +741,6 @@ FrontierRowStore::stats() const
     stats.misses = misses_;
     stats.rows = rows_.size();
     stats.mmapHits = mmapHits_;
-    stats.siblingHits = siblingHits_;
     return stats;
 }
 

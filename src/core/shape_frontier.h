@@ -446,9 +446,6 @@ class FrontierRowStore
          * still reads it and must keep compiling unchanged. */
         size_t diskHits = 0;
         size_t mmapHits = 0;  ///< hits decoded from the mmap'd segment
-        /** Hits decoded from a sibling shard's published segment
-         * (cross-shard sharing under a sharded front). */
-        size_t siblingHits = 0;
     };
 
     /**
@@ -514,7 +511,6 @@ class FrontierRowStore
     size_t hits_ = 0;
     size_t misses_ = 0;
     size_t mmapHits_ = 0;
-    size_t siblingHits_ = 0;
 };
 
 /**

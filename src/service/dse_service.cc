@@ -122,9 +122,9 @@ answerRequest(const core::DseRequest &request,
 
 /**
  * Periodically publishes the persistent frontier cache while the
- * service lives, so a second process (mmap reader, warm restart, or a
- * sharded front's sibling workers) can pick up new state mid-life
- * instead of waiting for this process to drain. flush() snapshots
+ * service lives, so a crash or SIGKILL loses at most one interval of
+ * new state: a respawned process starts warm from the segment instead
+ * of waiting for a drain that never came. flush() snapshots
  * under the cache's own mutex and merges under the advisory file
  * lock, so it is safe alongside request execution and alongside the
  * drain-path flushCache() call.
@@ -177,10 +177,7 @@ DseService::DseService(ServiceOptions options)
       cache_(options.cacheDir.empty()
                  ? nullptr
                  : std::make_shared<core::FrontierCache>(
-                       options.cacheDir,
-                       core::FrontierCacheOptions{
-                           options.cacheMaxBytes,
-                           options.cacheSiblingDirs})),
+                       options.cacheDir, options.cacheMaxBytes)),
       registry_(options.maxSessions, options.maxBytes,
                 options.sessionThreads, cache_)
 {
@@ -217,10 +214,10 @@ DseService::handleLine(const std::string &line)
         std::string stats = util::strprintf(
             "ok stats sessions=%zu bytes=%zu hits=%zu misses=%zu "
             "evictions=%zu rows=%zu row_hits=%zu row_misses=%zu "
-            "row_mmap_hits=%zu row_sibling_hits=%zu",
+            "row_mmap_hits=%zu",
             reg.sessions, reg.bytes, reg.hits, reg.misses,
             reg.evictions, rows.rows, rows.hits, rows.misses,
-            rows.mmapHits, rows.siblingHits);
+            rows.mmapHits);
         // Per-session hit rates: NETWORK[@DEVICE]:HITS:USES per
         // resident session, '-' when nothing is warm. Deterministic
         // order (registry key order).
@@ -262,29 +259,19 @@ DseService::handleLine(const std::string &line)
             registry_.rowStore()->stats();
         // The tier ladder, cheapest first: process = answered from
         // the row store's in-memory map, mmap = decoded on demand
-        // from the shared read-only segment, sibling = decoded from
-        // another shard's published segment, cold = built from
-        // scratch.
-        size_t process_hits =
-            rows.hits - rows.mmapHits - rows.siblingHits;
+        // from the read-only segment, cold = built from scratch.
         return util::strprintf(
             "ok cache-stats enabled=1 generation=%llu "
             "segment_mapped=%d segment_entries=%zu segment_bytes=%zu "
-            "tier_process=%zu tier_mmap=%zu tier_sibling=%zu "
-            "tier_cold=%zu row_hits=%zu trace_hits=%zu "
+            "tier_process=%zu tier_mmap=%zu tier_cold=%zu "
             "segment_row_hits=%zu segment_trace_hits=%zu "
-            "sibling_dirs=%zu sibling_segments=%zu "
-            "sibling_row_hits=%zu sibling_trace_hits=%zu "
             "rows_pending=%zu traces_noted=%zu flushes=%zu "
             "evicted_last_flush=%zu clean=%d",
             static_cast<unsigned long long>(stats.generation),
             stats.segmentMapped ? 1 : 0, stats.segmentEntries,
-            stats.segmentBytes, process_hits, rows.mmapHits,
-            rows.siblingHits, rows.misses, stats.rowHits,
-            stats.traceHits, stats.segmentRowHits,
-            stats.segmentTraceHits, stats.siblingDirs,
-            stats.siblingSegments, stats.siblingRowHits,
-            stats.siblingTraceHits, stats.rowsPending,
+            stats.segmentBytes, rows.hits - rows.mmapHits,
+            rows.mmapHits, rows.misses, stats.segmentRowHits,
+            stats.segmentTraceHits, stats.rowsPending,
             stats.tracesNoted, stats.flushes, stats.evictedLastFlush,
             stats.loadedClean ? 1 : 0);
     }

@@ -110,22 +110,16 @@ struct ServiceOptions
      * least-recently-hit records past it. */
     size_t cacheMaxBytes = 0;
 
-    /** Cache directories of sibling shards (mclp-serve
-     * --cache-sibling, repeatable; the sharded front passes each
-     * worker its siblings' shard dirs). Their published segments are
-     * attached read-only and consulted after this shard's own tiers
-     * miss, before a cold build (core/frontier_cache.h). */
-    std::vector<std::string> cacheSiblingDirs;
-
     /** Also flush the persistent cache every N ms from a background
      * timer (mclp-serve --cache-flush-interval-ms; 0 = shutdown-only
-     * flush), so siblings and mmap readers pick up new state
-     * mid-life. The timer stops before the registry's shutdown flush
-     * runs, and FrontierCache::flush() is safe under concurrent
-     * callers anyway (snapshot under its mutex, merge under the
-     * advisory file lock, atomic rename), so a timer flush racing the
-     * drain flush can neither double-write nor tear the segment —
-     * tests/service/test_dse_service.cc pins this. */
+     * flush), so what the process built survives a crash or SIGKILL:
+     * a respawned server (or a sharded front's respawned worker)
+     * starts warm from its own segment. The timer stops before the
+     * registry's shutdown flush runs, and FrontierCache::flush() is
+     * safe under concurrent callers anyway (snapshot under its mutex,
+     * merge under the advisory file lock, atomic rename), so a timer
+     * flush racing the drain flush can neither double-write nor tear
+     * the segment — tests/service/test_dse_service.cc pins this. */
     int cacheFlushIntervalMs = 0;
 };
 

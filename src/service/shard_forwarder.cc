@@ -171,17 +171,6 @@ ShardForwarder::workerArgs(const Worker &worker,
             args.push_back("--cache-max-mb");
             args.push_back(std::to_string(opts_.cacheMaxMb));
         }
-        // Segment sharing: each worker attaches every sibling shard's
-        // published segment read-only, so a row any shard flushes
-        // warms all K.
-        if (opts_.cacheShare) {
-            for (int sibling = 0; sibling < opts_.workers; ++sibling) {
-                if (static_cast<size_t>(sibling) == worker.index)
-                    continue;
-                args.push_back("--cache-sibling");
-                args.push_back(shardDir(static_cast<size_t>(sibling)));
-            }
-        }
         if (opts_.cacheFlushIntervalMs > 0) {
             args.push_back("--cache-flush-interval-ms");
             args.push_back(std::to_string(opts_.cacheFlushIntervalMs));
@@ -532,8 +521,8 @@ ShardForwarder::superviseWorkers()
         if (worker.state == Worker::State::Backoff &&
             now >= worker.respawnAtMs) {
             // Respawn on the same shard cache dir: nothing is
-            // replayed — the shard's segment (plus the siblings'
-            // segments) makes the restart warm by itself.
+            // replayed — the shard's own segment makes the restart
+            // warm by itself.
             if (!spawnWorker(worker)) {
                 worker.backoffMs =
                     std::min(std::max(worker.backoffMs, 1) * 2,

@@ -10,10 +10,9 @@
  * chosen by hashing the request's network-dims signature (shardFor()),
  * so the same network always lands on the same worker, and each
  * shard's warm sessions and persistent frontier cache only ever hold
- * its own slice of the traffic. With segment sharing (cacheShare, on
- * by default) each worker also attaches its siblings' published cache
- * segments read-only, so the K shards form one host-wide warm tier
- * instead of K cold silos.
+ * its own slice of the traffic. A shard's cache ladder is its own:
+ * process -> its segment -> cold. Nothing is read across shards; a
+ * network's rows already live on the one shard its dims hash to.
  *
  * Wire behavior is byte-identical to a single mclp-serve worker:
  * every worker answers its trunk (the forwarder's one connection to
@@ -101,8 +100,6 @@ struct ShardForwarderOptions
     // same name; worker w's cache dir is cacheDir/shard-w.
     std::string cacheDir;
     int64_t cacheMaxMb = 0;
-    /** Give each worker every sibling shard dir as --cache-sibling. */
-    bool cacheShare = true;
     int cacheFlushIntervalMs = 0;
     int threads = 1;
     int64_t maxSessions = 0;  ///< 0 = leave at the worker default

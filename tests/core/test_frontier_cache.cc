@@ -131,7 +131,7 @@ TEST(FrontierCache, DiskWarmMatchesColdByteForByte)
     EXPECT_TRUE(before.loadedClean);
     EXPECT_TRUE(before.segmentMapped);
     EXPECT_GT(before.segmentEntries, 0u);
-    EXPECT_EQ(before.rowHits, 0u);  // lazy: nothing decoded yet
+    EXPECT_EQ(before.segmentRowHits, 0u);  // lazy: nothing decoded yet
     {
         core::SessionRegistry registry(4, 0, 1, cache);
         core::DseRequest request = service::decodeRequest(requests[0]);
@@ -142,8 +142,6 @@ TEST(FrontierCache, DiskWarmMatchesColdByteForByte)
         EXPECT_EQ(registry.rowStore()->stats().diskHits, 0u);
     }
     core::FrontierCache::Stats after = cache->stats();
-    EXPECT_GT(after.rowHits, 0u);
-    EXPECT_GT(after.traceHits, 0u);
     EXPECT_GT(after.segmentRowHits, 0u);
     EXPECT_GT(after.segmentTraceHits, 0u);
 }
@@ -442,7 +440,7 @@ TEST(FrontierCache, ConcurrentWritersMergeInsteadOfClobbering)
                 service::decodeRequest(squeeze_line), &registry)),
             squeeze_cold);
     }
-    EXPECT_GT(merged->stats().rowHits, 0u);
+    EXPECT_GT(merged->stats().segmentRowHits, 0u);
 }
 
 TEST(FrontierCache, StaircaseValidationRejectsCorruptRows)
@@ -578,13 +576,9 @@ TEST(FrontierCache, LegacyV2FileUpgradesOnFirstFlush)
     EXPECT_TRUE(cache->stats().loadedClean);
     EXPECT_FALSE(cache->stats().segmentMapped);
     EXPECT_EQ(cache->stats().generation, 0u);
-    core::CacheTier tier = core::CacheTier::Mmap;
-    EXPECT_EQ(cache->loadRow(row_key, &tier), nullptr);
-    EXPECT_EQ(tier, core::CacheTier::None);
+    EXPECT_EQ(cache->loadRow(row_key), nullptr);
     core::TradeoffCurveCache::PartitionTrace seeded;
-    tier = core::CacheTier::Mmap;
-    EXPECT_FALSE(cache->seedTrace(trace_key, seeded, &tier));
-    EXPECT_EQ(tier, core::CacheTier::None);
+    EXPECT_FALSE(cache->seedTrace(trace_key, seeded));
     EXPECT_EQ(seeded.steps.size(), 0u);
 
     // A counter-only flush publishes nothing, so it removes nothing.
@@ -603,10 +597,8 @@ TEST(FrontierCache, LegacyV2FileUpgradesOnFirstFlush)
     EXPECT_TRUE(upgraded->stats().segmentMapped);
     EXPECT_EQ(upgraded->stats().segmentEntries, 1u);
     EXPECT_EQ(upgraded->stats().generation, 1u);
-    tier = core::CacheTier::None;
-    auto reloaded = upgraded->loadRow(row_key, &tier);
+    auto reloaded = upgraded->loadRow(row_key);
     ASSERT_NE(reloaded, nullptr);
-    EXPECT_EQ(tier, core::CacheTier::Mmap);
     expectSameRow(*reloaded, *row);
 }
 
@@ -645,11 +637,8 @@ TEST(FrontierCache, LegacyV3FileUpgradesToV4OnFirstFlush)
     EXPECT_TRUE(cache->stats().loadedClean);
     EXPECT_FALSE(cache->stats().segmentMapped);
     EXPECT_EQ(cache->stats().generation, 0u);
-    for (const auto &key : {v3_row_key, v4_row_key}) {
-        core::CacheTier tier = core::CacheTier::Mmap;
-        EXPECT_EQ(cache->loadRow(key, &tier), nullptr);
-        EXPECT_EQ(tier, core::CacheTier::None);
-    }
+    for (const auto &key : {v3_row_key, v4_row_key})
+        EXPECT_EQ(cache->loadRow(key), nullptr);
 
     // The cold rebuild answers under the four-lane key, and that is
     // what the first real flush publishes.
@@ -662,13 +651,10 @@ TEST(FrontierCache, LegacyV3FileUpgradesToV4OnFirstFlush)
     EXPECT_TRUE(upgraded->stats().segmentMapped);
     EXPECT_EQ(upgraded->stats().segmentEntries, 1u);
     EXPECT_EQ(upgraded->stats().generation, 1u);
-    core::CacheTier tier = core::CacheTier::Mmap;
-    EXPECT_EQ(upgraded->loadRow(v3_row_key, &tier), nullptr)
+    EXPECT_EQ(upgraded->loadRow(v3_row_key), nullptr)
         << "three-lane keys must not answer after the upgrade";
-    EXPECT_EQ(tier, core::CacheTier::None);
-    auto reloaded = upgraded->loadRow(v4_row_key, &tier);
+    auto reloaded = upgraded->loadRow(v4_row_key);
     ASSERT_NE(reloaded, nullptr);
-    EXPECT_EQ(tier, core::CacheTier::Mmap);
     expectSameRow(*reloaded, *row);
 }
 
@@ -691,18 +677,16 @@ TEST(FrontierCache, ByteBudgetEvictsTheLeastRecentlyHitRecords)
     // flushes: the new image must fit the budget by evicting
     // least-recently-hit records — never the ones touched this
     // session, never the fresh one.
-    core::FrontierCacheOptions budgeted;
-    budgeted.maxBytes = full_bytes / 2;
+    size_t budget = full_bytes / 2;
     {
         auto cache = std::make_shared<core::FrontierCache>(
-            scratch.dir(), budgeted);
+            scratch.dir(), budget);
         for (int i = 0; i < 5; ++i)
             ASSERT_NE(cache->loadRow(keys[i]), nullptr);
         cache->noteRow({999, 999, 999}, makeRow(99));
         ASSERT_TRUE(cache->flush());
         EXPECT_GE(cache->stats().evictedLastFlush, 5u);
-        EXPECT_LE(fs::file_size(scratch.segmentFile()),
-                  budgeted.maxBytes);
+        EXPECT_LE(fs::file_size(scratch.segmentFile()), budget);
     }
 
     // Survivors: all five hot keys and the fresh row; the evicted
@@ -810,11 +794,8 @@ TEST(FrontierCache, OlderImagePutBackServesWarmAndMergesForward)
     EXPECT_TRUE(cache->stats().segmentMapped);
     EXPECT_EQ(cache->stats().segmentEntries, 1u);
     EXPECT_EQ(cache->stats().generation, 1u);
-    core::CacheTier tier = core::CacheTier::None;
-    EXPECT_NE(cache->loadRow(old_key, &tier), nullptr);
-    EXPECT_EQ(tier, core::CacheTier::Mmap);
-    EXPECT_EQ(cache->loadRow(new_key, &tier), nullptr);
-    EXPECT_EQ(tier, core::CacheTier::None);
+    EXPECT_NE(cache->loadRow(old_key), nullptr);
+    EXPECT_EQ(cache->loadRow(new_key), nullptr);
 
     // The cold rebuild is noted and merged on top of the older image.
     cache->noteRow(new_key, makeRow(4));
@@ -823,10 +804,8 @@ TEST(FrontierCache, OlderImagePutBackServesWarmAndMergesForward)
     EXPECT_TRUE(healed->stats().segmentMapped);
     EXPECT_EQ(healed->stats().segmentEntries, 2u);
     EXPECT_EQ(healed->stats().generation, 2u);
-    EXPECT_NE(healed->loadRow(old_key, &tier), nullptr);
-    EXPECT_EQ(tier, core::CacheTier::Mmap);
-    EXPECT_NE(healed->loadRow(new_key, &tier), nullptr);
-    EXPECT_EQ(tier, core::CacheTier::Mmap);
+    EXPECT_NE(healed->loadRow(old_key), nullptr);
+    EXPECT_NE(healed->loadRow(new_key), nullptr);
 }
 
 /** Little-endian field access into a segment image. */

@@ -31,6 +31,10 @@ class Table1Golden : public ::testing::TestWithParam<GoldenCase>
 TEST_P(Table1Golden, SingleMatchesAndMultiMeetsPaper)
 {
     GoldenCase p = GetParam();
+    SCOPED_TRACE(::testing::Message()
+                 << p.network << '@' << p.device << ' '
+                 << fpga::dataTypeName(p.type) << " paper S-CLP "
+                 << p.paperSingleUtil << " M-CLP " << p.paperMultiUtil);
     nn::Network network = nn::networkByName(p.network);
     double mhz = p.type == fpga::DataType::Float32 ? 100.0 : 170.0;
     fpga::ResourceBudget budget =

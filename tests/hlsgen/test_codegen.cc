@@ -92,6 +92,9 @@ class CodegenExecution : public ::testing::TestWithParam<ExecCase>
 TEST_P(CodegenExecution, GeneratedTemplateMatchesDirectConvolution)
 {
     ExecCase p = GetParam();
+    SCOPED_TRACE(::testing::Message()
+                 << p.tag << ' ' << fpga::dataTypeName(p.type) << ' '
+                 << test::layerCaseText(p));
     fpga::DataType type = p.type;
     nn::ConvLayer l =
         test::groupedLayer(p.n, p.m, p.r, p.c, p.k, p.s, p.g);

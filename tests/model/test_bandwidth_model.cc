@@ -27,6 +27,7 @@ TEST_P(TrafficAgainstRounds, ClosedFormMatchesRoundEnumeration)
     // brute-force enumeration of the tile rounds (boundary tiles
     // included).
     TrafficCase p = GetParam();
+    SCOPED_TRACE(test::layerCaseText(p));
     nn::ConvLayer l =
         test::groupedLayer(p.n, p.m, p.r, p.c, p.k, p.s, p.g);
     model::ClpShape shape{p.tn, p.tm};

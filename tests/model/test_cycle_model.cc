@@ -188,6 +188,8 @@ class UtilizationProperty : public ::testing::TestWithParam<UtilCase>
 TEST_P(UtilizationProperty, BoundedAndConsistent)
 {
     UtilCase p = GetParam();
+    SCOPED_TRACE(::testing::Message() << "N=" << p.n << " M=" << p.m
+                                      << " Tn=" << p.tn << " Tm=" << p.tm);
     nn::ConvLayer l = test::layer(p.n, p.m, 13, 13, 3, 1);
     model::ClpShape shape{p.tn, p.tm};
     double util = model::layerUtilization(l, shape);

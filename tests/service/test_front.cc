@@ -18,8 +18,6 @@
  *  - kill -9 on a shard answers the in-flight lines with
  *    `err ... msg=worker-died`, the shard respawns, and the respawned
  *    shard answers byte-identical to a cold run with zero replay;
- *  - sibling segment sharing: rows one shard flushed serve another
- *    shard's requests from the mmap tier (tier_sibling > 0);
  *  - SIGTERM drains the cascade and the front exits 0 — including
  *    after an earlier kill + respawn;
  *  - the TCP listener answers byte-identical to the Unix socket.
@@ -381,20 +379,13 @@ TEST(Front, StatsAggregateAcrossShardsWithBreakdown)
     EXPECT_NE(stats.find(" | shard1: ok stats "), std::string::npos)
         << stats;
     EXPECT_EQ(statValue(stats, "sessions"), 1) << stats;
-    // The new sibling counter is part of the stats line shape.
-    EXPECT_GE(statValue(stats, "row_sibling_hits"), 0) << stats;
 
     std::string cache = oneShot(front.socket(), "cache-stats");
     EXPECT_EQ(cache.rfind("ok cache-stats shards=2 enabled=1", 0), 0u)
         << cache;
-    for (const char *key :
-         {"tier_process", "tier_mmap", "tier_sibling", "tier_cold",
-          "sibling_dirs", "sibling_segments", "sibling_row_hits",
-          "sibling_trace_hits"})
+    for (const char *key : {"tier_process", "tier_mmap", "tier_cold"})
         EXPECT_GE(statValue(cache, key), 0)
             << "missing " << key << " in: " << cache;
-    // Both workers were launched with the other's shard dir.
-    EXPECT_EQ(statValue(cache, "sibling_dirs"), 2) << cache;
 
     std::string fs = oneShot(front.socket(), "front-stats");
     EXPECT_EQ(fs.rfind("ok front-stats workers=2 draining=0 "
@@ -489,59 +480,9 @@ TEST(Front, KilledWorkerAnswersPendingRespawnsAndStaysWarm)
     EXPECT_EQ(reply, coldReference(warm));
 
     // ... and it restarted cache-warm: the row its predecessor
-    // flushed came back from a mapped segment, not a rebuild.
+    // flushed came back from its own mapped segment, not a rebuild.
     std::string cache = oneShot(front.socket(), "cache-stats");
-    EXPECT_GT(statValue(cache, "segment_row_hits") +
-                  statValue(cache, "sibling_row_hits"),
-              0)
-        << cache;
-}
-
-TEST(Front, SiblingSegmentsServeRowsAcrossShards)
-{
-    // The acceptance pin for cross-shard sharing: shard A builds and
-    // publishes rows (background flush), then shard B answers a
-    // different network with the *same layer dims* — its rows must
-    // come from A's mmap'd segment, visible as tier_sibling > 0.
-    std::string dir = cacheDir("sib");
-    FrontProcess front("sib", {2, dir, /*flushIntervalMs=*/25});
-
-    std::string first, second;
-    for (int copies = 1; copies <= 8 && second.empty(); ++copies) {
-        std::string req =
-            layeredRequest(util::strprintf("s%d", copies), copies);
-        if (first.empty()) {
-            first = req;
-        } else if (service::shardFor(req, 2) !=
-                   service::shardFor(first, 2)) {
-            second = req;
-        }
-    }
-    ASSERT_FALSE(second.empty())
-        << "candidates all hash to one shard; widen the range";
-
-    EXPECT_EQ(oneShot(front.socket(), first), coldReference(first));
-
-    // Wait until the first shard's rows are published in a segment.
-    int64_t deadline = util::monotonicMs() + 30000;
-    while (true) {
-        std::string cache = oneShot(front.socket(), "cache-stats");
-        if (statValue(cache, "flushes") > 0 &&
-            statValue(cache, "segment_entries") > 0)
-            break;
-        ASSERT_LT(util::monotonicMs(), deadline)
-            << "background flush never published a segment";
-        ::usleep(25 * 1000);
-    }
-
-    EXPECT_EQ(oneShot(front.socket(), second), coldReference(second));
-
-    std::string cache = oneShot(front.socket(), "cache-stats");
-    EXPECT_GT(statValue(cache, "tier_sibling"), 0) << cache;
-    EXPECT_GT(statValue(cache, "sibling_row_hits"), 0) << cache;
-    // Attach is demand-driven: only shards that actually missed into
-    // a sibling hold a mapping, so >= 1, not necessarily all K.
-    EXPECT_GE(statValue(cache, "sibling_segments"), 1) << cache;
+    EXPECT_GT(statValue(cache, "segment_row_hits"), 0) << cache;
 }
 
 TEST(Front, TcpListenerAnswersIdenticallyToUnixSocket)

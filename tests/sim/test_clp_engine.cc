@@ -24,6 +24,7 @@ class EngineSweep : public ::testing::TestWithParam<EngineCase>
 TEST_P(EngineSweep, FloatMatchesReference)
 {
     EngineCase p = GetParam();
+    SCOPED_TRACE(test::layerCaseText(p));
     nn::ConvLayer l =
         test::groupedLayer(p.n, p.m, p.r, p.c, p.k, p.s, p.g);
     model::ClpShape shape{p.tn, p.tm};
@@ -50,6 +51,7 @@ TEST_P(EngineSweep, FloatMatchesReference)
 TEST_P(EngineSweep, FixedIsBitExactWithReference)
 {
     EngineCase p = GetParam();
+    SCOPED_TRACE(test::layerCaseText(p));
     nn::ConvLayer l =
         test::groupedLayer(p.n, p.m, p.r, p.c, p.k, p.s, p.g);
     model::ClpShape shape{p.tn, p.tm};

@@ -22,6 +22,7 @@ class RoundScheduleSweep : public ::testing::TestWithParam<RoundCase>
 TEST_P(RoundScheduleSweep, AgreesWithAnalyticalModels)
 {
     RoundCase p = GetParam();
+    SCOPED_TRACE(test::layerCaseText(p));
     nn::ConvLayer l = test::layer(p.n, p.m, p.r, p.c, p.k, p.s);
     model::ClpShape shape{p.tn, p.tm};
     model::Tiling tiling{p.tr, p.tc};

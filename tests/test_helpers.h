@@ -7,6 +7,7 @@
 #define MCLP_TESTS_TEST_HELPERS_H
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 
 #include "fpga/device.h"
@@ -67,6 +68,28 @@ looseBudget()
     budget.bandwidthBytesPerCycle = 0.0;
     budget.frequencyMhz = 100.0;
     return budget;
+}
+
+/**
+ * A parameterized layer case — fields n, m, r, c, k, s, tn, tm, tr,
+ * tc, plus g when the case has one — as named dims. Tests hand it to
+ * SCOPED_TRACE, so a failing case names its shape instead of a byte
+ * dump. (A PrintTo overload would do the same, but
+ * gtest_discover_tests builds each ctest name from the printed
+ * parameter, so it would rename every case.)
+ */
+template <class Case>
+std::string
+layerCaseText(const Case &p)
+{
+    std::ostringstream os;
+    os << "N=" << p.n << " M=" << p.m << " R=" << p.r << " C=" << p.c
+       << " K=" << p.k << " S=" << p.s;
+    if constexpr (requires { p.g; })
+        os << " G=" << p.g;
+    os << " Tn=" << p.tn << " Tm=" << p.tm << " Tr=" << p.tr
+       << " Tc=" << p.tc;
+    return os.str();
 }
 
 } // namespace test

@@ -56,18 +56,11 @@ printUsage()
         "                       contend on one cache segment\n"
         "  --cache-max-mb N     forward the per-shard segment byte\n"
         "                       budget (default 0 = unbounded)\n"
-        "  --cache-share 0|1    let sibling workers attach each\n"
-        "                       other's published cache segments\n"
-        "                       read-only (default 1): rows one shard\n"
-        "                       flushed warm every shard on the host\n"
-        "                       (forwarded per worker as its\n"
-        "                       siblings' --cache-sibling dirs;\n"
-        "                       needs --cache-dir)\n"
         "  --cache-flush-interval-ms N\n"
         "                       forward the background flush interval\n"
-        "                       so shards publish mid-life and share\n"
-        "                       warmth before shutdown (default 0 =\n"
-        "                       shutdown-only flush)\n"
+        "                       so shards publish mid-life and a\n"
+        "                       killed worker respawns warm (default\n"
+        "                       0 = shutdown-only flush)\n"
         "  --threads N          request threads per worker (default 1)\n"
         "  --max-sessions N     warm-session LRU capacity per worker\n"
         "  --cold               workers answer every request cold\n"
@@ -144,8 +137,6 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--cache-max-mb") {
             fwd.cacheMaxMb =
                 int_flag(i, "--cache-max-mb", 0, int64_t{1} << 30);
-        } else if (arg == "--cache-share") {
-            fwd.cacheShare = int_flag(i, "--cache-share", 0, 1) != 0;
         } else if (arg == "--cache-flush-interval-ms") {
             fwd.cacheFlushIntervalMs = static_cast<int>(
                 int_flag(i, "--cache-flush-interval-ms", 0, 1 << 30));

@@ -65,17 +65,11 @@ printUsage()
         "  --cache-max-mb N     evict least-recently-hit cache records\n"
         "                       once the segment image would exceed\n"
         "                       N MiB (default 0 = unbounded)\n"
-        "  --cache-sibling DIR  attach a sibling shard's published\n"
-        "                       cache segment read-only (repeatable;\n"
-        "                       the sharded front passes each worker\n"
-        "                       its siblings' shard dirs): lookups\n"
-        "                       missing every local tier consult the\n"
-        "                       siblings before building cold\n"
         "  --cache-flush-interval-ms N\n"
         "                       also flush the persistent cache every\n"
-        "                       N ms in the background, so concurrent\n"
-        "                       readers pick up new state mid-life\n"
-        "                       instead of waiting for shutdown\n"
+        "                       N ms in the background, so a crash or\n"
+        "                       kill loses at most one interval and a\n"
+        "                       restart maps what was built before it\n"
         "                       (default 0 = shutdown-only)\n"
         "  --cold               bypass the registry; every request\n"
         "                       runs cold (parity baseline)\n"
@@ -141,9 +135,6 @@ parseArgs(int argc, char **argv)
                 static_cast<size_t>(int_flag(i, "--cache-max-mb", 0,
                                              int64_t{1} << 40)) *
                 1024 * 1024;
-        } else if (arg == "--cache-sibling") {
-            opts.service.cacheSiblingDirs.push_back(
-                need_value(i, "--cache-sibling"));
         } else if (arg == "--cache-flush-interval-ms") {
             opts.service.cacheFlushIntervalMs = static_cast<int>(
                 int_flag(i, "--cache-flush-interval-ms", 0, 1 << 30));
