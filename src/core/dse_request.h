@@ -3,10 +3,10 @@
  * The DSE plan layer: one value type describing a whole optimization
  * request — which network, which device context, which data type,
  * which budget ladder, which schedule mode — and one describing the
- * complete answer. mclp-opt, dse-sweep, and mclp-serve all build a
- * DseRequest and hand it to service::answerRequest(), so the CLI
- * tools and the batch service execute the same code path and their
- * outputs can be diffed byte for byte (the wire forms live in
+ * complete answer. mclp-opt and mclp-serve both build a DseRequest
+ * and hand it to service::answerRequest(), so the CLI and the batch
+ * service execute the same code path and their outputs can be
+ * diffed byte for byte (the wire forms live in
  * src/service/dse_codec.h).
  */
 

@@ -139,26 +139,17 @@ std::shared_ptr<const ShapeFrontier>
 FrontierCache::loadRow(const std::vector<int64_t> &key)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = mmapRows_.find(key);
-    if (it == mmapRows_.end() && segment_.valid()) {
-        std::string_view payload = segment_.find(kCacheRecordRow, key);
-        if (!payload.empty()) {
-            // Decode straight out of the mapping and memoize: the
-            // second lookup of a hot row costs a map probe, and the
-            // decoded object is shared process-wide like any other.
-            if (auto row = decodeRowPayload(payload))
-                it = mmapRows_
-                         .emplace(key,
-                                  std::make_shared<const ShapeFrontier>(
-                                      std::move(*row)))
-                         .first;
-        }
-    }
-    if (it == mmapRows_.end())
+    // Decode straight out of the mapping. The row store keeps what it
+    // loads, so a key reaches here at most once per store.
+    std::string_view payload = segment_.find(kCacheRecordRow, key);
+    if (payload.empty())
+        return nullptr;
+    auto row = decodeRowPayload(payload);
+    if (!row)
         return nullptr;
     ++segmentRowHits_;
     ++rowHitDelta_[key];
-    return it->second;
+    return std::make_shared<const ShapeFrontier>(std::move(*row));
 }
 
 void
@@ -166,11 +157,8 @@ FrontierCache::noteRow(const std::vector<int64_t> &key,
                        std::shared_ptr<const ShapeFrontier> row)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (mmapRows_.count(key))
+    if (!segment_.find(kCacheRecordRow, key).empty())
         return;  // already persistent
-    if (segment_.valid() &&
-        !segment_.find(kCacheRecordRow, key).empty())
-        return;  // persistent, just never decoded by this process
     pendingRows_.emplace(key, std::move(row));
 }
 
@@ -462,10 +450,8 @@ FrontierCache::flush()
                       FrontierCacheSegment published =
                           FrontierCacheSegment()) {
         std::lock_guard<std::mutex> lock_state(mutex_);
-        for (auto &[key, row] : pending_rows) {
-            mmapRows_.emplace(key, std::move(row));
-            pendingRows_.erase(key);
-        }
+        for (const auto &entry : pending_rows)
+            pendingRows_.erase(entry.first);
         for (const std::vector<int64_t> *key : written_traces)
             mmapTraces_[*key] = std::move(trace_images[*key]);
         if (!wrote)

@@ -5,10 +5,10 @@
  *
  * Warm sessions and the session registry make one frontier build
  * answer a whole budget ladder and one registry serve many networks,
- * but without a persistent tier every fresh mclp-opt/dse-sweep
- * invocation and every mclp-serve restart would rebuild the same
- * Pareto staircases from scratch. FrontierCache serializes the two
- * expensive, budget-independent artifacts to disk:
+ * but without a persistent tier every fresh mclp-opt invocation and
+ * every mclp-serve restart would rebuild the same Pareto staircases
+ * from scratch. FrontierCache serializes the two expensive,
+ * budget-independent artifacts to disk:
  *
  *  - ShapeFrontier staircases, keyed by the FrontierRowStore's
  *    dims-sequence keys (type, units cap, per-layer n/m/r*c*k^2/g) —
@@ -51,10 +51,10 @@
  * *now* (concurrent CLIs interleave safely under a per-directory
  * advisory lock; the merged image is staged in a temp file and
  * renamed atomically, so a crash never leaves a half-written cache).
- * SessionRegistry flushes on destruction, which covers mclp-opt,
- * dse-sweep, and mclp-serve shutdown alike. A flush with nothing new
- * — including one where only hit counters moved — is a no-op; counter
- * updates piggyback on the next flush that rewrites the image anyway.
+ * SessionRegistry flushes on destruction, which covers mclp-opt and
+ * mclp-serve shutdown alike. A flush with nothing new — including
+ * one where only hit counters moved — is a no-op; counter updates
+ * piggyback on the next flush that rewrites the image anyway.
  *
  * The project invariant extends to disk: designs answered from an
  * mmap-warm cache are byte-for-byte identical to cold
@@ -141,9 +141,9 @@ class FrontierCache
     const std::string &dir() const { return dir_; }
 
     /**
-     * The persisted staircase for a FrontierRowStore key, or null.
-     * Decoded rows stay resident for the process lifetime, so
-     * repeated lookups share one immutable object.
+     * The persisted staircase for a FrontierRowStore key, decoded
+     * from the segment, or null. The cache keeps no copy: the row
+     * store keeps the rows it loads.
      */
     std::shared_ptr<const ShapeFrontier>
     loadRow(const std::vector<int64_t> &key);
@@ -205,9 +205,8 @@ class FrontierCache
 
     mutable std::mutex mutex_;
     FrontierCacheSegment segment_;  ///< this directory's image
-    /** Rows and traces known to be persistent: decoded on demand from
+    /** Traces known to be persistent: decoded on demand from
      * segment_, or published by this process's own flushes. */
-    RowMap mmapRows_;
     TraceMap mmapTraces_;
     RowMap pendingRows_;   ///< built this process, not yet flushed
     /** Live traces to serialize at flush; deduped by key, first noted

@@ -115,10 +115,10 @@ SessionRegistry::session(const nn::Network &network,
         // burst of giant networks transiently blow it: evict up
         // front until the estimated newcomer fits. Pre-eviction only
         // helps when eviction can actually free what the newcomer
-        // will allocate — with a persistent cache attached, built
-        // rows are immediately pinned by the cache mirror (and
-        // excluded from the byte measurement), so the reject check
-        // above is the protection there.
+        // will allocate — with a persistent cache attached, the row
+        // store keeps every built row (and excludes it from the byte
+        // measurement), so the reject check above is the protection
+        // there.
         while (!cache_ && estimate > 0 &&
                memoryBytesLocked() + estimate > maxBytes_ &&
                evictLruLocked(nullptr)) {

@@ -125,8 +125,8 @@ class SessionRegistry
      * so a burst of giant networks can no longer transiently blow
      * the cap — and fatal()s (a user error, not a crash) when the
      * estimate alone exceeds the whole budget. With a persistent
-     * cache attached the pre-eviction is skipped (built rows are
-     * pinned by the cache mirror, so eviction could not make room);
+     * cache attached the pre-eviction is skipped (the row store keeps
+     * every built row, so eviction could not make room);
      * the reject check still guards total process residency.
      */
     std::shared_ptr<DseSession> session(const nn::Network &network,

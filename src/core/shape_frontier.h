@@ -109,9 +109,9 @@ struct FrontierPoint
  * build time: dsp[] and cycles[] are contiguous int64 arrays (what the
  * binary searches and serialization read), tn[]/tm[] contiguous int32.
  * The frontier owns its arena — rows are shared through
- * FrontierRowStore and pinned by the persistent cache beyond any
- * FrontierTable's lifetime, so the storage must travel with the
- * object, not with the table that built it.
+ * FrontierRowStore, which can keep them beyond any FrontierTable's
+ * lifetime, so the storage must travel with the object, not with the
+ * table that built it.
  */
 class ShapeFrontier
 {
@@ -427,9 +427,9 @@ class ShapeFrontier::Builder
  * row it then holds alone. A row therefore goes when the last table
  * using it does, and dropping a session costs only the rows that
  * session held. With a persistent cache attached no row is ever
- * freed: the cache pins every row it decoded or will write back, so
- * tables skip the release, and the store keeps the rest (a row whose
- * record failed to decode) rather than rebuild it.
+ * freed: tables skip the release, so the store keeps every row it
+ * loaded or built, and the cache pins only its pending write-backs,
+ * until a flush.
  */
 class FrontierCache;
 
@@ -488,11 +488,10 @@ class FrontierRowStore
      * total. Per row: the key and four pointers of map overhead, plus
      * the staircase itself only when no cache is attached — with one,
      * no row is ever freed (see the class comment), so eviction could
-     * not free it; counting pinned rows against the SessionRegistry's
+     * not free it; counting kept rows against the SessionRegistry's
      * byte budget would make the cap unreachable and turn the
-     * eviction loop into pure session thrash. The pinned rows are the
-     * price of --cache-dir, bounded by its segment and accounted to
-     * the cache, not to evictable registry state.
+     * eviction loop into pure session thrash. The kept rows are the
+     * price of --cache-dir, not evictable registry state.
      */
     size_t memoryBytes() const;
 

@@ -182,8 +182,6 @@ ShardForwarder::workerArgs(const Worker &worker,
         args.push_back("--max-sessions");
         args.push_back(std::to_string(opts_.maxSessions));
     }
-    if (opts_.cold)
-        args.push_back("--cold");
     // Admission happens once, at the front: a trunk carries at most
     // the front's in-flight lines, so these caps can never shed one.
     std::string cap = std::to_string(front.maxInflight);

@@ -103,7 +103,6 @@ struct ShardForwarderOptions
     int cacheFlushIntervalMs = 0;
     int threads = 1;
     int64_t maxSessions = 0;  ///< 0 = leave at the worker default
-    bool cold = false;
 
     /** First respawn delay after a worker death; doubles per rapid
      * re-death up to respawnBackoffMaxMs. */

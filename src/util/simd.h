@@ -2,12 +2,10 @@
  * @file
  * Portable SIMD kernels for the optimizer's integer hot loops.
  *
- * All four kernels are pure int64 reductions/updates over contiguous
- * arrays — the exact shapes of the ShapeFrontier rank-1 grid update,
- * the dense-sweep occupancy scan, and the MemoryOptimizer batched
- * probe passes. Integer math means the vector and scalar paths are
- * bit-identical by construction; no floating point ever enters a
- * kernel.
+ * Both kernels are pure int64 scans over contiguous arrays — the
+ * exact shapes of the MemoryOptimizer batched probe passes. Integer
+ * math means the vector and scalar paths are bit-identical by
+ * construction; no floating point ever enters a kernel.
  *
  * The vector path uses GCC/Clang vector extensions (selected at
  * compile time; no runtime CPU dispatch) and falls back to the scalar
@@ -18,9 +16,9 @@
  * twins at runtime for whole-pipeline parity tests (set it only from
  * single-threaded test setup).
  *
- * Loads and stores go through std::memcpy: int64 arrays are only
- * 8-byte aligned, and memcpy is the UB-free unaligned access idiom —
- * compilers lower it to plain vector load/store instructions.
+ * Loads go through std::memcpy: int64 arrays are only 8-byte aligned,
+ * and memcpy is the UB-free unaligned access idiom — compilers lower
+ * it to plain vector load instructions.
  */
 
 #ifndef MCLP_UTIL_SIMD_H
@@ -43,38 +41,6 @@ namespace simd {
 constexpr size_t kLanes = 4;
 
 namespace scalar {
-
-/** dst[i] += scale * src[i] — the staircase grid's rank-1 update. */
-inline void
-addScaledI64(int64_t *dst, const int64_t *src, int64_t scale, size_t n)
-{
-    for (size_t i = 0; i < n; ++i)
-        dst[i] += scale * src[i];
-}
-
-/**
- * dst[i] += src[i] — the rank-1 update's run form: consecutive Tn
- * breakpoints sharing one ceil(N/Tn) add the same precomputed row, so
- * the hot loop is a pure add (SSE2 paddq) instead of an emulated
- * 64-bit vector multiply.
- */
-inline void
-addI64(int64_t *dst, const int64_t *src, size_t n)
-{
-    for (size_t i = 0; i < n; ++i)
-        dst[i] += src[i];
-}
-
-/** First index with v[i] >= 0, or n — the dense-sweep bucket skip. */
-inline size_t
-findNonNegativeI64(const int64_t *v, size_t n)
-{
-    for (size_t i = 0; i < n; ++i) {
-        if (v[i] >= 0)
-            return i;
-    }
-    return n;
-}
 
 /**
  * One fused probe pass: min of levels[i] over gates[i] <= gate_cap
@@ -130,12 +96,6 @@ load(V4 &out, const int64_t *p)
 }
 
 inline void
-store(int64_t *p, const V4 &v)
-{
-    std::memcpy(p, &v, sizeof(v));
-}
-
-inline void
 splat(V4 &out, int64_t x)
 {
     out = V4{x, x, x, x};
@@ -166,73 +126,6 @@ inline bool
 forceScalar()
 {
     return detail::g_forceScalar.load(std::memory_order_relaxed);
-}
-
-inline void
-addScaledI64(int64_t *dst, const int64_t *src, int64_t scale, size_t n)
-{
-#if MCLP_SIMD_VECTOR_EXT
-    if (!forceScalar()) {
-        using detail::V4;
-        V4 vscale, d, s;
-        detail::splat(vscale, scale);
-        size_t i = 0;
-        for (; i + kLanes <= n; i += kLanes) {
-            detail::load(d, dst + i);
-            detail::load(s, src + i);
-            detail::store(dst + i, d + s * vscale);
-        }
-        scalar::addScaledI64(dst + i, src + i, scale, n - i);
-        return;
-    }
-#endif
-    scalar::addScaledI64(dst, src, scale, n);
-}
-
-inline void
-addI64(int64_t *dst, const int64_t *src, size_t n)
-{
-#if MCLP_SIMD_VECTOR_EXT
-    if (!forceScalar()) {
-        using detail::V4;
-        V4 d, s;
-        size_t i = 0;
-        for (; i + kLanes <= n; i += kLanes) {
-            detail::load(d, dst + i);
-            detail::load(s, src + i);
-            detail::store(dst + i, d + s);
-        }
-        scalar::addI64(dst + i, src + i, n - i);
-        return;
-    }
-#endif
-    scalar::addI64(dst, src, n);
-}
-
-inline size_t
-findNonNegativeI64(const int64_t *v, size_t n)
-{
-#if MCLP_SIMD_VECTOR_EXT
-    if (!forceScalar()) {
-        using detail::V4;
-        V4 x, zero;
-        detail::splat(zero, 0);
-        size_t i = 0;
-        for (; i + kLanes <= n; i += kLanes) {
-            detail::load(x, v + i);
-            V4 ge = x >= zero;
-            if (ge[0] | ge[1] | ge[2] | ge[3]) {
-                for (size_t l = 0; l < kLanes; ++l) {
-                    if (v[i + l] >= 0)
-                        return i + l;
-                }
-            }
-        }
-        size_t tail = scalar::findNonNegativeI64(v + i, n - i);
-        return tail == n - i ? n : i + tail;
-    }
-#endif
-    return scalar::findNonNegativeI64(v, n);
 }
 
 inline void

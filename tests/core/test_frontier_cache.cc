@@ -140,6 +140,16 @@ TEST(FrontierCache, DiskWarmMatchesColdByteForByte)
         // what the cache-stats verb reports as tier_mmap).
         EXPECT_GT(registry.rowStore()->stats().mmapHits, 0u);
         EXPECT_EQ(registry.rowStore()->stats().diskHits, 0u);
+        // The store keeps what it decoded: answering again, and a
+        // fresh session over the same rows (another device), decode
+        // nothing more, so each persisted row decodes once per process.
+        size_t decoded = cache->stats().segmentRowHits;
+        service::answerRequest(request, &registry);
+        core::DseRequest other_device = service::decodeRequest(
+            "dse id=b net=alexnet device=485t budgets=500,1000,2880");
+        service::answerRequest(other_device, &registry);
+        EXPECT_EQ(cache->stats().segmentRowHits, decoded);
+        EXPECT_EQ(decoded, registry.rowStore()->stats().mmapHits);
     }
     core::FrontierCache::Stats after = cache->stats();
     EXPECT_GT(after.segmentRowHits, 0u);

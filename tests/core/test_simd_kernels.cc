@@ -60,70 +60,6 @@ fuzzLengths()
     return lengths;
 }
 
-TEST(SimdKernels, AddScaledMatchesScalarTwin)
-{
-    util::SplitMix64 rng(20170801);
-    for (size_t n : fuzzLengths()) {
-        for (int trial = 0; trial < 8; ++trial) {
-            // Bounded magnitudes: scale * src must not overflow (the
-            // production caller multiplies layer areas by tile
-            // counts, both far below 2^31).
-            int64_t scale = rng.nextInt(-(1 << 20), 1 << 20);
-            std::vector<int64_t> src(n), a(n), b(n);
-            for (size_t i = 0; i < n; ++i) {
-                src[i] = rng.nextInt(-(1 << 20), 1 << 20);
-                a[i] = b[i] = rng.nextInt(-(1LL << 40), 1LL << 40);
-            }
-            simd::addScaledI64(a.data(), src.data(), scale, n);
-            simd::scalar::addScaledI64(b.data(), src.data(), scale, n);
-            ASSERT_EQ(a, b) << "n=" << n << " scale=" << scale;
-        }
-    }
-}
-
-TEST(SimdKernels, AddMatchesScalarTwin)
-{
-    util::SplitMix64 rng(20170806);
-    for (size_t n : fuzzLengths()) {
-        for (int trial = 0; trial < 8; ++trial) {
-            // Bounded magnitudes as for addScaled: the production
-            // accumulators are sums of layer-area products, far below
-            // the int64 overflow edge.
-            std::vector<int64_t> src(n), a(n), b(n);
-            for (size_t i = 0; i < n; ++i) {
-                src[i] = rng.nextInt(-(1LL << 40), 1LL << 40);
-                a[i] = b[i] = rng.nextInt(-(1LL << 40), 1LL << 40);
-            }
-            simd::addI64(a.data(), src.data(), n);
-            simd::scalar::addI64(b.data(), src.data(), n);
-            ASSERT_EQ(a, b) << "n=" << n << " trial=" << trial;
-        }
-    }
-}
-
-TEST(SimdKernels, FindNonNegativeMatchesScalarTwin)
-{
-    util::SplitMix64 rng(20170802);
-    for (size_t n : fuzzLengths()) {
-        for (int trial = 0; trial < 16; ++trial) {
-            // Mostly-negative arrays with a sparse non-negative
-            // sprinkle — the dense-sweep occupancy shape (and the
-            // all-negative "return n" case falls out at low n).
-            std::vector<int64_t> v(n);
-            for (size_t i = 0; i < n; ++i) {
-                v[i] = rng.nextInt(0, 9) == 0
-                           ? rng.nextInt(0, 1000)
-                           : rng.nextInt(-1000, -1);
-            }
-            if (n > 0 && trial == 0)
-                v[n - 1] = 0;  // match exactly at the last element
-            ASSERT_EQ(simd::findNonNegativeI64(v.data(), n),
-                      simd::scalar::findNonNegativeI64(v.data(), n))
-                << "n=" << n << " trial=" << trial;
-        }
-    }
-}
-
 TEST(SimdKernels, CapScanMatchesScalarTwin)
 {
     util::SplitMix64 rng(20170803);

@@ -63,7 +63,6 @@ printUsage()
         "                       0 = shutdown-only flush)\n"
         "  --threads N          request threads per worker (default 1)\n"
         "  --max-sessions N     warm-session LRU capacity per worker\n"
-        "  --cold               workers answer every request cold\n"
         "supervision:\n"
         "  --respawn-backoff-ms N\n"
         "                       first respawn delay after a worker\n"
@@ -145,8 +144,6 @@ parseArgs(int argc, char **argv)
                 static_cast<int>(int_flag(i, "--threads", 0, 4096));
         } else if (arg == "--max-sessions") {
             fwd.maxSessions = int_flag(i, "--max-sessions", 1, 1 << 20);
-        } else if (arg == "--cold") {
-            fwd.cold = true;
         } else if (arg == "--respawn-backoff-ms") {
             fwd.respawnBackoffMs = static_cast<int>(
                 int_flag(i, "--respawn-backoff-ms", 1, 1 << 30));
