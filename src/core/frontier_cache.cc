@@ -5,6 +5,7 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
+#include <new>
 #include <string_view>
 #include <utility>
 
@@ -112,10 +113,11 @@ FrontierCache::FrontierCache(std::string dir, size_t max_bytes)
 
     // No lock needed: the segment only ever changes by atomic rename,
     // so the mapping is one complete image and pins its inode.
-    segment_ = FrontierCacheSegment::open(segmentPath_, fingerprint_);
-    switch (segment_.state()) {
+    FrontierCacheSegment segment =
+        FrontierCacheSegment::open(segmentPath_, fingerprint_);
+    switch (segment.state()) {
     case SegmentState::Valid:
-        generation_ = segment_.generation();
+        generation_ = segment.generation();
         break;
     case SegmentState::Missing:
         break;  // no cache yet: clean cold start
@@ -133,22 +135,58 @@ FrontierCache::FrontierCache(std::string dir, size_t max_bytes)
                    "starting cold", segmentPath_.c_str());
         break;
     }
+    image_ = std::make_shared<Image>(std::move(segment));
+}
+
+FrontierCache::Image::Image(FrontierCacheSegment mapped)
+    : segment(std::move(mapped)),
+      hits(static_cast<uint32_t *>(
+          std::calloc(segment.slotCount(), sizeof(uint32_t))))
+{
+    if (!hits && segment.slotCount() > 0)
+        throw std::bad_alloc();
+}
+
+void
+FrontierCache::Image::takeHits(
+    const std::function<void(uint32_t, uint32_t,
+                             const FrontierCacheSegment::Entry &)> &fn)
+{
+    FrontierCacheSegment::Entry entry;
+    for (uint32_t s = 0; s < segment.slotCount(); ++s) {
+        std::atomic_ref<uint32_t> counter(hits[s]);
+        if (counter.load(std::memory_order_relaxed) == 0)
+            continue;
+        uint32_t count = counter.exchange(0, std::memory_order_relaxed);
+        if (segment.entryAt(s, entry))
+            fn(s, count, entry);
+    }
+}
+
+std::shared_ptr<FrontierCache::Image>
+FrontierCache::pinImage() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return image_;
 }
 
 std::shared_ptr<const ShapeFrontier>
 FrontierCache::loadRow(const std::vector<int64_t> &key)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Decode straight out of the mapping. The row store keeps what it
-    // loads, so a key reaches here at most once per store.
-    std::string_view payload = segment_.find(kCacheRecordRow, key);
+    // Decode straight out of the pinned mapping with no lock held. The
+    // row store keeps what it loads, so a key reaches here about once
+    // per store (more only when threads race on one row).
+    std::shared_ptr<Image> image = pinImage();
+    uint32_t slot = 0;
+    std::string_view payload =
+        image->segment.find(kCacheRecordRow, key, &slot);
     if (payload.empty())
         return nullptr;
-    auto row = decodeRowPayload(payload);
+    std::optional<ShapeFrontier> row = decodeRowPayload(payload);
     if (!row)
         return nullptr;
-    ++segmentRowHits_;
-    ++rowHitDelta_[key];
+    image->addHits(slot, 1);
+    segmentRowHits_.fetch_add(1, std::memory_order_relaxed);
     return std::make_shared<const ShapeFrontier>(std::move(*row));
 }
 
@@ -157,7 +195,7 @@ FrontierCache::noteRow(const std::vector<int64_t> &key,
                        std::shared_ptr<const ShapeFrontier> row)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!segment_.find(kCacheRecordRow, key).empty())
+    if (!image_->segment.find(kCacheRecordRow, key).empty())
         return;  // already persistent
     pendingRows_.emplace(key, std::move(row));
 }
@@ -167,16 +205,17 @@ FrontierCache::seedTrace(const std::vector<int64_t> &key,
                          TradeoffCurveCache::PartitionTrace &trace)
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    uint32_t slot = 0;
+    std::string_view payload =
+        image_->segment.find(kCacheRecordTrace, key, &slot);
     auto it = mmapTraces_.find(key);
-    if (it == mmapTraces_.end() && segment_.valid()) {
-        std::string_view payload = segment_.find(kCacheRecordTrace, key);
+    if (it == mmapTraces_.end()) {
         FrontierTraceImage decoded;
-        if (!payload.empty() &&
-            decodeTracePayload(payload, traceKeyGroups(key), decoded))
-            it = mmapTraces_.emplace(key, std::move(decoded)).first;
+        if (payload.empty() ||
+            !decodeTracePayload(payload, traceKeyGroups(key), decoded))
+            return false;
+        it = mmapTraces_.emplace(key, std::move(decoded)).first;
     }
-    if (it == mmapTraces_.end())
-        return false;
     const FrontierTraceImage &image = it->second;
     trace.initialized = true;
     trace.initialBram = image.initialBram;
@@ -184,7 +223,8 @@ FrontierCache::seedTrace(const std::vector<int64_t> &key,
     trace.steps.assign(image.steps.data(), image.steps.size());
     trace.complete = image.complete;
     ++segmentTraceHits_;
-    ++traceHitDelta_[key];
+    if (!payload.empty())
+        image_->addHits(slot, 1);
     return true;
 }
 
@@ -202,7 +242,7 @@ FrontierCache::flush()
 {
     // Phase 1: snapshot under our mutex (never hold it across file
     // I/O or trace mutexes — walks holding a trace mutex re-enter
-    // other caches, and lookups call into us under the store mutex).
+    // other caches, and inserts call into us under a store mutex).
     RowMap pending_rows;
     std::vector<std::pair<
         std::vector<int64_t>,
@@ -212,7 +252,6 @@ FrontierCache::flush()
     std::unordered_map<std::vector<int64_t>, std::pair<size_t, bool>,
                        util::Int64VectorHash>
         known;
-    HitMap row_deltas, trace_deltas;
     uint64_t known_gen = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -221,8 +260,6 @@ FrontierCache::flush()
         for (const auto &[key, image] : mmapTraces_)
             known.emplace(key, std::make_pair(image.steps.size(),
                                               image.complete));
-        row_deltas = rowHitDelta_;
-        trace_deltas = traceHitDelta_;
         known_gen = generation_;
     }
 
@@ -250,10 +287,10 @@ FrontierCache::flush()
     // Nothing new? Then the published image — whatever concurrent
     // CLIs did to it since — holds at least everything we could add:
     // skip the lock and the whole map-merge-publish round trip.
-    // Hit-counter deltas alone never force a rewrite either — they
-    // stay in memory and ride the next flush that rewrites the image
-    // for a real reason (tests/core/test_frontier_cache.cc pins the
-    // no-op).
+    // Hit counters alone never force a rewrite either — they stay in
+    // the image's slots, unread, and ride the next flush that rewrites
+    // the image for a real reason (tests/core/test_frontier_cache.cc
+    // pins the no-op).
     if (pending_rows.empty() && trace_images.empty())
         return true;
 
@@ -270,6 +307,11 @@ FrontierCache::flush()
                    lockPath_.c_str());
         return false;
     }
+    // Only a flush swaps the image, and flushes run one at a time
+    // under the file lock (flock excludes threads as well as
+    // processes): the image pinned here is the one whose counters the
+    // fold reads and whose late hits the swap carries over.
+    std::shared_ptr<Image> current = pinImage();
 
     struct DiskRecord
     {
@@ -350,24 +392,24 @@ FrontierCache::flush()
     }
 
     // Fold this process's hit counts into the record counters — but
-    // only when the image is being rewritten for a real reason. A hit
-    // also stamps the record with the new generation: "recently hit"
-    // is what the byte-budget eviction below spares.
+    // only when the image is being rewritten for a real reason. Each
+    // hit slot's key is read out of the image. A hit also stamps the
+    // record with the new generation: "recently hit" is what the
+    // byte-budget eviction below spares.
     size_t evicted = 0;
+    std::vector<std::pair<uint32_t, uint32_t>> folded;  ///< slot, hits
     if (rewrite) {
-        auto fold = [&](auto &records, const HitMap &deltas) {
-            for (const auto &[key, delta] : deltas) {
-                auto it = records.find(key);
-                if (it == records.end())
-                    continue;
-                uint32_t &hits = it->second.hits;
-                hits = delta > UINT32_MAX - hits ? UINT32_MAX
-                                                 : hits + delta;
-                it->second.lastGen = static_cast<uint32_t>(new_gen);
-            }
-        };
-        fold(rows, row_deltas);
-        fold(traces, trace_deltas);
+        current->takeHits([&](uint32_t slot, uint32_t delta,
+                              const FrontierCacheSegment::Entry &entry) {
+            folded.emplace_back(slot, delta);
+            auto &records = entry.kind == kCacheRecordRow ? rows : traces;
+            auto it = records.find(entry.key);
+            if (it == records.end())
+                return;
+            uint32_t &hits = it->second.hits;
+            hits = delta > UINT32_MAX - hits ? UINT32_MAX : hits + delta;
+            it->second.lastGen = static_cast<uint32_t>(new_gen);
+        });
 
         if (maxBytes_ > 0) {
             // Least-recently-hit eviction against the exact image
@@ -459,22 +501,17 @@ FrontierCache::flush()
         ++flushes_;
         generation_ = new_gen;
         evictedLastFlush_ = evicted;
-        // The folded counters are on disk; drop exactly the folded
-        // amounts (hits scored since the snapshot stay pending).
-        auto settle = [](HitMap &live, const HitMap &folded) {
-            for (const auto &[key, delta] : folded) {
-                auto it = live.find(key);
-                if (it == live.end())
-                    continue;
-                if (it->second <= delta)
-                    live.erase(it);
-                else
-                    it->second -= delta;
-            }
-        };
-        settle(rowHitDelta_, row_deltas);
-        settle(traceHitDelta_, trace_deltas);
-        segment_ = std::move(published);
+        // The folded counts are on disk. Hits scored on the old image
+        // since the fold carry over to the same keys' slots of the new
+        // one, which lookups pin from here on.
+        auto next = std::make_shared<Image>(std::move(published));
+        current->takeHits([&](uint32_t, uint32_t late,
+                              const FrontierCacheSegment::Entry &entry) {
+            uint32_t slot = 0;
+            if (!next->segment.find(entry.kind, entry.key, &slot).empty())
+                next->addHits(slot, late);
+        });
+        image_ = std::move(next);
     };
 
     if (!rewrite) {
@@ -500,6 +537,9 @@ FrontierCache::flush()
             FrontierCacheSegment::build(fingerprint_, new_gen, records))) {
         util::warn("frontier cache: publishing %s failed; previous "
                    "image kept", segmentPath_.c_str());
+        // The folded counts never reached disk: they stay counted.
+        for (const auto &[slot, delta] : folded)
+            current->addHits(slot, delta);
         return false;
     }
     // Nothing reads a record file an older binary left beside the
@@ -520,10 +560,10 @@ FrontierCache::stats() const
     stats.flushes = flushes_;
     stats.loadedClean = loadedClean_;
     stats.generation = generation_;
-    stats.segmentMapped = segment_.valid();
-    stats.segmentEntries = segment_.entryCount();
-    stats.segmentBytes = segment_.bytes();
-    stats.segmentRowHits = segmentRowHits_;
+    stats.segmentMapped = image_->segment.valid();
+    stats.segmentEntries = image_->segment.entryCount();
+    stats.segmentBytes = image_->segment.bytes();
+    stats.segmentRowHits = segmentRowHits_.load();
     stats.segmentTraceHits = segmentTraceHits_;
     stats.evictedLastFlush = evictedLastFlush_;
     return stats;

@@ -26,11 +26,14 @@
  * max_bytes) can evict the least-recently-hit records at flush time.
  * Opening the cache maps the segment read-only; rows and traces
  * decode lazily, straight out of the mapping, and processes mapping
- * one directory share one page-cache copy. The ladder a lookup climbs is process
- * (the FrontierRowStore's map) -> mmap (this directory's segment) ->
- * cold: a non-null loadRow() or a true seedTrace() is an mmap hit.
- * Each shard of a sharded front owns one directory, so a respawned
- * shard warms from its own segment.
+ * one directory share one page-cache copy. The ladder a lookup climbs
+ * is process (the FrontierRowStore's map) -> mmap (this directory's
+ * segment) -> cold: a non-null loadRow() or a true seedTrace() is an
+ * mmap hit. loadRow() pins the current image under the cache mutex
+ * and then finds and decodes with no lock held, so warm rows decode
+ * in parallel and a concurrent flush's swap never unmaps bytes a
+ * decode is reading. Each shard of a sharded front owns one
+ * directory, so a respawned shard warms from its own segment.
  *
  * Invalidation is versioned, never heuristic: the segment header
  * carries a layout version and a *model-formula fingerprint* — a hash
@@ -52,9 +55,13 @@
  * advisory lock; the merged image is staged in a temp file and
  * renamed atomically, so a crash never leaves a half-written cache).
  * SessionRegistry flushes on destruction, which covers mclp-opt and
- * mclp-serve shutdown alike. A flush with nothing new — including
- * one where only hit counters moved — is a no-op; counter updates
- * piggyback on the next flush that rewrites the image anyway.
+ * mclp-serve shutdown alike. Hits are counted in one atomic counter
+ * per slot of the mapped image, never by copying a key. A flush with
+ * nothing new — including one where only hit counters moved — is a
+ * no-op that reads none of them; a flush that rewrites the image
+ * folds each nonzero slot into its record (the key read out of the
+ * image), and hits scored after the fold carry over to the same
+ * keys' slots of the new image.
  *
  * The project invariant extends to disk: designs answered from an
  * mmap-warm cache are byte-for-byte identical to cold
@@ -65,8 +72,11 @@
 #ifndef MCLP_CORE_FRONTIER_CACHE_H
 #define MCLP_CORE_FRONTIER_CACHE_H
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -118,7 +128,10 @@ class FrontierCache
         bool segmentMapped = false;   ///< serving from the mmap tier
         size_t segmentEntries = 0;    ///< records in the mapped image
         size_t segmentBytes = 0;      ///< bytes of the mapped image
-        size_t segmentRowHits = 0;    ///< row hits decoded from mmap
+        /** Rows decoded from mmap. Two threads racing to decode one
+         * row both count here (and in the slot's hit counter); only
+         * the row store's winning insert counts as its mmapHits. */
+        size_t segmentRowHits = 0;
         size_t segmentTraceHits = 0;  ///< trace hits decoded from mmap
         size_t evictedLastFlush = 0;  ///< records the budget dropped
     };
@@ -142,8 +155,10 @@ class FrontierCache
 
     /**
      * The persisted staircase for a FrontierRowStore key, decoded
-     * from the segment, or null. The cache keeps no copy: the row
-     * store keeps the rows it loads.
+     * from the segment, or null. Takes the cache mutex only to pin
+     * the current image: the find and the decode run unlocked, so
+     * callers may decode concurrently. The cache keeps no copy: the
+     * row store keeps the rows it loads.
      */
     std::shared_ptr<const ShapeFrontier>
     loadRow(const std::vector<int64_t> &key);
@@ -179,7 +194,7 @@ class FrontierCache
      * byte budget, and publish the new image atomically. No-op
      * (returning true) when nothing but hit counters changed —
      * counter updates ride the next real rewrite. False on I/O
-     * failure — the previous image survives.
+     * failure — the previous image survives, and so do the counts.
      */
     bool flush();
 
@@ -193,8 +208,48 @@ class FrontierCache
     using TraceMap = std::unordered_map<std::vector<int64_t>,
                                         FrontierTraceImage,
                                         util::Int64VectorHash>;
-    using HitMap = std::unordered_map<std::vector<int64_t>, uint32_t,
-                                      util::Int64VectorHash>;
+
+    /**
+     * A mapped image plus this process's hit count for each of its
+     * slots. Held by shared_ptr, so a lookup that pinned it keeps the
+     * mapping alive across its unlocked decode while a flush swaps in
+     * the next one. A hit scored on an image after the flush that
+     * replaced it carried its counts over is not counted: the
+     * counters steer eviction, they are not an audit.
+     */
+    struct Image
+    {
+        explicit Image(FrontierCacheSegment mapped);
+
+        /** Add @p count hits to slot @p slot. */
+        void
+        addHits(uint32_t slot, uint32_t count)
+        {
+            std::atomic_ref<uint32_t>(hits[slot])
+                .fetch_add(count, std::memory_order_relaxed);
+        }
+
+        /** Zero each nonzero slot counter, handing its count and the
+         * record it counted (key read out of the image) to @p fn. */
+        void takeHits(
+            const std::function<void(uint32_t slot, uint32_t hits,
+                                     const FrontierCacheSegment::Entry &)>
+                &fn);
+
+        struct Free
+        {
+            void operator()(uint32_t *p) const { std::free(p); }
+        };
+
+        FrontierCacheSegment segment;
+        /** One counter per slot, touched only through std::atomic_ref.
+         * calloc'd, so a counter page is zero-filled on its first hit,
+         * not at open: mapping a large image stays cheap. */
+        std::unique_ptr<uint32_t[], Free> hits;
+    };
+
+    /** The current image, pinned under mutex_. */
+    std::shared_ptr<Image> pinImage() const;
 
     std::string dir_;
     std::string lockPath_;
@@ -204,9 +259,9 @@ class FrontierCache
     uint64_t fingerprint_;
 
     mutable std::mutex mutex_;
-    FrontierCacheSegment segment_;  ///< this directory's image
+    std::shared_ptr<Image> image_;  ///< this directory's; never null
     /** Traces known to be persistent: decoded on demand from
-     * segment_, or published by this process's own flushes. */
+     * image_, or published by this process's own flushes. */
     TraceMap mmapTraces_;
     RowMap pendingRows_;   ///< built this process, not yet flushed
     /** Live traces to serialize at flush; deduped by key, first noted
@@ -217,12 +272,8 @@ class FrontierCache
         std::shared_ptr<TradeoffCurveCache::PartitionTrace>,
         util::Int64VectorHash>
         notedTraces_;
-    /** Hits this process scored per key, folded into the image's
-     * counters by the next flush that rewrites it anyway. */
-    HitMap rowHitDelta_;
-    HitMap traceHitDelta_;
     uint64_t generation_ = 0;  ///< of the image mapped or last published
-    size_t segmentRowHits_ = 0;
+    std::atomic<size_t> segmentRowHits_{0};  ///< counted unlocked
     size_t segmentTraceHits_ = 0;
     size_t evictedLastFlush_ = 0;
     size_t flushes_ = 0;

@@ -167,8 +167,8 @@ FrontierCacheSegment::open(const std::string &path, uint64_t fingerprint)
 }
 
 std::string_view
-FrontierCacheSegment::find(uint8_t kind,
-                           const std::vector<int64_t> &key) const
+FrontierCacheSegment::find(uint8_t kind, const std::vector<int64_t> &key,
+                           uint32_t *slot_out) const
 {
     if (!valid() || key.empty() || key.size() > 0xffffff)
         return {};
@@ -176,9 +176,8 @@ FrontierCacheSegment::find(uint8_t kind,
     uint64_t hash = slotHash(kind, key.data(), key.size());
     uint32_t mask = slotCount_ - 1;
     for (uint32_t probe = 0; probe < slotCount_; ++probe) {
-        const unsigned char *slot =
-            base + kHeaderBytes +
-            ((static_cast<uint32_t>(hash) + probe) & mask) * kSlotBytes;
+        uint32_t s = (static_cast<uint32_t>(hash) + probe) & mask;
+        const unsigned char *slot = base + kHeaderBytes + s * kSlotBytes;
         uint32_t kind_words = loadU32(slot + 12);
         if (kind_words == 0)
             return {};  // empty slot terminates the probe chain
@@ -193,6 +192,8 @@ FrontierCacheSegment::find(uint8_t kind,
             match = loadI64(stored + i * 8) == key[i];
         if (!match)
             continue;
+        if (slot_out)
+            *slot_out = s;
         return {reinterpret_cast<const char *>(base) + payloadOff_ +
                     loadU32(slot + 16),
                 loadU32(slot + 20)};
@@ -200,32 +201,38 @@ FrontierCacheSegment::find(uint8_t kind,
     return {};
 }
 
+bool
+FrontierCacheSegment::entryAt(uint32_t s, Entry &entry) const
+{
+    if (s >= slotCount_)
+        return false;
+    const unsigned char *base = map_.data();
+    const unsigned char *slot = base + kHeaderBytes + s * kSlotBytes;
+    uint32_t kind_words = loadU32(slot + 12);
+    if (kind_words == 0)
+        return false;
+    const unsigned char *stored =
+        base + keyWordsOff_ + size_t{loadU32(slot + 8)} * 8;
+    entry.kind = static_cast<uint8_t>(kind_words >> 24);
+    entry.key.resize(kind_words & 0xffffff);
+    for (size_t i = 0; i < entry.key.size(); ++i)
+        entry.key[i] = loadI64(stored + i * 8);
+    entry.payload = {reinterpret_cast<const char *>(base) + payloadOff_ +
+                         loadU32(slot + 16),
+                     loadU32(slot + 20)};
+    entry.hits = loadU32(slot + 24);
+    entry.lastGen = loadU32(slot + 28);
+    return true;
+}
+
 void
 FrontierCacheSegment::forEach(
     const std::function<void(const Entry &)> &fn) const
 {
-    if (!valid())
-        return;
-    const unsigned char *base = map_.data();
     Entry entry;
-    for (uint32_t s = 0; s < slotCount_; ++s) {
-        const unsigned char *slot = base + kHeaderBytes + s * kSlotBytes;
-        uint32_t kind_words = loadU32(slot + 12);
-        if (kind_words == 0)
-            continue;
-        const unsigned char *stored =
-            base + keyWordsOff_ + size_t{loadU32(slot + 8)} * 8;
-        entry.kind = static_cast<uint8_t>(kind_words >> 24);
-        entry.key.resize(kind_words & 0xffffff);
-        for (size_t i = 0; i < entry.key.size(); ++i)
-            entry.key[i] = loadI64(stored + i * 8);
-        entry.payload = {reinterpret_cast<const char *>(base) +
-                             payloadOff_ + loadU32(slot + 16),
-                         loadU32(slot + 20)};
-        entry.hits = loadU32(slot + 24);
-        entry.lastGen = loadU32(slot + 28);
-        fn(entry);
-    }
+    for (uint32_t s = 0; s < slotCount_; ++s)
+        if (entryAt(s, entry))
+            fn(entry);
 }
 
 size_t

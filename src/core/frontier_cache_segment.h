@@ -8,10 +8,11 @@
  *
  * The slot table is an open-addressed, linearly probed hash table
  * over an FNV-1a hash of (kind, key words), so find() is a probe walk
- * plus one key compare, no allocation, no decode. Each slot also
- * carries the record's hit counter and the generation of its last
- * hit, which the byte budget's least-recently-hit eviction reads at
- * the next flush. Payloads are the delta staircase encodings of
+ * plus one key compare, no allocation, no decode; it reports the slot
+ * it matched, and entryAt() reads a record back by slot. Each slot
+ * also carries the record's hit counter and the generation of its
+ * last hit, which the byte budget's least-recently-hit eviction reads
+ * at the next flush. Payloads are the delta staircase encodings of
  * core/frontier_codec.h, decoded lazily by whoever actually needs the
  * row; N workers mapping one segment share one page-cache copy of the
  * bytes and decode only what they touch.
@@ -121,14 +122,27 @@ class FrontierCacheSegment
     /** Mapped bytes of the whole image (what cache-stats reports). */
     size_t bytes() const { return map_.size(); }
 
+    /** Slots of the hash table (0 unless valid): the range of the
+     * slot numbers find() reports and entryAt() reads. */
+    uint32_t slotCount() const { return slotCount_; }
+
     /**
-     * The stored delta payload for (kind, key), or an empty view.
+     * The stored delta payload for (kind, key), or an empty view; on a
+     * match, @p slot (when given) receives the slot it matched, which
+     * is how the cache counts hits per record without copying keys.
      * The view aliases the mapping and stays valid for the segment's
      * lifetime. Lock-free and allocation-free — the image is
      * immutable, so concurrent finds need no coordination.
      */
-    std::string_view find(uint8_t kind,
-                          const std::vector<int64_t> &key) const;
+    std::string_view find(uint8_t kind, const std::vector<int64_t> &key,
+                          uint32_t *slot = nullptr) const;
+
+    /**
+     * Read the record at slot @p slot into @p entry (reusing its key
+     * storage); false for an empty slot or one past slotCount(). The
+     * flush reads the keys of hit slots out of the image this way.
+     */
+    bool entryAt(uint32_t slot, Entry &entry) const;
 
     /** Visit every stored record in slot order (the flush merge reads
      * the previous image this way, payloads as views). */

@@ -74,56 +74,60 @@ decodeRowPayload(std::string_view payload)
     if (!in.varint(count64) || count64 > kCacheMaxListEntries ||
         !in.u8(flags) || (flags & ~kRowFlagWideShapes))
         return std::nullopt;
-    size_t count = static_cast<size_t>(count64);
-    std::vector<FrontierPoint> points(count);
-    if (flags & kRowFlagWideShapes) {
-        for (size_t i = 0; i < count; ++i) {
-            uint64_t value = 0;
-            if (!in.varint(value))
-                return std::nullopt;
-            points[i].shape.tn = static_cast<int64_t>(value);
-        }
-        for (size_t i = 0; i < count; ++i) {
-            uint64_t value = 0;
-            if (!in.varint(value))
-                return std::nullopt;
-            points[i].shape.tm = static_cast<int64_t>(value);
-        }
-    } else {
-        for (size_t i = 0; i < count; ++i) {
-            uint16_t value = 0;
-            if (!in.u16(value))
-                return std::nullopt;
-            points[i].shape.tn = value;
-        }
-        for (size_t i = 0; i < count; ++i) {
-            uint16_t value = 0;
-            if (!in.u16(value))
-                return std::nullopt;
-            points[i].shape.tm = value;
-        }
-    }
-    int64_t prev = 0;
-    for (size_t i = 0; i < count; ++i) {
-        uint64_t delta = 0;
-        if (!in.varint(delta))
-            return std::nullopt;
-        points[i].dsp = prev + util::zigzagDecode(delta);
-        prev = points[i].dsp;
-    }
-    prev = 0;
-    for (size_t i = 0; i < count; ++i) {
-        uint64_t delta = 0;
-        if (!in.varint(delta))
-            return std::nullopt;
-        points[i].cycles = prev + util::zigzagDecode(delta);
-        prev = points[i].cycles;
-    }
-    if (!in.ok() || !in.atEnd())
+    bool wide = flags & kRowFlagWideShapes;
+    // Refuse a count the remaining bytes cannot hold before allocating
+    // for it: a narrow point takes two u16 shapes and two varints (at
+    // least 6 bytes), a wide one four varints (at least 4).
+    if (count64 > in.remaining() / (wide ? 4 : 6))
         return std::nullopt;
-    // fromPoints re-validates the staircase invariants, so corrupt
-    // bytes that parse cannot become a frontier.
-    return ShapeFrontier::fromPoints(std::move(points));
+    size_t count = static_cast<size_t>(count64);
+
+    // One pass over the payload, straight into the row's own block:
+    // each lane is checked as it fills, and the staircase step of
+    // point i as soon as its cycles land (the last lane).
+    ShapeFrontier::Lanes lanes;
+    ShapeFrontier row = ShapeFrontier::uninitialized(count, lanes);
+    for (int32_t *lane : {lanes.tn, lanes.tm}) {
+        for (size_t i = 0; i < count; ++i) {
+            int64_t shape = 0;
+            if (wide) {
+                uint64_t value = 0;
+                if (!in.varint(value))
+                    return std::nullopt;
+                shape = static_cast<int64_t>(value);
+            } else {
+                uint16_t value = 0;
+                if (!in.u16(value))
+                    return std::nullopt;
+                shape = value;
+            }
+            if (!ShapeFrontier::validShape(shape))
+                return std::nullopt;
+            lane[i] = static_cast<int32_t>(shape);
+        }
+    }
+    // Deltas accumulate in uint64_t: a hostile delta wraps (defined)
+    // instead of overflowing, and a wrapped value fails the step.
+    auto next = [&in](uint64_t &sum, int64_t &value) {
+        uint64_t delta = 0;
+        if (!in.varint(delta))
+            return false;
+        sum += static_cast<uint64_t>(util::zigzagDecode(delta));
+        value = static_cast<int64_t>(sum);
+        return true;
+    };
+    uint64_t sum = 0;
+    for (size_t i = 0; i < count; ++i)
+        if (!next(sum, lanes.dsp[i]))
+            return std::nullopt;
+    sum = 0;
+    for (size_t i = 0; i < count; ++i)
+        if (!next(sum, lanes.cycles[i]) ||
+            !ShapeFrontier::staircaseStep(lanes, i))
+            return std::nullopt;
+    if (!in.atEnd())
+        return std::nullopt;
+    return row;
 }
 
 void

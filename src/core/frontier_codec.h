@@ -14,10 +14,12 @@
  *    deltas are small positive varints, and cycle deltas are small
  *    negative steps stored as zig-zag varints. ~8-10 bytes per point
  *    against the legacy SoA encoding's fixed 32, while staying
- *    bit-exact: decode rebuilds the identical int64 lanes, and
- *    ShapeFrontier::fromPoints re-validates the staircase invariants
- *    so corruption that survives the checksum still cannot
- *    masquerade as a frontier.
+ *    bit-exact: decode rebuilds the identical int64 lanes in one
+ *    pass, straight into the row's own block, and checks the
+ *    staircase invariants as it goes (the same checks
+ *    ShapeFrontier::fromPoints, the tests' row factory, makes), so
+ *    corruption that survives the checksum still cannot masquerade
+ *    as a frontier.
  *
  *  - **Delta walk traces.** Memory-walk traces use the same idea
  *    (total BRAM strictly decreases along a walk, so steps store the
@@ -77,8 +79,13 @@ void encodeRowPayload(util::ByteWriter &out, const ShapeFrontier &row);
 
 /**
  * Decode a delta staircase payload; the payload must end exactly
- * where the staircase does. nullopt on any framing or staircase-
- * invariant violation (fromPoints re-validates monotonicity).
+ * where the staircase does. One pass fills the row's single block
+ * (ShapeFrontier::uninitialized) and checks each point as it lands
+ * (ShapeFrontier::validShape, staircaseStep); nothing else is
+ * allocated. A point count the remaining bytes cannot hold is refused
+ * before the block is allocated, and delta sums wrap in uint64_t, so
+ * hostile bytes cost no more than their length. nullopt on any
+ * framing or staircase-invariant violation.
  */
 std::optional<ShapeFrontier> decodeRowPayload(std::string_view payload);
 

@@ -545,30 +545,48 @@ ShapeFrontier::ShapeFrontier(
     *this = builder.build(type, units_budget);
 }
 
+ShapeFrontier::Lanes
+ShapeFrontier::allocate(size_t count)
+{
+    size_ = count;
+    block_.reset();
+    tn_ = tm_ = nullptr;
+    dsp_ = cycles_ = nullptr;
+    if (count == 0)
+        return {};
+    // One exact-size block, left uninitialized (every caller writes all
+    // four lanes): the int64 lanes first, since new[] aligns the block
+    // for them, then the int32 lanes — kBytesPerPoint per point,
+    // nothing else.
+    block_ = std::make_unique_for_overwrite<unsigned char[]>(
+        count * kBytesPerPoint);
+    dsp_ = reinterpret_cast<int64_t *>(block_.get());
+    cycles_ = dsp_ + count;
+    tn_ = reinterpret_cast<int32_t *>(cycles_ + count);
+    tm_ = tn_ + count;
+    return {tn_, tm_, dsp_, cycles_};
+}
+
 void
 ShapeFrontier::adopt(const int32_t *tn, const int32_t *tm,
                      const int64_t *dsp, const int64_t *cycles,
                      size_t count)
 {
-    size_ = count;
-    if (count == 0) {
-        tn_ = tm_ = nullptr;
-        dsp_ = cycles_ = nullptr;
+    allocate(count);
+    if (count == 0)
         return;
-    }
-    // One exact-size block: the int64 lanes first (the block is
-    // 8-aligned), then the int32 lanes — kBytesPerPoint per point,
-    // nothing else.
-    unsigned char *block = static_cast<unsigned char *>(
-        arena_.allocate(count * kBytesPerPoint, alignof(int64_t)));
-    dsp_ = reinterpret_cast<int64_t *>(block);
-    cycles_ = dsp_ + count;
-    tn_ = reinterpret_cast<int32_t *>(cycles_ + count);
-    tm_ = tn_ + count;
     std::memcpy(dsp_, dsp, count * sizeof(int64_t));
     std::memcpy(cycles_, cycles, count * sizeof(int64_t));
     std::memcpy(tn_, tn, count * sizeof(int32_t));
     std::memcpy(tm_, tm, count * sizeof(int32_t));
+}
+
+ShapeFrontier
+ShapeFrontier::uninitialized(size_t count, Lanes &lanes)
+{
+    ShapeFrontier frontier;
+    lanes = frontier.allocate(count);
+    return frontier;
 }
 
 std::vector<FrontierPoint>
@@ -637,36 +655,33 @@ ShapeFrontier::Builder::memoryBytes() const
 }
 
 std::optional<ShapeFrontier>
-ShapeFrontier::fromPoints(std::vector<FrontierPoint> points)
+ShapeFrontier::fromPoints(const std::vector<FrontierPoint> &points)
 {
-    constexpr int64_t kShapeMax = std::numeric_limits<int32_t>::max();
+    Lanes lanes;
+    ShapeFrontier frontier = uninitialized(points.size(), lanes);
     for (size_t i = 0; i < points.size(); ++i) {
         const FrontierPoint &point = points[i];
-        if (point.shape.tn < 1 || point.shape.tm < 1 ||
-            point.shape.tn > kShapeMax || point.shape.tm > kShapeMax ||
-            point.dsp < 1 || point.cycles < 1)
+        if (!validShape(point.shape.tn) || !validShape(point.shape.tm))
             return std::nullopt;
-        if (i > 0 && (point.dsp <= points[i - 1].dsp ||
-                      point.cycles >= points[i - 1].cycles))
-            return std::nullopt;  // not a staircase
+        lanes.tn[i] = static_cast<int32_t>(point.shape.tn);
+        lanes.tm[i] = static_cast<int32_t>(point.shape.tm);
+        lanes.dsp[i] = point.dsp;
+        lanes.cycles[i] = point.cycles;
+        if (!staircaseStep(lanes, i))
+            return std::nullopt;
     }
-    std::vector<int32_t> tn(points.size()), tm(points.size());
-    std::vector<int64_t> dsp(points.size()), cycles(points.size());
-    for (size_t i = 0; i < points.size(); ++i) {
-        tn[i] = static_cast<int32_t>(points[i].shape.tn);
-        tm[i] = static_cast<int32_t>(points[i].shape.tm);
-        dsp[i] = points[i].dsp;
-        cycles[i] = points[i].cycles;
-    }
-    ShapeFrontier frontier;
-    frontier.adopt(tn.data(), tm.data(), dsp.data(), cycles.data(),
-                   points.size());
     return frontier;
 }
 
 FrontierRowStore::FrontierRowStore(std::shared_ptr<FrontierCache> cache)
     : cache_(std::move(cache))
 {
+}
+
+FrontierRowStore::Shard &
+FrontierRowStore::shardOf(const std::vector<int64_t> &key)
+{
+    return shards_[util::Int64VectorHash{}(key) % kShards];
 }
 
 size_t
@@ -679,27 +694,38 @@ FrontierRowStore::rowBytesLocked(const RowMap::value_type &row) const
 std::shared_ptr<const ShapeFrontier>
 FrontierRowStore::lookup(const std::vector<int64_t> &key)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = rows_.find(key);
-    if (it != rows_.end()) {
-        ++hits_;
-        return it->second;
-    }
-    if (cache_) {
-        // Read through to the mmap'd segment: a loaded staircase is
-        // as good as a resident one (immutable, validated at decode),
-        // so it joins the store and counts as a hit — no build
-        // happened — and as an mmap hit, so cache-stats can split
-        // the ladder.
-        if (auto row = cache_->loadRow(key)) {
-            bytes_ += rowBytesLocked(*rows_.emplace(key, row).first);
-            ++hits_;
-            ++mmapHits_;
-            return row;
+    Shard &shard = shardOf(key);
+    {
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        auto it = shard.rows.find(key);
+        if (it != shard.rows.end()) {
+            ++shard.hits;
+            return it->second;
+        }
+        if (!cache_) {
+            ++shard.misses;
+            return nullptr;
         }
     }
-    ++misses_;
-    return nullptr;
+    // Read through to the mmap'd segment outside the shard's mutex, so
+    // warm acquisitions decode in parallel. A loaded staircase is as
+    // good as a resident one (immutable, validated at decode): it
+    // joins the store and counts as a hit — no build happened. The
+    // first insert wins, as in insert(); only the winner counts as an
+    // mmap hit, so cache-stats splits the ladder by resident rows.
+    std::shared_ptr<const ShapeFrontier> row = cache_->loadRow(key);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    if (!row) {
+        ++shard.misses;
+        return nullptr;
+    }
+    auto [it, inserted] = shard.rows.emplace(key, std::move(row));
+    if (inserted) {
+        shard.bytes += rowBytesLocked(*it);
+        ++shard.mmapHits;
+    }
+    ++shard.hits;
+    return it->second;
 }
 
 std::shared_ptr<const ShapeFrontier>
@@ -707,12 +733,13 @@ FrontierRowStore::insert(const std::vector<int64_t> &key,
                          ShapeFrontier frontier)
 {
     auto row = std::make_shared<const ShapeFrontier>(std::move(frontier));
-    std::lock_guard<std::mutex> lock(mutex_);
+    Shard &shard = shardOf(key);
+    std::lock_guard<std::mutex> lock(shard.mutex);
     // The first insert wins, so racing builders (which produced
     // bit-identical frontiers anyway) converge on one shared row.
-    auto [it, inserted] = rows_.emplace(key, std::move(row));
+    auto [it, inserted] = shard.rows.emplace(key, std::move(row));
     if (inserted) {
-        bytes_ += rowBytesLocked(*it);
+        shard.bytes += rowBytesLocked(*it);
         if (cache_)
             cache_->noteRow(key, it->second);  // write-back at flush
     }
@@ -722,33 +749,40 @@ FrontierRowStore::insert(const std::vector<int64_t> &key,
 void
 FrontierRowStore::release(const std::vector<std::vector<int64_t>> &keys)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     for (const std::vector<int64_t> &key : keys) {
-        auto it = rows_.find(key);
-        if (it == rows_.end() || it->second.use_count() != 1)
+        Shard &shard = shardOf(key);
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        auto it = shard.rows.find(key);
+        if (it == shard.rows.end() || it->second.use_count() != 1)
             continue;
-        bytes_ -= rowBytesLocked(*it);
-        rows_.erase(it);
+        shard.bytes -= rowBytesLocked(*it);
+        shard.rows.erase(it);
     }
 }
 
 FrontierRowStore::Stats
 FrontierRowStore::stats() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     Stats stats;
-    stats.hits = hits_;
-    stats.misses = misses_;
-    stats.rows = rows_.size();
-    stats.mmapHits = mmapHits_;
+    for (const Shard &shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        stats.hits += shard.hits;
+        stats.misses += shard.misses;
+        stats.rows += shard.rows.size();
+        stats.mmapHits += shard.mmapHits;
+    }
     return stats;
 }
 
 size_t
 FrontierRowStore::memoryBytes() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return bytes_;
+    size_t bytes = 0;
+    for (const Shard &shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        bytes += shard.bytes;
+    }
+    return bytes;
 }
 
 FrontierTable::FrontierTable(const nn::Network &network,

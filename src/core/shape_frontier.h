@@ -38,6 +38,7 @@
 #ifndef MCLP_CORE_SHAPE_FRONTIER_H
 #define MCLP_CORE_SHAPE_FRONTIER_H
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -51,7 +52,6 @@
 #include "fpga/data_type.h"
 #include "model/clp_config.h"
 #include "nn/network.h"
-#include "util/arena.h"
 #include "util/hash.h"
 #include "util/thread_pool.h"
 
@@ -105,13 +105,13 @@ struct FrontierPoint
  * The (dsp, cycles) Pareto frontier over all CLP shapes for one run of
  * layers, under a fixed DSP budget.
  *
- * Storage is structure-of-arrays in one arena block sized exactly at
- * build time: dsp[] and cycles[] are contiguous int64 arrays (what the
- * binary searches and serialization read), tn[]/tm[] contiguous int32.
- * The frontier owns its arena — rows are shared through
- * FrontierRowStore, which can keep them beyond any FrontierTable's
- * lifetime, so the storage must travel with the object, not with the
- * table that built it.
+ * Storage is structure-of-arrays in one heap block sized exactly at
+ * build or decode time: dsp[] and cycles[] are contiguous int64 arrays
+ * (what the binary searches and serialization read), tn[]/tm[]
+ * contiguous int32. The frontier owns its block — rows are shared
+ * through FrontierRowStore, which can keep them beyond any
+ * FrontierTable's lifetime, so the storage must travel with the
+ * object, not with the table that built it.
  */
 class ShapeFrontier
 {
@@ -122,16 +122,54 @@ class ShapeFrontier
     static constexpr size_t kBytesPerPoint =
         2 * sizeof(int64_t) + 2 * sizeof(int32_t);
 
+    /** Writable view of a fresh frontier's four lanes. */
+    struct Lanes
+    {
+        int32_t *tn = nullptr;
+        int32_t *tm = nullptr;
+        int64_t *dsp = nullptr;
+        int64_t *cycles = nullptr;
+    };
+
     /**
-     * Rebuild a frontier from stored points — the decode path of the
-     * persistent cache (core/frontier_cache.h). Validates the
-     * staircase invariants (positive shapes, strictly increasing DSP,
-     * strictly decreasing cycles) and returns nullopt on any
-     * violation, so a corrupt-but-checksummed file can never
-     * masquerade as a frontier.
+     * Build a frontier from points (the tests' row factory). Checks
+     * the same invariants the cache decoder checks (validShape(),
+     * staircaseStep()) and returns nullopt on any violation.
      */
     static std::optional<ShapeFrontier>
-    fromPoints(std::vector<FrontierPoint> points);
+    fromPoints(const std::vector<FrontierPoint> &points);
+
+    /**
+     * A frontier of @p count points whose lanes are allocated but not
+     * initialized, with @p lanes pointing into them: the persistent
+     * cache's decoder (core/frontier_codec.h) writes a row straight
+     * into its own block this way. The caller must write every entry
+     * and drop the frontier unless every point passed validShape()
+     * and staircaseStep().
+     */
+    static ShapeFrontier uninitialized(size_t count, Lanes &lanes);
+
+    /** A Tn or Tm a stored shape may hold: positive, and within the
+     * int32 lanes. Check before narrowing into a lane. */
+    static bool
+    validShape(int64_t t)
+    {
+        return t >= 1 && t <= std::numeric_limits<int32_t>::max();
+    }
+
+    /**
+     * The staircase invariant at point @p i of written lanes: DSP and
+     * cycles positive, DSP strictly above point i-1's and cycles
+     * strictly below it. A corrupt-but-checksummed payload that fails
+     * it can never masquerade as a frontier.
+     */
+    static bool
+    staircaseStep(const Lanes &lanes, size_t i)
+    {
+        return lanes.dsp[i] >= 1 && lanes.cycles[i] >= 1 &&
+               (i == 0 || (lanes.dsp[i] > lanes.dsp[i - 1] &&
+                           lanes.cycles[i] < lanes.cycles[i - 1]));
+    }
 
     /**
      * Enumerate shapes for @p layers (in range order) and keep the
@@ -198,18 +236,18 @@ class ShapeFrontier
     const int64_t *dspData() const { return dsp_; }
     const int64_t *cyclesData() const { return cycles_; }
 
-    /** Resident bytes of the stored staircase (arena block totals). */
+    /** Resident bytes of the stored staircase (object plus block). */
     size_t
     memoryBytes() const
     {
-        return sizeof(*this) + arena_.bytesReserved();
+        return sizeof(*this) + size_ * kBytesPerPoint;
     }
 
     ShapeFrontier(ShapeFrontier &&other) noexcept { *this = std::move(other); }
     ShapeFrontier &
     operator=(ShapeFrontier &&other) noexcept
     {
-        arena_ = std::move(other.arena_);
+        block_ = std::move(other.block_);
         size_ = other.size_;
         tn_ = other.tn_;
         tm_ = other.tm_;
@@ -228,11 +266,9 @@ class ShapeFrontier
     ShapeFrontier &
     operator=(const ShapeFrontier &other)
     {
-        if (this != &other) {
-            arena_.clear();
+        if (this != &other)
             adopt(other.tn_, other.tm_, other.dsp_, other.cycles_,
                   other.size_);
-        }
         return *this;
     }
 
@@ -241,16 +277,20 @@ class ShapeFrontier
 
     ShapeFrontier() = default;
 
-    /** Copy the four lanes into one exact-size arena block. */
+    /** Replace the storage with one exact-size block of @p count
+     * points, lanes uninitialized. */
+    Lanes allocate(size_t count);
+
+    /** Copy the four lanes into one exact-size block. */
     void adopt(const int32_t *tn, const int32_t *tm, const int64_t *dsp,
                const int64_t *cycles, size_t count);
 
-    util::Arena arena_{1};  ///< chunk floor 1: every block exact-fit
+    std::unique_ptr<unsigned char[]> block_;  ///< the four lanes
     size_t size_ = 0;
-    int32_t *tn_ = nullptr;      ///< into arena_
-    int32_t *tm_ = nullptr;      ///< into arena_
-    int64_t *dsp_ = nullptr;     ///< into arena_, strictly increasing
-    int64_t *cycles_ = nullptr;  ///< into arena_, strictly decreasing
+    int32_t *tn_ = nullptr;      ///< into block_
+    int32_t *tm_ = nullptr;      ///< into block_
+    int64_t *dsp_ = nullptr;     ///< into block_, strictly increasing
+    int64_t *cycles_ = nullptr;  ///< into block_, strictly decreasing
 };
 
 /**
@@ -402,7 +442,7 @@ class ShapeFrontier::Builder
      * geometries (counting sort needs a small units range). */
     std::vector<std::pair<int64_t, int32_t>> sortScratch_;
     // Output staircase lanes, reused across build() calls; build()
-    // copies them into the frontier's exact-size arena block.
+    // copies them into the frontier's exact-size block.
     std::vector<int32_t> outTn_;
     std::vector<int32_t> outTm_;
     std::vector<int64_t> outDsp_;
@@ -419,7 +459,11 @@ class ShapeFrontier::Builder
  * so a registry serving many networks builds each distinct range
  * exactly once (the same sharing TilingOptionCache already performs
  * for tiling signatures). Entries are immutable ShapeFrontiers, so a
- * hit is bit-identical to a private rebuild. Thread safe.
+ * hit is bit-identical to a private rebuild. Thread safe: the rows are
+ * split over kShards shards by key hash, each under its own mutex, so
+ * threads acquiring different rows seldom wait on one another (with
+ * one store-wide mutex, four threads loading a warm GoogLeNet spent
+ * more time queued on it than decoding).
  *
  * Rows leave by ownership, never by a scan of the store: a
  * FrontierTable hands its rows back (release()) when it dies and when
@@ -445,7 +489,9 @@ class FrontierRowStore
          * Kept because the serving benchmark (perfbench/trace.cc)
          * still reads it and must keep compiling unchanged. */
         size_t diskHits = 0;
-        size_t mmapHits = 0;  ///< hits decoded from the mmap'd segment
+        /** Rows the mmap'd segment supplied: decodes that won the
+         * insert (a decode that lost a race counts only in hits). */
+        size_t mmapHits = 0;
     };
 
     /**
@@ -462,7 +508,12 @@ class FrontierRowStore
      * freed, so tables skip release(). */
     bool cacheAttached() const { return cache_ != nullptr; }
 
-    /** The stored frontier for @p key, or nullptr (counts hit/miss). */
+    /**
+     * The stored frontier for @p key, or nullptr (counts hit/miss).
+     * A miss reads through to the cache with the shard's mutex released,
+     * so concurrent lookups decode in parallel; the decoded row is
+     * then inserted, and the first insert wins.
+     */
     std::shared_ptr<const ShapeFrontier>
     lookup(const std::vector<int64_t> &key);
 
@@ -500,16 +551,28 @@ class FrontierRowStore
                                       std::shared_ptr<const ShapeFrontier>,
                                       util::Int64VectorHash>;
 
-    /** What @p row adds to memoryBytes(). Caller holds mutex_. */
+    /** One slice of the rows, with the counters its rows move. */
+    struct Shard
+    {
+        mutable std::mutex mutex;
+        RowMap rows;
+        size_t bytes = 0;  ///< rowBytesLocked() over rows
+        size_t hits = 0;
+        size_t misses = 0;
+        size_t mmapHits = 0;
+    };
+
+    static constexpr size_t kShards = 16;
+
+    /** The shard that holds @p key. */
+    Shard &shardOf(const std::vector<int64_t> &key);
+
+    /** What @p row adds to memoryBytes(). Caller holds its shard's
+     * mutex. */
     size_t rowBytesLocked(const RowMap::value_type &row) const;
 
-    mutable std::mutex mutex_;
     const std::shared_ptr<FrontierCache> cache_;  ///< optional disk layer
-    RowMap rows_;
-    size_t bytes_ = 0;  ///< memoryBytes(): rowBytesLocked() over rows_
-    size_t hits_ = 0;
-    size_t misses_ = 0;
-    size_t mmapHits_ = 0;
+    std::array<Shard, kShards> shards_;
 };
 
 /**

@@ -1,7 +1,7 @@
 /**
  * @file
- * Chunked bump allocator backing the optimizer's long-lived flat
- * arrays (frontier staircases, walk-trace steps).
+ * Chunked bump allocator backing the optimizer's long-lived
+ * growing arrays (walk-trace steps).
  *
  * The build/walk paths used to grow many small std::vectors whose
  * churn (allocate, copy, free, repeat) showed up in the cold-run
@@ -10,12 +10,12 @@
  * reclaimed all at once when the owner dies, and bytesReserved() gives
  * exact accounting for the SessionRegistry byte budget.
  *
- * Ownership follows the data, not the table: ShapeFrontier owns the
- * arena holding its SoA arrays and PartitionTrace owns the arena
- * behind its step log, because both objects are shared (via
- * FrontierRowStore / FrontierCache) beyond the lifetime of the
- * FrontierTable or TradeoffCurveCache that built them — a
- * table-owned arena would dangle. See docs/ARCHITECTURE.md ("Hot
+ * Ownership follows the data, not the table: PartitionTrace owns the
+ * arena behind its step log, because traces are shared (via the
+ * TradeoffCurveCache and the FrontierCache) beyond the lifetime of
+ * the optimizer run that grew them — a table-owned arena would
+ * dangle. (A ShapeFrontier, written once at its final size, owns one
+ * plain exact-size block instead.) See docs/ARCHITECTURE.md ("Hot
  * paths and memory layout").
  *
  * Not thread safe; guard an arena by whatever lock guards its owner

@@ -96,35 +96,6 @@ ByteWriter::varint(uint64_t value)
 }
 
 bool
-ByteReader::take(void *out, size_t count)
-{
-    if (!ok_ || data_.size() - pos_ < count) {
-        ok_ = false;
-        return false;
-    }
-    std::memcpy(out, data_.data() + pos_, count);
-    pos_ += count;
-    return true;
-}
-
-bool
-ByteReader::u8(uint8_t &value)
-{
-    return take(&value, 1);
-}
-
-bool
-ByteReader::u16(uint16_t &value)
-{
-    unsigned char raw[2];
-    if (!take(raw, sizeof(raw)))
-        return false;
-    value = static_cast<uint16_t>(raw[0] |
-                                  (static_cast<uint16_t>(raw[1]) << 8));
-    return true;
-}
-
-bool
 ByteReader::u32(uint32_t &value)
 {
     unsigned char raw[4];
@@ -166,22 +137,6 @@ ByteReader::f64(double &value)
         return false;
     std::memcpy(&value, &bits, sizeof(value));
     return true;
-}
-
-bool
-ByteReader::varint(uint64_t &value)
-{
-    value = 0;
-    for (int shift = 0; shift < 70; shift += 7) {
-        uint8_t byte;
-        if (!take(&byte, 1))
-            return false;
-        value |= static_cast<uint64_t>(byte & 0x7f) << shift;
-        if (!(byte & 0x80))
-            return true;
-    }
-    ok_ = false;  // 11+ continuation bytes: not a valid varint
-    return false;
 }
 
 FileLock::FileLock(const std::string &path)

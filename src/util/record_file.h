@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -78,6 +79,8 @@ class ByteWriter
  * Bounds-checked little-endian deserializer. Every read reports
  * success; once a read runs past the end the reader latches !ok() and
  * all further reads fail, so decode loops need only one final check.
+ * The byte-sized reads are inline: the row decoder calls them once
+ * per lane entry.
  */
 class ByteReader
 {
@@ -95,6 +98,8 @@ class ByteReader
 
     bool ok() const { return ok_; }
     bool atEnd() const { return ok_ && pos_ == data_.size(); }
+    /** Bytes left to read (0 once a read has failed). */
+    size_t remaining() const { return ok_ ? data_.size() - pos_ : 0; }
 
   private:
     bool take(void *out, size_t count);
@@ -103,6 +108,51 @@ class ByteReader
     size_t pos_ = 0;
     bool ok_ = true;
 };
+
+inline bool
+ByteReader::take(void *out, size_t count)
+{
+    if (!ok_ || data_.size() - pos_ < count) {
+        ok_ = false;
+        return false;
+    }
+    std::memcpy(out, data_.data() + pos_, count);
+    pos_ += count;
+    return true;
+}
+
+inline bool
+ByteReader::u8(uint8_t &value)
+{
+    return take(&value, 1);
+}
+
+inline bool
+ByteReader::u16(uint16_t &value)
+{
+    unsigned char raw[2];
+    if (!take(raw, sizeof(raw)))
+        return false;
+    value = static_cast<uint16_t>(raw[0] |
+                                  (static_cast<uint16_t>(raw[1]) << 8));
+    return true;
+}
+
+inline bool
+ByteReader::varint(uint64_t &value)
+{
+    value = 0;
+    for (int shift = 0; shift < 70; shift += 7) {
+        uint8_t byte;
+        if (!take(&byte, 1))
+            return false;
+        value |= static_cast<uint64_t>(byte & 0x7f) << shift;
+        if (!(byte & 0x80))
+            return true;
+    }
+    ok_ = false;  // 11+ continuation bytes: not a valid varint
+    return false;
+}
 
 /**
  * Blocking advisory file lock (flock) for cross-process exclusion.

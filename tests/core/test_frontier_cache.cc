@@ -14,6 +14,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <climits>
 #include <cstdio>
 #include <filesystem>
@@ -713,15 +714,17 @@ TEST(FrontierCache, ByteBudgetEvictsTheLeastRecentlyHitRecords)
     EXPECT_LT(cold_survivors, 15u);
 }
 
-/** The (hits, lastGen) counters the published image holds for a row. */
+/** The (hits, lastGen) counters the published image holds for a
+ * record (a row unless @p kind says otherwise). */
 std::pair<uint32_t, uint32_t>
-imageCounters(const ScratchDir &scratch, const std::vector<int64_t> &key)
+imageCounters(const ScratchDir &scratch, const std::vector<int64_t> &key,
+              uint8_t kind = core::kCacheRecordRow)
 {
     std::pair<uint32_t, uint32_t> counters{0, 0};
     core::FrontierCacheSegment::open(scratch.segmentFile(),
                                      core::modelFormulaFingerprint())
         .forEach([&](const core::FrontierCacheSegment::Entry &entry) {
-            if (entry.kind == core::kCacheRecordRow && entry.key == key)
+            if (entry.kind == kind && entry.key == key)
                 counters = {entry.hits, entry.lastGen};
         });
     return counters;
@@ -771,6 +774,143 @@ TEST(FrontierCache, CounterOnlyFlushLeavesTheFileUntouched)
     EXPECT_NE(readFileBytes(scratch.segmentFile()), segment_before);
     EXPECT_EQ(imageCounters(scratch, key),
               (std::pair<uint32_t, uint32_t>{2, 2}));
+}
+
+TEST(FrontierCache, RowHitsAfterARewriteFoldIntoTheNextOne)
+{
+    // Hits count per slot of the mapped image. A rewrite folds them
+    // and maps the new image; hits scored after it count against the
+    // new image's slots, and the next rewrite folds those too.
+    ScratchDir scratch;
+    std::vector<int64_t> key = {4, 8, 15};
+    {
+        auto cache = std::make_shared<core::FrontierCache>(
+            scratch.dir());
+        cache->noteRow(key, makeRow(1));
+        ASSERT_TRUE(cache->flush());
+    }
+    auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
+    for (int i = 0; i < 2; ++i)
+        ASSERT_NE(cache->loadRow(key), nullptr);
+    cache->noteRow({16, 23, 42}, makeRow(2));
+    ASSERT_TRUE(cache->flush());
+    EXPECT_EQ(imageCounters(scratch, key),
+              (std::pair<uint32_t, uint32_t>{2, 2}));
+    for (int i = 0; i < 3; ++i)
+        ASSERT_NE(cache->loadRow(key), nullptr);
+    cache->noteRow({99, 1, 1}, makeRow(3));
+    ASSERT_TRUE(cache->flush());
+    EXPECT_EQ(cache->stats().generation, 3u);
+    EXPECT_EQ(imageCounters(scratch, key),
+              (std::pair<uint32_t, uint32_t>{5, 3}));
+}
+
+TEST(FrontierCache, TraceHitsAfterARewriteFoldIntoTheNextOne)
+{
+    // The same for a walk trace seeded through seedTrace().
+    ScratchDir scratch;
+    std::vector<int64_t> key = {1, 4, 4, -1, 8, 8, -1};
+    {
+        auto cache = std::make_shared<core::FrontierCache>(
+            scratch.dir());
+        auto trace =
+            std::make_shared<core::TradeoffCurveCache::PartitionTrace>();
+        trace->initialized = true;
+        trace->initialBram = 5000;
+        trace->initialPeak = 12.5;
+        core::TradeoffCurveCache::PartitionStep step;
+        step.clp = 1;
+        step.inCap = 100;
+        step.outCap = 200;
+        step.totalBram = 4000;
+        step.totalPeak = 13.0;
+        trace->steps.push_back(step);
+        trace->complete = true;
+        cache->noteTrace(key, trace);
+        ASSERT_TRUE(cache->flush());
+    }
+    EXPECT_EQ(imageCounters(scratch, key, core::kCacheRecordTrace),
+              (std::pair<uint32_t, uint32_t>{0, 1}));
+    auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
+    auto seed = [&] {
+        core::TradeoffCurveCache::PartitionTrace trace;
+        return cache->seedTrace(key, trace);
+    };
+    for (int i = 0; i < 2; ++i)
+        ASSERT_TRUE(seed());
+    cache->noteRow({16, 23, 42}, makeRow(2));
+    ASSERT_TRUE(cache->flush());
+    EXPECT_EQ(imageCounters(scratch, key, core::kCacheRecordTrace),
+              (std::pair<uint32_t, uint32_t>{2, 2}));
+    for (int i = 0; i < 3; ++i)
+        ASSERT_TRUE(seed());
+    cache->noteRow({99, 1, 1}, makeRow(3));
+    ASSERT_TRUE(cache->flush());
+    EXPECT_EQ(imageCounters(scratch, key, core::kCacheRecordTrace),
+              (std::pair<uint32_t, uint32_t>{5, 3}));
+    EXPECT_EQ(cache->stats().segmentTraceHits, 5u);
+}
+
+TEST(FrontierCache, ConcurrentWarmReadersMatchColdWhileFlushesSwapTheImage)
+{
+    // Warm rows decode outside the store and cache mutexes. Four
+    // threads answer overlapping GoogLeNet ladders over one fresh
+    // cache and registry while a fifth keeps rewriting the segment, so
+    // images are swapped under decodes in flight. Every answer must
+    // be cold bytes, and every resident row an mmap hit: the first
+    // insert wins, and a losing decode is not counted as one.
+    ScratchDir scratch;
+    const std::vector<std::string> lines{
+        "dse id=g1 net=googlenet device=690t budgets=1000,2880",
+        "dse id=g2 net=googlenet device=690t budgets=2000,2880",
+        "dse id=g3 net=googlenet device=690t budgets=2880",
+        "dse id=g4 net=googlenet device=690t budgets=1000,2000,2880",
+    };
+    std::vector<std::string> cold;
+    for (const std::string &line : lines)
+        cold.push_back(coldResponse(line));
+    // The last ladder's (budget, target) pairs cover every other
+    // ladder's, so its rows are every row the readers can ask for.
+    ASSERT_EQ(cachedResponse(lines.back(), scratch.dir()), cold.back());
+
+    auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
+    ASSERT_TRUE(cache->stats().segmentMapped);
+    {
+        core::SessionRegistry registry(4, 0, 1, cache);
+        std::atomic<bool> done{false};
+        std::thread flusher([&] {
+            for (int64_t i = 0; !done.load(); ++i) {
+                cache->noteRow({-1 - i, 7, 7},
+                               makeRow(static_cast<int>(i % 50)));
+                EXPECT_TRUE(cache->flush());
+            }
+        });
+        std::vector<std::thread> readers;
+        for (size_t t = 0; t < lines.size(); ++t) {
+            readers.emplace_back([&, t] {
+                for (size_t k = 0; k < lines.size(); ++k) {
+                    size_t r = (t + k) % lines.size();
+                    EXPECT_EQ(service::encodeResponse(
+                                  service::answerRequest(
+                                      service::decodeRequest(lines[r]),
+                                      &registry)),
+                              cold[r])
+                        << lines[r];
+                }
+            });
+        }
+        for (std::thread &reader : readers)
+            reader.join();
+        done = true;
+        flusher.join();
+
+        core::FrontierRowStore::Stats rows = registry.rowStore()->stats();
+        EXPECT_GT(rows.mmapHits, 0u);
+        EXPECT_EQ(rows.mmapHits, rows.rows);
+        EXPECT_EQ(rows.misses, 0u);
+        EXPECT_GE(cache->stats().segmentRowHits, rows.mmapHits);
+    }
+    EXPECT_GT(cache->stats().flushes, 0u);
 }
 
 TEST(FrontierCache, OlderImagePutBackServesWarmAndMergesForward)

@@ -6,7 +6,9 @@
  * randomized staircases and walk traces exactly (the warm == cold
  * invariant rests on it), keep a whole segment image at least 2x
  * smaller than the legacy SoA records on realistic rows, and reject
- * corrupt bytes; segment images must serve identical views to
+ * corrupt bytes — exactly the bytes the codec's earlier two-pass
+ * decoder rejected, which a seeded differential pins on mutated real
+ * and random rows; segment images must serve identical views to
  * independent mappings and degrade — never lie — when damaged.
  */
 
@@ -15,12 +17,17 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/frontier_cache.h"
 #include "core/frontier_cache_segment.h"
 #include "core/frontier_codec.h"
+#include "core/session_registry.h"
+#include "service/dse_codec.h"
+#include "service/dse_service.h"
 #include "util/math.h"
 #include "util/record_file.h"
 #include "util/shm.h"
@@ -197,6 +204,366 @@ TEST(FrontierCodec, CorruptPayloadsAreRejectedNotMisdecoded)
         EXPECT_FALSE(
             core::decodeRowPayload(good.substr(0, cut)).has_value())
             << "truncation at " << cut;
+}
+
+/**
+ * The row decoder this codec shipped before its one-pass rewrite: a
+ * pass that reads points, then the staircase checks
+ * ShapeFrontier::fromPoints made at the time, inlined so the oracle
+ * shares no check with the decoder under test. Two departures, neither
+ * visible in its verdicts: delta sums run in uint64_t (the original's
+ * int64_t sum overflowed on hostile deltas), and points grow as bytes
+ * arrive instead of being allocated for the claimed count up front.
+ */
+std::optional<std::vector<core::FrontierPoint>>
+referenceDecodeRow(std::string_view payload)
+{
+    util::ByteReader in(payload);
+    uint64_t count = 0;
+    uint8_t flags = 0;
+    if (!in.varint(count) || count > core::kCacheMaxListEntries ||
+        !in.u8(flags) || (flags & ~1))
+        return std::nullopt;
+    bool wide = flags & 1;
+    std::vector<core::FrontierPoint> points;
+    auto shape = [&](int64_t &out) {
+        uint64_t value = 0;
+        uint16_t narrow = 0;
+        if (wide ? !in.varint(value) : !in.u16(narrow))
+            return false;
+        out = wide ? static_cast<int64_t>(value) : narrow;
+        return true;
+    };
+    for (uint64_t i = 0; i < count; ++i) {
+        points.emplace_back();
+        if (!shape(points.back().shape.tn))
+            return std::nullopt;
+    }
+    for (core::FrontierPoint &point : points)
+        if (!shape(point.shape.tm))
+            return std::nullopt;
+    for (int64_t core::FrontierPoint::*lane :
+         {&core::FrontierPoint::dsp, &core::FrontierPoint::cycles}) {
+        uint64_t prev = 0;
+        for (core::FrontierPoint &point : points) {
+            uint64_t delta = 0;
+            if (!in.varint(delta))
+                return std::nullopt;
+            prev += static_cast<uint64_t>(util::zigzagDecode(delta));
+            point.*lane = static_cast<int64_t>(prev);
+        }
+    }
+    if (!in.ok() || !in.atEnd())
+        return std::nullopt;
+    constexpr int64_t kShapeMax = std::numeric_limits<int32_t>::max();
+    for (size_t i = 0; i < points.size(); ++i) {
+        const core::FrontierPoint &point = points[i];
+        if (point.shape.tn < 1 || point.shape.tm < 1 ||
+            point.shape.tn > kShapeMax || point.shape.tm > kShapeMax ||
+            point.dsp < 1 || point.cycles < 1)
+            return std::nullopt;
+        if (i > 0 && (point.dsp <= points[i - 1].dsp ||
+                      point.cycles >= points[i - 1].cycles))
+            return std::nullopt;
+    }
+    return points;
+}
+
+/** LEB128 bytes of @p value, as the encoder writes them. */
+std::string
+varintBytes(uint64_t value)
+{
+    util::ByteWriter out;
+    out.varint(value);
+    return out.bytes();
+}
+
+/** Length of the varint that starts @p bytes (the point count). */
+size_t
+leadingVarintBytes(const std::string &bytes)
+{
+    size_t n = 0;
+    while (n < bytes.size() && n < 10 &&
+           (static_cast<unsigned char>(bytes[n]) & 0x80))
+        ++n;
+    return std::min(n + 1, bytes.size());
+}
+
+/** Where each lane value of a well-formed row payload sits: (offset,
+ * length) of every shape field, then of every delta varint. */
+struct PayloadFields
+{
+    bool wide = false;
+    std::vector<std::pair<size_t, size_t>> shapes;
+    std::vector<std::pair<size_t, size_t>> deltas;
+};
+
+PayloadFields
+payloadFields(const std::string &payload)
+{
+    PayloadFields fields;
+    size_t pos = leadingVarintBytes(payload);
+    uint64_t count = 0;
+    util::ByteReader(payload).varint(count);
+    fields.wide = payload[pos++] & 1;
+    auto varint = [&] {
+        size_t start = pos;
+        while (static_cast<unsigned char>(payload[pos]) & 0x80)
+            ++pos;
+        return std::make_pair(start, ++pos - start);
+    };
+    for (uint64_t i = 0; i < 2 * count; ++i) {
+        if (fields.wide) {
+            fields.shapes.push_back(varint());
+        } else {
+            fields.shapes.emplace_back(pos, 2);
+            pos += 2;
+        }
+    }
+    for (uint64_t i = 0; i < 2 * count; ++i)
+        fields.deltas.push_back(varint());
+    return fields;
+}
+
+/** @p payload with one seeded mutation; @p what names it. Byte-level
+ * edits mostly break framing, so some mutations edit one lane value
+ * instead: a zero delta (a repeated DSP or cycle count), an extreme
+ * delta, or a shape at the edges of its lane. */
+std::string
+mutatePayload(const std::string &payload, util::SplitMix64 &rng,
+              std::string *what)
+{
+    std::string bad = payload;
+    size_t count_bytes = leadingVarintBytes(payload);
+    uint64_t count = 0;
+    util::ByteReader(payload).varint(count);
+    auto at = [&](size_t size) {
+        return static_cast<size_t>(
+            rng.nextInt(0, static_cast<int64_t>(size) - 1));
+    };
+    PayloadFields fields = payloadFields(payload);
+    auto replace = [&](const std::pair<size_t, size_t> &field,
+                       const std::string &bytes) {
+        return payload.substr(0, field.first) + bytes +
+               payload.substr(field.first + field.second);
+    };
+    int64_t kind = rng.nextInt(0, 9);
+    if (kind >= 7 && count == 0)
+        kind = 0;  // an empty row has no lane values to edit
+    switch (kind) {
+    case 0:
+        *what = "byte flip";
+        bad[at(bad.size())] ^= static_cast<char>(rng.nextInt(1, 255));
+        break;
+    case 1:
+        *what = "truncation";
+        bad.resize(at(bad.size()));
+        break;
+    case 2:
+        *what = "insertion";
+        bad.insert(at(bad.size() + 1), 1,
+                   static_cast<char>(rng.nextInt(0, 255)));
+        break;
+    case 3:
+        *what = "deletion";
+        bad.erase(at(bad.size()), 1);
+        break;
+    case 4: {
+        *what = "forged count";
+        const uint64_t max = core::kCacheMaxListEntries;
+        uint64_t forged = 0;
+        switch (rng.nextInt(0, 3)) {
+        case 0: forged = static_cast<uint64_t>(rng.nextInt(0, max)); break;
+        case 1: forged = max - static_cast<uint64_t>(rng.nextInt(0, 1)); break;
+        case 2: forged = max + 1; break;
+        default:
+            forged = static_cast<uint64_t>(rng.nextInt(0, count + 2));
+        }
+        bad = varintBytes(forged) + payload.substr(count_bytes);
+        break;
+    }
+    case 5:
+        *what = "wide flag";
+        bad[count_bytes] ^= 1;
+        break;
+    case 6: {
+        // The count as a 10-byte varint: honest padding, or a last
+        // byte whose bits spill past 64.
+        *what = "overlong count";
+        std::string overlong;
+        for (int i = 0; i < 9; ++i)
+            overlong.push_back(
+                static_cast<char>(((count >> (7 * i)) & 0x7f) | 0x80));
+        overlong.push_back(
+            static_cast<char>(rng.nextInt(0, 1) ? 0 : rng.nextInt(1, 0x7f)));
+        bad = overlong + payload.substr(count_bytes);
+        break;
+    }
+    case 7:
+        *what = "zero delta";
+        bad = replace(fields.deltas[at(fields.deltas.size())],
+                      varintBytes(0));
+        break;
+    case 8: {
+        *what = "extreme delta";
+        constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+        const int64_t picks[] = {1, -1, kMax, -kMax - 1,
+                                 rng.nextInt(-(int64_t{1} << 40),
+                                             int64_t{1} << 40)};
+        bad = replace(fields.deltas[at(fields.deltas.size())],
+                      varintBytes(util::zigzagEncode(picks[at(5)])));
+        break;
+    }
+    default: {
+        *what = "edge shape";
+        const uint64_t picks[] = {0, 1, 0xffff, 0x7fffffff, 0x80000000,
+                                  uint64_t{1} << 63};
+        uint64_t shape = picks[at(fields.wide ? 6 : 3)];
+        util::ByteWriter out;
+        if (fields.wide)
+            out.varint(shape);
+        else
+            out.u16(static_cast<uint16_t>(shape));
+        bad = replace(fields.shapes[at(fields.shapes.size())], out.bytes());
+    }
+    }
+    return bad;
+}
+
+/** Row payloads a real flush publishes, read back out of the segment. */
+std::vector<std::string>
+realRowPayloads()
+{
+    fs::path dir = fs::temp_directory_path() /
+                   ("mclp_codec_rows_" + std::to_string(::getpid()));
+    {
+        auto cache = std::make_shared<core::FrontierCache>(dir.string());
+        core::SessionRegistry registry(4, 0, 1, cache);
+        for (const char *line :
+             {"dse id=a net=alexnet device=690t budgets=1000,2880",
+              "dse id=s net=squeezenet device=690t budgets=1000,2880",
+              "dse id=g net=googlenet device=690t budgets=2880"})
+            service::answerRequest(service::decodeRequest(line), &registry);
+    }  // the registry flushes
+    std::vector<std::string> payloads;
+    core::FrontierCacheSegment::open(
+        (dir / core::kFrontierSegmentFileName).string(),
+        core::modelFormulaFingerprint())
+        .forEach([&](const core::FrontierCacheSegment::Entry &entry) {
+            if (entry.kind == core::kCacheRecordRow)
+                payloads.emplace_back(entry.payload);
+        });
+    fs::remove_all(dir);
+    return payloads;
+}
+
+TEST(FrontierCodec, OnePassDecoderAgreesWithTheTwoPassReference)
+{
+    // Seeded mutations of real rows (AlexNet, SqueezeNet, GoogLeNet,
+    // as flushed) and of random staircases, wide ones included: both
+    // decoders must accept and reject the same bytes, and what they
+    // accept must be the same lanes.
+    util::SplitMix64 rng(20170708);
+    std::vector<std::string> real = realRowPayloads();
+    ASSERT_GT(real.size(), 100u);
+    std::vector<std::string> payloads;
+    for (int i = 0; i < 48; ++i)
+        payloads.push_back(real[rng.nextInt(0, real.size() - 1)]);
+    for (int i = 0; i < 48; ++i) {
+        util::ByteWriter out;
+        core::encodeRowPayload(out, randomStaircase(rng, i % 4 == 0));
+        payloads.push_back(out.bytes());
+    }
+
+    size_t accepted = 0, rejected = 0;
+    for (size_t p = 0; p < payloads.size(); ++p) {
+        for (int trial = 0; trial <= 24; ++trial) {
+            std::string what = "unmutated";
+            std::string bytes = trial == 0 ? payloads[p]
+                                           : mutatePayload(payloads[p],
+                                                           rng, &what);
+            SCOPED_TRACE("payload " + std::to_string(p) + " trial " +
+                         std::to_string(trial) + ": " + what);
+            auto reference = referenceDecodeRow(bytes);
+            auto decoded = core::decodeRowPayload(bytes);
+            ASSERT_EQ(decoded.has_value(), reference.has_value());
+            ASSERT_TRUE(trial > 0 || decoded.has_value());
+            if (!decoded) {
+                ++rejected;
+                continue;
+            }
+            ++accepted;
+            ASSERT_EQ(decoded->size(), reference->size());
+            for (size_t i = 0; i < decoded->size(); ++i) {
+                const core::FrontierPoint &want = (*reference)[i];
+                EXPECT_EQ(decoded->tnData()[i], want.shape.tn);
+                EXPECT_EQ(decoded->tmData()[i], want.shape.tm);
+                EXPECT_EQ(decoded->dspData()[i], want.dsp);
+                EXPECT_EQ(decoded->cyclesData()[i], want.cycles);
+            }
+        }
+    }
+    // Both verdicts occur among the mutations, not just the originals.
+    EXPECT_GT(accepted, payloads.size());
+    EXPECT_GT(rejected, 0u);
+}
+
+/** A narrow payload: @p count, then the given lanes' raw values. */
+std::string
+narrowPayload(uint64_t count, const std::vector<uint16_t> &shapes,
+              const std::vector<int64_t> &deltas)
+{
+    util::ByteWriter out;
+    out.varint(count);
+    out.u8(0);
+    for (uint16_t shape : shapes)
+        out.u16(shape);
+    for (int64_t delta : deltas)
+        out.varint(util::zigzagEncode(delta));
+    return out.bytes();
+}
+
+TEST(FrontierCodec, CountTheBytesCannotHoldIsRefused)
+{
+    // 2^24 - 1 points claimed by an 11-byte payload: refused before
+    // any allocation for them, narrow or wide.
+    std::string narrow =
+        narrowPayload(core::kCacheMaxListEntries - 1, {1, 1}, {5, 9});
+    EXPECT_FALSE(core::decodeRowPayload(narrow).has_value());
+    std::string wide = narrow;
+    wide[leadingVarintBytes(narrow)] = 1;
+    EXPECT_FALSE(core::decodeRowPayload(wide).has_value());
+    EXPECT_FALSE(referenceDecodeRow(narrow).has_value());
+    EXPECT_FALSE(referenceDecodeRow(wide).has_value());
+
+    // One point in exactly the six bytes it needs still decodes.
+    auto one = core::decodeRowPayload(narrowPayload(1, {3, 4}, {5, 9}));
+    ASSERT_TRUE(one.has_value());
+    EXPECT_EQ(one->point(0).shape, (model::ClpShape{3, 4}));
+    EXPECT_EQ(one->point(0).dsp, 5);
+    EXPECT_EQ(one->point(0).cycles, 9);
+}
+
+TEST(FrontierCodec, DeltaWrappingPastInt64MaxIsRefused)
+{
+    // A second delta that carries the running sum past INT64_MAX, in
+    // either i64 lane: refused, with the sum wrapping in uint64_t
+    // rather than overflowing (no UBSan report).
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    for (const std::vector<int64_t> &deltas :
+         {std::vector<int64_t>{kMax, 1, 900, -1},
+          std::vector<int64_t>{1, 1, kMax, kMax},
+          std::vector<int64_t>{kMax, kMax, 900, -1}}) {
+        std::string payload = narrowPayload(2, {1, 2, 1, 2}, deltas);
+        EXPECT_FALSE(core::decodeRowPayload(payload).has_value());
+        EXPECT_FALSE(referenceDecodeRow(payload).has_value());
+    }
+    // The largest first values are legal and decode exactly.
+    auto top = core::decodeRowPayload(
+        narrowPayload(2, {1, 2, 1, 2}, {kMax - 1, 1, kMax, -1}));
+    ASSERT_TRUE(top.has_value());
+    EXPECT_EQ(top->point(1).dsp, kMax);
+    EXPECT_EQ(top->point(1).cycles, kMax - 1);
 }
 
 /** A scratch segment path, removed on destruction. */
