@@ -6,6 +6,7 @@
 #include <deque>
 #include <filesystem>
 #include <new>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -173,31 +174,174 @@ FrontierCache::pinImage() const
 std::shared_ptr<const ShapeFrontier>
 FrontierCache::loadRow(const std::vector<int64_t> &key)
 {
-    // Decode straight out of the pinned mapping with no lock held. The
-    // row store keeps what it loads, so a key reaches here about once
-    // per store (more only when threads race on one row).
-    std::shared_ptr<Image> image = pinImage();
+    // The row store keeps a loaded row while some table holds it, so a
+    // key reaches here about once per residency (more only when
+    // threads race on one row). One lock pins the image and copies out
+    // a pending payload (a flush may free the log's record once the
+    // lock is gone); the decode runs with no lock held.
+    size_t hash = util::hashInt64Words(key.data(), key.size());
+    thread_local std::string pending;
+    std::shared_ptr<Image> image;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        image = image_;
+        pending.assign(log_.find(key, hash));
+    }
+    if (!pending.empty()) {
+        // This process's own encoding of the row, so it decodes.
+        std::optional<ShapeFrontier> row = decodeRowPayload(pending);
+        if (row)
+            return std::make_shared<const ShapeFrontier>(std::move(*row));
+    }
     uint32_t slot = 0;
     std::string_view payload =
         image->segment.find(kCacheRecordRow, key, &slot);
     if (payload.empty())
         return nullptr;
     std::optional<ShapeFrontier> row = decodeRowPayload(payload);
-    if (!row)
-        return nullptr;
+    if (!row) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = undecodable_.find(key);
+        return it == undecodable_.end()
+                   ? nullptr
+                   : std::make_shared<const ShapeFrontier>(it->second);
+    }
     image->addHits(slot, 1);
     segmentRowHits_.fetch_add(1, std::memory_order_relaxed);
     return std::make_shared<const ShapeFrontier>(std::move(*row));
 }
 
+template <class Fn>
+void
+FrontierCache::PendingLog::forEach(Fn &&fn) const
+{
+    for (const Chunk &chunk : chunks_) {
+        const uint64_t *word = chunk.words.get();
+        const uint64_t *end = word + chunk.used;
+        while (word < end) {
+            size_t key_words = static_cast<size_t>(*word >> 32);
+            size_t payload = static_cast<size_t>(*word & 0xffffffffu);
+            const uint64_t *key = word + 1;
+            fn(std::span<const int64_t>(
+                   reinterpret_cast<const int64_t *>(key), key_words),
+               std::string_view(reinterpret_cast<const char *>(key + key_words),
+                                payload));
+            word = key + key_words + (payload + 7) / 8;
+        }
+    }
+}
+
+size_t
+FrontierCache::PendingLog::probe(std::span<const int64_t> key,
+                                 size_t hash) const
+{
+    size_t mask = index_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+        const Slot &slot = index_[i];
+        if (!slot.record ||
+            (slot.hash == hash && slot.record[0] >> 32 == key.size() &&
+             std::memcmp(slot.record + 1, key.data(),
+                         sizeof(int64_t) * key.size()) == 0))
+            return i;
+    }
+}
+
+std::string_view
+FrontierCache::PendingLog::find(std::span<const int64_t> key,
+                                size_t hash) const
+{
+    if (index_.empty())
+        return {};
+    const uint64_t *record = index_[probe(key, hash)].record;
+    if (!record)
+        return {};
+    return {reinterpret_cast<const char *>(record + 1 + key.size()),
+            static_cast<size_t>(record[0] & 0xffffffffu)};
+}
+
+void
+FrontierCache::PendingLog::append(std::span<const int64_t> key,
+                                  size_t hash, std::string_view payload)
+{
+    // Keep the index at most half full: double it (re-placing slots by
+    // their stored hashes) before the insert that would pass that.
+    if (2 * (records_ + 1) > index_.size()) {
+        std::vector<Slot> grown(std::max<size_t>(64, 2 * index_.size()));
+        size_t mask = grown.size() - 1;
+        for (const Slot &slot : index_) {
+            if (!slot.record)
+                continue;
+            size_t i = slot.hash & mask;
+            while (grown[i].record)
+                i = (i + 1) & mask;
+            grown[i] = slot;
+        }
+        index_ = std::move(grown);
+    }
+    Slot &slot = index_[probe(key, hash)];
+    if (slot.record)
+        return;  // already logged, under the same bytes
+
+    // 1 MiB chunks, allocated uninitialized: a page joins the resident
+    // set when a record lands on it. A record larger than a chunk gets
+    // one of its own.
+    constexpr size_t kChunkWords = (size_t{1} << 20) / sizeof(uint64_t);
+    size_t words = 1 + key.size() + (payload.size() + 7) / 8;
+    if (chunks_.empty() ||
+        chunks_.back().capacity - chunks_.back().used < words) {
+        size_t capacity = std::max(kChunkWords, words);
+        chunks_.push_back(
+            {std::unique_ptr<uint64_t[]>(new uint64_t[capacity]), capacity,
+             0});
+    }
+    Chunk &chunk = chunks_.back();
+    uint64_t *record = chunk.words.get() + chunk.used;
+    record[0] = uint64_t{key.size()} << 32 | payload.size();
+    record[words - 1] = 0;  // the payload's padding
+    std::memcpy(record + 1, key.data(), sizeof(int64_t) * key.size());
+    std::memcpy(record + 1 + key.size(), payload.data(), payload.size());
+    chunk.used += words;
+    slot = {hash, record};
+    ++records_;
+}
+
+void
+FrontierCache::PendingLog::prepend(PendingLog older)
+{
+    // Only a failed publish puts a log back, so copying this (newer)
+    // log's records behind the older ones is fine: it keeps the log at
+    // one record per key when a row was noted again during the flush.
+    forEach([&](std::span<const int64_t> key, std::string_view payload) {
+        older.append(key, util::hashInt64Words(key.data(), key.size()),
+                     payload);
+    });
+    *this = std::move(older);
+}
+
 void
 FrontierCache::noteRow(const std::vector<int64_t> &key,
-                       std::shared_ptr<const ShapeFrontier> row)
+                       const std::shared_ptr<const ShapeFrontier> &row)
 {
+    // Encode and hash outside every lock.
+    thread_local std::string payload;
+    payload.clear();
+    encodeRowPayload(payload, *row);
+    size_t hash = util::hashInt64Words(key.data(), key.size());
+
+    std::shared_ptr<Image> image = pinImage();
+    std::string_view stored = image->segment.find(kCacheRecordRow, key);
+    if (!stored.empty()) {
+        // Already persistent. A record is a pure function of its key,
+        // so other bytes under it are a payload loadRow() failed to
+        // decode: keep this row for it.
+        if (stored != payload) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            undecodable_.try_emplace(key, *row);
+        }
+        return;
+    }
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!image_->segment.find(kCacheRecordRow, key).empty())
-        return;  // already persistent
-    pendingRows_.emplace(key, std::move(row));
+    log_.append(key, hash, payload);
 }
 
 bool
@@ -237,13 +381,41 @@ FrontierCache::noteTrace(
     notedTraces_.emplace(key, std::move(trace));
 }
 
+namespace {
+
+/** A record's identity in the flush merge: a view of its key words,
+ * never a copy. */
+struct RecordKey
+{
+    uint8_t kind;
+    std::span<const int64_t> key;
+
+    bool
+    operator==(const RecordKey &other) const
+    {
+        return kind == other.kind &&
+               std::equal(key.begin(), key.end(), other.key.begin(),
+                          other.key.end());
+    }
+};
+
+struct RecordKeyHash
+{
+    size_t
+    operator()(const RecordKey &id) const
+    {
+        return util::hashInt64Words(id.key.data(), id.key.size()) ^ id.kind;
+    }
+};
+
+} // namespace
+
 bool
 FrontierCache::flush()
 {
     // Phase 1: snapshot under our mutex (never hold it across file
     // I/O or trace mutexes — walks holding a trace mutex re-enter
-    // other caches, and inserts call into us under a store mutex).
-    RowMap pending_rows;
+    // other caches).
     std::vector<std::pair<
         std::vector<int64_t>,
         std::shared_ptr<TradeoffCurveCache::PartitionTrace>>>
@@ -253,9 +425,10 @@ FrontierCache::flush()
                        util::Int64VectorHash>
         known;
     uint64_t known_gen = 0;
+    bool rows_noted = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        pending_rows = pendingRows_;
+        rows_noted = !log_.empty();
         noted.assign(notedTraces_.begin(), notedTraces_.end());
         for (const auto &[key, image] : mmapTraces_)
             known.emplace(key, std::make_pair(image.steps.size(),
@@ -291,7 +464,7 @@ FrontierCache::flush()
     // the image's slots, unread, and ride the next flush that rewrites
     // the image for a real reason (tests/core/test_frontier_cache.cc
     // pins the no-op).
-    if (pending_rows.empty() && trace_images.empty())
+    if (!rows_noted && trace_images.empty())
         return true;
 
     // Phase 3: merge with the image published *now* under the
@@ -310,83 +483,109 @@ FrontierCache::flush()
     // Only a flush swaps the image, and flushes run one at a time
     // under the file lock (flock excludes threads as well as
     // processes): the image pinned here is the one whose counters the
-    // fold reads and whose late hits the swap carries over.
-    std::shared_ptr<Image> current = pinImage();
-
-    struct DiskRecord
+    // fold reads and whose late hits the swap carries over. The whole
+    // log is taken with it; rows noted from here on start a new log.
+    std::shared_ptr<Image> current;
+    PendingLog log;
     {
-        /** Delta payload: a view into the base mapping for existing
-         * records, or into `fresh` for newly encoded ones — the merge
-         * never copies the old image into the heap. */
-        std::string_view payload;
-        uint32_t hits = 0;
-        uint32_t lastGen = 0;
-        size_t steps = 0;     ///< traces only
+        std::lock_guard<std::mutex> lock_state(mutex_);
+        current = image_;
+        log = std::exchange(log_, PendingLog());
+    }
+
+    /** One record of the merged image: views into the base mapping,
+     * the log or the trace snapshots, so the merge copies no payload
+     * and no pending key. */
+    struct Merged
+    {
+        SegmentRecord record;
+        size_t steps = 0;      ///< traces only
         bool complete = false;
+        bool evicted = false;
     };
-    std::unordered_map<std::vector<int64_t>, DiskRecord,
-                       util::Int64VectorHash>
-        rows, traces;
     FrontierCacheSegment base =
         FrontierCacheSegment::open(segmentPath_, fingerprint_);
+    std::vector<Merged> merged;
+    merged.reserve(base.entryCount() + log.records() + trace_images.size());
+    std::unordered_map<RecordKey, size_t, RecordKeyHash> index;
+    index.reserve(merged.capacity());
+    // The first record of a key wins: the base's, then the log's (the
+    // log holds a key once, but the base may hold it too).
+    auto add = [&](const Merged &record) {
+        bool fresh =
+            index.try_emplace({record.record.kind, record.record.key},
+                              merged.size())
+                .second;
+        if (fresh)
+            merged.push_back(record);
+        return fresh;
+    };
+    /** The base's keys, read out of the mapping (one block each; a
+     * moved vector keeps its block, so the views stay valid). */
+    std::vector<std::vector<int64_t>> base_keys;
+    base_keys.reserve(base.entryCount());
     base.forEach([&](const FrontierCacheSegment::Entry &entry) {
-        DiskRecord disk{entry.payload, entry.hits, entry.lastGen};
+        Merged record;
+        record.record = {entry.kind, {}, entry.payload, entry.hits,
+                         entry.lastGen};
         // A record of unknown kind, or a trace whose header does not
         // parse, cannot be served; dropping it costs a cold rebuild.
-        if (entry.kind == kCacheRecordRow)
-            rows.emplace(entry.key, disk);
-        else if (entry.kind == kCacheRecordTrace &&
-                 peekTraceMeta(entry.payload, &disk.complete,
-                               &disk.steps))
-            traces.emplace(entry.key, disk);
+        if (entry.kind != kCacheRecordRow &&
+            (entry.kind != kCacheRecordTrace ||
+             !peekTraceMeta(entry.payload, &record.complete,
+                            &record.steps)))
+            return;
+        base_keys.push_back(entry.key);
+        record.record.key = base_keys.back();
+        add(record);
     });
     // Every publish advances the generation past both the image it
     // replaces and anything this process published or mapped.
     uint64_t new_gen = std::max(base.generation(), known_gen) + 1;
 
-    std::deque<std::string> fresh;  ///< owns newly encoded payloads
     bool rewrite = false;  // anything to change on disk?
-    for (const auto &[key, row] : pending_rows) {
-        if (rows.count(key))
-            continue;  // a concurrent CLI beat us to an identical row
-        util::ByteWriter out;
-        encodeRowPayload(out, *row);
-        fresh.push_back(out.bytes());
-        rows[key] = {fresh.back(), 0, static_cast<uint32_t>(new_gen),
-                     0, false};
-        rewrite = true;
-    }
+    log.forEach([&](std::span<const int64_t> key, std::string_view payload) {
+        Merged record;
+        record.record = {kCacheRecordRow, key, payload, 0,
+                         static_cast<uint32_t>(new_gen)};
+        // A key already merged is an identical row published since
+        // it was noted: by a concurrent CLI, or by the flush that was
+        // publishing this process's previous log when it was noted.
+        rewrite = add(record) || rewrite;
+    });
+    std::deque<std::string> fresh;  ///< owns newly encoded trace payloads
     std::vector<const std::vector<int64_t> *> written_traces;
     for (const auto &[key, image] : trace_images) {
-        auto it = traces.find(key);
+        auto it = index.find({kCacheRecordTrace, key});
+        Merged *disk = it == index.end() ? nullptr : &merged[it->second];
         // The deeper walk prefix wins; at equal depth a complete
         // trace beats an incomplete one, and an identical trace is
         // left alone. A losing image must NOT enter our disk mirror
         // below — recording it as "what disk holds" would make later
         // seedTrace() calls hand out less warmth than disk has.
         bool ours_deeper =
-            it == traces.end() ||
-            image.steps.size() > it->second.steps ||
-            (image.steps.size() == it->second.steps && image.complete &&
-             !it->second.complete);
+            !disk || image.steps.size() > disk->steps ||
+            (image.steps.size() == disk->steps && image.complete &&
+             !disk->complete);
         if (!ours_deeper)
             continue;
         util::ByteWriter out;
         encodeTracePayload(out, image);
         fresh.push_back(out.bytes());
-        DiskRecord disk;
-        disk.payload = fresh.back();
-        disk.steps = image.steps.size();
-        disk.complete = image.complete;
-        if (it != traces.end()) {
+        Merged record;
+        record.record = {kCacheRecordTrace, key, fresh.back(), 0,
+                         static_cast<uint32_t>(new_gen)};
+        record.steps = image.steps.size();
+        record.complete = image.complete;
+        if (disk) {
             // A deeper prefix of the same walk keeps the record's
             // hit history — it is the same logical entry.
-            disk.hits = it->second.hits;
-            disk.lastGen = it->second.lastGen;
+            record.record.hits = disk->record.hits;
+            record.record.lastGen = disk->record.lastGen;
+            *disk = record;
         } else {
-            disk.lastGen = static_cast<uint32_t>(new_gen);
+            add(record);
         }
-        traces[key] = disk;
         written_traces.push_back(&key);
         rewrite = true;
     }
@@ -402,13 +601,14 @@ FrontierCache::flush()
         current->takeHits([&](uint32_t slot, uint32_t delta,
                               const FrontierCacheSegment::Entry &entry) {
             folded.emplace_back(slot, delta);
-            auto &records = entry.kind == kCacheRecordRow ? rows : traces;
-            auto it = records.find(entry.key);
-            if (it == records.end())
+            auto it = index.find({entry.kind, entry.key});
+            if (it == index.end())
                 return;
-            uint32_t &hits = it->second.hits;
-            hits = delta > UINT32_MAX - hits ? UINT32_MAX : hits + delta;
-            it->second.lastGen = static_cast<uint32_t>(new_gen);
+            SegmentRecord &record = merged[it->second].record;
+            record.hits = delta > UINT32_MAX - record.hits
+                              ? UINT32_MAX
+                              : record.hits + delta;
+            record.lastGen = static_cast<uint32_t>(new_gen);
         });
 
         if (maxBytes_ > 0) {
@@ -418,63 +618,46 @@ FrontierCache::flush()
             // fewest casualties) until the image fits. Fresh and
             // just-hit records carry new_gen, so they are the last
             // candidates.
-            size_t records = rows.size() + traces.size();
+            size_t records = merged.size();
             size_t key_words = 0;
             size_t payload_bytes = 0;
-            for (const auto *map : {&rows, &traces}) {
-                for (const auto &[key, disk] : *map) {
-                    key_words += key.size();
-                    payload_bytes += disk.payload.size();
-                }
+            for (const Merged &m : merged) {
+                key_words += m.record.key.size();
+                payload_bytes += m.record.payload.size();
             }
             auto imageBytes = [&] {
                 return FrontierCacheSegment::imageBytes(
                     records, key_words, payload_bytes);
             };
             if (imageBytes() > maxBytes_) {
-                struct Victim
-                {
-                    uint32_t lastGen;
-                    uint32_t hits;
-                    size_t payload;
-                    uint8_t kind;
-                    const std::vector<int64_t> *key;
-
-                    size_t bytes() const
-                    {
-                        return 8 * key->size() + payload;
-                    }
+                auto bytes = [](const SegmentRecord &r) {
+                    return 8 * r.key.size() + r.payload.size();
                 };
-                std::vector<Victim> victims;
+                std::vector<Merged *> victims;
                 victims.reserve(records);
-                for (const auto &[key, disk] : rows)
-                    victims.push_back({disk.lastGen, disk.hits,
-                                       disk.payload.size(),
-                                       kCacheRecordRow, &key});
-                for (const auto &[key, disk] : traces)
-                    victims.push_back({disk.lastGen, disk.hits,
-                                       disk.payload.size(),
-                                       kCacheRecordTrace, &key});
+                for (Merged &m : merged)
+                    victims.push_back(&m);
                 std::sort(victims.begin(), victims.end(),
-                          [](const Victim &a, const Victim &b) {
-                              if (a.lastGen != b.lastGen)
-                                  return a.lastGen < b.lastGen;
-                              if (a.hits != b.hits)
-                                  return a.hits < b.hits;
-                              if (a.bytes() != b.bytes())
-                                  return a.bytes() > b.bytes();
-                              return *a.key < *b.key;  // determinism
+                          [&](const Merged *a, const Merged *b) {
+                              const SegmentRecord &x = a->record;
+                              const SegmentRecord &y = b->record;
+                              if (x.lastGen != y.lastGen)
+                                  return x.lastGen < y.lastGen;
+                              if (x.hits != y.hits)
+                                  return x.hits < y.hits;
+                              if (bytes(x) != bytes(y))
+                                  return bytes(x) > bytes(y);
+                              return std::lexicographical_compare(
+                                  x.key.begin(), x.key.end(),
+                                  y.key.begin(), y.key.end());
                           });
-                for (const Victim &victim : victims) {
+                for (Merged *victim : victims) {
                     if (imageBytes() <= maxBytes_)
                         break;
                     --records;
-                    key_words -= victim.key->size();
-                    payload_bytes -= victim.payload;
-                    if (victim.kind == kCacheRecordRow)
-                        rows.erase(*victim.key);
-                    else
-                        traces.erase(*victim.key);
+                    key_words -= victim->record.key.size();
+                    payload_bytes -= victim->record.payload.size();
+                    victim->evicted = true;
                     ++evicted;
                 }
                 util::inform("frontier cache: byte budget evicted "
@@ -486,14 +669,11 @@ FrontierCache::flush()
 
     // Absorb everything this flush made persistent — whether we wrote
     // it or found a concurrent CLI already had — so the next flush
-    // only considers genuinely new state (and stats stop reporting it
-    // as pending).
+    // only considers genuinely new state.
     auto absorb = [&](bool wrote,
                       FrontierCacheSegment published =
                           FrontierCacheSegment()) {
         std::lock_guard<std::mutex> lock_state(mutex_);
-        for (const auto &entry : pending_rows)
-            pendingRows_.erase(entry.first);
         for (const std::vector<int64_t> *key : written_traces)
             mmapTraces_[*key] = std::move(trace_images[*key]);
         if (!wrote)
@@ -516,32 +696,43 @@ FrontierCache::flush()
 
     if (!rewrite) {
         // Disk already holds at least everything we know (every
-        // pending row matched a published record, every trace lost to
+        // logged row matched a published record, every trace lost to
         // a deeper published prefix).
         absorb(false);
         return true;
     }
 
     std::vector<SegmentRecord> records;
-    records.reserve(rows.size() + traces.size());
-    for (const auto &[key, disk] : rows)
-        records.push_back({kCacheRecordRow, &key, disk.payload,
-                           disk.hits, disk.lastGen});
-    for (const auto &[key, disk] : traces)
-        records.push_back({kCacheRecordTrace, &key, disk.payload,
-                           disk.hits, disk.lastGen});
+    records.reserve(merged.size());
+    for (const Merged &m : merged)
+        if (!m.evicted)
+            records.push_back(m.record);
     // The image is a temporary, freed before the new mapping is
     // validated below: the flush never holds two copies of it.
-    if (!util::publishFileAtomic(
-            segmentPath_,
-            FrontierCacheSegment::build(fingerprint_, new_gen, records))) {
+    bool published = util::publishFileAtomic(
+        segmentPath_,
+        FrontierCacheSegment::build(fingerprint_, new_gen, records));
+    // Free the merge before mapping the new image (assigning {} would
+    // keep the capacity).
+    records = decltype(records)();
+    index = decltype(index)();
+    merged = decltype(merged)();
+    base_keys = decltype(base_keys)();
+    fresh = decltype(fresh)();
+    base = FrontierCacheSegment();
+    if (!published) {
         util::warn("frontier cache: publishing %s failed; previous "
                    "image kept", segmentPath_.c_str());
-        // The folded counts never reached disk: they stay counted.
+        // The folded counts and the logged rows never reached disk:
+        // the counts stay counted, and the log goes back in front of
+        // any rows noted since.
         for (const auto &[slot, delta] : folded)
             current->addHits(slot, delta);
+        std::lock_guard<std::mutex> lock_state(mutex_);
+        log_.prepend(std::move(log));
         return false;
     }
+    log = PendingLog();
     // Nothing reads a record file an older binary left beside the
     // segment; the first publish removes it.
     std::error_code ec;
@@ -555,7 +746,7 @@ FrontierCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     Stats stats;
-    stats.rowsPending = pendingRows_.size();
+    stats.rowsPending = log_.records();
     stats.tracesNoted = notedTraces_.size();
     stats.flushes = flushes_;
     stats.loadedClean = loadedClean_;

@@ -28,8 +28,9 @@
  * decode lazily, straight out of the mapping, and processes mapping
  * one directory share one page-cache copy. The ladder a lookup climbs
  * is process (the FrontierRowStore's map) -> mmap (this directory's
- * segment) -> cold: a non-null loadRow() or a true seedTrace() is an
- * mmap hit. loadRow() pins the current image under the cache mutex
+ * segment, or the pending log for a row noted since the last flush)
+ * -> cold: a non-null loadRow() or a true seedTrace() is an mmap
+ * hit. loadRow() pins the current image under the cache mutex
  * and then finds and decodes with no lock held, so warm rows decode
  * in parallel and a concurrent flush's swap never unmaps bytes a
  * decode is reading. Each shard of a sharded front owns one
@@ -54,6 +55,11 @@
  * *now* (concurrent CLIs interleave safely under a per-directory
  * advisory lock; the merged image is staged in a temp file and
  * renamed atomically, so a crash never leaves a half-written cache).
+ * A noted row waits only as the record the flush will write — its key
+ * words and encoded payload, appended to one chunked log that holds
+ * each key once — never as a decoded row, so the row store frees rows
+ * under a cache exactly as it does without one, and a released row
+ * needed again before the flush decodes from its log record.
  * SessionRegistry flushes on destruction, which covers mclp-opt and
  * mclp-serve shutdown alike. Hits are counted in one atomic counter
  * per slot of the mapped image, never by copying a key. A flush with
@@ -79,7 +85,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -117,7 +125,8 @@ class FrontierCache
   public:
     struct Stats
     {
-        size_t rowsPending = 0;    ///< fresh rows awaiting flush
+        /** Row records noted since the last flush, one per key. */
+        size_t rowsPending = 0;
         size_t tracesNoted = 0;    ///< live traces tracked for flush
         size_t flushes = 0;        ///< successful flush() commits
         /** Segment was absent, valid, or stale (another version or
@@ -128,9 +137,11 @@ class FrontierCache
         bool segmentMapped = false;   ///< serving from the mmap tier
         size_t segmentEntries = 0;    ///< records in the mapped image
         size_t segmentBytes = 0;      ///< bytes of the mapped image
-        /** Rows decoded from mmap. Two threads racing to decode one
-         * row both count here (and in the slot's hit counter); only
-         * the row store's winning insert counts as its mmapHits. */
+        /** Rows decoded from the mapped image (rows decoded from
+         * the pending log are not counted). Two threads racing to
+         * decode one row both count here (and in the slot's hit
+         * counter); only the row store's winning insert counts as its
+         * mmapHits. */
         size_t segmentRowHits = 0;
         size_t segmentTraceHits = 0;  ///< trace hits decoded from mmap
         size_t evictedLastFlush = 0;  ///< records the budget dropped
@@ -154,18 +165,30 @@ class FrontierCache
     const std::string &dir() const { return dir_; }
 
     /**
-     * The persisted staircase for a FrontierRowStore key, decoded
-     * from the segment, or null. Takes the cache mutex only to pin
-     * the current image: the find and the decode run unlocked, so
-     * callers may decode concurrently. The cache keeps no copy: the
-     * row store keeps the rows it loads.
+     * The staircase noted or persisted under a FrontierRowStore key,
+     * decoded from its pending log record or from the mapped image, or
+     * null. Takes the cache mutex once, to pin the current image and
+     * copy out a pending payload: the find and the decode run unlocked,
+     * so callers may decode concurrently. Only a key whose stored
+     * payload fails to decode consults the undecodable-row memo (see
+     * noteRow()).
      */
     std::shared_ptr<const ShapeFrontier>
     loadRow(const std::vector<int64_t> &key);
 
-    /** Record a freshly built staircase for the next flush(). */
+    /**
+     * Record a freshly built staircase for the next flush(). The row
+     * is encoded and its key hashed outside every lock; under the
+     * cache mutex its record is only appended to the pending log, so
+     * the cache keeps no reference to @p row. A key the log or the
+     * mapped image already holds is not logged again; if the image's
+     * bytes differ from @p row's encoding (a payload loadRow() could
+     * not decode), a copy of @p row joins the undecodable-row memo
+     * instead, so eviction cannot cost the row a rebuild on every
+     * touch.
+     */
     void noteRow(const std::vector<int64_t> &key,
-                 std::shared_ptr<const ShapeFrontier> row);
+                 const std::shared_ptr<const ShapeFrontier> &row);
 
     /**
      * Seed a just-created PartitionTrace from disk. @p trace must not
@@ -187,24 +210,25 @@ class FrontierCache
         std::shared_ptr<TradeoffCurveCache::PartitionTrace> trace);
 
     /**
-     * Write-back: merge pending rows and grown traces with the
+     * Write-back: merge the pending log and grown traces with the
      * *currently published* segment under the advisory lock (a
      * concurrent CLI may have flushed since we opened), fold this
      * process's hit counts into the image's counters, evict past the
-     * byte budget, and publish the new image atomically. No-op
-     * (returning true) when nothing but hit counters changed —
-     * counter updates ride the next real rewrite. False on I/O
-     * failure — the previous image survives, and so do the counts.
+     * byte budget, and publish the new image atomically. The flush
+     * takes the whole log once it holds the file lock (rows noted
+     * meanwhile start a new one) and splices its payload bytes into
+     * the image without re-encoding; a key the published image
+     * already holds keeps its record. No-op (returning true) when
+     * nothing but hit counters changed — counter updates ride the
+     * next real rewrite. False on I/O failure — the previous image
+     * survives, and so do the counts and the log, put back in front
+     * of any rows noted since.
      */
     bool flush();
 
     Stats stats() const;
 
   private:
-    using RowMap =
-        std::unordered_map<std::vector<int64_t>,
-                           std::shared_ptr<const ShapeFrontier>,
-                           util::Int64VectorHash>;
     using TraceMap = std::unordered_map<std::vector<int64_t>,
                                         FrontierTraceImage,
                                         util::Int64VectorHash>;
@@ -248,6 +272,63 @@ class FrontierCache
         std::unique_ptr<uint32_t[], Free> hits;
     };
 
+    /**
+     * Rows noted since the last flush, held as the records the flush
+     * writes, at most one per key: one word [key word count << 32 |
+     * payload length], the key words, then the payload padded to a
+     * whole word. Records fill 1 MiB chunks in note order and never
+     * move, so an open-addressed index of (key hash, record) slots
+     * finds a key by comparing its words in place, copying none. A
+     * flush takes the whole log, index included.
+     */
+    class PendingLog
+    {
+      public:
+        /** The payload logged under @p key, whose hashInt64Words() is
+         * @p hash, or an empty view. */
+        std::string_view find(std::span<const int64_t> key,
+                              size_t hash) const;
+
+        /** Log @p payload under @p key (hash @p hash) unless a record
+         * of that key is already logged. */
+        void append(std::span<const int64_t> key, size_t hash,
+                    std::string_view payload);
+
+        /** Put @p older's records in front of this log's, dropping
+         * this log's record of any key @p older holds. */
+        void prepend(PendingLog older);
+
+        size_t records() const { return records_; }
+        bool empty() const { return records_ == 0; }
+
+        /** Visit every record in note order as (key words, payload). */
+        template <class Fn>
+        void forEach(Fn &&fn) const;
+
+      private:
+        struct Chunk
+        {
+            std::unique_ptr<uint64_t[]> words;
+            size_t capacity = 0;  ///< words
+            size_t used = 0;      ///< words
+        };
+
+        struct Slot
+        {
+            size_t hash = 0;
+            const uint64_t *record = nullptr;  ///< null: empty slot
+        };
+
+        /** Index of the slot holding @p key's record, or of the empty
+         * slot where it would go. The index is not empty. */
+        size_t probe(std::span<const int64_t> key, size_t hash) const;
+
+        std::vector<Chunk> chunks_;
+        /** Power-of-two table at most half full, probed linearly. */
+        std::vector<Slot> index_;
+        size_t records_ = 0;
+    };
+
     /** The current image, pinned under mutex_. */
     std::shared_ptr<Image> pinImage() const;
 
@@ -263,7 +344,13 @@ class FrontierCache
     /** Traces known to be persistent: decoded on demand from
      * image_, or published by this process's own flushes. */
     TraceMap mmapTraces_;
-    RowMap pendingRows_;   ///< built this process, not yet flushed
+    PendingLog log_;  ///< rows noted since the last flush
+    /** Rows whose key the image holds under a payload that failed to
+     * decode, kept from the cold build noteRow() saw: loadRow() serves
+     * them after a failed decode. */
+    std::unordered_map<std::vector<int64_t>, ShapeFrontier,
+                       util::Int64VectorHash>
+        undecodable_;
     /** Live traces to serialize at flush; deduped by key, first noted
      * wins (concurrent sessions converge on one trace per key in
      * their own caches anyway). */

@@ -250,7 +250,7 @@ FrontierCacheSegment::build(uint64_t fingerprint, uint64_t generation,
     size_t key_words = 0;
     size_t payload_bytes = 0;
     for (const SegmentRecord &record : records) {
-        key_words += record.key->size();
+        key_words += record.key.size();
         payload_bytes += record.payload.size();
     }
     uint32_t slot_count = slotCountFor(records.size());
@@ -267,7 +267,7 @@ FrontierCacheSegment::build(uint64_t fingerprint, uint64_t generation,
     uint32_t key_off = 0;
     uint32_t payload_off = 0;
     for (const SegmentRecord &record : records) {
-        const std::vector<int64_t> &key = *record.key;
+        std::span<const int64_t> key = record.key;
         uint64_t hash = slotHash(record.kind, key.data(), key.size());
         uint32_t s = static_cast<uint32_t>(hash) & mask;
         while (taken[s])

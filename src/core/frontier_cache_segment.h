@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -54,13 +55,14 @@ constexpr uint32_t kFrontierSegmentVersion = 2;
 /** Segment file name inside the cache directory. */
 constexpr const char *kFrontierSegmentFileName = "frontier_cache.seg";
 
-/** One record of a segment image under construction. The key is
- * borrowed (build() runs inside flush(), whose merge maps own the
- * keys); the payload is a delta encoding from core/frontier_codec.h. */
+/** One record of a segment image under construction. Key and payload
+ * are borrowed views (build() runs inside flush(), whose pending log,
+ * merge base and trace snapshots own the bytes); the payload is a
+ * delta encoding from core/frontier_codec.h. */
 struct SegmentRecord
 {
     uint8_t kind = 0;
-    const std::vector<int64_t> *key = nullptr;
+    std::span<const int64_t> key;
     std::string_view payload;
     uint32_t hits = 0;     ///< lookups answered from disk, all time
     uint32_t lastGen = 0;  ///< generation of the most recent hit

@@ -23,10 +23,26 @@ namespace {
  * keeps the format total, not fast). */
 constexpr uint8_t kRowFlagWideShapes = 1;
 
+/** Append @p value as a LEB128 varint at @p out; returns the end. */
+inline char *
+putVarint(char *out, uint64_t value)
+{
+    while (value >= 0x80) {
+        *out++ = static_cast<char>((value & 0x7f) | 0x80);
+        value >>= 7;
+    }
+    *out++ = static_cast<char>(value);
+    return out;
+}
+
+/** Bytes a varint of a value under 2^63 can take (a zig-zag delta of
+ * two positive int64 values, or a count). */
+constexpr size_t kMaxVarintBytes = 10;
+
 } // namespace
 
 void
-encodeRowPayload(util::ByteWriter &out, const ShapeFrontier &row)
+encodeRowPayload(std::string &out, const ShapeFrontier &row)
 {
     size_t count = row.size();
     const int32_t *tn = row.tnData();
@@ -38,31 +54,38 @@ encodeRowPayload(util::ByteWriter &out, const ShapeFrontier &row)
     for (size_t i = 0; i < count; ++i)
         wide = wide || tn[i] > 0xffff || tm[i] > 0xffff;
 
-    out.varint(count);
-    out.u8(wide ? kRowFlagWideShapes : 0);
-    if (wide) {
-        for (size_t i = 0; i < count; ++i)
-            out.varint(static_cast<uint64_t>(tn[i]));
-        for (size_t i = 0; i < count; ++i)
-            out.varint(static_cast<uint64_t>(tm[i]));
-    } else {
-        for (size_t i = 0; i < count; ++i)
-            out.u16(static_cast<uint16_t>(tn[i]));
-        for (size_t i = 0; i < count; ++i)
-            out.u16(static_cast<uint16_t>(tm[i]));
+    // Size for the worst case, write through a cursor, then trim: one
+    // resize each way instead of a capacity check per byte.
+    size_t start = out.size();
+    size_t shape_bytes = wide ? 5 : 2;  // a positive int32 varint, or a u16
+    out.resize(start + kMaxVarintBytes + 1 +
+               count * (2 * shape_bytes + 2 * kMaxVarintBytes));
+    char *p = out.data() + start;
+    p = putVarint(p, count);
+    *p++ = static_cast<char>(wide ? kRowFlagWideShapes : 0);
+    for (const int32_t *lane : {tn, tm}) {
+        if (wide) {
+            for (size_t i = 0; i < count; ++i)
+                p = putVarint(p, static_cast<uint64_t>(lane[i]));
+        } else {
+            for (size_t i = 0; i < count; ++i) {
+                *p++ = static_cast<char>(lane[i] & 0xff);
+                *p++ = static_cast<char>((lane[i] >> 8) & 0xff);
+            }
+        }
     }
     // Units-sorted order makes both i64 lanes staircases: DSP deltas
     // are small positive steps, cycle deltas small negative ones.
     // Zig-zag both so a (hypothetically) non-monotone lane still
     // round-trips — decode re-validates monotonicity either way.
-    for (size_t i = 0; i < count; ++i) {
-        int64_t prev = i == 0 ? 0 : dsp[i - 1];
-        out.varint(util::zigzagEncode(dsp[i] - prev));
+    for (const int64_t *lane : {dsp, cycles}) {
+        int64_t prev = 0;
+        for (size_t i = 0; i < count; ++i) {
+            p = putVarint(p, util::zigzagEncode(lane[i] - prev));
+            prev = lane[i];
+        }
     }
-    for (size_t i = 0; i < count; ++i) {
-        int64_t prev = i == 0 ? 0 : cycles[i - 1];
-        out.varint(util::zigzagEncode(cycles[i] - prev));
-    }
+    out.resize(static_cast<size_t>(p - out.data()));
 }
 
 std::optional<ShapeFrontier>

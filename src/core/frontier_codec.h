@@ -72,10 +72,13 @@ size_t traceKeyGroups(const std::vector<int64_t> &key);
 // ---------------------------------------------------- delta payloads
 
 /**
- * Encode @p row as the delta staircase payload. The payload carries
- * no key and no counters — the segment's slot holds those.
+ * Append @p row's delta staircase payload to @p out, leaving the bytes
+ * already there untouched. The payload carries no key and no counters
+ * — the segment's slot holds those. One pass through a write cursor:
+ * the cache encodes every freshly built row this way when it is noted,
+ * on the request path.
  */
-void encodeRowPayload(util::ByteWriter &out, const ShapeFrontier &row);
+void encodeRowPayload(std::string &out, const ShapeFrontier &row);
 
 /**
  * Decode a delta staircase payload; the payload must end exactly

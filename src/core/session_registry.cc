@@ -113,13 +113,8 @@ SessionRegistry::session(const nn::Network &network,
     if (!warm) {
         // Enforcing the byte budget only after the build would let a
         // burst of giant networks transiently blow it: evict up
-        // front until the estimated newcomer fits. Pre-eviction only
-        // helps when eviction can actually free what the newcomer
-        // will allocate — with a persistent cache attached, the row
-        // store keeps every built row (and excludes it from the byte
-        // measurement), so the reject check above is the protection
-        // there.
-        while (!cache_ && estimate > 0 &&
+        // front until the estimated newcomer fits.
+        while (estimate > 0 &&
                memoryBytesLocked() + estimate > maxBytes_ &&
                evictLruLocked(nullptr)) {
         }

@@ -90,10 +90,10 @@ class SessionRegistry
      * acquisitions carrying a budget hint — *before* a new session is
      * built (see session()). Each check reads the store's running
      * byte total and walks only the resident sessions, never the
-     * store's rows. The budget governs *evictable* state: with a
-     * persistent cache attached, no row is freed for the process
-     * lifetime (eviction could not free them), so row payloads are
-     * excluded from the measurement.
+     * store's rows. Rows count with or without a persistent cache:
+     * either way an evicted session's rows leave with its tables. A
+     * cache's pending write-back records do not count (only a flush
+     * frees them).
      * @param session_threads worker threads each session uses for
      * budget-ladder fan-out (1 = serial; thread count never changes
      * results).
@@ -124,10 +124,7 @@ class SessionRegistry
      * sessions until the estimated cost of the new session fits —
      * so a burst of giant networks can no longer transiently blow
      * the cap — and fatal()s (a user error, not a crash) when the
-     * estimate alone exceeds the whole budget. With a persistent
-     * cache attached the pre-eviction is skipped (the row store keeps
-     * every built row, so eviction could not make room);
-     * the reject check still guards total process residency.
+     * estimate alone exceeds the whole budget.
      */
     std::shared_ptr<DseSession> session(const nn::Network &network,
                                         const std::string &device,
@@ -185,7 +182,9 @@ class SessionRegistry
     /**
      * Guards the entries and counters. Lock order: registry mutex_ →
      * a session's own locks (its caches, its table rows) →
-     * FrontierRowStore → FrontierCache. A session's tables release
+     * FrontierRowStore, or FrontierCache (the store releases its
+     * shard mutex before calling into the cache, so the two never
+     * nest). A session's tables release
      * their rows to the store on whichever thread drops its last
      * reference: inside mutex_ when an eviction drops an unheld
      * session, outside it when a request drops the last handle of an

@@ -685,10 +685,10 @@ FrontierRowStore::shardOf(const std::vector<int64_t> &key)
 }
 
 size_t
-FrontierRowStore::rowBytesLocked(const RowMap::value_type &row) const
+FrontierRowStore::rowBytesLocked(const RowMap::value_type &row)
 {
     return row.first.capacity() * sizeof(int64_t) + 4 * sizeof(void *) +
-           (cache_ ? 0 : row.second->memoryBytes());
+           row.second->memoryBytes();
 }
 
 std::shared_ptr<const ShapeFrontier>
@@ -707,12 +707,13 @@ FrontierRowStore::lookup(const std::vector<int64_t> &key)
             return nullptr;
         }
     }
-    // Read through to the mmap'd segment outside the shard's mutex, so
-    // warm acquisitions decode in parallel. A loaded staircase is as
-    // good as a resident one (immutable, validated at decode): it
-    // joins the store and counts as a hit — no build happened. The
-    // first insert wins, as in insert(); only the winner counts as an
-    // mmap hit, so cache-stats splits the ladder by resident rows.
+    // Read through to the cache (its pending log, then its mmap'd
+    // segment) outside the shard's mutex, so warm acquisitions decode
+    // in parallel. A loaded staircase is as good as a resident one
+    // (immutable, validated at decode): it joins the store and counts
+    // as a hit — no build happened. The first insert wins, as in
+    // insert(); only the winner counts as an mmap hit, so cache-stats
+    // splits the ladder by resident rows.
     std::shared_ptr<const ShapeFrontier> row = cache_->loadRow(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     if (!row) {
@@ -734,30 +735,34 @@ FrontierRowStore::insert(const std::vector<int64_t> &key,
 {
     auto row = std::make_shared<const ShapeFrontier>(std::move(frontier));
     Shard &shard = shardOf(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    // The first insert wins, so racing builders (which produced
-    // bit-identical frontiers anyway) converge on one shared row.
-    auto [it, inserted] = shard.rows.emplace(key, std::move(row));
-    if (inserted) {
+    {
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        // The first insert wins, so racing builders (which produced
+        // bit-identical frontiers anyway) converge on one shared row.
+        auto [it, inserted] = shard.rows.try_emplace(key, std::move(row));
+        if (!inserted)
+            return it->second;
         shard.bytes += rowBytesLocked(*it);
-        if (cache_)
-            cache_->noteRow(key, it->second);  // write-back at flush
+        row = it->second;
     }
-    return it->second;
+    // Write-back at flush. The cache encodes the row and appends its
+    // record with the shard's mutex released: the store never holds
+    // one of its locks while it calls into the cache.
+    if (cache_)
+        cache_->noteRow(key, row);
+    return row;
 }
 
 void
-FrontierRowStore::release(const std::vector<std::vector<int64_t>> &keys)
+FrontierRowStore::release(const std::vector<int64_t> &key)
 {
-    for (const std::vector<int64_t> &key : keys) {
-        Shard &shard = shardOf(key);
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        auto it = shard.rows.find(key);
-        if (it == shard.rows.end() || it->second.use_count() != 1)
-            continue;
-        shard.bytes -= rowBytesLocked(*it);
-        shard.rows.erase(it);
-    }
+    Shard &shard = shardOf(key);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    auto it = shard.rows.find(key);
+    if (it == shard.rows.end() || it->second.use_count() != 1)
+        return;
+    shard.bytes -= rowBytesLocked(*it);
+    shard.rows.erase(it);
 }
 
 FrontierRowStore::Stats
@@ -833,34 +838,45 @@ FrontierTable::rangeKey(size_t i, size_t j, int64_t units_cap) const
     key.reserve(2 + 4 * (j - i + 1));
     key.push_back(static_cast<int64_t>(type_));
     key.push_back(units_cap);
-    for (size_t p = i; p <= j; ++p) {
-        const nn::ConvLayer &layer = network_.layer(order_[p]);
-        key.push_back(layer.n);
-        key.push_back(layer.m);
-        key.push_back(layer.r * layer.c * layer.k * layer.k);
-        key.push_back(layer.g);
-    }
+    for (size_t p = i; p <= j; ++p)
+        appendLayerKey(key, p);
     return key;
+}
+
+void
+FrontierTable::appendLayerKey(std::vector<int64_t> &key, size_t p) const
+{
+    const nn::ConvLayer &layer = network_.layer(order_[p]);
+    key.push_back(layer.n);
+    key.push_back(layer.m);
+    key.push_back(layer.r * layer.c * layer.k * layer.k);
+    key.push_back(layer.g);
 }
 
 void
 FrontierTable::releaseRowLocked(size_t i)
 {
-    // Private rows die with the table, and with a cache no row is
-    // ever freed.
+    // Private rows die with the table.
     Row &row = rows_[i];
-    if (!store_ || store_->cacheAttached() || row.frontiers.empty())
+    if (!store_ || row.frontiers.empty())
         return;
-    // Slot s holds [i..i+s] on a contiguous row, else the full suffix
-    // (see extendRowLocked()), stored at the row's current cap.
-    bool contiguous = usable(i, i);
-    std::vector<std::vector<int64_t>> keys;
-    keys.reserve(row.frontiers.size());
-    for (size_t s = 0; s < row.frontiers.size(); ++s)
-        keys.push_back(rangeKey(i, contiguous ? i + s : order_.size() - 1,
-                                row.builtUnits));
+    size_t slots = row.frontiers.size();
     row.frontiers.clear();  // the store frees only rows it holds alone
-    store_->release(keys);
+    // Slot s holds [i..i+s] on a contiguous row, else the full suffix
+    // (see extendRowLocked()), stored at the row's current cap. The
+    // contiguous keys are prefixes of one another, so one key grows by
+    // a layer per slot.
+    if (!usable(i, i)) {
+        store_->release(rangeKey(i, order_.size() - 1, row.builtUnits));
+        return;
+    }
+    std::vector<int64_t> key = rangeKey(i, i, row.builtUnits);
+    key.reserve(2 + 4 * slots);
+    for (size_t s = 0; s < slots; ++s) {
+        if (s > 0)
+            appendLayerKey(key, i + s);
+        store_->release(key);
+    }
 }
 
 void
@@ -891,6 +907,10 @@ FrontierTable::extendRowLocked(size_t i, int64_t dsp_budget,
     if (row.exhausted)
         return;
     size_t count = order_.size();
+    // The store key of the range being extended: built once, then
+    // grown by a layer per iteration (j advances one at a time), and
+    // shared by a miss's lookup and insert.
+    std::vector<int64_t> key;
     while (true) {
         if (!row.frontiers.empty() &&
             row.frontiers.back()->minCycles(dsp_budget) > cycle_target)
@@ -906,8 +926,13 @@ FrontierTable::extendRowLocked(size_t i, int64_t dsp_budget,
         // store already has this range (then the grid work waits until
         // a miss actually needs it).
         std::shared_ptr<const ShapeFrontier> frontier;
-        if (store_)
-            frontier = store_->lookup(rangeKey(i, j, row.builtUnits));
+        if (store_) {
+            if (key.empty())
+                key = rangeKey(i, j, row.builtUnits);
+            else
+                appendLayerKey(key, j);
+            frontier = store_->lookup(key);
+        }
         if (!frontier) {
             for (size_t p = i + row.builderLayers; p <= j; ++p)
                 row.builder.addLayer(network_.layer(order_[p]),
@@ -915,9 +940,7 @@ FrontierTable::extendRowLocked(size_t i, int64_t dsp_budget,
             row.builderLayers = j - i + 1;
             ShapeFrontier built =
                 row.builder.build(type_, row.builtUnits);
-            frontier = store_ ? store_->insert(
-                                    rangeKey(i, j, row.builtUnits),
-                                    std::move(built))
+            frontier = store_ ? store_->insert(key, std::move(built))
                               : std::make_shared<const ShapeFrontier>(
                                     std::move(built));
         }

@@ -470,10 +470,10 @@ class ShapeFrontier::Builder
  * it rebuilds a row at a larger units cap, and the store drops each
  * row it then holds alone. A row therefore goes when the last table
  * using it does, and dropping a session costs only the rows that
- * session held. With a persistent cache attached no row is ever
- * freed: tables skip the release, so the store keeps every row it
- * loaded or built, and the cache pins only its pending write-backs,
- * until a flush.
+ * session held. A persistent cache changes nothing here: it keeps no
+ * decoded row, only the encoded record of each row noted since its
+ * last flush, so a released row that is needed again decodes from
+ * that record before the flush and from the mapped image after it.
  */
 class FrontierCache;
 
@@ -489,8 +489,10 @@ class FrontierRowStore
          * Kept because the serving benchmark (perfbench/trace.cc)
          * still reads it and must keep compiling unchanged. */
         size_t diskHits = 0;
-        /** Rows the mmap'd segment supplied: decodes that won the
-         * insert (a decode that lost a race counts only in hits). */
+        /** Rows the cache supplied, decoded from the mmap'd segment
+         * or from the pending log of a row noted since the last
+         * flush: decodes that won the insert (a decode that lost a
+         * race counts only in hits). */
         size_t mmapHits = 0;
     };
 
@@ -498,15 +500,9 @@ class FrontierRowStore
      * @param cache optional persistent cache, fixed for the store's
      * life: lookup() falls through to it on a miss (a cache hit counts
      * as a hit and avoids the build), and insert() notes fresh rows
-     * for write-back. The store never flushes — its owner does. With
-     * a cache no row is ever freed, so memoryBytes() then reports
-     * only evictable overhead (see its definition).
+     * for write-back. The store never flushes — its owner does.
      */
     explicit FrontierRowStore(std::shared_ptr<FrontierCache> cache = nullptr);
-
-    /** True when a persistent cache is attached. Then no row is ever
-     * freed, so tables skip release(). */
-    bool cacheAttached() const { return cache_ != nullptr; }
 
     /**
      * The stored frontier for @p key, or nullptr (counts hit/miss).
@@ -520,29 +516,29 @@ class FrontierRowStore
     /**
      * Add a freshly built frontier; returns the canonical entry (the
      * first insert wins, so concurrent builders converge on one row).
+     * A winning insert notes the row with the cache after releasing
+     * the shard's mutex.
      */
     std::shared_ptr<const ShapeFrontier>
     insert(const std::vector<int64_t> &key, ShapeFrontier frontier);
 
     /**
-     * Hand back rows a table has dropped its references to: each key
-     * whose row the store now holds alone (use count 1) is erased.
-     * Keys already gone, or rows another table still holds, are left
-     * — the last holder's release frees them.
+     * Hand back a row a table has dropped its reference to: the row
+     * under @p key is erased when the store now holds it alone (use
+     * count 1). A key already gone, or a row another table still
+     * holds, is left — the last holder's release frees it.
      */
-    void release(const std::vector<std::vector<int64_t>> &keys);
+    void release(const std::vector<int64_t> &key);
 
     Stats stats() const;
 
     /**
      * Rough resident bytes of the stored rows, kept as a running
-     * total. Per row: the key and four pointers of map overhead, plus
-     * the staircase itself only when no cache is attached — with one,
-     * no row is ever freed (see the class comment), so eviction could
-     * not free it; counting kept rows against the SessionRegistry's
-     * byte budget would make the cap unreachable and turn the
-     * eviction loop into pure session thrash. The kept rows are the
-     * price of --cache-dir, not evictable registry state.
+     * total. Per row: the key, four pointers of map overhead, and the
+     * staircase, with or without a cache — every row is released with
+     * its last table, so the SessionRegistry's byte budget bounds the
+     * rows. A cache's pending records are not counted: only a flush
+     * frees them, so evicting sessions for them could not help.
      */
     size_t memoryBytes() const;
 
@@ -569,7 +565,7 @@ class FrontierRowStore
 
     /** What @p row adds to memoryBytes(). Caller holds its shard's
      * mutex. */
-    size_t rowBytesLocked(const RowMap::value_type &row) const;
+    static size_t rowBytesLocked(const RowMap::value_type &row);
 
     const std::shared_ptr<FrontierCache> cache_;  ///< optional disk layer
     std::array<Shard, kShards> shards_;
@@ -681,12 +677,15 @@ class FrontierTable
     std::vector<int64_t> rangeKey(size_t i, size_t j,
                                   int64_t units_cap) const;
 
+    /** Append order_[p]'s four key lanes to @p key. */
+    void appendLayerKey(std::vector<int64_t> &key, size_t p) const;
+
     /**
      * Drop row @p i's frontiers and hand them back to the store under
      * the keys they were stored with (recomputed slot by slot at the
      * row's builtUnits), so it frees each one this table held last.
-     * No-op without a store or with a cache attached. Caller holds
-     * rowLocks_[i] (or owns the table alone).
+     * No-op without a store. Caller holds rowLocks_[i] (or owns the
+     * table alone).
      */
     void releaseRowLocked(size_t i);
 

@@ -32,6 +32,7 @@
 #include "service/dse_codec.h"
 #include "service/dse_service.h"
 #include "test_helpers.h"
+#include "util/logging.h"
 #include "util/math.h"
 #include "util/record_file.h"
 #include "util/shm.h"
@@ -285,7 +286,7 @@ std::string
 v1SegmentImage(uint64_t fingerprint, const std::vector<int64_t> &key,
                const core::ShapeFrontier &row)
 {
-    util::ByteWriter payload;
+    std::string payload;
     core::encodeRowPayload(payload, row);
     constexpr uint32_t kSlots = 8;
     uint64_t hash = segmentSlotHash(core::kCacheRecordRow, key);
@@ -298,11 +299,10 @@ v1SegmentImage(uint64_t fingerprint, const std::vector<int64_t> &key,
                             static_cast<uint32_t>(key.size())
                       : 0);
         body.u32(0);  // payload offset
-        body.u32(live ? static_cast<uint32_t>(payload.bytes().size())
-                      : 0);
+        body.u32(live ? static_cast<uint32_t>(payload.size()) : 0);
     }
     body.i64Words(key.data(), key.size());
-    std::string tail = body.bytes() + payload.bytes();
+    std::string tail = body.bytes() + payload;
     util::ByteWriter header;
     header.u64(core::kFrontierSegmentMagic);
     header.u32(1);  // layout version 1
@@ -348,11 +348,11 @@ TEST(FrontierCache, WrongVersionOrFingerprintIsIgnoredWholesale)
         } else if (variant == 1) {
             // A complete, valid image from a binary with different
             // model formulas.
-            util::ByteWriter payload;
+            std::string payload;
             core::encodeRowPayload(payload, *makeRow(1));
             image = core::FrontierCacheSegment::build(
                 fingerprint ^ 1, 3,
-                {{core::kCacheRecordRow, &key, payload.bytes(), 0, 0}});
+                {{core::kCacheRecordRow, key, payload, 0, 0}});
         } else if (variant == 2) {
             // The version-1 layout (no counters in the slots).
             image = v1SegmentImage(fingerprint, key, *makeRow(2));
@@ -484,13 +484,12 @@ TEST(FrontierCache, StaircaseValidationRejectsCorruptRows)
     EXPECT_TRUE(core::ShapeFrontier::fromPoints(good).has_value());
 }
 
-TEST(FrontierCache, PinnedRowsAreExcludedFromEvictableBytes)
+TEST(FrontierCache, CachedStoreCountsRowsLikeAnUncachedOne)
 {
-    // With a cache attached every row is pinned by the cache's mirror
-    // (disk-loaded or pending write-back), so eviction cannot free
-    // it; the byte budget must therefore not count row payloads, or a
-    // --max-bytes-mb server with --cache-dir would thrash sessions
-    // forever against a floor it can never get under.
+    // A cache keeps no decoded row, so the row store holds and counts
+    // exactly what it would without one: the same request leaves the
+    // same resident bytes, staircases included, and --max-bytes-mb
+    // bounds a cached server's rows.
     ScratchDir scratch;
     std::string line = "dse id=p net=alexnet device=690t budgets=1500";
 
@@ -503,11 +502,9 @@ TEST(FrontierCache, PinnedRowsAreExcludedFromEvictableBytes)
     auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
     core::SessionRegistry registry(4, 0, 1, cache);
     service::answerRequest(service::decodeRequest(line), &registry);
-    core::FrontierRowStore::Stats stats =
-        registry.rowStore()->stats();
-    EXPECT_GT(stats.rows, 0u);
-    EXPECT_LT(registry.rowStore()->memoryBytes(), uncached_bytes)
-        << "pinned staircase payloads must not count as evictable";
+    EXPECT_GT(registry.rowStore()->stats().rows, 0u);
+    EXPECT_GT(cache->stats().rowsPending, 0u);
+    EXPECT_EQ(registry.rowStore()->memoryBytes(), uncached_bytes);
 }
 
 TEST(FrontierCache, FingerprintIsStableWithinAProcess)
@@ -636,8 +633,9 @@ TEST(FrontierCache, LegacyV3FileUpgradesToV4OnFirstFlush)
         record.i64Words(v3_row_key.data(), v3_row_key.size());
         record.u32(12);  // hits
         record.u32(7);   // lastGen
-        core::encodeRowPayload(record, *row);
-        writeLeftoverRecordFile(scratch, record.bytes());
+        std::string payload;
+        core::encodeRowPayload(payload, *row);
+        writeLeftoverRecordFile(scratch, record.bytes() + payload);
     }
     ASSERT_TRUE(util::publishFileAtomic(
         scratch.segmentFile(),
@@ -1261,6 +1259,186 @@ TEST(FrontierCache, UndecodableRowSurvivesEviction)
         EXPECT_NE(store->lookup(key), nullptr);
         EXPECT_EQ(answer(line), cold);
         EXPECT_EQ(store->stats().misses, misses);
+    }
+}
+
+TEST(FrontierCache, FailedPublishKeepsThePendingLog)
+{
+    // A directory where the publish stages its temp file makes
+    // publishFileAtomic fail (as root too, unlike a chmod). The flush
+    // reports it, keeps every pending record, and answers stay cold
+    // bytes; once the obstruction is gone the next flush publishes
+    // every row, the ones noted after the failure included.
+    ScratchDir scratch;
+    const std::string line = "dse id=p net=alexnet device=690t budgets=1500";
+    const std::string other =
+        "dse id=o net=squeezenet device=690t budgets=1500";
+    const std::string cold = coldResponse(line);
+    const std::string other_cold = coldResponse(other);
+    const fs::path obstruction =
+        scratch.path / (std::string(core::kFrontierSegmentFileName) + ".tmp");
+
+    auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
+    {
+        core::SessionRegistry registry(1, 0, 1, cache);
+        auto answer = [&](const std::string &request) {
+            return service::encodeResponse(service::answerRequest(
+                service::decodeRequest(request), &registry));
+        };
+        EXPECT_EQ(answer(line), cold);
+        size_t pending = cache->stats().rowsPending;
+        ASSERT_GT(pending, 0u);
+
+        ASSERT_TRUE(fs::create_directory(obstruction));
+        EXPECT_FALSE(cache->flush());
+        EXPECT_EQ(cache->stats().rowsPending, pending);
+        EXPECT_EQ(cache->stats().flushes, 0u);
+        EXPECT_FALSE(fs::exists(scratch.segmentFile()));
+
+        // The other network's rows join the log the failed flush put
+        // back; re-answering the first network after its eviction
+        // decodes every row from that log, building and noting none.
+        EXPECT_EQ(answer(other), other_cold);
+        size_t both = cache->stats().rowsPending;
+        EXPECT_GT(both, pending);
+        size_t misses = registry.rowStore()->stats().misses;
+        EXPECT_EQ(answer(line), cold);
+        EXPECT_EQ(registry.rowStore()->stats().misses, misses);
+        EXPECT_EQ(cache->stats().rowsPending, both);
+
+        fs::remove(obstruction);
+        EXPECT_TRUE(cache->flush());
+        EXPECT_EQ(cache->stats().rowsPending, 0u);
+        EXPECT_EQ(cache->stats().flushes, 1u);
+    }
+    EXPECT_EQ(scratch.entries(), kPublishedFiles);
+
+    for (const auto &[request, want] :
+         {std::pair{line, cold}, std::pair{other, other_cold}}) {
+        auto fresh = std::make_shared<core::FrontierCache>(scratch.dir());
+        core::SessionRegistry registry(4, 0, 1, fresh);
+        EXPECT_EQ(service::encodeResponse(service::answerRequest(
+                      service::decodeRequest(request), &registry)),
+                  want);
+        EXPECT_EQ(registry.rowStore()->stats().misses, 0u)
+            << request << ": every row must decode (tier_cold == 0)";
+        EXPECT_GT(registry.rowStore()->stats().mmapHits, 0u);
+    }
+}
+
+TEST(FrontierCache, PendingLogHoldsEachKeyOnceAndServesIt)
+{
+    // A row noted twice is logged once, and until a flush loadRow()
+    // decodes each noted row from its log record, not from the image.
+    // Enough keys to grow the log's index several times over.
+    ScratchDir scratch;
+    constexpr int kKeys = 300;
+    auto keyOf = [](int k) {
+        return std::vector<int64_t>{2, 100 + k, 3, 64, 121, 1, k % 7};
+    };
+    auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
+    for (int pass = 0; pass < 2; ++pass)
+        for (int k = 0; k < kKeys; ++k)
+            cache->noteRow(keyOf(k), makeRow(k % 50, 20 + k % 30));
+    EXPECT_EQ(cache->stats().rowsPending, size_t{kKeys});
+    for (int k = 0; k < kKeys; ++k) {
+        SCOPED_TRACE("key " + std::to_string(k));
+        auto row = cache->loadRow(keyOf(k));
+        ASSERT_NE(row, nullptr);
+        expectSameRow(*row, *makeRow(k % 50, 20 + k % 30));
+    }
+    EXPECT_EQ(cache->loadRow(keyOf(kKeys)), nullptr);
+    EXPECT_EQ(cache->loadRow({2, 100, 3, 64}), nullptr)
+        << "a prefix of a logged key is another key";
+    EXPECT_EQ(cache->stats().segmentRowHits, 0u);
+
+    ASSERT_TRUE(cache->flush());
+    EXPECT_EQ(cache->stats().rowsPending, 0u);
+    EXPECT_EQ(cache->stats().segmentEntries, size_t{kKeys});
+    auto row = cache->loadRow(keyOf(7));
+    ASSERT_NE(row, nullptr);
+    expectSameRow(*row, *makeRow(7, 27));
+    EXPECT_EQ(cache->stats().segmentRowHits, 1u);
+}
+
+TEST(FrontierCache, ConcurrentNotesAndFlushesPublishEachKeyOnce)
+{
+    // Four threads note rows, every key by two of them, while a fifth
+    // flushes in a loop, so logs are taken, spliced and restarted
+    // under concurrent appends. In the first round every publish
+    // fails (a directory sits where the temp file goes), so each flush
+    // puts its log back in front of the rows noted meanwhile, and the
+    // log must still hold each key once; in the second the publishes
+    // succeed. Afterwards the segment holds each key exactly once,
+    // under the payload of the row noted for it.
+    ScratchDir scratch;
+    constexpr int kThreads = 4;
+    constexpr int kKeys = 400;
+    auto keyOf = [](int k) {
+        return std::vector<int64_t>{2, 100 + k, 3, 64, 121, 1, k % 7};
+    };
+    const fs::path obstruction =
+        scratch.path / (std::string(core::kFrontierSegmentFileName) + ".tmp");
+    const util::LogLevel level = util::logLevel();
+    auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
+    for (bool failing : {true, false}) {
+        SCOPED_TRACE(failing ? "failing publishes" : "publishing");
+        if (failing) {
+            ASSERT_TRUE(fs::create_directory(obstruction));
+            util::setLogLevel(util::LogLevel::Quiet);  // one warning a flush
+        }
+        std::atomic<bool> done{false};
+        std::thread flusher([&] {
+            while (!done.load()) {
+                bool published = cache->flush();
+                EXPECT_TRUE(published || failing);
+            }
+        });
+        std::vector<std::thread> noters;
+        for (int t = 0; t < kThreads; ++t) {
+            noters.emplace_back([&, t] {
+                // Thread t notes the keys k with k % 4 == t or
+                // k % 4 == (t + 1) % 4: every key twice, by two threads.
+                for (int k = 0; k < kKeys; ++k)
+                    if (k % kThreads == t ||
+                        k % kThreads == (t + 1) % kThreads)
+                        cache->noteRow(keyOf(k),
+                                       makeRow(k % 50, 20 + k % 30));
+            });
+        }
+        for (std::thread &noter : noters)
+            noter.join();
+        done = true;
+        flusher.join();
+        if (failing) {
+            util::setLogLevel(level);
+            EXPECT_EQ(cache->stats().flushes, 0u);
+            EXPECT_EQ(cache->stats().rowsPending, size_t{kKeys});
+            fs::remove(obstruction);
+        }
+    }
+    ASSERT_TRUE(cache->flush());
+    EXPECT_EQ(cache->stats().rowsPending, 0u);
+
+    std::map<std::vector<int64_t>, std::string> stored;
+    size_t records = 0;
+    core::FrontierCacheSegment segment = core::FrontierCacheSegment::open(
+        scratch.segmentFile(), core::modelFormulaFingerprint());
+    ASSERT_TRUE(segment.valid());
+    segment.forEach([&](const core::FrontierCacheSegment::Entry &entry) {
+        ++records;
+        EXPECT_EQ(entry.kind, core::kCacheRecordRow);
+        stored[entry.key] = std::string(entry.payload);
+    });
+    EXPECT_EQ(records, size_t{kKeys});
+    ASSERT_EQ(stored.size(), size_t{kKeys});
+    for (int k = 0; k < kKeys; ++k) {
+        SCOPED_TRACE("key " + std::to_string(k));
+        auto it = stored.find(keyOf(k));
+        ASSERT_NE(it, stored.end());
+        auto row = core::decodeRowPayload(it->second);
+        ASSERT_TRUE(row.has_value());
+        expectSameRow(*row, *makeRow(k % 50, 20 + k % 30));
     }
 }
 

@@ -8,7 +8,9 @@
  * smaller than the legacy SoA records on realistic rows, and reject
  * corrupt bytes — exactly the bytes the codec's earlier two-pass
  * decoder rejected, which a seeded differential pins on mutated real
- * and random rows; segment images must serve identical views to
+ * and random rows. The appending row encoder must write exactly the
+ * bytes its ByteWriter predecessor wrote (the segment format is
+ * unchanged). Segment images must serve identical views to
  * independent mappings and degrade — never lie — when damaged.
  */
 
@@ -62,6 +64,59 @@ randomStaircase(util::SplitMix64 &rng, bool wide = false)
     return std::move(*row);
 }
 
+/** The appending encoder's payload for @p row, in a fresh buffer. */
+std::string
+encodeRow(const core::ShapeFrontier &row)
+{
+    std::string out;
+    core::encodeRowPayload(out, row);
+    return out;
+}
+
+/**
+ * The row encoder this codec shipped before it appended through a
+ * write cursor: one ByteWriter call per field, one out-of-line call
+ * per byte of a varint. The oracle for the bytes the appending
+ * encoder must write.
+ */
+std::string
+referenceEncodeRow(const core::ShapeFrontier &row)
+{
+    size_t count = row.size();
+    const int32_t *tn = row.tnData();
+    const int32_t *tm = row.tmData();
+    const int64_t *dsp = row.dspData();
+    const int64_t *cycles = row.cyclesData();
+
+    bool wide = false;
+    for (size_t i = 0; i < count; ++i)
+        wide = wide || tn[i] > 0xffff || tm[i] > 0xffff;
+
+    util::ByteWriter out;
+    out.varint(count);
+    out.u8(wide ? 1 : 0);
+    if (wide) {
+        for (size_t i = 0; i < count; ++i)
+            out.varint(static_cast<uint64_t>(tn[i]));
+        for (size_t i = 0; i < count; ++i)
+            out.varint(static_cast<uint64_t>(tm[i]));
+    } else {
+        for (size_t i = 0; i < count; ++i)
+            out.u16(static_cast<uint16_t>(tn[i]));
+        for (size_t i = 0; i < count; ++i)
+            out.u16(static_cast<uint16_t>(tm[i]));
+    }
+    for (size_t i = 0; i < count; ++i) {
+        int64_t prev = i == 0 ? 0 : dsp[i - 1];
+        out.varint(util::zigzagEncode(dsp[i] - prev));
+    }
+    for (size_t i = 0; i < count; ++i) {
+        int64_t prev = i == 0 ? 0 : cycles[i - 1];
+        out.varint(util::zigzagEncode(cycles[i] - prev));
+    }
+    return out.bytes();
+}
+
 /** A random valid walk trace: strictly decreasing total BRAM. */
 core::FrontierTraceImage
 randomTrace(util::SplitMix64 &rng, size_t key_groups)
@@ -95,9 +150,7 @@ TEST(FrontierCodec, RowPayloadRoundTripsRandomStaircases)
     util::SplitMix64 rng(20170701);
     for (int trial = 0; trial < 200; ++trial) {
         core::ShapeFrontier row = randomStaircase(rng, trial % 17 == 0);
-        util::ByteWriter out;
-        core::encodeRowPayload(out, row);
-        auto decoded = core::decodeRowPayload(out.bytes());
+        auto decoded = core::decodeRowPayload(encodeRow(row));
         ASSERT_TRUE(decoded.has_value()) << "trial " << trial;
         ASSERT_EQ(decoded->size(), row.size());
         for (size_t i = 0; i < row.size(); ++i) {
@@ -158,13 +211,11 @@ TEST(FrontierCodec, DeltaAtLeastHalvesTheLegacySoAEncoding)
         keys.push_back({rng.nextInt(1, 1 << 20), rng.nextInt(1, 1 << 20)});
         legacy_bytes +=
             core::encodeLegacyRowRecord(keys.back(), row).size();
-        util::ByteWriter payload;
-        core::encodeRowPayload(payload, row);
-        payloads.push_back(payload.bytes());
+        payloads.push_back(encodeRow(row));
     }
     std::vector<core::SegmentRecord> records;
     for (size_t i = 0; i < keys.size(); ++i)
-        records.push_back({core::kCacheRecordRow, &keys[i], payloads[i]});
+        records.push_back({core::kCacheRecordRow, keys[i], payloads[i]});
     size_t delta_bytes =
         core::FrontierCacheSegment::build(1, 1, records).size();
     EXPECT_GE(legacy_bytes, 2 * delta_bytes)
@@ -180,10 +231,7 @@ TEST(FrontierCodec, CorruptPayloadsAreRejectedNotMisdecoded)
     // truncations must always reject (the payload length is part of
     // the format).
     util::SplitMix64 rng(20170705);
-    core::ShapeFrontier row = randomStaircase(rng);
-    util::ByteWriter out;
-    core::encodeRowPayload(out, row);
-    std::string good(out.bytes());
+    std::string good = encodeRow(randomStaircase(rng));
 
     for (size_t i = 0; i < good.size(); ++i) {
         std::string bad = good;
@@ -469,11 +517,8 @@ TEST(FrontierCodec, OnePassDecoderAgreesWithTheTwoPassReference)
     std::vector<std::string> payloads;
     for (int i = 0; i < 48; ++i)
         payloads.push_back(real[rng.nextInt(0, real.size() - 1)]);
-    for (int i = 0; i < 48; ++i) {
-        util::ByteWriter out;
-        core::encodeRowPayload(out, randomStaircase(rng, i % 4 == 0));
-        payloads.push_back(out.bytes());
-    }
+    for (int i = 0; i < 48; ++i)
+        payloads.push_back(encodeRow(randomStaircase(rng, i % 4 == 0)));
 
     size_t accepted = 0, rejected = 0;
     for (size_t p = 0; p < payloads.size(); ++p) {
@@ -506,6 +551,44 @@ TEST(FrontierCodec, OnePassDecoderAgreesWithTheTwoPassReference)
     // Both verdicts occur among the mutations, not just the originals.
     EXPECT_GT(accepted, payloads.size());
     EXPECT_GT(rejected, 0u);
+}
+
+TEST(FrontierCodec, AppendingEncoderMatchesTheByteWriterReference)
+{
+    // The bytes are the segment format (its version and slot hash are
+    // unchanged), so the appending encoder must write exactly what the
+    // ByteWriter encoder wrote: for the rows a real flush publishes,
+    // random staircases (wide ones included), and the empty row.
+    std::vector<core::ShapeFrontier> rows;
+    for (const std::string &payload : realRowPayloads()) {
+        auto row = core::decodeRowPayload(payload);
+        ASSERT_TRUE(row.has_value());
+        // What the flush published is itself the appending encoder's.
+        EXPECT_EQ(referenceEncodeRow(*row), payload);
+        rows.push_back(std::move(*row));
+    }
+    ASSERT_GT(rows.size(), 100u);
+    util::SplitMix64 rng(20170709);
+    for (int i = 0; i < 200; ++i)
+        rows.push_back(randomStaircase(rng, i % 3 == 0));
+    auto empty = core::ShapeFrontier::fromPoints({});
+    ASSERT_TRUE(empty.has_value());
+    rows.push_back(std::move(*empty));
+
+    std::string appended = "bytes already in the buffer";
+    for (size_t r = 0; r < rows.size(); ++r) {
+        SCOPED_TRACE("row " + std::to_string(r));
+        std::string want = referenceEncodeRow(rows[r]);
+        EXPECT_EQ(encodeRow(rows[r]), want);
+        // Appending leaves what the buffer held untouched.
+        std::string before = appended;
+        core::encodeRowPayload(appended, rows[r]);
+        ASSERT_EQ(appended.size(), before.size() + want.size());
+        EXPECT_EQ(appended.compare(0, before.size(), before), 0);
+        EXPECT_EQ(appended.substr(before.size()), want);
+    }
+    EXPECT_EQ(referenceEncodeRow(rows.back()), std::string("\0\0", 2))
+        << "the empty row is a zero count and no flags";
 }
 
 /** A narrow payload: @p count, then the given lanes' raw values. */
@@ -599,12 +682,10 @@ struct SegmentFixture
         for (size_t i = 0; i < entries; ++i) {
             keys.push_back({static_cast<int64_t>(i), rng.nextInt(1, 99),
                             rng.nextInt(1, 99)});
-            util::ByteWriter out;
-            core::encodeRowPayload(out, randomStaircase(rng));
-            payloads.push_back(out.bytes());
+            payloads.push_back(encodeRow(randomStaircase(rng)));
         }
         for (size_t i = 0; i < entries; ++i)
-            records.push_back({core::kCacheRecordRow, &keys[i],
+            records.push_back({core::kCacheRecordRow, keys[i],
                                payloads[i]});
     }
 };

@@ -6,10 +6,12 @@
  * share a session regardless of name; and the shared FrontierRowStore
  * lets SqueezeNet variants reuse each other's frontier rows while
  * still producing designs bit-identical to private-table runs.
- * Evicted sessions hand their rows back by ownership: a held session
- * keeps them until its last handle drops, with a cache none is freed,
- * and concurrent churn leaves an uncached store empty once every
- * handle is gone.
+ * Evicted sessions hand their rows back by ownership, with or without
+ * a persistent cache: a held session keeps them until its last handle
+ * drops, a cached registry decodes an evicted session's rows from
+ * the cache's pending log before a flush and from its mapped image
+ * after one, the byte budget counts rows either way, and concurrent
+ * churn leaves the store empty once every handle is gone.
  */
 
 #include <gtest/gtest.h>
@@ -145,39 +147,62 @@ TEST(SessionRegistry, EvictedButHeldSessionKeepsRowsUntilItsHandleDrops)
     EXPECT_EQ(store->memoryBytes(), reference->memoryBytes());
 }
 
-TEST(SessionRegistry, CachePinnedRowsAnswerAReacquiredSession)
+TEST(SessionRegistry, CachedReacquireDecodesItsRowsBeforeAndAfterAFlush)
 {
-    // With a cache attached, eviction frees no row: re-acquiring an
-    // evicted network is answered by the row store alone — no build,
-    // no decode.
+    // With a cache attached, an evicted session's rows leave with its
+    // tables, as they do without one. Re-acquiring the network before
+    // a flush decodes every one of those rows from its pending log
+    // record, noting nothing again; after a flush it decodes them from
+    // the mapped image. It builds none either way, and answers as the
+    // first session did.
     namespace fs = std::filesystem;
     fs::path dir = fs::temp_directory_path() /
-                   ("mclp_pinned_cache_" + std::to_string(::getpid()));
+                   ("mclp_reacquire_cache_" + std::to_string(::getpid()));
     fs::remove_all(dir);
     std::vector<fpga::ResourceBudget> budgets =
         core::dspLadder({800}, 100.0);
     nn::Network alexnet = nn::makeAlexNet();
+    nn::Network squeezenet = nn::makeSqueezeNet();
     {
         auto cache = std::make_shared<core::FrontierCache>(dir.string());
         core::SessionRegistry registry(1, 0, 1, cache);
-        auto first = registry.session(alexnet, "690t",
-                                      fpga::DataType::Float32)
-                         ->sweep(budgets, {});
-        registry.session(nn::makeSqueezeNet(), "690t",
-                         fpga::DataType::Float32)
+        const std::shared_ptr<core::FrontierRowStore> &store =
+            registry.rowStore();
+        auto sweepAlexNet = [&] {
+            return registry.session(alexnet, "690t",
+                                    fpga::DataType::Float32)
+                ->sweep(budgets, {});
+        };
+        auto first = sweepAlexNet();
+        // The rows the AlexNet session holds, all of them alone.
+        const size_t alexnet_rows = store->stats().rows;
+        ASSERT_GT(alexnet_rows, 0u);
+        registry.session(squeezenet, "690t", fpga::DataType::Float32)
             ->sweep(budgets, {});
         ASSERT_EQ(registry.stats().evictions, 1u);
 
-        core::FrontierRowStore::Stats before = registry.rowStore()->stats();
-        auto again = registry.session(alexnet, "690t",
-                                      fpga::DataType::Float32)
-                         ->sweep(budgets, {});
-        core::FrontierRowStore::Stats after = registry.rowStore()->stats();
-        EXPECT_GT(after.hits, before.hits);
+        core::FrontierRowStore::Stats before = store->stats();
+        const size_t pending = cache->stats().rowsPending;
+        auto logged = sweepAlexNet();
+        core::FrontierRowStore::Stats after = store->stats();
         EXPECT_EQ(after.misses, before.misses);
-        EXPECT_EQ(after.mmapHits, before.mmapHits);
-        EXPECT_EQ(after.rows, before.rows);
-        expectSameResult(again[0], first[0], "re-acquired vs first");
+        EXPECT_EQ(after.mmapHits - before.mmapHits, alexnet_rows);
+        EXPECT_EQ(after.rows, alexnet_rows);
+        EXPECT_EQ(cache->stats().rowsPending, pending);
+        EXPECT_EQ(cache->stats().segmentRowHits, 0u);
+        expectSameResult(logged[0], first[0], "decoded before a flush");
+
+        ASSERT_TRUE(cache->flush());
+        registry.session(squeezenet, "690t", fpga::DataType::Float32);
+        ASSERT_EQ(registry.stats().evictions, 3u);
+        EXPECT_EQ(store->stats().rows, 0u);
+        before = store->stats();
+        auto mapped = sweepAlexNet();
+        after = store->stats();
+        EXPECT_EQ(after.misses, before.misses);
+        EXPECT_EQ(after.mmapHits - before.mmapHits, alexnet_rows);
+        EXPECT_EQ(cache->stats().segmentRowHits, alexnet_rows);
+        expectSameResult(mapped[0], first[0], "decoded after a flush");
     }
     fs::remove_all(dir);
 }
@@ -230,6 +255,54 @@ TEST(SessionRegistry, ByteBudgetTriggersEviction)
                      coldRun(squeezenet, fpga::DataType::Float32,
                              budgets[0]),
                      "post byte-cap eviction");
+}
+
+TEST(SessionRegistry, ByteBudgetTriggersEvictionWithACache)
+{
+    // The same tiny budget with a persistent cache attached. Rows
+    // count against it as they do without a cache, so the registry
+    // measures the bytes an uncached one does, evicts as it does, and
+    // the surviving session still answers correctly.
+    namespace fs = std::filesystem;
+    fs::path dir = fs::temp_directory_path() /
+                   ("mclp_budget_cache_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    nn::Network alexnet = nn::makeAlexNet();
+    nn::Network squeezenet = nn::makeSqueezeNet();
+    std::vector<fpga::ResourceBudget> budgets =
+        core::dspLadder({1500}, 100.0);
+    struct Measured
+    {
+        core::SessionRegistry::Stats registry;
+        size_t rowBytes = 0;
+    };
+    auto run = [&](std::shared_ptr<core::FrontierCache> cache) {
+        core::SessionRegistry registry(8, 64 * 1024, 1, std::move(cache));
+        registry.session(alexnet, "690t", fpga::DataType::Float32)
+            ->sweep(budgets, {});
+        registry.session(squeezenet, "690t", fpga::DataType::Float32)
+            ->sweep(budgets, {});
+        auto session = registry.session(squeezenet, "690t",
+                                        fpga::DataType::Float32);
+        Measured measured{registry.stats(),
+                          registry.rowStore()->memoryBytes()};
+        auto result = session->sweep(budgets, {});
+        expectSameResult(result[0],
+                         coldRun(squeezenet, fpga::DataType::Float32,
+                                 budgets[0]),
+                         "post byte-cap eviction");
+        return measured;
+    };
+    Measured uncached = run(nullptr);
+    Measured cached =
+        run(std::make_shared<core::FrontierCache>(dir.string()));
+    EXPECT_GE(cached.registry.evictions, 1u)
+        << "bytes=" << cached.registry.bytes;
+    EXPECT_LE(cached.registry.sessions, 2u);
+    EXPECT_EQ(cached.registry.evictions, uncached.registry.evictions);
+    EXPECT_EQ(cached.rowBytes, uncached.rowBytes);
+    EXPECT_EQ(cached.registry.bytes, uncached.registry.bytes);
+    fs::remove_all(dir);
 }
 
 TEST(SessionRegistry, AdmissionEstimateScalesWithLayersAndBudget)
@@ -562,17 +635,13 @@ TEST(SessionRegistry, ConcurrentChurnMatchesColdAndReleasesEveryRow)
             EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
         EXPECT_GT(registry->stats().evictions, 0u);
 
-        // Once the registry's own references go too, an uncached
-        // store has released every row; with a cache none is freed.
+        // Once the registry's own references go too, the store has
+        // released every row, with a cache as without one.
         std::shared_ptr<core::FrontierRowStore> store =
             registry->rowStore();
         registry.reset();
-        if (cached) {
-            EXPECT_GT(store->stats().rows, 0u);
-        } else {
-            EXPECT_EQ(store->stats().rows, 0u);
-            EXPECT_EQ(store->memoryBytes(), 0u);
-        }
+        EXPECT_EQ(store->stats().rows, 0u);
+        EXPECT_EQ(store->memoryBytes(), 0u);
     }
     fs::remove_all(dir);
 }
