@@ -378,7 +378,12 @@ FrontierCache::noteTrace(
     std::shared_ptr<TradeoffCurveCache::PartitionTrace> trace)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    notedTraces_.emplace(key, std::move(trace));
+    auto [it, inserted] = notedTraces_.try_emplace(key, trace);
+    // A held trace only the cache still references belongs to a session
+    // that is gone: the new one, seeded from whatever disk holds, is
+    // the one that can grow now.
+    if (!inserted && it->second.use_count() == 1)
+        it->second = std::move(trace);
 }
 
 namespace {
@@ -416,9 +421,8 @@ FrontierCache::flush()
     // Phase 1: snapshot under our mutex (never hold it across file
     // I/O or trace mutexes — walks holding a trace mutex re-enter
     // other caches).
-    std::vector<std::pair<
-        std::vector<int64_t>,
-        std::shared_ptr<TradeoffCurveCache::PartitionTrace>>>
+    std::vector<std::pair<std::vector<int64_t>,
+                          std::weak_ptr<TradeoffCurveCache::PartitionTrace>>>
         noted;
     /** What disk held at open/last flush: key -> (steps, complete). */
     std::unordered_map<std::vector<int64_t>, std::pair<size_t, bool>,
@@ -437,10 +441,24 @@ FrontierCache::flush()
     }
 
     // Phase 2: snapshot each live trace under its own mutex, keeping
-    // only traces that outgrew what this process knows is on disk.
+    // only traces that outgrew what this process knows is on disk. A
+    // trace that only the cache and this loop reference has lost its
+    // session and can never grow again: once this flush has put its
+    // snapshot on disk, the cache lets go of it. The snapshot holds
+    // traces weakly, so noteTrace() sees a gone session's trace held
+    // by the cache alone while the flush runs.
     TraceMap trace_images;
-    for (const auto &[key, trace] : noted) {
+    std::vector<std::pair<const std::vector<int64_t> *,
+                          std::weak_ptr<TradeoffCurveCache::PartitionTrace>>>
+        finished;
+    for (const auto &[key, noted_trace] : noted) {
+        std::shared_ptr<TradeoffCurveCache::PartitionTrace> trace =
+            noted_trace.lock();
+        if (!trace)
+            continue;  // replaced by a successor's trace meanwhile
         std::lock_guard<std::mutex> trace_lock(trace->mutex);
+        if (trace.use_count() == 2)
+            finished.emplace_back(&key, noted_trace);
         if (!trace->initialized)
             continue;
         auto it = known.find(key);
@@ -457,6 +475,16 @@ FrontierCache::flush()
         trace_images.emplace(key, std::move(image));
     }
 
+    // Under mutex_: stop tracking the finished traces, except one a
+    // successor's trace has replaced since.
+    auto forget_finished = [&] {
+        for (const auto &[key, trace] : finished) {
+            auto it = notedTraces_.find(*key);
+            if (it != notedTraces_.end() && it->second == trace.lock())
+                notedTraces_.erase(it);
+        }
+    };
+
     // Nothing new? Then the published image — whatever concurrent
     // CLIs did to it since — holds at least everything we could add:
     // skip the lock and the whole map-merge-publish round trip.
@@ -464,8 +492,11 @@ FrontierCache::flush()
     // the image's slots, unread, and ride the next flush that rewrites
     // the image for a real reason (tests/core/test_frontier_cache.cc
     // pins the no-op).
-    if (!rows_noted && trace_images.empty())
+    if (!rows_noted && trace_images.empty()) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        forget_finished();
         return true;
+    }
 
     // Phase 3: merge with the image published *now* under the
     // advisory lock and publish atomically. Another process may have
@@ -676,6 +707,7 @@ FrontierCache::flush()
         std::lock_guard<std::mutex> lock_state(mutex_);
         for (const std::vector<int64_t> *key : written_traces)
             mmapTraces_[*key] = std::move(trace_images[*key]);
+        forget_finished();
         if (!wrote)
             return;
         ++flushes_;

@@ -202,8 +202,12 @@ class FrontierCache
     /**
      * Track a live trace for write-back: at flush() time its current
      * walk prefix is serialized when it goes deeper than what disk
-     * already holds. Tracking keeps the trace alive; traces are small
-     * (a step sequence), so this pins negligible memory.
+     * already holds. Tracking keeps the trace alive past its session,
+     * so an evicted session's walk still reaches disk; once a
+     * successful flush has put a trace that no session holds on disk,
+     * the cache lets go of it. A key whose tracked trace only the
+     * cache still holds is re-pointed at @p trace (a successor
+     * session's); while a session holds it, the first noted wins.
      */
     void noteTrace(
         const std::vector<int64_t> &key,
@@ -351,9 +355,9 @@ class FrontierCache
     std::unordered_map<std::vector<int64_t>, ShapeFrontier,
                        util::Int64VectorHash>
         undecodable_;
-    /** Live traces to serialize at flush; deduped by key, first noted
-     * wins (concurrent sessions converge on one trace per key in
-     * their own caches anyway). */
+    /** Traces to serialize at flush; deduped by key, first noted
+     * wins while its session holds it (concurrent sessions converge
+     * on one trace per key in their own caches anyway). */
     std::unordered_map<
         std::vector<int64_t>,
         std::shared_ptr<TradeoffCurveCache::PartitionTrace>,

@@ -37,143 +37,31 @@ BreakpointCache::table(int64_t d)
     return tables_.emplace(d, std::move(table)).first->second;
 }
 
-void
-ShapeFrontier::Builder::reset()
+ShapeFrontier::Builder::Builder(const std::vector<const nn::ConvLayer *> &run,
+                                int64_t units_cap, BreakpointCache &scratch)
+    : unitsCap_(std::max<int64_t>(units_cap, 1))
 {
-    layers_.clear();
-    seenN_.clear();
-    seenM_.clear();
-    maxN_ = 0;
-    maxM_ = 0;
-    unitsCap_ = kUnboundedResources;
-    tnBps_.clear();
-    tmBps_.clear();
-    geomInit_ = false;
-    live_.clear();
-    liveW_.clear();
-    livePk_.clear();
-    liveTi_.clear();
-    liveMi_.clear();
-    livePacked_ = true;
-    pending_ = false;
-}
-
-void
-ShapeFrontier::Builder::setUnitsCap(int64_t cap)
-{
-    if (!layers_.empty())
-        util::panic("ShapeFrontier::Builder: units cap must be set "
-                    "before the first layer");
-    unitsCap_ = cap < 1 ? 1 : cap;
-}
-
-void
-ShapeFrontier::Builder::seedDimensions(int64_t n, int64_t m,
-                                       BreakpointCache &scratch)
-{
-    if (geomInit_)
-        util::panic("ShapeFrontier::Builder: dimensions must be seeded "
-                    "before the first layer");
-    if (std::find(seenN_.begin(), seenN_.end(), n) == seenN_.end()) {
-        seenN_.push_back(n);
-        mergeBps(tnBps_, scratch.table(n).bps);
-    }
-    if (std::find(seenM_.begin(), seenM_.end(), m) == seenM_.end()) {
-        seenM_.push_back(m);
-        mergeBps(tmBps_, scratch.table(m).bps);
-    }
-}
-
-bool
-ShapeFrontier::Builder::mergeBps(std::vector<int64_t> &into,
-                                 const std::vector<int64_t> &from)
-{
-    size_t before = into.size();
-    size_t mid = before;
-    into.insert(into.end(), from.begin(), from.end());
-    std::inplace_merge(into.begin(),
-                       into.begin() + static_cast<ptrdiff_t>(mid),
-                       into.end());
-    into.erase(std::unique(into.begin(), into.end()), into.end());
-    return into.size() != before;
-}
-
-void
-ShapeFrontier::Builder::expandLive(const std::vector<int64_t> &old_tn,
-                                   const std::vector<int64_t> &old_tm)
-{
-    // Cycle counts are constant between breakpoints, so a new cell's
-    // value is the value at the largest old breakpoint pair at or
-    // under it. Old lists are subsets of the new ones, so ascending
-    // cursors map every new row and column once.
-    //
-    // live_ holds the old values in the old units-ascending order and
-    // must end up holding the new values in the new one — two sorted
-    // orders with no structural relation. The remap goes through a
-    // grid-shaped scratch: scatter the old values to their old grid
-    // offsets (liveTi_/liveMi_ still describe the old geometry here),
-    // then gather each new cell's source. A new live cell's source is live
-    // too (its old tn and tm are at most the new ones, so its units
-    // are under the same cap), so dead scratch cells are never read
-    // and the scratch needs no clearing.
-    size_t new_t = tnBps_.size();
-    size_t new_w = tmBps_.size();
-    size_t old_t = old_tn.size();
-    size_t old_w = old_tm.size();
-
-    grid_.resize(old_t * old_w);
-    {
-        int64_t *grid = grid_.data();
-        const int64_t *vals = live_.data();
-        size_t old_live = live_.size();
-        if (livePacked_) {
-            const uint32_t *pk = livePk_.data();
-            for (size_t k = 0; k < old_live; ++k) {
-                uint32_t p = pk[k];
-                grid[(p >> 16) * old_w + (p & 0xFFFFu)] = vals[k];
-            }
-        } else {
-            const int32_t *ti_arr = liveTi_.data();
-            const int32_t *mi_arr = liveMi_.data();
-            for (size_t k = 0; k < old_live; ++k)
-                grid[static_cast<size_t>(ti_arr[k]) * old_w +
-                     static_cast<size_t>(mi_arr[k])] = vals[k];
+    // Each dimension's breakpoints are the union of the tables of its
+    // distinct per-group extents over the whole run, merged once.
+    thread_local std::vector<int64_t> dims;
+    auto merge = [&](std::vector<int64_t> &bps, auto extent) {
+        dims.clear();
+        for (const nn::ConvLayer *layer : run)
+            dims.push_back(extent(*layer));
+        std::sort(dims.begin(), dims.end());
+        dims.erase(std::unique(dims.begin(), dims.end()), dims.end());
+        for (int64_t d : dims) {
+            const std::vector<int64_t> &table = scratch.breakpoints(d);
+            bps.insert(bps.end(), table.begin(), table.end());
         }
-    }
-
-    recomputeLiveGeometry();
-
-    mcolScratch_.resize(new_w);
-    for (size_t mi = 0, o = 0; mi < new_w; ++mi) {
-        while (o + 1 < old_w && old_tm[o + 1] <= tmBps_[mi])
-            ++o;
-        mcolScratch_[mi] = o;
-    }
-    rowScratch_.resize(new_t);
-    for (size_t ti = 0, o = 0; ti < new_t; ++ti) {
-        while (o + 1 < old_t && old_tn[o + 1] <= tnBps_[ti])
-            ++o;
-        rowScratch_[ti] = o * old_w;
-    }
-
-    size_t new_live = liveCount();
-    live_.resize(new_live);
-    const size_t *mcol = mcolScratch_.data();
-    const size_t *row = rowScratch_.data();
-    const int64_t *grid = grid_.data();
-    int64_t *vals = live_.data();
-    if (livePacked_) {
-        const uint32_t *pk = livePk_.data();
-        for (size_t k = 0; k < new_live; ++k) {
-            uint32_t p = pk[k];
-            vals[k] = grid[row[p >> 16] + mcol[p & 0xFFFFu]];
-        }
-    } else {
-        const int32_t *ti_arr = liveTi_.data();
-        const int32_t *mi_arr = liveMi_.data();
-        for (size_t k = 0; k < new_live; ++k)
-            vals[k] = grid[row[ti_arr[k]] + mcol[mi_arr[k]]];
-    }
+        std::sort(bps.begin(), bps.end());
+        bps.erase(std::unique(bps.begin(), bps.end()), bps.end());
+    };
+    merge(tnBps_, [](const nn::ConvLayer &layer) { return layer.groupN(); });
+    merge(tmBps_, [](const nn::ConvLayer &layer) { return layer.groupM(); });
+    layOutLiveCells();
+    scratch_.resize(tmBps_.size());
+    areas_.resize(tnBps_.size());
 }
 
 namespace {
@@ -191,11 +79,15 @@ constexpr int64_t kDenseUnitsLimit = 1 << 16;
 } // namespace
 
 void
-ShapeFrontier::Builder::recomputeLiveGeometry()
+ShapeFrontier::Builder::layOutLiveCells()
 {
     size_t t = tnBps_.size();
     size_t w = tmBps_.size();
-    liveW_.resize(t);
+    // Per-row count of live cells (tn*tm <= unitsCap_), and the
+    // counting sort's per-unit slots: layout scratch, per thread.
+    thread_local std::vector<size_t> live_w;
+    thread_local std::vector<int32_t> counts;
+    live_w.resize(t);
     size_t total = 0;
     int64_t max_units = 0;
     // cap/tn only shrinks as tn grows, so the live width is
@@ -207,17 +99,18 @@ ShapeFrontier::Builder::recomputeLiveGeometry()
         if (tn > unitsCap_) {
             // Rows ascend in tn, so this and every later row is dead.
             for (; ti < t; ++ti)
-                liveW_[ti] = 0;
+                live_w[ti] = 0;
             break;
         }
         int64_t tm_cap = unitsCap_ / tn;
         while (lw > 0 && tmBps_[lw - 1] > tm_cap)
             --lw;
-        liveW_[ti] = lw;
+        live_w[ti] = lw;
         total += lw;
         if (lw > 0)
             max_units = std::max(max_units, tn * tmBps_[lw - 1]);
     }
+    live_.assign(total, 0);
     // Both indices in 16 bits covers any real geometry (65536 merged
     // breakpoints per dimension needs channel counts near 2^31); the
     // hot passes are bandwidth-bound, so half-width indices are a
@@ -225,12 +118,9 @@ ShapeFrontier::Builder::recomputeLiveGeometry()
     livePacked_ = t <= (1u << 16) && w <= (1u << 16);
     if (livePacked_) {
         livePk_.resize(total);
-        liveTi_.clear();
-        liveMi_.clear();
     } else {
         liveTi_.resize(total);
         liveMi_.resize(total);
-        livePk_.clear();
     }
     if (total == 0)
         return;
@@ -252,26 +142,24 @@ ShapeFrontier::Builder::recomputeLiveGeometry()
         // mi) — which is exactly the tie-break order build() wants
         // within an equal-units group.
         size_t slots = static_cast<size_t>(max_units) + 1;
-        countScratch_.assign(slots, 0);
+        counts.assign(slots, 0);
         for (size_t ti = 0; ti < t; ++ti) {
             int64_t tn = tnBps_[ti];
-            size_t lw = liveW_[ti];
-            for (size_t mi = 0; mi < lw; ++mi)
-                ++countScratch_[static_cast<size_t>(tn * tmBps_[mi])];
+            for (size_t mi = 0; mi < live_w[ti]; ++mi)
+                ++counts[static_cast<size_t>(tn * tmBps_[mi])];
         }
         int32_t acc = 0;
         for (size_t u = 0; u < slots; ++u) {
-            int32_t c = countScratch_[u];
-            countScratch_[u] = acc;
+            int32_t c = counts[u];
+            counts[u] = acc;
             acc += c;
         }
         for (size_t ti = 0; ti < t; ++ti) {
             int64_t tn = tnBps_[ti];
-            size_t lw = liveW_[ti];
-            for (size_t mi = 0; mi < lw; ++mi) {
+            for (size_t mi = 0; mi < live_w[ti]; ++mi) {
                 int64_t u = tn * tmBps_[mi];
-                size_t pos = static_cast<size_t>(
-                    countScratch_[static_cast<size_t>(u)]++);
+                size_t pos =
+                    static_cast<size_t>(counts[static_cast<size_t>(u)]++);
                 place(pos, ti, mi);
             }
         }
@@ -280,22 +168,21 @@ ShapeFrontier::Builder::recomputeLiveGeometry()
 
     // Huge unit range: comparison sort. stable_sort preserves the
     // same discovery order within equal units as the counting path.
-    sortScratch_.clear();
-    sortScratch_.reserve(total);
+    std::vector<std::pair<int64_t, int32_t>> sorted;
+    sorted.reserve(total);
     for (size_t ti = 0; ti < t; ++ti) {
         int64_t tn = tnBps_[ti];
-        size_t lw = liveW_[ti];
-        for (size_t mi = 0; mi < lw; ++mi)
-            sortScratch_.emplace_back(tn * tmBps_[mi],
-                                      static_cast<int32_t>(ti * w + mi));
+        for (size_t mi = 0; mi < live_w[ti]; ++mi)
+            sorted.emplace_back(tn * tmBps_[mi],
+                                static_cast<int32_t>(ti * w + mi));
     }
-    std::stable_sort(sortScratch_.begin(), sortScratch_.end(),
+    std::stable_sort(sorted.begin(), sorted.end(),
                      [](const std::pair<int64_t, int32_t> &a,
                         const std::pair<int64_t, int32_t> &b) {
                          return a.first < b.first;
                      });
     for (size_t p = 0; p < total; ++p) {
-        size_t off = static_cast<size_t>(sortScratch_[p].second);
+        size_t off = static_cast<size_t>(sorted[p].second);
         place(p, off / w, off % w);
     }
 }
@@ -304,56 +191,17 @@ void
 ShapeFrontier::Builder::addLayer(const nn::ConvLayer &layer,
                                  BreakpointCache &scratch)
 {
-    // The previous layer's staged update must land before the
-    // geometry (and the staging scratch) can change.
+    // The previous layer's staged update lands first when no build()
+    // fused it.
     flushPending();
-    layers_.push_back(&layer);
+    ++layers_;
     // A grouped layer contributes exactly like a plain layer over its
     // per-group extents (N/G, M/G) with its cycle area scaled by G —
     // the G groups run sequentially on the same shape. Everything
     // below therefore works in per-group dimensions; G=1 reduces to
     // the original math untouched.
-    const int64_t group_n = layer.groupN();
-    const int64_t group_m = layer.groupM();
-    maxN_ = std::max(maxN_, group_n);
-    maxM_ = std::max(maxM_, group_m);
-
-    const BreakpointCache::Table &ntab = scratch.table(group_n);
-    const BreakpointCache::Table &mtab = scratch.table(group_m);
-
-    // A repeated dimension value adds no new breakpoints; the live
-    // cells keep their geometry and only absorb the rank-1 update
-    // staged below.
-    bool n_new = std::find(seenN_.begin(), seenN_.end(), group_n) ==
-                 seenN_.end();
-    bool m_new = std::find(seenM_.begin(), seenM_.end(), group_m) ==
-                 seenM_.end();
-    if (n_new || m_new) {
-        std::vector<int64_t> old_tn;
-        std::vector<int64_t> old_tm;
-        if (geomInit_) {
-            old_tn = tnBps_;
-            old_tm = tmBps_;
-        }
-        bool changed = false;
-        if (n_new) {
-            seenN_.push_back(group_n);
-            changed |= mergeBps(tnBps_, ntab.bps);
-        }
-        if (m_new) {
-            seenM_.push_back(group_m);
-            changed |= mergeBps(tmBps_, mtab.bps);
-        }
-        if (geomInit_ && changed)
-            expandLive(old_tn, old_tm);
-    }
-    if (!geomInit_) {
-        // First layer — with seeded dimensions this is the only
-        // geometry computation of the whole run.
-        recomputeLiveGeometry();
-        live_.assign(liveCount(), 0);
-        geomInit_ = true;
-    }
+    const BreakpointCache::Table &ntab = scratch.table(layer.groupN());
+    const BreakpointCache::Table &mtab = scratch.table(layer.groupM());
 
     // Stage the rank-1 update cycles(tn, tm) += G*R*C*K^2 *
     // ceil((N/G)/tn) * ceil((M/G)/tm): per-column M ceilings and
@@ -361,18 +209,16 @@ ShapeFrontier::Builder::addLayer(const nn::ConvLayer &layer,
     // cursors — no divisions. The live values are untouched until
     // flushPending() or a fused build() applies the staged update.
     size_t w = tmBps_.size();
-    scratch_.resize(w);
     for (size_t mi = 0, k = 0; mi < w; ++mi) {
         while (k + 1 < mtab.bps.size() && mtab.bps[k + 1] <= tmBps_[mi])
             ++k;
         scratch_[mi] = mtab.ceils[k];
     }
     int64_t rck2 = layer.g * layer.r * layer.c * layer.k * layer.k;
-    areas_.resize(tnBps_.size());
     for (size_t ti = 0, k = 0; ti < tnBps_.size(); ++ti) {
-        if (liveW_[ti] == 0)
-            break;  // no affordable shape in this or any later row
         int64_t tn = tnBps_[ti];
+        if (tn > unitsCap_)
+            break;  // no affordable shape in this or any later row
         while (k + 1 < ntab.bps.size() && ntab.bps[k + 1] <= tn)
             ++k;
         areas_[ti] = rck2 * ntab.ceils[k];
@@ -387,9 +233,7 @@ ShapeFrontier::Builder::flushPending()
         return;
     pending_ = false;
     // Same per-cell update a fused build() performs, minus the
-    // staircase test. The staged arrays are indexed in the current
-    // geometry: addLayer() flushes before any breakpoint merge, so a
-    // staged update never crosses a remap.
+    // staircase test.
     int64_t *vals = live_.data();
     const int64_t *areas = areas_.data();
     const int64_t *mceil = scratch_.data();
@@ -412,7 +256,7 @@ ShapeFrontier
 ShapeFrontier::Builder::build(fpga::DataType type, int64_t units_budget)
 {
     ShapeFrontier frontier;
-    if (layers_.empty())
+    if (layers_ == 0)
         util::panic("ShapeFrontier: empty layer range");
     if (units_budget > unitsCap_)
         util::panic("ShapeFrontier: units budget %lld above the "
@@ -424,18 +268,24 @@ ShapeFrontier::Builder::build(fpga::DataType type, int64_t units_budget)
         return frontier;  // not a single MAC unit
 
     int64_t per_mac = fpga::dspPerMac(type);
-    // At most one staircase point per live cell: grow-only sizing lets
-    // the walk emit through raw pointers with no growth checks.
-    if (outDsp_.size() < live_.size()) {
-        outTn_.resize(live_.size());
-        outTm_.resize(live_.size());
-        outDsp_.resize(live_.size());
-        outCycles_.resize(live_.size());
+    // Output staircase lanes, per thread; the frontier copies them
+    // into its exact-size block. At most one point per live cell:
+    // grow-only sizing lets the walk emit through raw pointers with no
+    // growth checks.
+    thread_local std::vector<int32_t> out_tn_lane;
+    thread_local std::vector<int32_t> out_tm_lane;
+    thread_local std::vector<int64_t> out_dsp_lane;
+    thread_local std::vector<int64_t> out_cycles_lane;
+    if (out_dsp_lane.size() < live_.size()) {
+        out_tn_lane.resize(live_.size());
+        out_tm_lane.resize(live_.size());
+        out_dsp_lane.resize(live_.size());
+        out_cycles_lane.resize(live_.size());
     }
-    int32_t *out_tn = outTn_.data();
-    int32_t *out_tm = outTm_.data();
-    int64_t *out_dsp = outDsp_.data();
-    int64_t *out_cycles = outCycles_.data();
+    int32_t *out_tn = out_tn_lane.data();
+    int32_t *out_tm = out_tm_lane.data();
+    int64_t *out_dsp = out_dsp_lane.data();
+    int64_t *out_cycles = out_cycles_lane.data();
     size_t out_count = 0;
 
     // One pass over the live cells in the precomputed units-ascending
@@ -535,11 +385,7 @@ ShapeFrontier::ShapeFrontier(
     const std::vector<const nn::ConvLayer *> &layers, fpga::DataType type,
     int64_t units_budget, BreakpointCache &scratch)
 {
-    Builder builder;
-    builder.setUnitsCap(units_budget);
-    for (const nn::ConvLayer *layer : layers)
-        builder.seedDimensions(layer->groupN(), layer->groupM(),
-                               scratch);
+    Builder builder(layers, units_budget, scratch);
     for (const nn::ConvLayer *layer : layers)
         builder.addLayer(*layer, scratch);
     *this = builder.build(type, units_budget);
@@ -637,21 +483,11 @@ size_t
 ShapeFrontier::Builder::memoryBytes() const
 {
     return sizeof(*this) +
-           (layers_.capacity() + seenN_.capacity() + seenM_.capacity()) *
-               sizeof(int64_t) +
            (tnBps_.capacity() + tmBps_.capacity() + live_.capacity() +
-            grid_.capacity() + scratch_.capacity() + areas_.capacity() +
-            outDsp_.capacity() + outCycles_.capacity()) *
+            scratch_.capacity() + areas_.capacity()) *
                sizeof(int64_t) +
-           (mcolScratch_.capacity() + rowScratch_.capacity() +
-            liveW_.capacity()) *
-               sizeof(size_t) +
-           (livePk_.capacity() + liveTi_.capacity() +
-            liveMi_.capacity() + countScratch_.capacity() +
-            outTn_.capacity() + outTm_.capacity()) *
-               sizeof(int32_t) +
-           sortScratch_.capacity() *
-               sizeof(std::pair<int64_t, int32_t>);
+           (livePk_.capacity() + liveTi_.capacity() + liveMi_.capacity()) *
+               sizeof(int32_t);
 }
 
 std::optional<ShapeFrontier>
@@ -895,18 +731,18 @@ FrontierTable::extendRowLocked(size_t i, int64_t dsp_budget,
         // go back to the store.
         releaseRowLocked(i);
         row.builder.reset();
-        row.builderLayers = 0;
         row.frontiers.clear();
         row.exhausted = false;
         row.builtUnits = std::max(buildUnits_.load(), needed);
-        // Every build of this row uses exactly builtUnits, so the
-        // builder can skip maintaining cells beyond it (most of the
-        // grid under a real budget).
-        row.builder.setUnitsCap(row.builtUnits);
     }
     if (row.exhausted)
         return;
     size_t count = order_.size();
+    // A complete row builds no more: its grid goes with it.
+    auto exhaust = [&row] {
+        row.exhausted = true;
+        row.builder.reset();
+    };
     // The store key of the range being extended: built once, then
     // grown by a layer per iteration (j advances one at a time), and
     // shared by a miss's lookup and insert.
@@ -919,7 +755,7 @@ FrontierTable::extendRowLocked(size_t i, int64_t dsp_budget,
         // or i == 0), or just the full-suffix range {count-1}.
         size_t j = usable(i, i) ? i + row.frontiers.size() : count - 1;
         if (!row.frontiers.empty() && !usable(i, j)) {
-            row.exhausted = true;  // next usable j is not contiguous
+            exhaust();  // next usable j is not contiguous
             return;
         }
         // Bring the incremental builder up to [i..j], unless the row
@@ -934,25 +770,33 @@ FrontierTable::extendRowLocked(size_t i, int64_t dsp_budget,
             frontier = store_->lookup(key);
         }
         if (!frontier) {
-            for (size_t p = i + row.builderLayers; p <= j; ++p)
-                row.builder.addLayer(network_.layer(order_[p]),
-                                     breakpoints_);
-            row.builderLayers = j - i + 1;
+            if (!row.builder) {
+                // The row's first miss: lay out one grid over every
+                // breakpoint of the suffix the row can reach, so no
+                // later layer changes its geometry. Every build uses
+                // exactly builtUnits, so the grid skips the cells
+                // beyond it (most of it under a real budget).
+                std::vector<const nn::ConvLayer *> run;
+                run.reserve(count - i);
+                for (size_t p = i; p < count; ++p)
+                    run.push_back(&network_.layer(order_[p]));
+                row.builder = std::make_unique<ShapeFrontier::Builder>(
+                    run, row.builtUnits, breakpoints_);
+            }
+            for (size_t p = i + row.builder->layers(); p <= j; ++p)
+                row.builder->addLayer(network_.layer(order_[p]),
+                                      breakpoints_);
             ShapeFrontier built =
-                row.builder.build(type_, row.builtUnits);
+                row.builder->build(type_, row.builtUnits);
             frontier = store_ ? store_->insert(key, std::move(built))
                               : std::make_shared<const ShapeFrontier>(
                                     std::move(built));
         }
         row.frontiers.push_back(std::move(frontier));
-        if (row.frontiers.back()->empty()) {
-            // No affordable shape at any target (sub-MAC cap only);
-            // extensions only add cycles, so this row is finished.
-            row.exhausted = true;
-            return;
-        }
-        if (j + 1 >= count) {
-            row.exhausted = true;
+        // No affordable shape at any target (sub-MAC cap only) means
+        // no extension can have one either: the row is finished.
+        if (row.frontiers.back()->empty() || j + 1 >= count) {
+            exhaust();
             return;
         }
     }
@@ -1033,7 +877,8 @@ FrontierTable::memoryBytes() const
     for (size_t i = 0; i < rows_.size(); ++i) {
         std::lock_guard<std::mutex> lock(rowLocks_[i]);
         const Row &row = rows_[i];
-        bytes += row.builder.memoryBytes();
+        if (row.builder)
+            bytes += row.builder->memoryBytes();
         for (const auto &frontier : row.frontiers) {
             // Shared rows are accounted once, by the store.
             bytes += store_ ? sizeof(frontier)

@@ -294,7 +294,7 @@ class ShapeFrontier
 };
 
 /**
- * Reusable frontier constructor for one growing run of layers. A row
+ * Incremental frontier constructor for one growing run of layers. A row
  * of the range table extends one layer at a time ([i..j] to [i..j+1]).
  *
  * Shape cost is additive over layers, so the builder keeps exact
@@ -304,78 +304,53 @@ class ShapeFrontier
  * a layer is one rank-1 update (cell += area[tn] * mceil[tm]) over
  * that array, and building a frontier is a single sequential
  * running-minimum pass over it — no per-extension re-enumeration at
- * all. When a layer introduces new breakpoints the array is remapped
- * by run-length copying (cycle counts are constant between
- * breakpoints); layers repeating already-seen channel counts (grouped
- * convolutions, inception modules) add no breakpoints and skip that
- * entirely.
+ * all. The grid is laid out once, at construction, from the
+ * breakpoints of every layer the run may reach, so it never changes
+ * shape while layers arrive. Breakpoints of layers the run does not
+ * hold yet never change a built frontier: such a breakpoint's cycle
+ * count equals that of the breakpoint below it, at strictly fewer
+ * units, so it can never strictly improve the staircase's running
+ * minimum.
+ *
+ * A builder holds only the grid and the staged update; the build's
+ * output lanes and the layout's sort workspace are per-thread
+ * scratch, shared by every builder the thread drives.
  */
 class ShapeFrontier::Builder
 {
   public:
-    /** Forget all layers (scratch capacity is kept; the units cap
-     * resets to unbounded). */
-    void reset();
-
     /**
-     * Declare the largest units budget any build() of this run will
-     * use. Cells with tn*tm above the cap can never be read — build()
-     * bounds its sweep by the budget — so the rank-1 updates and grid
-     * expansions skip them entirely; on a budget-capped grid that is
-     * most of the area (the live region is hyperbolic). Set it after
-     * reset() and before the first addLayer(); build() refuses larger
-     * budgets. Default: unbounded (every cell maintained).
+     * Lay out the grid of @p run, the layers (in order) the builder
+     * may be fed. @p units_cap is the largest units budget any
+     * build() will use: cells with tn*tm above it can never be read —
+     * build() bounds its sweep by the budget — so the rank-1 updates
+     * skip them entirely; on a budget-capped grid that is most of the
+     * area (the live region is hyperbolic). @p scratch supplies the
+     * breakpoint tables.
      */
-    void setUnitsCap(int64_t cap);
+    Builder(const std::vector<const nn::ConvLayer *> &run,
+            int64_t units_cap, BreakpointCache &scratch);
 
-    /**
-     * Pre-merge the breakpoints of a dimension pair the run may reach,
-     * before any layer is added. A caller that knows the run's maximal
-     * extent (a table row extends toward the full suffix) seeds every
-     * layer's dimensions up front, so the grid geometry is final from
-     * the first addLayer() — no mid-run re-expansions or re-sorts.
-     * Extra breakpoints never change a built frontier: a foreign
-     * breakpoint's cycle count equals the breakpoint below it at
-     * strictly fewer units, so it can never strictly improve the
-     * staircase's running minimum. Seeding is optional; unseeded
-     * dimensions merge lazily as layers arrive.
-     */
-    void seedDimensions(int64_t n, int64_t m, BreakpointCache &scratch);
-
-    /** Append the next layer of the run. */
+    /** Append the next layer, one of the run's (fed in run order,
+     * starting at its first). */
     void addLayer(const nn::ConvLayer &layer, BreakpointCache &scratch);
+
+    /** Layers added so far. */
+    size_t layers() const { return layers_; }
 
     /** Frontier over the layers added so far. */
     ShapeFrontier build(fpga::DataType type, int64_t units_budget);
 
-    /** Resident bytes of the incremental scratch state. */
+    /** Resident bytes of the grid and the staged update. */
     size_t memoryBytes() const;
 
   private:
-    /** Merge a table's breakpoints into a sorted union; true if new. */
-    static bool mergeBps(std::vector<int64_t> &into,
-                         const std::vector<int64_t> &from);
-
     /**
-     * Remap live_ to the new geometry after the breakpoint lists
-     * changed: scatter the old values out to a grid-shaped scratch,
-     * then gather each new live cell's value from the largest old
-     * breakpoint pair at or under it. Runs recomputeLiveGeometry()
-     * itself, between the scatter (old geometry) and the gather (new).
+     * Compute the live-cell geometry (livePk_ or liveTi_/liveMi_) of
+     * the breakpoint lists: the units-ascending order of the live
+     * cells, once per grid, so no build ever searches or sorts.
      */
-    void expandLive(const std::vector<int64_t> &old_tn,
-                    const std::vector<int64_t> &old_tm);
-
-    /**
-     * Rebuild the live-cell geometry (liveW_, liveTi_, liveMi_) after
-     * the breakpoint lists changed. Grid
-     * geometry changes only when a layer brings new breakpoints, but
-     * build() runs once per range extension — precomputing the
-     * per-row live widths and the units-ascending order of the live
-     * cells here moves every per-build binary search and bucket pass
-     * out of the hot path.
-     */
-    void recomputeLiveGeometry();
+    void layOutLiveCells();
 
     /**
      * Apply the deferred rank-1 update of the most recent layer to
@@ -383,70 +358,36 @@ class ShapeFrontier::Builder
      * column ceilings): when the very next call is build() — the
      * common rhythm of a range extension — the update is fused into
      * the build walk, one pass over the live cells instead of two.
-     * Anything else that needs the values complete (the next
-     * addLayer, a remap) flushes first — which also means a staged
-     * update never crosses a geometry change, so the staged arrays
-     * are always indexed in the current geometry.
+     * The next addLayer() flushes first when no build came between.
      */
     void flushPending();
 
-    std::vector<const nn::ConvLayer *> layers_;
-    std::vector<int64_t> seenN_;  ///< distinct N values so far
-    std::vector<int64_t> seenM_;  ///< distinct M values so far
-    int64_t maxN_ = 0;
-    int64_t maxM_ = 0;
-    int64_t unitsCap_ = kUnboundedResources;  ///< live-cell bound
+    size_t layers_ = 0;
+    int64_t unitsCap_ = 1;        ///< live-cell bound
     std::vector<int64_t> tnBps_;  ///< merged Tn breakpoints, ascending
     std::vector<int64_t> tmBps_;  ///< merged Tm breakpoints, ascending
-    bool geomInit_ = false;  ///< live geometry exists (first layer seen)
     /** Cycle counts of the live cells, in the units-ascending order
-     * of liveTi_/liveMi_ — the only persistent value storage.
+     * of the index lanes — the only persistent value storage.
      * Sequential in the build walk's own iteration order, so the hot
      * pass streams instead of gathering. */
     std::vector<int64_t> live_;
-    /** Expansion scratch: old-geometry grid the old values scatter
-     * into so the remap gather has random access (row-major,
-     * old_t * old_w, dead cells never written or read). */
-    std::vector<int64_t> grid_;
     std::vector<int64_t> scratch_;   ///< per-breakpoint M ceilings
-    std::vector<size_t> mcolScratch_;  ///< old-column map for expansion
-    std::vector<size_t> rowScratch_;   ///< old-row map for expansion
-    /** Per-row count of live cells (tn*tm <= unitsCap_): rank-1
-     * updates, remaps, and builds all stop there. */
-    std::vector<size_t> liveW_;
     /** (row, column) of the live cells, units-ascending; within
      * equal units, discovery order (ti, then mi) — the staircase
-     * walk's tie-break order. Rebuilt per geometry. The hot passes
-     * are bandwidth-bound, so index lane width is a direct lever:
-     * when both breakpoint lists fit 16 bits (any real geometry),
-     * livePk_ packs (ti << 16 | mi) into one lane; otherwise the
-     * int32 pair lanes hold the same order. */
+     * walk's tie-break order. The hot passes are bandwidth-bound, so
+     * index lane width is a direct lever: when both breakpoint lists
+     * fit 16 bits (any real geometry), livePk_ packs (ti << 16 | mi)
+     * into one lane; otherwise the int32 pair lanes hold the same
+     * order. */
     bool livePacked_ = true;
     std::vector<uint32_t> livePk_;
     std::vector<int32_t> liveTi_;
     std::vector<int32_t> liveMi_;
 
-    /** Live-cell count of the current geometry (whichever index
-     * encoding is active). */
-    size_t
-    liveCount() const
-    {
-        return livePacked_ ? livePk_.size() : liveTi_.size();
-    }
     /** Staged rank-1 update of the most recent layer: per-row areas
      * (R*C*K^2 * ceil(N/tn)); the per-column ceilings are scratch_. */
     std::vector<int64_t> areas_;
     bool pending_ = false;
-    std::vector<int32_t> countScratch_;  ///< counting-sort workspace
-    /** (units, offset) pairs for the comparison sort of uncapped
-     * geometries (counting sort needs a small units range). */
-    std::vector<std::pair<int64_t, int32_t>> sortScratch_;
-    // Output staircase lanes, reused across build() calls; build()
-    // copies them into the frontier's exact-size block.
-    std::vector<int32_t> outTn_;
-    std::vector<int32_t> outTm_;
-    std::vector<int64_t> outDsp_;
-    std::vector<int64_t> outCycles_;
 };
 
 /**
@@ -653,8 +594,9 @@ class FrontierTable
   private:
     struct Row
     {
-        ShapeFrontier::Builder builder;  ///< incremental scratch
-        size_t builderLayers = 0;        ///< layers added so far
+        /** Incremental scratch over the row's suffix: made at the
+         * row's first store miss, dropped once the row is exhausted. */
+        std::unique_ptr<ShapeFrontier::Builder> builder;
         /** Frontiers of [i..i], [i..i+1], ... (suffix-only rows store
          * just [i..count-1] at slot 0); shared via the row store. */
         std::vector<std::shared_ptr<const ShapeFrontier>> frontiers;

@@ -849,6 +849,91 @@ TEST(FrontierCache, TraceHitsAfterARewriteFoldIntoTheNextOne)
     EXPECT_EQ(cache->stats().segmentTraceHits, 5u);
 }
 
+TEST(FrontierCache, GoneSessionsTracesLeaveAndTheirSuccessorsReachDisk)
+{
+    // Two TradeoffCurveCaches over one FrontierCache stand in for an
+    // evicted session and its successor. The cache keeps the evicted
+    // session's trace until a flush has put it on disk, then lets go
+    // of it; the successor's trace of the same partition is tracked in
+    // its place, with or without a flush between the two, so its
+    // deeper walk reaches disk as well.
+    ScratchDir scratch;
+    nn::Network net = nn::makeAlexNet();
+    const fpga::DataType type = fpga::DataType::Float32;
+    auto partitionOf = [](int64_t tm) {
+        core::ComputePartition partition;
+        core::ComputeGroup group;
+        group.shape = {8, tm};
+        group.layers = {1, 2, 3};
+        partition.groups.push_back(group);
+        return partition;
+    };
+    // Walk @p trace on to @p steps steps, BRAM falling at each.
+    auto walk = [](core::TradeoffCurveCache::PartitionTrace &trace,
+                   size_t steps) {
+        std::lock_guard<std::mutex> lock(trace.mutex);
+        if (!trace.initialized) {
+            trace.initialized = true;
+            trace.initialBram = 5000;
+            trace.initialPeak = 12.5;
+        }
+        while (trace.steps.size() < steps) {
+            core::TradeoffCurveCache::PartitionStep step;
+            step.inCap = 100;
+            step.outCap = 200;
+            step.totalBram =
+                4000 - 100 * static_cast<int64_t>(trace.steps.size());
+            step.totalPeak = 13.0;
+            trace.steps.push_back(step);
+        }
+    };
+    auto diskSteps = [&](const core::ComputePartition &partition) {
+        core::TradeoffCurveCache reopened(
+            std::make_shared<core::FrontierCache>(scratch.dir()));
+        auto trace = reopened.partitionTrace(type, net, partition);
+        return trace->steps.size();
+    };
+
+    auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
+    const core::ComputePartition flushed_between = partitionOf(64);
+    {
+        core::TradeoffCurveCache evicted(cache);
+        walk(*evicted.partitionTrace(type, net, flushed_between), 1);
+    }
+    EXPECT_EQ(cache->stats().tracesNoted, 1u);
+    ASSERT_TRUE(cache->flush());
+    EXPECT_EQ(cache->stats().tracesNoted, 0u)
+        << "a gone session's trace on disk is let go";
+    EXPECT_EQ(diskSteps(flushed_between), 1u);
+
+    core::TradeoffCurveCache successor(cache);
+    auto trace = successor.partitionTrace(type, net, flushed_between);
+    EXPECT_EQ(trace->steps.size(), 1u) << "seeded from disk";
+    EXPECT_EQ(cache->stats().tracesNoted, 1u);
+    walk(*trace, 3);
+    ASSERT_TRUE(cache->flush());
+    EXPECT_EQ(cache->stats().tracesNoted, 1u)
+        << "a live session's trace stays tracked";
+    EXPECT_EQ(diskSteps(flushed_between), 3u);
+
+    // No flush between the evicted session and its successor: the
+    // successor's trace replaces the one only the cache still holds.
+    const core::ComputePartition no_flush = partitionOf(32);
+    {
+        core::TradeoffCurveCache evicted(cache);
+        walk(*evicted.partitionTrace(type, net, no_flush), 1);
+    }
+    {
+        core::TradeoffCurveCache next(cache);
+        walk(*next.partitionTrace(type, net, no_flush), 2);
+        ASSERT_TRUE(cache->flush());
+    }
+    EXPECT_EQ(diskSteps(no_flush), 2u);
+    ASSERT_TRUE(cache->flush());
+    EXPECT_EQ(cache->stats().tracesNoted, 1u)
+        << "only the live successor's trace is still tracked";
+}
+
 TEST(FrontierCache, ConcurrentWarmReadersMatchColdWhileFlushesSwapTheImage)
 {
     // Warm rows decode outside the store and cache mutexes. Four

@@ -269,5 +269,28 @@ TEST(FrontierTable, RebuildAtLargerCapReleasesOldCapRows)
     EXPECT_EQ(store->memoryBytes(), fresh_store->memoryBytes());
 }
 
+TEST(FrontierTable, ExhaustedRowsDropTheirBuilders)
+{
+    // A loose target extends every row to its last range, and a row
+    // complete to its last range builds no more: the table then holds
+    // its frontier handles and no builder's grid.
+    nn::Network network = nn::makeAlexNet();
+    fpga::DataType type = fpga::DataType::Float32;
+    std::vector<size_t> order =
+        core::orderLayers(network, core::OrderHeuristic::NmDistance);
+    size_t count = order.size();
+    auto store = std::make_shared<core::FrontierRowStore>();
+    core::FrontierTable table(network, type, order, 6, store);
+    size_t unbuilt = table.memoryBytes();
+    table.prepare(2880, core::kUnboundedResources, nullptr);
+    ASSERT_GT(store->stats().misses, 0u);
+    // Six CLPs make every range usable: row i holds count - i handles,
+    // each a shared_ptr into the store (which counts the staircases).
+    size_t handles = count * (count + 1) / 2;
+    EXPECT_EQ(table.memoryBytes(),
+              unbuilt + handles *
+                            sizeof(std::shared_ptr<const core::ShapeFrontier>));
+}
+
 } // namespace
 } // namespace mclp

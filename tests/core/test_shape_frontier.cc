@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -87,6 +88,39 @@ randomLayers(util::SplitMix64 &rng, int count)
     return layers;
 }
 
+/**
+ * A zoo-like chain of @p count layers: channels in multiples of 16
+ * (each layer's N is the previous layer's M), 1x1/3x3/5x5 kernels,
+ * and one grouped layer (depthwise when its N and M agree).
+ */
+std::vector<nn::ConvLayer>
+chainLayers(util::SplitMix64 &rng, int count)
+{
+    static const int64_t kChannels[] = {16, 32, 48, 64, 96, 128, 192, 256};
+    int64_t n = kChannels[rng.nextInt(0, 2)];
+    int64_t spatial = rng.nextInt(0, 1) ? 28 : 14;
+    int grouped = static_cast<int>(rng.nextInt(0, count - 1));
+    std::vector<nn::ConvLayer> layers;
+    for (int i = 0; i < count; ++i) {
+        int64_t m = kChannels[rng.nextInt(0, 7)];
+        int64_t k = std::vector<int64_t>{1, 3, 5}[static_cast<size_t>(
+            rng.nextInt(0, 2))];
+        int64_t g = 1;
+        if (i == grouped) {
+            m = n;
+            g = rng.nextInt(0, 1) ? n : 16;
+        }
+        std::string name("C");
+        name += std::to_string(i);
+        layers.push_back(nn::makeConvLayer(std::move(name), n, m, spatial,
+                                           spatial, k, 1, g));
+        n = m;
+        if (spatial > 7 && rng.nextInt(0, 3) == 0)
+            spatial /= 2;
+    }
+    return layers;
+}
+
 TEST(ShapeFrontier, MatchesBruteForceOnRandomRanges)
 {
     util::SplitMix64 rng(20170624);  // ISCA'17 vibes, deterministic
@@ -139,6 +173,71 @@ TEST(ShapeFrontier, PointsFormStrictStaircase)
     for (size_t i = 1; i < points.size(); ++i) {
         EXPECT_GT(points[i].dsp, points[i - 1].dsp);
         EXPECT_LT(points[i].cycles, points[i - 1].cycles);
+    }
+}
+
+/**
+ * A builder laid out over a whole run and fed it one layer at a time
+ * must answer, at every prefix, exactly what a frontier built over
+ * that prefix alone answers: the run's later breakpoints never emit a
+ * point. Both at the builder's cap and at a smaller budget, over
+ * grouped layers, repeated dims (drawn from a small pool), both data
+ * types and caps from 1 to 3000.
+ */
+TEST(ShapeFrontier, BuilderOverAWholeRunMatchesFreshFrontiersAtEveryPrefix)
+{
+    util::SplitMix64 rng(2026);
+    static const int64_t kDims[] = {3, 16, 24, 48, 64, 96, 100, 128};
+    for (int trial = 0; trial < 60; ++trial) {
+        std::vector<nn::ConvLayer> layers;
+        int count = static_cast<int>(rng.nextInt(1, 12));
+        for (int i = 0; i < count; ++i) {
+            int64_t n = kDims[rng.nextInt(0, 7)];
+            int64_t m = kDims[rng.nextInt(0, 7)];
+            int64_t g = 1;
+            if (rng.nextInt(0, 3) == 0) {
+                m = n;
+                g = rng.nextInt(0, 1) ? n : std::gcd(n, int64_t{16});
+            }
+            std::string name("L");
+            name += std::to_string(i);
+            layers.push_back(nn::makeConvLayer(
+                std::move(name), n, m, rng.nextInt(3, 14),
+                rng.nextInt(3, 14), 2 * rng.nextInt(0, 2) + 1, 1, g));
+        }
+        std::vector<const nn::ConvLayer *> run;
+        for (const nn::ConvLayer &layer : layers)
+            run.push_back(&layer);
+        fpga::DataType type = trial % 2 == 0 ? fpga::DataType::Float32
+                                             : fpga::DataType::Fixed16;
+        int64_t cap = trial == 0 ? 1 : trial == 1 ? 3000
+                                                  : rng.nextInt(1, 3000);
+
+        core::BreakpointCache cache;
+        core::ShapeFrontier::Builder builder(run, cap, cache);
+        for (size_t p = 0; p < run.size(); ++p) {
+            SCOPED_TRACE(testing::Message()
+                         << "trial " << trial << ", prefix of " << p + 1
+                         << " of " << run.size() << " layers, cap " << cap);
+            builder.addLayer(*run[p], cache);
+            ASSERT_EQ(builder.layers(), p + 1);
+            std::vector<const nn::ConvLayer *> prefix(
+                run.begin(), run.begin() + static_cast<ptrdiff_t>(p + 1));
+            int64_t lower = rng.nextInt(1, cap);
+            for (int64_t budget : {cap, lower}) {
+                core::ShapeFrontier fresh(prefix, type, budget, cache);
+                std::vector<core::FrontierPoint> want = fresh.points();
+                std::vector<core::FrontierPoint> got =
+                    builder.build(type, budget).points();
+                ASSERT_EQ(got.size(), want.size()) << "budget " << budget;
+                for (size_t i = 0; i < want.size(); ++i) {
+                    EXPECT_EQ(got[i].shape.tn, want[i].shape.tn);
+                    EXPECT_EQ(got[i].shape.tm, want[i].shape.tm);
+                    EXPECT_EQ(got[i].dsp, want[i].dsp);
+                    EXPECT_EQ(got[i].cycles, want[i].cycles);
+                }
+            }
+        }
     }
 }
 
@@ -211,17 +310,27 @@ TEST(ShapeFrontier, EnginesAgreeOnAlexNetDesigns)
 /**
  * Randomized full-optimizer parity: the bisection fast path rests on
  * an empirical monotonicity assumption (see runWithOrder), so probe
- * it across random networks and budgets, not just the zoo.
+ * it across random networks and budgets, not just the zoo: short
+ * plain networks with arbitrary channel counts, plus two 8-14-layer
+ * zoo-like chains with a grouped layer, whose table rows reach far
+ * past their first miss. Odd trials run Fixed16.
  */
 TEST(ShapeFrontier, EnginesAgreeOnRandomNetworks)
 {
     util::SplitMix64 rng(424242);
-    for (int trial = 0; trial < 8; ++trial) {
-        auto layers = randomLayers(
-            rng, static_cast<int>(rng.nextInt(2, 6)));
+    for (int trial = 0; trial < 10; ++trial) {
+        bool chain = trial % 5 == 4;
+        auto layers =
+            chain ? chainLayers(rng, static_cast<int>(rng.nextInt(8, 14)))
+                  : randomLayers(rng, static_cast<int>(rng.nextInt(2, 6)));
+        fpga::DataType type = trial % 2 == 0 ? fpga::DataType::Float32
+                                             : fpga::DataType::Fixed16;
         nn::Network net("rand", layers);
         fpga::ResourceBudget budget;
-        budget.dspSlices = rng.nextInt(60, 2800);
+        // 12-560 MAC units (up to 100 on a chain) whatever the type,
+        // so both types enumerate like-sized shape sets.
+        budget.dspSlices =
+            fpga::dspPerMac(type) * rng.nextInt(12, chain ? 100 : 560);
         budget.bram18k = rng.nextInt(100, 2000);
         core::OptimizerOptions fast;
         fast.engine = core::OptimizerEngine::Frontier;
@@ -232,15 +341,11 @@ TEST(ShapeFrontier, EnginesAgreeOnRandomNetworks)
         std::optional<core::OptimizationResult> a;
         std::optional<core::OptimizationResult> b;
         try {
-            a = core::MultiClpOptimizer(net, fpga::DataType::Float32,
-                                        budget, fast)
-                    .run();
+            a = core::MultiClpOptimizer(net, type, budget, fast).run();
         } catch (const util::FatalError &) {
         }
         try {
-            b = core::MultiClpOptimizer(net, fpga::DataType::Float32,
-                                        budget, slow)
-                    .run();
+            b = core::MultiClpOptimizer(net, type, budget, slow).run();
         } catch (const util::FatalError &) {
         }
         ASSERT_EQ(a.has_value(), b.has_value())
