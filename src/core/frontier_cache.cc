@@ -348,27 +348,23 @@ bool
 FrontierCache::seedTrace(const std::vector<int64_t> &key,
                          TradeoffCurveCache::PartitionTrace &trace)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    // As loadRow(): the lock only pins the image; the find and the
+    // decode run unlocked, and the decoded steps move into the trace.
+    std::shared_ptr<Image> image = pinImage();
     uint32_t slot = 0;
     std::string_view payload =
-        image_->segment.find(kCacheRecordTrace, key, &slot);
-    auto it = mmapTraces_.find(key);
-    if (it == mmapTraces_.end()) {
-        FrontierTraceImage decoded;
-        if (payload.empty() ||
-            !decodeTracePayload(payload, traceKeyGroups(key), decoded))
-            return false;
-        it = mmapTraces_.emplace(key, std::move(decoded)).first;
-    }
-    const FrontierTraceImage &image = it->second;
+        image->segment.find(kCacheRecordTrace, key, &slot);
+    FrontierTraceImage decoded;
+    if (payload.empty() ||
+        !decodeTracePayload(payload, traceKeyGroups(key), decoded))
+        return false;
     trace.initialized = true;
-    trace.initialBram = image.initialBram;
-    trace.initialPeak = image.initialPeak;
-    trace.steps.assign(image.steps.data(), image.steps.size());
-    trace.complete = image.complete;
-    ++segmentTraceHits_;
-    if (!payload.empty())
-        image_->addHits(slot, 1);
+    trace.initialBram = decoded.initialBram;
+    trace.initialPeak = decoded.initialPeak;
+    trace.steps = std::move(decoded.steps);
+    trace.complete = decoded.complete;
+    image->addHits(slot, 1);
+    segmentTraceHits_.fetch_add(1, std::memory_order_relaxed);
     return true;
 }
 
@@ -424,30 +420,26 @@ FrontierCache::flush()
     std::vector<std::pair<std::vector<int64_t>,
                           std::weak_ptr<TradeoffCurveCache::PartitionTrace>>>
         noted;
-    /** What disk held at open/last flush: key -> (steps, complete). */
-    std::unordered_map<std::vector<int64_t>, std::pair<size_t, bool>,
-                       util::Int64VectorHash>
-        known;
+    std::shared_ptr<Image> pinned;  ///< what disk held at open/last flush
     uint64_t known_gen = 0;
     bool rows_noted = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         rows_noted = !log_.empty();
         noted.assign(notedTraces_.begin(), notedTraces_.end());
-        for (const auto &[key, image] : mmapTraces_)
-            known.emplace(key, std::make_pair(image.steps.size(),
-                                              image.complete));
+        pinned = image_;
         known_gen = generation_;
     }
 
     // Phase 2: snapshot each live trace under its own mutex, keeping
-    // only traces that outgrew what this process knows is on disk. A
-    // trace that only the cache and this loop reference has lost its
-    // session and can never grow again: once this flush has put its
-    // snapshot on disk, the cache lets go of it. The snapshot holds
-    // traces weakly, so noteTrace() sees a gone session's trace held
-    // by the cache alone while the flush runs.
-    TraceMap trace_images;
+    // only traces that go deeper than the pinned image's record of
+    // them. A trace that only the cache and this loop reference has
+    // lost its session and can never grow again: once this flush has
+    // put its snapshot on disk, the cache lets go of it. The snapshot
+    // holds traces weakly, so noteTrace() sees a gone session's trace
+    // held by the cache alone while the flush runs.
+    std::vector<std::pair<const std::vector<int64_t> *, FrontierTraceImage>>
+        trace_images;
     std::vector<std::pair<const std::vector<int64_t> *,
                           std::weak_ptr<TradeoffCurveCache::PartitionTrace>>>
         finished;
@@ -461,19 +453,24 @@ FrontierCache::flush()
             finished.emplace_back(&key, noted_trace);
         if (!trace->initialized)
             continue;
-        auto it = known.find(key);
-        if (it != known.end() &&
-            (it->second.first > trace->steps.size() ||
-             (it->second.first == trace->steps.size() &&
-              it->second.second == trace->complete)))
+        bool disk_complete = false;
+        size_t disk_steps = 0;
+        std::string_view stored =
+            pinned->segment.find(kCacheRecordTrace, key);
+        if (!stored.empty() &&
+            peekTraceMeta(stored, &disk_complete, &disk_steps) &&
+            (disk_steps > trace->steps.size() ||
+             (disk_steps == trace->steps.size() &&
+              disk_complete == trace->complete)))
             continue;
         FrontierTraceImage image;
         image.complete = trace->complete;
         image.initialBram = trace->initialBram;
         image.initialPeak = trace->initialPeak;
-        image.steps.assign(trace->steps.begin(), trace->steps.end());
-        trace_images.emplace(key, std::move(image));
+        image.steps = trace->steps;
+        trace_images.emplace_back(&key, std::move(image));
     }
+    pinned.reset();
 
     // Under mutex_: stop tracking the finished traces, except one a
     // successor's trace has replaced since.
@@ -585,15 +582,12 @@ FrontierCache::flush()
         rewrite = add(record) || rewrite;
     });
     std::deque<std::string> fresh;  ///< owns newly encoded trace payloads
-    std::vector<const std::vector<int64_t> *> written_traces;
     for (const auto &[key, image] : trace_images) {
-        auto it = index.find({kCacheRecordTrace, key});
+        auto it = index.find({kCacheRecordTrace, *key});
         Merged *disk = it == index.end() ? nullptr : &merged[it->second];
         // The deeper walk prefix wins; at equal depth a complete
         // trace beats an incomplete one, and an identical trace is
-        // left alone. A losing image must NOT enter our disk mirror
-        // below — recording it as "what disk holds" would make later
-        // seedTrace() calls hand out less warmth than disk has.
+        // left alone.
         bool ours_deeper =
             !disk || image.steps.size() > disk->steps ||
             (image.steps.size() == disk->steps && image.complete &&
@@ -604,7 +598,7 @@ FrontierCache::flush()
         encodeTracePayload(out, image);
         fresh.push_back(out.bytes());
         Merged record;
-        record.record = {kCacheRecordTrace, key, fresh.back(), 0,
+        record.record = {kCacheRecordTrace, *key, fresh.back(), 0,
                          static_cast<uint32_t>(new_gen)};
         record.steps = image.steps.size();
         record.complete = image.complete;
@@ -617,7 +611,6 @@ FrontierCache::flush()
         } else {
             add(record);
         }
-        written_traces.push_back(&key);
         rewrite = true;
     }
 
@@ -698,15 +691,12 @@ FrontierCache::flush()
         }
     }
 
-    // Absorb everything this flush made persistent — whether we wrote
-    // it or found a concurrent CLI already had — so the next flush
-    // only considers genuinely new state.
+    // Map what this flush published, so the next flush measures its
+    // traces against it and only considers genuinely new state.
     auto absorb = [&](bool wrote,
                       FrontierCacheSegment published =
                           FrontierCacheSegment()) {
         std::lock_guard<std::mutex> lock_state(mutex_);
-        for (const std::vector<int64_t> *key : written_traces)
-            mmapTraces_[*key] = std::move(trace_images[*key]);
         forget_finished();
         if (!wrote)
             return;
@@ -787,7 +777,7 @@ FrontierCache::stats() const
     stats.segmentEntries = image_->segment.entryCount();
     stats.segmentBytes = image_->segment.bytes();
     stats.segmentRowHits = segmentRowHits_.load();
-    stats.segmentTraceHits = segmentTraceHits_;
+    stats.segmentTraceHits = segmentTraceHits_.load();
     stats.evictedLastFlush = evictedLastFlush_;
     return stats;
 }

@@ -27,14 +27,17 @@
  * Opening the cache maps the segment read-only; rows and traces
  * decode lazily, straight out of the mapping, and processes mapping
  * one directory share one page-cache copy. The ladder a lookup climbs
- * is process (the FrontierRowStore's map) -> mmap (this directory's
- * segment, or the pending log for a row noted since the last flush)
- * -> cold: a non-null loadRow() or a true seedTrace() is an mmap
- * hit. loadRow() pins the current image under the cache mutex
- * and then finds and decodes with no lock held, so warm rows decode
- * in parallel and a concurrent flush's swap never unmaps bytes a
- * decode is reading. Each shard of a sharded front owns one
- * directory, so a respawned shard warms from its own segment.
+ * is process (the FrontierRowStore's map, or the TradeoffCurveCache's
+ * traces) -> mmap (this directory's segment, or the pending log for a
+ * row noted since the last flush) -> cold: a non-null loadRow() or a
+ * true seedTrace() is an mmap hit. Both pin the current image under
+ * the cache mutex and then find and decode with no lock held, so warm
+ * entries decode in parallel and a concurrent flush's swap never
+ * unmaps bytes a decode is reading. The cache keeps no decoded copy
+ * of either: a decoded row goes to the row store, and a decoded
+ * trace's steps move into the trace being seeded. Each shard of a
+ * sharded front owns one directory, so a respawned shard warms from
+ * its own segment.
  *
  * Invalidation is versioned, never heuristic: the segment header
  * carries a layout version and a *model-formula fingerprint* — a hash
@@ -192,22 +195,25 @@ class FrontierCache
 
     /**
      * Seed a just-created PartitionTrace from disk. @p trace must not
-     * be shared with other threads yet (it is filled unlocked).
-     * Returns false — leaving the trace untouched — when the key is
-     * absent or the stored trace fails validation.
+     * be shared with other threads yet (it is filled unlocked). Like
+     * loadRow(), the cache mutex is held only to pin the image; the
+     * find and the decode run unlocked. Returns false — leaving the
+     * trace untouched — when the key is absent or the stored trace
+     * fails validation.
      */
     bool seedTrace(const std::vector<int64_t> &key,
                    TradeoffCurveCache::PartitionTrace &trace);
 
     /**
      * Track a live trace for write-back: at flush() time its current
-     * walk prefix is serialized when it goes deeper than what disk
-     * already holds. Tracking keeps the trace alive past its session,
-     * so an evicted session's walk still reaches disk; once a
-     * successful flush has put a trace that no session holds on disk,
-     * the cache lets go of it. A key whose tracked trace only the
-     * cache still holds is re-pointed at @p trace (a successor
-     * session's); while a session holds it, the first noted wins.
+     * walk prefix is serialized when it goes deeper than the record
+     * of the image mapped when the flush began. Tracking keeps the
+     * trace alive past its session, so an evicted session's walk
+     * still reaches disk; once a successful flush has put a trace that
+     * no session holds on disk, the cache lets go of it. A key whose
+     * tracked trace only the cache still holds is re-pointed at
+     * @p trace (a successor session's); while a session holds it, the
+     * first noted wins.
      */
     void noteTrace(
         const std::vector<int64_t> &key,
@@ -233,10 +239,6 @@ class FrontierCache
     Stats stats() const;
 
   private:
-    using TraceMap = std::unordered_map<std::vector<int64_t>,
-                                        FrontierTraceImage,
-                                        util::Int64VectorHash>;
-
     /**
      * A mapped image plus this process's hit count for each of its
      * slots. Held by shared_ptr, so a lookup that pinned it keeps the
@@ -345,9 +347,6 @@ class FrontierCache
 
     mutable std::mutex mutex_;
     std::shared_ptr<Image> image_;  ///< this directory's; never null
-    /** Traces known to be persistent: decoded on demand from
-     * image_, or published by this process's own flushes. */
-    TraceMap mmapTraces_;
     PendingLog log_;  ///< rows noted since the last flush
     /** Rows whose key the image holds under a payload that failed to
      * decode, kept from the cold build noteRow() saw: loadRow() serves
@@ -364,8 +363,8 @@ class FrontierCache
         util::Int64VectorHash>
         notedTraces_;
     uint64_t generation_ = 0;  ///< of the image mapped or last published
-    std::atomic<size_t> segmentRowHits_{0};  ///< counted unlocked
-    size_t segmentTraceHits_ = 0;
+    std::atomic<size_t> segmentRowHits_{0};    ///< counted unlocked
+    std::atomic<size_t> segmentTraceHits_{0};  ///< counted unlocked
     size_t evictedLastFlush_ = 0;
     size_t flushes_ = 0;
     bool loadedClean_ = true;

@@ -39,6 +39,10 @@ putVarint(char *out, uint64_t value)
  * two positive int64 values, or a count). */
 constexpr size_t kMaxVarintBytes = 10;
 
+/** Fewest bytes a trace step takes: four one-byte varints and an f64.
+ * A step count the remaining bytes cannot hold is refused. */
+constexpr size_t kMinTraceStepBytes = 4 + 8;
+
 } // namespace
 
 void
@@ -188,6 +192,10 @@ decodeTracePayload(std::string_view payload, size_t key_groups,
     image.initialBram = static_cast<int64_t>(bram);
     if (image.initialBram < 0 || !std::isfinite(image.initialPeak))
         return false;
+    // Refuse a count the remaining bytes cannot hold before allocating
+    // for it.
+    if (count64 > in.remaining() / kMinTraceStepBytes)
+        return false;
     size_t count = static_cast<size_t>(count64);
     image.steps.resize(count);
     int64_t prev_bram = image.initialBram;
@@ -220,8 +228,11 @@ peekTraceMeta(std::string_view payload, bool *complete, size_t *steps)
     uint8_t flag = 0;
     uint64_t bram = 0, count = 0;
     double peak = 0.0;
+    // decodeTracePayload's bounds: a forged count must not make a
+    // record look deeper than any walk could replace.
     if (!in.u8(flag) || !in.varint(bram) || !in.f64(peak) ||
-        !in.varint(count) || count > kCacheMaxListEntries)
+        !in.varint(count) || count > kCacheMaxListEntries ||
+        count > in.remaining() / kMinTraceStepBytes)
         return false;
     *complete = flag != 0;
     *steps = static_cast<size_t>(count);

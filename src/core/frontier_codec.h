@@ -100,14 +100,18 @@ void encodeTracePayload(util::ByteWriter &out,
  * Decode and semantically validate a trace payload: the walk's
  * invariants (non-negative caps, strictly decreasing total BRAM,
  * finite peaks, mover indices under @p key_groups) must hold or the
- * image is rejected regardless of checksums.
+ * image is rejected regardless of checksums. A step count the
+ * remaining bytes cannot hold is refused before the steps are
+ * allocated.
  */
 bool decodeTracePayload(std::string_view payload, size_t key_groups,
                         FrontierTraceImage &image);
 
 /**
  * Read just (complete, step count) from a trace payload — the flush
- * merge's "is ours deeper?" comparison without a full decode.
+ * merge's "is ours deeper?" comparison without a full decode. A step
+ * count the remaining bytes cannot hold is refused, as
+ * decodeTracePayload refuses it.
  */
 bool peekTraceMeta(std::string_view payload, bool *complete,
                    size_t *steps);

@@ -15,7 +15,6 @@
 #include "util/logging.h"
 #include "util/math.h"
 #include "util/prof.h"
-#include "util/simd.h"
 
 namespace mclp {
 namespace core {
@@ -181,18 +180,8 @@ TilingOptionCache::get(const nn::ConvLayer &layer,
     }
     // Compute outside the lock; a concurrent duplicate computation is
     // harmless (the function is pure) and the first insert wins.
-    auto set = std::make_shared<TilingOptionSet>();
-    set->options = paretoTilingOptions(layer, shape);
-    size_t count = set->options.size();
-    set->inBrams.reserve(count);
-    set->outBrams.reserve(count);
-    set->peaks.reserve(count);
-    for (const TilingOption &opt : set->options) {
-        set->inBrams.push_back(opt.inputBankBrams);
-        set->outBrams.push_back(opt.outputBankBrams);
-        set->peaks.push_back(opt.peakWordsPerCycle);
-    }
-    Options options = std::move(set);
+    Options options = std::make_shared<const std::vector<TilingOption>>(
+        paretoTilingOptions(layer, shape));
     std::lock_guard<std::mutex> lock(mutex_);
     return table_.emplace(key, std::move(options)).first->second;
 }
@@ -308,14 +297,9 @@ TilingOptionCache::memoryBytes()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     size_t bytes = table_.size() * (sizeof(Key) + 4 * sizeof(void *));
-    for (const auto &entry : table_) {
-        bytes += sizeof(TilingOptionSet) +
-                 entry.second->options.capacity() * sizeof(TilingOption) +
-                 (entry.second->inBrams.capacity() +
-                  entry.second->outBrams.capacity()) *
-                     sizeof(int64_t) +
-                 entry.second->peaks.capacity() * sizeof(double);
-    }
+    for (const auto &entry : table_)
+        bytes += sizeof(std::vector<TilingOption>) +
+                 entry.second->capacity() * sizeof(TilingOption);
     return bytes;
 }
 
@@ -354,7 +338,7 @@ TradeoffCurveCache::memoryBytes()
     for (const auto &trace_ptr : traces) {
         PartitionTrace &trace = *trace_ptr;
         std::lock_guard<std::mutex> trace_lock(trace.mutex);
-        bytes += trace.arena.bytesReserved();
+        bytes += trace.steps.capacity() * sizeof(PartitionStep);
         // Options vectors are shared with TilingOptionCache and the
         // curves are counted above; only the pointer tables are new.
         for (const auto &group : trace.groupOptions)
@@ -431,14 +415,11 @@ class MemoryOptimizer::ClpState
     /**
      * Evaluate shrinking the input or output per-bank cost to the next
      * lower achievable level. Returns nullopt when no lower level
-     * exists. All candidate levels of a layer are evaluated in one
-     * batched pass over the option set's contiguous cost lanes: a
-     * fused capScanI64 answers both the floor (lowest level reachable
-     * under the other cap) and the next step down (largest level
-     * strictly below the current cap) per layer, then a
-     * firstWithinCapsI64 pass picks each layer's new minimum-peak
-     * option. Integer comparisons only — bit-identical to the former
-     * option-by-option loops.
+     * exists. One pass over each layer's options answers both the
+     * floor (the lowest level reachable under the other cap) and the
+     * next step down (the largest level strictly below the current
+     * cap); a first-fit pass then picks each layer's new minimum-peak
+     * option.
      */
     std::optional<Move>
     probeMove(bool input) const
@@ -450,19 +431,20 @@ class MemoryOptimizer::ClpState
         int64_t floor_cap = 0;
         int64_t next_below = std::numeric_limits<int64_t>::min();
         for (size_t li = 0; li < layers_.size(); ++li) {
-            const TilingOptionSet &set = *options_[li];
-            const int64_t *levels =
-                input ? set.inBrams.data() : set.outBrams.data();
-            const int64_t *gates =
-                input ? set.outBrams.data() : set.inBrams.data();
-            int64_t layer_min, layer_below;
-            util::simd::capScanI64(levels, gates, other_cap, cap,
-                                   set.options.size(), layer_min,
-                                   layer_below);
+            int64_t layer_min = std::numeric_limits<int64_t>::max();
+            for (const TilingOption &opt : *options_[li]) {
+                int64_t level =
+                    input ? opt.inputBankBrams : opt.outputBankBrams;
+                int64_t gate =
+                    input ? opt.outputBankBrams : opt.inputBankBrams;
+                if (gate <= other_cap)
+                    layer_min = std::min(layer_min, level);
+                if (level < cap)
+                    next_below = std::max(next_below, level);
+            }
             if (layer_min == std::numeric_limits<int64_t>::max())
                 return std::nullopt;  // should not happen: cap covers it
             floor_cap = std::max(floor_cap, layer_min);
-            next_below = std::max(next_below, layer_below);
         }
         if (cap <= floor_cap)
             return std::nullopt;
@@ -474,15 +456,10 @@ class MemoryOptimizer::ClpState
         int64_t out_cap = input ? outCap_ : new_cap;
         double peak_after = 0.0;
         for (size_t li = 0; li < layers_.size(); ++li) {
-            const TilingOptionSet &set = *options_[li];
-            size_t oi = util::simd::firstWithinCapsI64(
-                set.inBrams.data(), set.outBrams.data(), in_cap,
-                out_cap, set.options.size());
-            if (oi == set.options.size())
+            const TilingOption *fit = firstFit(li, in_cap, out_cap);
+            if (!fit)
                 return std::nullopt;
-            // Options sorted by ascending peak: the first fit is the
-            // layer's minimum-peak choice.
-            peak_after = std::max(peak_after, set.peaks[oi]);
+            peak_after = std::max(peak_after, fit->peakWordsPerCycle);
         }
         Move move;
         move.input = input;
@@ -530,10 +507,24 @@ class MemoryOptimizer::ClpState
     const model::Tiling &
     tiling(size_t li) const
     {
-        return options_[li]->options[chosen_[li]].tiling;
+        return (*options_[li])[chosen_[li]].tiling;
     }
 
   private:
+    /**
+     * Layer @p li's minimum-peak option within both caps, or null.
+     * Options are sorted by ascending peak, so the first fit is it.
+     */
+    const TilingOption *
+    firstFit(size_t li, int64_t in_cap, int64_t out_cap) const
+    {
+        for (const TilingOption &opt : *options_[li])
+            if (opt.inputBankBrams <= in_cap &&
+                opt.outputBankBrams <= out_cap)
+                return &opt;
+        return nullptr;
+    }
+
     /**
      * Re-pick, for every layer, the minimum-peak option obeying the
      * caps. Returns false if some layer has no such option.
@@ -542,13 +533,10 @@ class MemoryOptimizer::ClpState
     repick()
     {
         for (size_t li = 0; li < layers_.size(); ++li) {
-            const TilingOptionSet &set = *options_[li];
-            size_t oi = util::simd::firstWithinCapsI64(
-                set.inBrams.data(), set.outBrams.data(), inCap_,
-                outCap_, set.options.size());
-            if (oi == set.options.size())
+            const TilingOption *fit = firstFit(li, inCap_, outCap_);
+            if (!fit)
                 return false;
-            chosen_[li] = oi;  // options sorted by peak
+            chosen_[li] = static_cast<size_t>(fit - options_[li]->data());
         }
         return true;
     }
@@ -564,7 +552,7 @@ class MemoryOptimizer::ClpState
         int64_t out_max = 0;
         double peak = 0.0;
         for (size_t li = 0; li < layers_.size(); ++li) {
-            const TilingOption &opt = options_[li]->options[chosen_[li]];
+            const TilingOption &opt = (*options_[li])[chosen_[li]];
             in_max = std::max(in_max, opt.inputBankBrams);
             out_max = std::max(out_max, opt.outputBankBrams);
             peak = std::max(peak, opt.peakWordsPerCycle);

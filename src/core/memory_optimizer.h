@@ -35,7 +35,6 @@
 #include "fpga/device.h"
 #include "model/clp_config.h"
 #include "nn/network.h"
-#include "util/arena.h"
 #include "util/hash.h"
 
 namespace mclp {
@@ -58,22 +57,6 @@ struct TilingOption
 std::vector<TilingOption> paretoTilingOptions(const nn::ConvLayer &layer,
                                               const model::ClpShape &shape);
 
-/**
- * A layer's Pareto tiling options plus SoA mirrors of their costs.
- * The greedy walk's probe passes scan the bank-cost lanes with the
- * batched SIMD kernels (util/simd.h) — one contiguous pass per layer
- * instead of a pointer-chasing loop over TilingOption structs; the
- * peaks lane answers the "peak of the first fitting option" lookup.
- * Built once per cache entry; immutable and shared thereafter.
- */
-struct TilingOptionSet
-{
-    std::vector<TilingOption> options;  ///< ascending peak
-    std::vector<int64_t> inBrams;       ///< options[i].inputBankBrams
-    std::vector<int64_t> outBrams;      ///< options[i].outputBankBrams
-    std::vector<double> peaks;          ///< options[i].peakWordsPerCycle
-};
-
 // The memo tables' shared hash lives in util/hash.h so the frontier
 // row store (shape_frontier.h) can key by the same flattened dims
 // sequences; these aliases keep the historical core:: spellings.
@@ -85,13 +68,14 @@ using util::hashInt64Words;
  * pairing at every target step and across ordering heuristics, and
  * networks repeat layer dimensions (grouped convolutions, fire
  * modules); the table computes each distinct pairing once and hands
- * out shared immutable vectors. Thread safe — concurrent heuristic
- * runs share one cache.
+ * out shared immutable vectors (ascending peak, as
+ * paretoTilingOptions returns them). Thread safe — concurrent
+ * heuristic runs share one cache.
  */
 class TilingOptionCache
 {
   public:
-    using Options = std::shared_ptr<const TilingOptionSet>;
+    using Options = std::shared_ptr<const std::vector<TilingOption>>;
 
     /** Options for @p layer on @p shape. */
     Options get(const nn::ConvLayer &layer, const model::ClpShape &shape);
@@ -238,19 +222,11 @@ class TradeoffCurveCache
      */
     struct PartitionTrace
     {
-        PartitionTrace() { steps.attach(&arena); }
-
         std::mutex mutex;
         bool initialized = false;
         int64_t initialBram = 0;
         double initialPeak = 0.0;
-        /** Bump arena behind the step log: steps append at pointer
-         * speed and stay contiguous for the stop-point binary search.
-         * Owned here because traces outlive the optimizer runs that
-         * grow them (the persistent cache tracks them for write-back);
-         * guarded by `mutex` like everything else in the trace. */
-        util::Arena arena;
-        util::ArenaVector<PartitionStep> steps;
+        std::vector<PartitionStep> steps;
         bool complete = false;  ///< walked to the bottom of the curve
         /** Per-group per-layer options, fetched once for every
          * state reconstruction against this trace. */

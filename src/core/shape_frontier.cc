@@ -8,7 +8,6 @@
 #include "util/logging.h"
 #include "util/math.h"
 #include "util/prof.h"
-#include "util/simd.h"
 
 namespace mclp {
 namespace core {

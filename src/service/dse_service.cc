@@ -178,8 +178,10 @@ DseService::DseService(ServiceOptions options)
                  ? nullptr
                  : std::make_shared<core::FrontierCache>(
                        options.cacheDir, options.cacheMaxBytes)),
-      registry_(options.maxSessions, options.maxBytes,
-                options.sessionThreads, cache_)
+      // Sessions stay serial: requests already run concurrently on
+      // the dispatcher's threads, and a session pool per request
+      // would oversubscribe them.
+      registry_(options.maxSessions, options.maxBytes, 1, cache_)
 {
     if (util::resolveThreads(options_.threads) > 1)
         pool_ = std::make_unique<util::ThreadPool>(options_.threads);
@@ -280,10 +282,10 @@ DseService::handleLine(const std::string &line)
     try {
         core::DseRequest request = decodeRequest(text);
         // Execution resources are the dispatcher's policy, not the
-        // client's: sessions stay serial under concurrent serving
-        // (see ServiceOptions::sessionThreads), and a wire-supplied
-        // thread count must never be able to exhaust the host.
-        request.threads = options_.sessionThreads;
+        // client's: sessions stay serial under concurrent serving, and
+        // a wire-supplied thread count must never be able to exhaust
+        // the host.
+        request.threads = 1;
         return encodeResponse(answerRequest(
             request, options_.cold ? nullptr : &registry_));
     } catch (const util::FatalError &err) {

@@ -81,10 +81,6 @@ struct ServiceOptions
     /** SessionRegistry byte budget (0 = unlimited). */
     size_t maxBytes = 0;
 
-    /** Threads each session spends on its own budget ladder; kept at
-     * 1 under concurrent serving so the pool is not oversubscribed. */
-    int sessionThreads = 1;
-
     /** Request lines longer than this are rejected with
      * `err ... msg=line-too-long` instead of buffering unboundedly;
      * applies to the stream path here and is the default for the

@@ -21,6 +21,10 @@ namespace service {
 
 namespace {
 
+/** How long the listeners sit out of the poll set after accept() ran
+ * out of file descriptors. */
+constexpr int64_t kAcceptBackoffMs = 100;
+
 /**
  * The local crew: worker threads that execute admitted lines on a
  * DseService. The poll thread never executes requests, so a stuck
@@ -338,13 +342,25 @@ Server::acceptPending(int listen_fd)
     while (!draining_ && !acceptingClosed()) {
         int fd = ::accept(listen_fd, nullptr, nullptr);
         if (fd < 0) {
-            if (errno == EINTR)
+            int err = errno;
+            if (err == EINTR)
                 continue;
-            if (errno != EAGAIN && errno != EWOULDBLOCK)
-                util::warn("mclp-serve: accept(): %s",
-                           std::strerror(errno));
+            if (err == EMFILE || err == ENFILE) {
+                // The pending connection stays queued and the listener
+                // readable, so polling it now would wake the loop at
+                // once, forever: back off instead, and say so once.
+                if (acceptPausedUntilMs_ == 0)
+                    util::warn("mclp-serve: accept(): %s; pausing accepts "
+                               "until a descriptor frees up",
+                               std::strerror(err));
+                acceptPausedUntilMs_ =
+                    util::monotonicMs() + kAcceptBackoffMs;
+            } else if (err != EAGAIN && err != EWOULDBLOCK) {
+                util::warn("mclp-serve: accept(): %s", std::strerror(err));
+            }
             return;
         }
+        acceptPausedUntilMs_ = 0;  // any exhaustion episode is over
         if (!util::setNonBlocking(fd)) {
             util::warn("mclp-serve: accepted fd: %s",
                        std::strerror(errno));
@@ -562,6 +578,12 @@ Server::run()
         pfds.push_back({wake_.readFd(), POLLIN, 0});
         ++fixed;
         bool accepting = !draining_ && !acceptingClosed();
+        int64_t accept_wait_ms =
+            accepting && acceptPausedUntilMs_ > 0
+                ? acceptPausedUntilMs_ - util::monotonicMs()
+                : 0;
+        if (accept_wait_ms > 0)
+            accepting = false;
         int unix_idx = -1, tcp_idx = -1;
         if (accepting && unixListener_.valid()) {
             unix_idx = static_cast<int>(pfds.size());
@@ -596,6 +618,10 @@ Server::run()
         if (timeout < 0 ||
             (dispatcher_timeout >= 0 && dispatcher_timeout < timeout))
             timeout = dispatcher_timeout;
+        // Paused listeners rejoin the poll set when the backoff ends.
+        if (accept_wait_ms > 0 &&
+            (timeout < 0 || accept_wait_ms < timeout))
+            timeout = static_cast<int>(accept_wait_ms);
 
         int ready = ::poll(pfds.data(),
                            static_cast<nfds_t>(pfds.size()), timeout);

@@ -36,6 +36,11 @@
  *    unboundedly. Shedding is load-dependent by design — the only
  *    wire form it ever takes is the busy error, never a wrong or
  *    reordered answer.
+ *  - **Fd exhaustion.** When accept() fails for want of file
+ *    descriptors (EMFILE/ENFILE), the listeners leave the poll set
+ *    for a short backoff instead of waking the loop at once, forever;
+ *    connections already accepted are served meanwhile, and the
+ *    episode is warned about once.
  *  - **Graceful drain.** A `shutdown` line, SIGTERM (opt-in), or
  *    requestDrain() stops accepting, lets every admitted request
  *    finish and flush, closes connections, and ends in the
@@ -256,6 +261,10 @@ class Server
     std::map<uint64_t, std::shared_ptr<Connection>> conns_;
     uint64_t nextConnId_ = 1;
     uint64_t acceptedTotal_ = 0;
+    /** Out of fds since the last successful accept: the listeners
+     * stay unpolled until this util::monotonicMs() time. 0 = no
+     * exhaustion episode (each episode is warned about once). */
+    int64_t acceptPausedUntilMs_ = 0;
     bool draining_ = false;
     std::atomic<bool> drainRequested_{false};
     volatile std::sig_atomic_t sigtermSeen_ = 0;

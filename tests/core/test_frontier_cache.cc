@@ -106,6 +106,20 @@ coldResponse(const std::string &line)
         service::answerRequest(request, nullptr));
 }
 
+std::string
+readFileBytes(const std::string &path)
+{
+    std::FILE *file = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(file, nullptr) << path;
+    std::string bytes;
+    char buf[4096];
+    size_t got;
+    while ((got = std::fread(buf, 1, sizeof buf, file)) > 0)
+        bytes.append(buf, got);
+    std::fclose(file);
+    return bytes;
+}
+
 TEST(FrontierCache, DiskWarmMatchesColdByteForByte)
 {
     ScratchDir scratch;
@@ -120,8 +134,13 @@ TEST(FrontierCache, DiskWarmMatchesColdByteForByte)
         // Populating pass (cold cache) and disk-warm pass (fresh
         // FrontierCache instance, fresh registry, fresh sessions —
         // only the directory survives) must both match cold bytes.
+        // The warm pass walks no trace deeper than its seeds and
+        // builds no row, so its flush leaves the image untouched.
         EXPECT_EQ(cachedResponse(line, scratch.dir()), cold) << line;
+        std::string populated = readFileBytes(scratch.segmentFile());
         EXPECT_EQ(cachedResponse(line, scratch.dir()), cold) << line;
+        EXPECT_EQ(readFileBytes(scratch.segmentFile()), populated)
+            << line;
     }
 
     // The warm pass really came from the persistent tier: a fresh
@@ -512,20 +531,6 @@ TEST(FrontierCache, FingerprintIsStableWithinAProcess)
     EXPECT_EQ(core::modelFormulaFingerprint(),
               core::modelFormulaFingerprint());
     EXPECT_NE(core::modelFormulaFingerprint(), 0u);
-}
-
-std::string
-readFileBytes(const std::string &path)
-{
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(file, nullptr) << path;
-    std::string bytes;
-    char buf[4096];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof buf, file)) > 0)
-        bytes.append(buf, got);
-    std::fclose(file);
-    return bytes;
 }
 
 /** Write @p bytes where an older binary's record file would sit. */
@@ -936,12 +941,14 @@ TEST(FrontierCache, GoneSessionsTracesLeaveAndTheirSuccessorsReachDisk)
 
 TEST(FrontierCache, ConcurrentWarmReadersMatchColdWhileFlushesSwapTheImage)
 {
-    // Warm rows decode outside the store and cache mutexes. Four
-    // threads answer overlapping GoogLeNet ladders over one fresh
-    // cache and registry while a fifth keeps rewriting the segment, so
-    // images are swapped under decodes in flight. Every answer must
-    // be cold bytes, and every resident row an mmap hit: the first
-    // insert wins, and a losing decode is not counted as one.
+    // Warm rows and walk traces decode outside the store and cache
+    // mutexes. Four threads answer overlapping GoogLeNet ladders over
+    // one fresh cache and registry while a fifth keeps rewriting the
+    // segment, so images are swapped under decodes in flight, and
+    // each rewrite measures the live traces against the image it
+    // pinned. Every answer must be cold bytes, every resident row an
+    // mmap hit (the first insert wins, and a losing decode is not
+    // counted as one), and traces must seed from the segment too.
     ScratchDir scratch;
     const std::vector<std::string> lines{
         "dse id=g1 net=googlenet device=690t budgets=1000,2880",
@@ -992,6 +999,7 @@ TEST(FrontierCache, ConcurrentWarmReadersMatchColdWhileFlushesSwapTheImage)
         EXPECT_EQ(rows.mmapHits, rows.rows);
         EXPECT_EQ(rows.misses, 0u);
         EXPECT_GE(cache->stats().segmentRowHits, rows.mmapHits);
+        EXPECT_GT(cache->stats().segmentTraceHits, 0u);
     }
     EXPECT_GT(cache->stats().flushes, 0u);
 }
@@ -1272,6 +1280,49 @@ TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
         // Back to the honest image for the next forgery.
         ASSERT_TRUE(util::publishFileAtomic(scratch.segmentFile(), good));
     }
+}
+
+TEST(FrontierCache, ForgedTraceStepCountIsReplacedByTheNextFlush)
+{
+    // A trace record whose header claims more steps than its bytes can
+    // hold is refused by seedTrace(), and it must not pass for a walk
+    // deeper than the one this process made: the next flush replaces
+    // it instead of keeping it over every walk.
+    ScratchDir scratch;
+    const std::vector<int64_t> key = {1, -1, 8, 8, 3, 3, 3, 1, 1};
+    util::ByteWriter forged;
+    forged.u8(1);
+    forged.varint(100);
+    forged.f64(12.5);
+    forged.varint(core::kCacheMaxListEntries - 1);
+    ASSERT_TRUE(util::publishFileAtomic(
+        scratch.segmentFile(),
+        core::FrontierCacheSegment::build(
+            core::modelFormulaFingerprint(), 1,
+            {{core::kCacheRecordTrace, key, forged.bytes()}})));
+
+    auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
+    ASSERT_TRUE(cache->stats().segmentMapped);
+    auto trace =
+        std::make_shared<core::TradeoffCurveCache::PartitionTrace>();
+    EXPECT_FALSE(cache->seedTrace(key, *trace));
+    trace->initialized = true;
+    trace->initialBram = 100;
+    trace->initialPeak = 12.5;
+    core::TradeoffCurveCache::PartitionStep step;
+    step.inCap = 7;
+    step.outCap = 9;
+    step.totalBram = 99;
+    step.totalPeak = 13.0;
+    trace->steps.push_back(step);
+    trace->complete = true;
+    cache->noteTrace(key, trace);
+    ASSERT_TRUE(cache->flush());
+    EXPECT_EQ(cache->stats().flushes, 1u);
+
+    core::TradeoffCurveCache::PartitionTrace reseeded;
+    EXPECT_TRUE(core::FrontierCache(scratch.dir()).seedTrace(key, reseeded));
+    EXPECT_EQ(reseeded.steps.size(), 1u);
 }
 
 TEST(FrontierCache, UndecodableRowSurvivesEviction)

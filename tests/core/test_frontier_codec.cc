@@ -627,6 +627,48 @@ TEST(FrontierCodec, CountTheBytesCannotHoldIsRefused)
     EXPECT_EQ(one->point(0).cycles, 9);
 }
 
+TEST(FrontierCodec, TraceStepCountTheBytesCannotHoldIsRefused)
+{
+    // A trace header claiming 2^24 - 1 steps in a 14-byte payload:
+    // refused before the steps are allocated, and by the header peek
+    // the flush merge uses.
+    util::ByteWriter forged;
+    forged.u8(1);
+    forged.varint(100);
+    forged.f64(12.5);
+    forged.varint(core::kCacheMaxListEntries - 1);
+    ASSERT_EQ(forged.bytes().size(), 14u);
+    core::FrontierTraceImage refused;
+    EXPECT_FALSE(core::decodeTracePayload(forged.bytes(), 1, refused));
+    EXPECT_EQ(refused.steps.capacity(), 0u);
+    bool complete = false;
+    size_t steps = 0;
+    EXPECT_FALSE(core::peekTraceMeta(forged.bytes(), &complete, &steps));
+
+    // One step in exactly the twelve bytes it needs still decodes.
+    util::ByteWriter one;
+    one.u8(1);
+    one.varint(100);
+    one.f64(12.5);
+    one.varint(1);
+    size_t header = one.bytes().size();
+    one.varint(0);   // clp
+    one.varint(7);   // inCap
+    one.varint(9);   // outCap
+    one.varint(1);   // BRAM drop
+    one.f64(13.0);
+    ASSERT_EQ(one.bytes().size(), header + 12);
+    core::FrontierTraceImage decoded;
+    ASSERT_TRUE(core::decodeTracePayload(one.bytes(), 1, decoded));
+    ASSERT_TRUE(core::peekTraceMeta(one.bytes(), &complete, &steps));
+    EXPECT_EQ(steps, 1u);
+    ASSERT_EQ(decoded.steps.size(), 1u);
+    EXPECT_EQ(decoded.steps[0].inCap, 7);
+    EXPECT_EQ(decoded.steps[0].outCap, 9);
+    EXPECT_EQ(decoded.steps[0].totalBram, 99);
+    EXPECT_EQ(decoded.steps[0].totalPeak, 13.0);
+}
+
 TEST(FrontierCodec, DeltaWrappingPastInt64MaxIsRefused)
 {
     // A second delta that carries the running sum past INT64_MAX, in

@@ -15,19 +15,34 @@
  * DseService), and as `FrontServer.*` on the shard forwarder over 2
  * real mclp-serve workers — what mclp-front runs. CMake points
  * MCLP_TEST_BINARY_DIR at the build tree for the worker binary.
+ *
+ * `ServeProcess.*` runs the real mclp-serve under a resource limit set
+ * between fork and exec: out of file descriptors it must not spin,
+ * and over a file-size limit its cache publish must fail cleanly.
  */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/frontier_cache_segment.h"
 #include "service/dse_codec.h"
 #include "service/dse_service.h"
 #include "service/server.h"
@@ -559,6 +574,244 @@ SERVER_TEST(TwoClientsPipeliningOneNetworkAreNeverShedBusy)
             EXPECT_EQ(lines[i], coldReference(request(c, i)));
     }
     EXPECT_EQ(server.stats().shedBusy.load(), 0u);
+}
+
+/**
+ * A real mclp-serve child with one resource limited to @p limit, set
+ * between fork and exec. Its stdin and stdout are pipes and its stderr
+ * goes to @p stderr_path; only those three descriptors cross the exec,
+ * so an fd limit counts the server's own. A test that stops early
+ * kills the child.
+ */
+class ServeChild
+{
+  public:
+    ServeChild(std::vector<std::string> flags, int resource, rlim_t limit,
+               const std::string &stderr_path)
+    {
+        flags.insert(flags.begin(),
+                     std::string(MCLP_TEST_BINARY_DIR) + "/mclp-serve");
+        std::vector<char *> argv;
+        for (std::string &flag : flags)
+            argv.push_back(flag.data());
+        argv.push_back(nullptr);
+        int in[2] = {-1, -1}, out[2] = {-1, -1};
+        EXPECT_EQ(::pipe(in), 0);
+        EXPECT_EQ(::pipe(out), 0);
+        int err = ::open(stderr_path.c_str(),
+                         O_WRONLY | O_CREAT | O_TRUNC, 0600);
+        EXPECT_GE(err, 0);
+        pid_ = ::fork();
+        if (pid_ == 0) {
+            ::dup2(in[0], 0);
+            ::dup2(out[1], 1);
+            ::dup2(err, 2);
+            for (int fd = 3; fd < 1024; ++fd)
+                ::close(fd);
+            struct rlimit rl = {limit, limit};
+            if (::setrlimit(resource, &rl) != 0)
+                _exit(126);
+            ::execv(argv[0], argv.data());
+            _exit(127);
+        }
+        EXPECT_GT(pid_, 0);
+        ::close(in[0]);
+        ::close(out[1]);
+        ::close(err);
+        in_.reset(in[1]);
+        out_.reset(out[0]);
+    }
+
+    ~ServeChild()
+    {
+        if (pid_ > 0) {
+            ::kill(pid_, SIGKILL);
+            ::waitpid(pid_, nullptr, 0);
+        }
+    }
+
+    ServeChild(const ServeChild &) = delete;
+    ServeChild &operator=(const ServeChild &) = delete;
+
+    pid_t pid() const { return pid_; }
+    util::ScopedFd &in() { return in_; }    ///< the child's stdin
+    util::ScopedFd &out() { return out_; }  ///< the child's stdout
+
+    /** Close both pipes, send @p signal (0 = none) and reap the
+     * child; its raw wait status. */
+    int
+    reap(int signal = 0)
+    {
+        in_.reset();
+        out_.reset();
+        if (signal != 0)
+            ::kill(pid_, signal);
+        int status = 0;
+        pid_t got;
+        do {
+            got = ::waitpid(pid_, &status, 0);
+        } while (got < 0 && errno == EINTR);
+        EXPECT_EQ(got, pid_);
+        pid_ = -1;
+        return status;
+    }
+
+  private:
+    pid_t pid_ = -1;
+    util::ScopedFd in_;
+    util::ScopedFd out_;
+};
+
+std::string
+fileText(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/** Make reads on @p fd fail after 30 s instead of blocking forever. */
+void
+boundReads(const util::ScopedFd &fd)
+{
+    timeval limit{30, 0};
+    ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof limit);
+}
+
+/** User plus system CPU seconds @p pid has used so far. */
+double
+cpuSeconds(pid_t pid)
+{
+    std::string stat = fileText("/proc/" + std::to_string(pid) + "/stat");
+    // Fields after the parenthesized command name: state is field 3,
+    // utime and stime are fields 14 and 15.
+    std::istringstream fields(stat.substr(stat.rfind(')') + 2));
+    std::string field;
+    double ticks = 0.0;
+    for (int i = 3; i <= 15 && fields >> field; ++i)
+        if (i >= 14)
+            ticks += std::stod(field);
+    return ticks / static_cast<double>(::sysconf(_SC_CLK_TCK));
+}
+
+TEST(ServeProcess, FdExhaustionPausesAcceptsInsteadOfSpinning)
+{
+    // With 24 descriptors the server accepts about 18 clients of 40;
+    // the rest wait in the listen backlog, so the listener stays
+    // readable. The server must sit idle, warn about the episode
+    // once, and keep answering a connection it accepted before.
+    std::string sock = socketPath("nofile");
+    std::string err_path = sock + ".stderr";
+    ::unlink(sock.c_str());
+    ServeChild child({"--socket", sock, "--threads", "1"}, RLIMIT_NOFILE,
+                     24, err_path);
+    ASSERT_GT(child.pid(), 0);
+    util::ScopedFd first;
+    for (int64_t deadline = util::monotonicMs() + 30000;
+         !first.valid(); ::usleep(20 * 1000)) {
+        ASSERT_LT(util::monotonicMs(), deadline)
+            << "mclp-serve never started listening";
+        first.reset(util::connectUnix(sock));
+    }
+    boundReads(first);
+    std::string line = std::string(kCheap) + "\n";
+    std::string reply;
+    ASSERT_TRUE(util::writeAll(first.get(), line.data(), line.size()));
+    ASSERT_TRUE(readLine(first.get(), &reply));
+    EXPECT_EQ(reply, coldReference(kCheap));
+
+    std::vector<util::ScopedFd> flood;
+    for (int i = 0; i < 40; ++i) {
+        flood.emplace_back(util::connectUnix(sock));
+        ASSERT_TRUE(flood.back().valid()) << "client " << i;
+    }
+    for (int64_t deadline = util::monotonicMs() + 30000;
+         fileText(err_path).find("Too many open files") ==
+         std::string::npos;
+         ::usleep(20 * 1000))
+        ASSERT_LT(util::monotonicMs(), deadline)
+            << "the server never ran out of descriptors";
+
+    double cpu_before = cpuSeconds(child.pid());
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    double idle_cpu = cpuSeconds(child.pid()) - cpu_before;
+    EXPECT_LT(idle_cpu, 0.25) << "the idle server spins";
+
+    std::string again = "dse id=again net=alexnet budgets=500";
+    line = again + "\n";
+    ASSERT_TRUE(util::writeAll(first.get(), line.data(), line.size()));
+    ASSERT_TRUE(readLine(first.get(), &reply));
+    EXPECT_EQ(reply, coldReference(again));
+
+    std::string errors = fileText(err_path);
+    EXPECT_LT(std::count(errors.begin(), errors.end(), '\n'), 10)
+        << errors.substr(0, 400);
+
+    // Once the clients leave, accepting resumes: a newcomer queued
+    // behind every waiting connection is accepted and answered. Only
+    // then does the drain start, with descriptors to spare.
+    flood.clear();
+    first.reset();
+    util::ScopedFd late(util::connectUnix(sock));
+    ASSERT_TRUE(late.valid());
+    boundReads(late);
+    line = std::string(kCheap) + "\n";
+    ASSERT_TRUE(util::writeAll(late.get(), line.data(), line.size()));
+    ASSERT_TRUE(readLine(late.get(), &reply));
+    EXPECT_EQ(reply, coldReference(kCheap));
+    late.reset();
+    int status = child.reap(SIGTERM);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "wait status " << status << ": " << fileText(err_path);
+    ::unlink(err_path.c_str());
+    ::unlink(sock.c_str());
+}
+
+TEST(ServeProcess, FileSizeLimitFailsThePublishNotTheProcess)
+{
+    // The drain's flush would write an 80 KiB image under a 16 KiB
+    // file-size limit. SIGXFSZ is ignored, so the publish fails with
+    // EFBIG instead of killing the server: it exits 0 with cold
+    // answers, the tmp file is gone and the previous image is kept.
+    std::string dir = socketPath("fsize") + ".cache";
+    std::string err_path = dir + ".stderr";
+    std::filesystem::remove_all(dir);
+    auto serve = [&](const std::vector<std::string> &requests,
+                     rlim_t limit) {
+        ServeChild child({"--cache-dir", dir}, RLIMIT_FSIZE, limit,
+                         err_path);
+        std::string batch;
+        for (const std::string &request : requests)
+            batch += request + "\n";
+        EXPECT_TRUE(
+            util::writeAll(child.in().get(), batch.data(), batch.size()));
+        child.in().reset();
+        std::string replies;
+        EXPECT_TRUE(util::readAll(child.out().get(), &replies));
+        int status = child.reap();
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            << "wait status " << status << ": " << fileText(err_path);
+        std::vector<std::string> lines = splitLines(replies);
+        EXPECT_EQ(lines.size(), requests.size());
+        for (size_t i = 0; i < lines.size() && i < requests.size(); ++i)
+            EXPECT_EQ(lines[i], coldReference(requests[i]));
+    };
+
+    serve({kCheap}, RLIM_INFINITY);
+    std::string segment = dir + "/" + core::kFrontierSegmentFileName;
+    std::string published = fileText(segment);
+    ASSERT_FALSE(published.empty());
+
+    serve({kCheap, "dse id=a net=alexnet device=690t budgets=1000"},
+          16 * 1024);
+    EXPECT_EQ(fileText(segment), published) << "previous image kept";
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+    EXPECT_NE(fileText(err_path).find("previous image kept"),
+              std::string::npos);
+    std::filesystem::remove_all(dir);
+    ::unlink(err_path.c_str());
 }
 
 } // namespace

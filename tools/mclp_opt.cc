@@ -21,6 +21,7 @@
  */
 
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -486,6 +487,9 @@ runTool(const Options &opts)
 int
 main(int argc, char **argv)
 {
+    // A file-size limit fails the --cache-dir publish (EFBIG) instead
+    // of killing the process before it prints its answer.
+    std::signal(SIGXFSZ, SIG_IGN);
     try {
         auto opts = parseArgs(argc, argv);
         if (!opts)

@@ -160,6 +160,10 @@ main(int argc, char **argv)
     // ignoring SIGPIPE covers the stdout path too (EPIPE surfaces as
     // an ordinary write error instead of a fatal signal).
     std::signal(SIGPIPE, SIG_IGN);
+    // A file-size limit must fail a cache publish (EFBIG: the tmp file
+    // is removed, the previous image and the pending log are kept),
+    // not kill the process in the middle of its drain.
+    std::signal(SIGXFSZ, SIG_IGN);
     try {
         auto opts = parseArgs(argc, argv);
         if (!opts)
