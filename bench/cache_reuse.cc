@@ -85,19 +85,17 @@ legacyEquivalentBytes(const std::string &path, size_t *records)
     size_t legacy = 0;
     core::FrontierCacheSegment::open(path, core::modelFormulaFingerprint())
         .forEach([&](const core::FrontierCacheSegment::Entry &entry) {
+            std::vector<int64_t> key(entry.key.begin(), entry.key.end());
             if (entry.kind == core::kCacheRecordRow) {
                 if (auto row = core::decodeRowPayload(entry.payload))
-                    legacy += 12 + core::encodeLegacyRowRecord(entry.key,
-                                                               *row)
-                                       .size();
+                    legacy +=
+                        12 + core::encodeLegacyRowRecord(key, *row).size();
             } else if (entry.kind == core::kCacheRecordTrace) {
                 core::FrontierTraceImage image;
                 if (core::decodeTracePayload(
-                        entry.payload, core::traceKeyGroups(entry.key),
-                        image))
-                    legacy += 12 + core::encodeLegacyTraceRecord(
-                                       entry.key, image)
-                                       .size();
+                        entry.payload, core::traceKeyGroups(key), image))
+                    legacy +=
+                        12 + core::encodeLegacyTraceRecord(key, image).size();
             }
             ++*records;
         });

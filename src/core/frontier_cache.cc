@@ -131,7 +131,7 @@ FrontierCache::FrontierCache(std::string dir, size_t max_bytes)
                      segmentPath_.c_str());
         break;
     case SegmentState::Damaged:
-        loadedClean_ = false;
+        loadedClean_.store(false, std::memory_order_relaxed);
         util::warn("frontier cache: %s is truncated or corrupt; "
                    "starting cold", segmentPath_.c_str());
         break;
@@ -194,18 +194,16 @@ FrontierCache::loadRow(const std::vector<int64_t> &key)
             return std::make_shared<const ShapeFrontier>(std::move(*row));
     }
     uint32_t slot = 0;
+    bool damaged = false;
     std::string_view payload =
-        image->segment.find(kCacheRecordRow, key, &slot);
-    if (payload.empty())
+        image->segment.find(kCacheRecordRow, key, &slot, &damaged);
+    if (damaged)
+        noteDamagedRecord();
+    // An absent or undecodable row is built cold, and noteRow() logs
+    // the build to take the image record's place at the next flush.
+    std::optional<ShapeFrontier> row;
+    if (payload.empty() || !(row = decodeRowPayload(payload)))
         return nullptr;
-    std::optional<ShapeFrontier> row = decodeRowPayload(payload);
-    if (!row) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = undecodable_.find(key);
-        return it == undecodable_.end()
-                   ? nullptr
-                   : std::make_shared<const ShapeFrontier>(it->second);
-    }
     image->addHits(slot, 1);
     segmentRowHits_.fetch_add(1, std::memory_order_relaxed);
     return std::make_shared<const ShapeFrontier>(std::move(*row));
@@ -328,18 +326,13 @@ FrontierCache::noteRow(const std::vector<int64_t> &key,
     encodeRowPayload(payload, *row);
     size_t hash = util::hashInt64Words(key.data(), key.size());
 
+    // Already persistent under these bytes (published since the miss):
+    // nothing to write. An absent record, one that fails its check, or
+    // one holding other bytes (a payload loadRow() could not decode: a
+    // record is a pure function of its key) is what the log replaces.
     std::shared_ptr<Image> image = pinImage();
-    std::string_view stored = image->segment.find(kCacheRecordRow, key);
-    if (!stored.empty()) {
-        // Already persistent. A record is a pure function of its key,
-        // so other bytes under it are a payload loadRow() failed to
-        // decode: keep this row for it.
-        if (stored != payload) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            undecodable_.try_emplace(key, *row);
-        }
+    if (image->segment.find(kCacheRecordRow, key) == payload)
         return;
-    }
     std::lock_guard<std::mutex> lock(mutex_);
     log_.append(key, hash, payload);
 }
@@ -352,8 +345,11 @@ FrontierCache::seedTrace(const std::vector<int64_t> &key,
     // decode run unlocked, and the decoded steps move into the trace.
     std::shared_ptr<Image> image = pinImage();
     uint32_t slot = 0;
+    bool damaged = false;
     std::string_view payload =
-        image->segment.find(kCacheRecordTrace, key, &slot);
+        image->segment.find(kCacheRecordTrace, key, &slot, &damaged);
+    if (damaged)
+        noteDamagedRecord();
     FrontierTraceImage decoded;
     if (payload.empty() ||
         !decodeTracePayload(payload, traceKeyGroups(key), decoded))
@@ -382,34 +378,13 @@ FrontierCache::noteTrace(
         it->second = std::move(trace);
 }
 
-namespace {
-
-/** A record's identity in the flush merge: a view of its key words,
- * never a copy. */
-struct RecordKey
+void
+FrontierCache::noteDamagedRecord()
 {
-    uint8_t kind;
-    std::span<const int64_t> key;
-
-    bool
-    operator==(const RecordKey &other) const
-    {
-        return kind == other.kind &&
-               std::equal(key.begin(), key.end(), other.key.begin(),
-                          other.key.end());
-    }
-};
-
-struct RecordKeyHash
-{
-    size_t
-    operator()(const RecordKey &id) const
-    {
-        return util::hashInt64Words(id.key.data(), id.key.size()) ^ id.kind;
-    }
-};
-
-} // namespace
+    if (loadedClean_.exchange(false, std::memory_order_relaxed))
+        util::warn("frontier cache: a record of %s fails its check; "
+                   "rebuilding it cold", segmentPath_.c_str());
+}
 
 bool
 FrontierCache::flush()
@@ -420,57 +395,67 @@ FrontierCache::flush()
     std::vector<std::pair<std::vector<int64_t>,
                           std::weak_ptr<TradeoffCurveCache::PartitionTrace>>>
         noted;
-    std::shared_ptr<Image> pinned;  ///< what disk held at open/last flush
     uint64_t known_gen = 0;
     bool rows_noted = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        rows_noted = !log_.empty();
-        noted.assign(notedTraces_.begin(), notedTraces_.end());
-        pinned = image_;
-        known_gen = generation_;
-    }
-
-    // Phase 2: snapshot each live trace under its own mutex, keeping
-    // only traces that go deeper than the pinned image's record of
-    // them. A trace that only the cache and this loop reference has
-    // lost its session and can never grow again: once this flush has
-    // put its snapshot on disk, the cache lets go of it. The snapshot
-    // holds traces weakly, so noteTrace() sees a gone session's trace
-    // held by the cache alone while the flush runs.
     std::vector<std::pair<const std::vector<int64_t> *, FrontierTraceImage>>
         trace_images;
     std::vector<std::pair<const std::vector<int64_t> *,
                           std::weak_ptr<TradeoffCurveCache::PartitionTrace>>>
         finished;
-    for (const auto &[key, noted_trace] : noted) {
-        std::shared_ptr<TradeoffCurveCache::PartitionTrace> trace =
-            noted_trace.lock();
-        if (!trace)
-            continue;  // replaced by a successor's trace meanwhile
-        std::lock_guard<std::mutex> trace_lock(trace->mutex);
-        if (trace.use_count() == 2)
-            finished.emplace_back(&key, noted_trace);
-        if (!trace->initialized)
-            continue;
-        bool disk_complete = false;
-        size_t disk_steps = 0;
-        std::string_view stored =
-            pinned->segment.find(kCacheRecordTrace, key);
-        if (!stored.empty() &&
-            peekTraceMeta(stored, &disk_complete, &disk_steps) &&
-            (disk_steps > trace->steps.size() ||
-             (disk_steps == trace->steps.size() &&
-              disk_complete == trace->complete)))
-            continue;
-        FrontierTraceImage image;
-        image.complete = trace->complete;
-        image.initialBram = trace->initialBram;
-        image.initialPeak = trace->initialPeak;
-        image.steps = trace->steps;
-        trace_images.emplace_back(&key, std::move(image));
+    try {
+        std::shared_ptr<Image> pinned;  ///< what disk held at open/last flush
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            rows_noted = !log_.empty();
+            noted.assign(notedTraces_.begin(), notedTraces_.end());
+            pinned = image_;
+            known_gen = generation_;
+        }
+
+        // Phase 2: snapshot each live trace under its own mutex,
+        // keeping only traces that go deeper than the pinned image's
+        // record of them. A trace that only the cache and this loop
+        // reference has lost its session and can never grow again:
+        // once this flush has put its snapshot on disk, the cache lets
+        // go of it. The snapshot holds traces weakly, so noteTrace()
+        // sees a gone session's trace held by the cache alone while
+        // the flush runs.
+        for (const auto &[key, noted_trace] : noted) {
+            std::shared_ptr<TradeoffCurveCache::PartitionTrace> trace =
+                noted_trace.lock();
+            if (!trace)
+                continue;  // replaced by a successor's trace meanwhile
+            std::lock_guard<std::mutex> trace_lock(trace->mutex);
+            if (trace.use_count() == 2)
+                finished.emplace_back(&key, noted_trace);
+            if (!trace->initialized)
+                continue;
+            // A record failing its check reads as absent: the walk
+            // replaces it.
+            bool disk_complete = false;
+            size_t disk_steps = 0;
+            std::string_view stored =
+                pinned->segment.find(kCacheRecordTrace, key);
+            if (!stored.empty() &&
+                peekTraceMeta(stored, &disk_complete, &disk_steps) &&
+                (disk_steps > trace->steps.size() ||
+                 (disk_steps == trace->steps.size() &&
+                  disk_complete == trace->complete)))
+                continue;
+            FrontierTraceImage image;
+            image.complete = trace->complete;
+            image.initialBram = trace->initialBram;
+            image.initialPeak = trace->initialPeak;
+            image.steps = trace->steps;
+            trace_images.emplace_back(&key, std::move(image));
+        }
+    } catch (const std::bad_alloc &) {
+        // Nothing was taken yet: the log and the traces wait for the
+        // next flush.
+        util::warn("frontier cache: out of memory before flushing %s",
+                   segmentPath_.c_str());
+        return false;
     }
-    pinned.reset();
 
     // Under mutex_: stop tracking the finished traces, except one a
     // successor's trace has replaced since.
@@ -495,13 +480,6 @@ FrontierCache::flush()
         return true;
     }
 
-    // Phase 3: merge with the image published *now* under the
-    // advisory lock and publish atomically. Another process may have
-    // flushed since we opened, so the segment is mapped afresh here;
-    // records are deterministic functions of their keys, so "first
-    // writer wins" is exact for rows, and the deeper prefix wins for
-    // traces. A stale or damaged image contributes nothing and is
-    // replaced wholesale.
     util::FileLock lock(lockPath_);
     if (!lock.locked()) {
         util::warn("frontier cache: cannot lock %s; skipping flush",
@@ -521,192 +499,180 @@ FrontierCache::flush()
         log = std::exchange(log_, PendingLog());
     }
 
-    /** One record of the merged image: views into the base mapping,
-     * the log or the trace snapshots, so the merge copies no payload
-     * and no pending key. */
-    struct Merged
-    {
-        SegmentRecord record;
-        size_t steps = 0;      ///< traces only
-        bool complete = false;
-        bool evicted = false;
-    };
-    FrontierCacheSegment base =
-        FrontierCacheSegment::open(segmentPath_, fingerprint_);
-    std::vector<Merged> merged;
-    merged.reserve(base.entryCount() + log.records() + trace_images.size());
-    std::unordered_map<RecordKey, size_t, RecordKeyHash> index;
-    index.reserve(merged.capacity());
-    // The first record of a key wins: the base's, then the log's (the
-    // log holds a key once, but the base may hold it too).
-    auto add = [&](const Merged &record) {
-        bool fresh =
-            index.try_emplace({record.record.kind, record.record.key},
-                              merged.size())
-                .second;
-        if (fresh)
-            merged.push_back(record);
-        return fresh;
-    };
-    /** The base's keys, read out of the mapping (one block each; a
-     * moved vector keeps its block, so the views stay valid). */
-    std::vector<std::vector<int64_t>> base_keys;
-    base_keys.reserve(base.entryCount());
-    base.forEach([&](const FrontierCacheSegment::Entry &entry) {
-        Merged record;
-        record.record = {entry.kind, {}, entry.payload, entry.hits,
-                         entry.lastGen};
-        // A record of unknown kind, or a trace whose header does not
-        // parse, cannot be served; dropping it costs a cold rebuild.
-        if (entry.kind != kCacheRecordRow &&
-            (entry.kind != kCacheRecordTrace ||
-             !peekTraceMeta(entry.payload, &record.complete,
-                            &record.steps)))
-            return;
-        base_keys.push_back(entry.key);
-        record.record.key = base_keys.back();
-        add(record);
-    });
-    // Every publish advances the generation past both the image it
-    // replaces and anything this process published or mapped.
-    uint64_t new_gen = std::max(base.generation(), known_gen) + 1;
-
-    bool rewrite = false;  // anything to change on disk?
-    log.forEach([&](std::span<const int64_t> key, std::string_view payload) {
-        Merged record;
-        record.record = {kCacheRecordRow, key, payload, 0,
-                         static_cast<uint32_t>(new_gen)};
-        // A key already merged is an identical row published since
-        // it was noted: by a concurrent CLI, or by the flush that was
-        // publishing this process's previous log when it was noted.
-        rewrite = add(record) || rewrite;
-    });
-    std::deque<std::string> fresh;  ///< owns newly encoded trace payloads
-    for (const auto &[key, image] : trace_images) {
-        auto it = index.find({kCacheRecordTrace, *key});
-        Merged *disk = it == index.end() ? nullptr : &merged[it->second];
-        // The deeper walk prefix wins; at equal depth a complete
-        // trace beats an incomplete one, and an identical trace is
-        // left alone.
-        bool ours_deeper =
-            !disk || image.steps.size() > disk->steps ||
-            (image.steps.size() == disk->steps && image.complete &&
-             !disk->complete);
-        if (!ours_deeper)
-            continue;
-        util::ByteWriter out;
-        encodeTracePayload(out, image);
-        fresh.push_back(out.bytes());
-        Merged record;
-        record.record = {kCacheRecordTrace, *key, fresh.back(), 0,
-                         static_cast<uint32_t>(new_gen)};
-        record.steps = image.steps.size();
-        record.complete = image.complete;
-        if (disk) {
-            // A deeper prefix of the same walk keeps the record's
-            // hit history — it is the same logical entry.
-            record.record.hits = disk->record.hits;
-            record.record.lastGen = disk->record.lastGen;
-            *disk = record;
-        } else {
-            add(record);
-        }
-        rewrite = true;
-    }
-
-    // Fold this process's hit counts into the record counters — but
-    // only when the image is being rewritten for a real reason. Each
-    // hit slot's key is read out of the image. A hit also stamps the
-    // record with the new generation: "recently hit" is what the
-    // byte-budget eviction below spares.
+    // Phase 3: plan the new slot table from the image published *now*
+    // (another process may have flushed since we opened, so it is
+    // mapped afresh here), the log and the trace snapshots, then
+    // stream the image from those three sources. Records are
+    // deterministic functions of their keys, so for rows the published
+    // record wins unless a logged row holds other bytes, and for
+    // traces the deeper prefix wins. A stale or damaged image, or a
+    // record failing its check, contributes nothing. From here an
+    // allocation that fails is a failed publish: the log and the
+    // folded counts go back, and the previous image stays.
+    uint64_t new_gen = 0;
     size_t evicted = 0;
+    bool rewrite = false;  // anything to change on disk?
+    bool published = false;
+    bool out_of_memory = false;
     std::vector<std::pair<uint32_t, uint32_t>> folded;  ///< slot, hits
-    if (rewrite) {
-        current->takeHits([&](uint32_t slot, uint32_t delta,
-                              const FrontierCacheSegment::Entry &entry) {
-            folded.emplace_back(slot, delta);
-            auto it = index.find({entry.kind, entry.key});
-            if (it == index.end())
-                return;
-            SegmentRecord &record = merged[it->second].record;
-            record.hits = delta > UINT32_MAX - record.hits
-                              ? UINT32_MAX
-                              : record.hits + delta;
-            record.lastGen = static_cast<uint32_t>(new_gen);
+    try {
+        FrontierCacheSegment base =
+            FrontierCacheSegment::open(segmentPath_, fingerprint_);
+        // Every publish advances the generation past both the image
+        // it replaces and anything this process published or mapped.
+        new_gen = std::max(base.generation(), known_gen) + 1;
+        const uint32_t gen = static_cast<uint32_t>(new_gen);
+        SegmentPlan plan(base.entryCount() + log.records() +
+                         trace_images.size());
+        base.forEach([&](const FrontierCacheSegment::Entry &entry) {
+            // A record of unknown kind, or a trace whose header does
+            // not parse, cannot be served; dropping it costs a cold
+            // rebuild.
+            bool complete = false;
+            size_t steps = 0;
+            if (entry.kind == kCacheRecordRow ||
+                (entry.kind == kCacheRecordTrace &&
+                 peekTraceMeta(entry.payload, &complete, &steps)))
+                plan.add({entry.kind, entry.key, entry.payload, entry.hits,
+                          entry.lastGen});
         });
-
-        if (maxBytes_ > 0) {
-            // Least-recently-hit eviction against the exact image
-            // size: drop records whose last hit is oldest (then fewest
-            // hits, then larger first — freeing the budget with the
-            // fewest casualties) until the image fits. Fresh and
-            // just-hit records carry new_gen, so they are the last
-            // candidates.
-            size_t records = merged.size();
-            size_t key_words = 0;
-            size_t payload_bytes = 0;
-            for (const Merged &m : merged) {
-                key_words += m.record.key.size();
-                payload_bytes += m.record.payload.size();
+        log.forEach([&](std::span<const int64_t> key,
+                        std::string_view payload) {
+            size_t at = plan.find(kCacheRecordRow, key);
+            if (at == SegmentPlan::npos) {
+                plan.add({kCacheRecordRow, key, payload, 0, gen});
+                rewrite = true;
+            } else if (plan.record(at).payload != payload) {
+                // A published record loadRow() could not decode: the
+                // cold build takes its place and its hit history.
+                plan.setPayload(at, payload);
+                rewrite = true;
             }
-            auto imageBytes = [&] {
-                return FrontierCacheSegment::imageBytes(
-                    records, key_words, payload_bytes);
-            };
-            if (imageBytes() > maxBytes_) {
-                auto bytes = [](const SegmentRecord &r) {
-                    return 8 * r.key.size() + r.payload.size();
-                };
-                std::vector<Merged *> victims;
-                victims.reserve(records);
-                for (Merged &m : merged)
-                    victims.push_back(&m);
-                std::sort(victims.begin(), victims.end(),
-                          [&](const Merged *a, const Merged *b) {
-                              const SegmentRecord &x = a->record;
-                              const SegmentRecord &y = b->record;
-                              if (x.lastGen != y.lastGen)
-                                  return x.lastGen < y.lastGen;
-                              if (x.hits != y.hits)
-                                  return x.hits < y.hits;
-                              if (bytes(x) != bytes(y))
-                                  return bytes(x) > bytes(y);
-                              return std::lexicographical_compare(
-                                  x.key.begin(), x.key.end(),
-                                  y.key.begin(), y.key.end());
-                          });
-                for (Merged *victim : victims) {
-                    if (imageBytes() <= maxBytes_)
-                        break;
-                    --records;
-                    key_words -= victim->record.key.size();
-                    payload_bytes -= victim->record.payload.size();
-                    victim->evicted = true;
-                    ++evicted;
-                }
+            // Equal bytes were published since the row was noted: by
+            // a concurrent CLI, or by the flush that was publishing
+            // this process's previous log when it was noted.
+        });
+        std::deque<std::string> fresh;  ///< owns new trace payloads
+        for (const auto &[key, image] : trace_images) {
+            size_t at = plan.find(kCacheRecordTrace, *key);
+            bool disk_complete = false;
+            size_t disk_steps = 0;
+            if (at != SegmentPlan::npos)
+                peekTraceMeta(plan.record(at).payload, &disk_complete,
+                              &disk_steps);
+            // The deeper walk prefix wins; at equal depth a complete
+            // trace beats an incomplete one, and an identical trace is
+            // left alone.
+            bool ours_deeper =
+                at == SegmentPlan::npos || image.steps.size() > disk_steps ||
+                (image.steps.size() == disk_steps && image.complete &&
+                 !disk_complete);
+            if (!ours_deeper)
+                continue;
+            util::ByteWriter out;
+            encodeTracePayload(out, image);
+            fresh.push_back(out.bytes());
+            // A deeper prefix of the same walk keeps the record's hit
+            // history — it is the same logical entry.
+            if (at != SegmentPlan::npos)
+                plan.setPayload(at, fresh.back());
+            else
+                plan.add({kCacheRecordTrace, *key, fresh.back(), 0, gen});
+            rewrite = true;
+        }
+
+        if (rewrite) {
+            // Fold this process's hit counts into the record counters
+            // — but only when the image is being rewritten for a real
+            // reason. Each hit slot's key is read out of the image. A
+            // hit also stamps the record with the new generation:
+            // "recently hit" is what the byte-budget eviction spares.
+            current->takeHits([&](uint32_t slot, uint32_t delta,
+                                  const FrontierCacheSegment::Entry &entry) {
+                folded.emplace_back(slot, delta);
+                size_t at = plan.find(entry.kind, entry.key);
+                if (at == SegmentPlan::npos)
+                    return;
+                uint32_t hits = plan.record(at).hits;
+                plan.setCounters(at,
+                                 delta > UINT32_MAX - hits ? UINT32_MAX
+                                                           : hits + delta,
+                                 gen);
+            });
+            // Fresh and just-hit records carry the new generation, so
+            // they are the last the budget evicts. An unbounded cache
+            // still stops where the slots' 32-bit offsets do.
+            evicted = plan.fitTo(maxBytes_ > 0 ? maxBytes_ : UINT64_MAX);
+            if (evicted > 0)
                 util::inform("frontier cache: byte budget evicted "
                              "%zu least-recently-hit records",
                              evicted);
-            }
+            published = util::publishFileAtomic(
+                segmentPath_, [&](const util::ByteSink &sink) {
+                    return plan.write(fingerprint_, new_gen, sink);
+                });
         }
+    } catch (const std::bad_alloc &) {
+        // publishFileAtomic() removed its tmp file if it had one.
+        rewrite = true;
+        out_of_memory = true;
     }
+
+    if (!rewrite) {
+        // Disk already holds at least everything we know (every
+        // logged row matched a published record, every trace lost to
+        // a deeper published prefix).
+        std::lock_guard<std::mutex> lock_state(mutex_);
+        forget_finished();
+        return true;
+    }
+    if (!published) {
+        util::warn("frontier cache: publishing %s failed%s; previous "
+                   "image kept", segmentPath_.c_str(),
+                   out_of_memory ? " (out of memory)" : "");
+        // The folded counts and the logged rows never reached disk:
+        // the counts stay counted, and the log goes back in front of
+        // any rows noted since. Putting it back allocates only when
+        // rows were noted during this flush, and then for those rows.
+        for (const auto &[slot, delta] : folded)
+            current->addHits(slot, delta);
+        std::lock_guard<std::mutex> lock_state(mutex_);
+        try {
+            log_.prepend(std::move(log));
+        } catch (const std::bad_alloc &) {
+            // The rows noted meanwhile stay logged; the taken ones
+            // rebuild cold when they are needed again.
+        }
+        return false;
+    }
+    log = PendingLog();
+    // Nothing reads a record file an older binary left beside the
+    // segment; the first publish removes it.
+    ::unlink(legacyFilePath_.c_str());
 
     // Map what this flush published, so the next flush measures its
     // traces against it and only considers genuinely new state.
-    auto absorb = [&](bool wrote,
-                      FrontierCacheSegment published =
-                          FrontierCacheSegment()) {
-        std::lock_guard<std::mutex> lock_state(mutex_);
-        forget_finished();
-        if (!wrote)
-            return;
-        ++flushes_;
-        generation_ = new_gen;
-        evictedLastFlush_ = evicted;
+    // Opening reads the header and the slot table, not the records. A
+    // process short of address space may fail to map it or to count
+    // its hits: the image is on disk, and lookups keep the one mapped
+    // before until a later flush maps a newer one.
+    std::shared_ptr<Image> next;
+    try {
+        FrontierCacheSegment mapped =
+            FrontierCacheSegment::open(segmentPath_, fingerprint_);
+        if (mapped.valid())
+            next = std::make_shared<Image>(std::move(mapped));
+    } catch (const std::bad_alloc &) {
+    }
+    std::lock_guard<std::mutex> lock_state(mutex_);
+    forget_finished();
+    ++flushes_;
+    generation_ = new_gen;
+    evictedLastFlush_ = evicted;
+    if (next) {
         // The folded counts are on disk. Hits scored on the old image
         // since the fold carry over to the same keys' slots of the new
         // one, which lookups pin from here on.
-        auto next = std::make_shared<Image>(std::move(published));
         current->takeHits([&](uint32_t, uint32_t late,
                               const FrontierCacheSegment::Entry &entry) {
             uint32_t slot = 0;
@@ -714,52 +680,7 @@ FrontierCache::flush()
                 next->addHits(slot, late);
         });
         image_ = std::move(next);
-    };
-
-    if (!rewrite) {
-        // Disk already holds at least everything we know (every
-        // logged row matched a published record, every trace lost to
-        // a deeper published prefix).
-        absorb(false);
-        return true;
     }
-
-    std::vector<SegmentRecord> records;
-    records.reserve(merged.size());
-    for (const Merged &m : merged)
-        if (!m.evicted)
-            records.push_back(m.record);
-    // The image is a temporary, freed before the new mapping is
-    // validated below: the flush never holds two copies of it.
-    bool published = util::publishFileAtomic(
-        segmentPath_,
-        FrontierCacheSegment::build(fingerprint_, new_gen, records));
-    // Free the merge before mapping the new image (assigning {} would
-    // keep the capacity).
-    records = decltype(records)();
-    index = decltype(index)();
-    merged = decltype(merged)();
-    base_keys = decltype(base_keys)();
-    fresh = decltype(fresh)();
-    base = FrontierCacheSegment();
-    if (!published) {
-        util::warn("frontier cache: publishing %s failed; previous "
-                   "image kept", segmentPath_.c_str());
-        // The folded counts and the logged rows never reached disk:
-        // the counts stay counted, and the log goes back in front of
-        // any rows noted since.
-        for (const auto &[slot, delta] : folded)
-            current->addHits(slot, delta);
-        std::lock_guard<std::mutex> lock_state(mutex_);
-        log_.prepend(std::move(log));
-        return false;
-    }
-    log = PendingLog();
-    // Nothing reads a record file an older binary left beside the
-    // segment; the first publish removes it.
-    std::error_code ec;
-    std::filesystem::remove(legacyFilePath_, ec);
-    absorb(true, FrontierCacheSegment::open(segmentPath_, fingerprint_));
     return true;
 }
 
@@ -771,7 +692,7 @@ FrontierCache::stats() const
     stats.rowsPending = log_.records();
     stats.tracesNoted = notedTraces_.size();
     stats.flushes = flushes_;
-    stats.loadedClean = loadedClean_;
+    stats.loadedClean = loadedClean_.load(std::memory_order_relaxed);
     stats.generation = generation_;
     stats.segmentMapped = image_->segment.valid();
     stats.segmentEntries = image_->segment.entryCount();

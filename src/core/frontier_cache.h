@@ -20,13 +20,15 @@
  *
  * The cache's one on-disk artifact is the **segment**
  * (frontier_cache.seg, core/frontier_cache_segment.h): an immutable,
- * checksummed, hash-indexed image of delta-compacted records
- * (core/frontier_codec.h), each carrying a hit counter and the
- * generation of its last hit so a byte budget (the constructor's
- * max_bytes) can evict the least-recently-hit records at flush time.
- * Opening the cache maps the segment read-only; rows and traces
- * decode lazily, straight out of the mapping, and processes mapping
- * one directory share one page-cache copy. The ladder a lookup climbs
+ * hash-indexed image of delta-compacted records
+ * (core/frontier_codec.h), each carrying its own check, a hit counter
+ * and the generation of its last hit so a byte budget (the
+ * constructor's max_bytes) can evict the least-recently-hit records
+ * at flush time. Opening the cache maps the segment read-only and
+ * checks only its header and slot table, so it costs the slot count,
+ * not the image size; rows and traces decode lazily, straight out of
+ * the mapping, each after its own check, and processes mapping one
+ * directory share one page-cache copy. The ladder a lookup climbs
  * is process (the FrontierRowStore's map, or the TradeoffCurveCache's
  * traces) -> mmap (this directory's segment, or the pending log for a
  * row noted since the last flush) -> cold: a non-null loadRow() or a
@@ -46,18 +48,24 @@
  * model constants is stale: ignored wholesale, a clean cold start.
  * Every record is a pure function of its key and that fingerprint, so
  * anything other than a current, valid image may simply be rebuilt.
- * A damaged image (short, foreign, failed checksum, out-of-bounds
- * slot) is refused whole as well, with a warning: damage anywhere
- * costs the whole cache, never a wrong byte. A frontier_cache.bin
- * record file left by an older binary is ignored and removed by the
- * first flush that publishes.
+ * Damage in the header or the slot table (a short or foreign file, a
+ * failed checksum, an out-of-bounds slot) refuses the image whole,
+ * with a warning. Damage in a record refuses only that record: it
+ * reads as absent, is rebuilt cold and logged, clears clean, and the
+ * next flush that rewrites the image puts the rebuilt record in its
+ * place. Either way damage costs warmth, never a wrong byte. A
+ * frontier_cache.bin record file left by an older binary is ignored
+ * and removed by the first flush that publishes.
  *
  * The cache is a read-through/write-back layer: FrontierRowStore and
  * TradeoffCurveCache consult it on a miss and note fresh builds, and
  * flush() merges pending entries with whatever image is published
  * *now* (concurrent CLIs interleave safely under a per-directory
- * advisory lock; the merged image is staged in a temp file and
- * renamed atomically, so a crash never leaves a half-written cache).
+ * advisory lock). The merge plans the new slot table from the
+ * published image, the log and the trace snapshots, then streams the
+ * image from those sources into a temp file that is renamed
+ * atomically, so a flush never holds a whole image in memory and a
+ * crash never leaves a half-written cache.
  * A noted row waits only as the record the flush will write — its key
  * words and encoded payload, appended to one chunked log that holds
  * each key once — never as a decoded row, so the row store frees rows
@@ -133,8 +141,10 @@ class FrontierCache
         size_t tracesNoted = 0;    ///< live traces tracked for flush
         size_t flushes = 0;        ///< successful flush() commits
         /** Segment was absent, valid, or stale (another version or
-         * fingerprint: an expected invalidation); a damaged image —
-         * truncation, bit rot, a forged slot — is not clean. */
+         * fingerprint: an expected invalidation), and no record read
+         * from it failed its check. A damaged image — truncation, bit
+         * rot in the slot table, a forged slot — or one damaged record
+         * is not clean. */
         bool loadedClean = true;
         uint64_t generation = 0;   ///< of the image mapped or published
         bool segmentMapped = false;   ///< serving from the mmap tier
@@ -154,14 +164,16 @@ class FrontierCache
      * Open (and create if needed) cache directory @p dir and map its
      * segment; entries then decode from the mapping on demand. Any
      * defect — missing directory, stale version or fingerprint,
-     * truncation, checksum or bounds failure — degrades to an empty
-     * (cold) cache; construction never throws for file reasons.
+     * truncation, header checksum or bounds failure — degrades to an
+     * empty (cold) cache; construction never throws for file reasons.
      *
      * @param max_bytes byte budget for the segment image (0 =
      * unbounded): header, slot table, key words and payloads. When a
      * flush would exceed it, the least-recently-hit records (oldest
      * last-hit generation, then fewest hits) are evicted until the
-     * image fits; records touched this session survive first.
+     * image fits; records touched this session survive first. Every
+     * budget stops at kFrontierSegmentMaxBytes, where the slots'
+     * 32-bit offsets do.
      */
     explicit FrontierCache(std::string dir, size_t max_bytes = 0);
 
@@ -171,10 +183,10 @@ class FrontierCache
      * The staircase noted or persisted under a FrontierRowStore key,
      * decoded from its pending log record or from the mapped image, or
      * null. Takes the cache mutex once, to pin the current image and
-     * copy out a pending payload: the find and the decode run unlocked,
-     * so callers may decode concurrently. Only a key whose stored
-     * payload fails to decode consults the undecodable-row memo (see
-     * noteRow()).
+     * copy out a pending payload: the find, the record check and the
+     * decode run unlocked, so callers may decode concurrently. A record
+     * that fails its check (which clears Stats::loadedClean) or does
+     * not decode is a miss.
      */
     std::shared_ptr<const ShapeFrontier>
     loadRow(const std::vector<int64_t> &key);
@@ -183,12 +195,12 @@ class FrontierCache
      * Record a freshly built staircase for the next flush(). The row
      * is encoded and its key hashed outside every lock; under the
      * cache mutex its record is only appended to the pending log, so
-     * the cache keeps no reference to @p row. A key the log or the
-     * mapped image already holds is not logged again; if the image's
-     * bytes differ from @p row's encoding (a payload loadRow() could
-     * not decode), a copy of @p row joins the undecodable-row memo
-     * instead, so eviction cannot cost the row a rebuild on every
-     * touch.
+     * the cache keeps no reference to @p row. A key the log already
+     * holds, or the mapped image holds under the same bytes, is not
+     * logged again. An image record that fails its check or holds
+     * other bytes (a payload loadRow() could not decode) is replaced:
+     * the row is logged, loadRow() serves it from the log, and the
+     * next flush publishes it in the record's place.
      */
     void noteRow(const std::vector<int64_t> &key,
                  const std::shared_ptr<const ShapeFrontier> &row);
@@ -226,13 +238,15 @@ class FrontierCache
      * process's hit counts into the image's counters, evict past the
      * byte budget, and publish the new image atomically. The flush
      * takes the whole log once it holds the file lock (rows noted
-     * meanwhile start a new one) and splices its payload bytes into
-     * the image without re-encoding; a key the published image
-     * already holds keeps its record. No-op (returning true) when
-     * nothing but hit counters changed — counter updates ride the
-     * next real rewrite. False on I/O failure — the previous image
-     * survives, and so do the counts and the log, put back in front
-     * of any rows noted since.
+     * meanwhile start a new one), plans the new slot table, and
+     * streams keys and payloads from the published mapping, the log
+     * and the trace encodings to the file without re-encoding or
+     * copying them; a key the published image already holds keeps its
+     * record unless the log holds other bytes for it. No-op
+     * (returning true) when nothing but hit counters changed — counter
+     * updates ride the next real rewrite. False on I/O failure or a
+     * failed allocation — the previous image survives, and so do the
+     * counts and the log, put back in front of any rows noted since.
      */
     bool flush();
 
@@ -338,6 +352,10 @@ class FrontierCache
     /** The current image, pinned under mutex_. */
     std::shared_ptr<Image> pinImage() const;
 
+    /** A record read from the image failed its check: clear
+     * loadedClean_, warning the first time. */
+    void noteDamagedRecord();
+
     std::string dir_;
     std::string lockPath_;
     std::string segmentPath_;
@@ -348,12 +366,6 @@ class FrontierCache
     mutable std::mutex mutex_;
     std::shared_ptr<Image> image_;  ///< this directory's; never null
     PendingLog log_;  ///< rows noted since the last flush
-    /** Rows whose key the image holds under a payload that failed to
-     * decode, kept from the cold build noteRow() saw: loadRow() serves
-     * them after a failed decode. */
-    std::unordered_map<std::vector<int64_t>, ShapeFrontier,
-                       util::Int64VectorHash>
-        undecodable_;
     /** Traces to serialize at flush; deduped by key, first noted
      * wins while its session holds it (concurrent sessions converge
      * on one trace per key in their own caches anyway). */
@@ -367,7 +379,7 @@ class FrontierCache
     std::atomic<size_t> segmentTraceHits_{0};  ///< counted unlocked
     size_t evictedLastFlush_ = 0;
     size_t flushes_ = 0;
-    bool loadedClean_ = true;
+    std::atomic<bool> loadedClean_{true};  ///< cleared unlocked
 };
 
 } // namespace core

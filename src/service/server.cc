@@ -25,6 +25,14 @@ namespace {
  * out of file descriptors. */
 constexpr int64_t kAcceptBackoffMs = 100;
 
+/** The running binary's name: mclp-serve and mclp-front both run this
+ * loop, and its warnings say which one is talking. */
+const char *
+binaryName()
+{
+    return program_invocation_short_name;
+}
+
 /**
  * The local crew: worker threads that execute admitted lines on a
  * DseService. The poll thread never executes requests, so a stuck
@@ -199,7 +207,7 @@ Server::open()
 {
     if (!wake_.valid()) {
         startError_ = "self-pipe creation failed";
-        util::warn("mclp-serve: %s", startError_.c_str());
+        util::warn("%s: %s", binaryName(), startError_.c_str());
         return;
     }
     // The handler goes in before the dispatcher starts: a SIGTERM
@@ -221,7 +229,7 @@ Server::open()
     auto keep = [&](int fd, util::ScopedFd &listener) {
         if (fd < 0) {
             startError_ = error;
-            util::warn("mclp-serve: %s", error.c_str());
+            util::warn("%s: %s", binaryName(), error.c_str());
             return false;
         }
         // Non-blocking listeners: acceptPending() drains until
@@ -241,7 +249,7 @@ Server::open()
     if (!unixListener_.valid() && !tcpListener_.valid()) {
         startError_ = "no listeners configured (need a socket path "
                       "or a TCP port)";
-        util::warn("mclp-serve: %s", startError_.c_str());
+        util::warn("%s: %s", binaryName(), startError_.c_str());
     }
 }
 
@@ -350,19 +358,20 @@ Server::acceptPending(int listen_fd)
                 // readable, so polling it now would wake the loop at
                 // once, forever: back off instead, and say so once.
                 if (acceptPausedUntilMs_ == 0)
-                    util::warn("mclp-serve: accept(): %s; pausing accepts "
+                    util::warn("%s: accept(): %s; pausing accepts "
                                "until a descriptor frees up",
-                               std::strerror(err));
+                               binaryName(), std::strerror(err));
                 acceptPausedUntilMs_ =
                     util::monotonicMs() + kAcceptBackoffMs;
             } else if (err != EAGAIN && err != EWOULDBLOCK) {
-                util::warn("mclp-serve: accept(): %s", std::strerror(err));
+                util::warn("%s: accept(): %s", binaryName(),
+                           std::strerror(err));
             }
             return;
         }
         acceptPausedUntilMs_ = 0;  // any exhaustion episode is over
         if (!util::setNonBlocking(fd)) {
-            util::warn("mclp-serve: accepted fd: %s",
+            util::warn("%s: accepted fd: %s", binaryName(),
                        std::strerror(errno));
             ::close(fd);
             continue;
@@ -403,7 +412,8 @@ Server::onReadable(const std::shared_ptr<Connection> &conn)
                 return;
             // A dying client (ECONNRESET et al.) costs only its own
             // connection, never the server.
-            util::warn("mclp-serve: read(): %s", std::strerror(errno));
+            util::warn("%s: read(): %s", binaryName(),
+                       std::strerror(errno));
             conn->closing = true;
             return;
         }
@@ -431,8 +441,8 @@ Server::pumpOut(const std::shared_ptr<Connection> &conn)
                 continue;
             if (errno == EAGAIN || errno == EWOULDBLOCK)
                 return;
-            util::warn("mclp-serve: client dropped mid-response "
-                       "(%zu bytes unsent): %s",
+            util::warn("%s: client dropped mid-response "
+                       "(%zu bytes unsent): %s", binaryName(),
                        conn->writeBacklog(), std::strerror(errno));
             conn->closing = true;
             return;
@@ -626,7 +636,8 @@ Server::run()
         int ready = ::poll(pfds.data(),
                            static_cast<nfds_t>(pfds.size()), timeout);
         if (ready < 0 && errno != EINTR) {
-            util::warn("mclp-serve: poll(): %s", std::strerror(errno));
+            util::warn("%s: poll(): %s", binaryName(),
+                       std::strerror(errno));
             break;
         }
 

@@ -31,6 +31,85 @@ fnv1aBytes(const void *data, size_t count)
 
 namespace {
 
+// The lane round and constants of xxHash64: a multiply, a rotate and
+// a multiply per word, with no dependency between lanes.
+constexpr uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+
+inline uint64_t
+foldRound(uint64_t lane, uint64_t word)
+{
+    return std::rotl(lane + word * kPrime2, 31) * kPrime1;
+}
+
+inline uint64_t
+loadWord(const unsigned char *bytes)
+{
+    uint64_t word;
+    std::memcpy(&word, bytes, sizeof(word));
+    return word;
+}
+
+} // namespace
+
+WordFold::WordFold(uint64_t seed)
+    : lanes_{seed + kPrime1 + kPrime2, seed + kPrime2, seed, seed - kPrime1}
+{
+}
+
+void
+WordFold::add(const void *data, size_t count)
+{
+    const unsigned char *bytes = static_cast<const unsigned char *>(data);
+    size_t words = count / 8;
+    size_t i = 0;
+    // Finish the lane group a previous call left open, then take whole
+    // groups with the four lanes in registers.
+    for (; i < words && (words_ & 3) != 0; ++i, ++words_)
+        lanes_[words_ & 3] = foldRound(lanes_[words_ & 3],
+                                       loadWord(bytes + 8 * i));
+    uint64_t a = lanes_[0], b = lanes_[1], c = lanes_[2], d = lanes_[3];
+    size_t grouped = i;
+    for (; i + 4 <= words; i += 4) {
+        a = foldRound(a, loadWord(bytes + 8 * i));
+        b = foldRound(b, loadWord(bytes + 8 * i + 8));
+        c = foldRound(c, loadWord(bytes + 8 * i + 16));
+        d = foldRound(d, loadWord(bytes + 8 * i + 24));
+    }
+    lanes_[0] = a;
+    lanes_[1] = b;
+    lanes_[2] = c;
+    lanes_[3] = d;
+    words_ += i - grouped;
+    for (; i < words; ++i, ++words_)
+        lanes_[words_ & 3] = foldRound(lanes_[words_ & 3],
+                                       loadWord(bytes + 8 * i));
+    if (size_t tail = count % 8) {
+        uint64_t word = 0;
+        std::memcpy(&word, bytes + 8 * words, tail);
+        lanes_[words_ & 3] = foldRound(lanes_[words_ & 3], word);
+        ++words_;
+    }
+    bytes_ += count;
+}
+
+uint64_t
+WordFold::finish() const
+{
+    uint64_t hash = std::rotl(lanes_[0], 1) + std::rotl(lanes_[1], 7) +
+                    std::rotl(lanes_[2], 12) + std::rotl(lanes_[3], 18);
+    hash ^= bytes_ * kPrime1;
+    hash ^= hash >> 33;
+    hash *= kPrime2;
+    hash ^= hash >> 29;
+    hash *= kPrime3;
+    hash ^= hash >> 32;
+    return hash;
+}
+
+namespace {
+
 void
 putLe(std::string &buf, uint64_t value, size_t bytes)
 {

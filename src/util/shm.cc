@@ -43,15 +43,29 @@ MappedFile::unmap()
 }
 
 bool
-publishFileAtomic(const std::string &path, std::string_view bytes)
+publishFileAtomic(const std::string &path,
+                  const std::function<bool(const ByteSink &)> &write)
 {
     std::string tmp = path + ".tmp";
     std::FILE *file = std::fopen(tmp.c_str(), "wb");
     if (!file)
         return false;
-    bool ok = bytes.empty() ||
-              std::fwrite(bytes.data(), 1, bytes.size(), file) ==
-                  bytes.size();
+    // A segment arrives as hundreds of thousands of small pieces (slots,
+    // keys, payloads); the buffer turns them into one write(2) a buffer.
+    char buffer[1 << 16];
+    std::setvbuf(file, buffer, _IOFBF, sizeof buffer);
+    bool ok = false;
+    try {
+        ok = write([file](std::string_view bytes) {
+            return bytes.empty() ||
+                   std::fwrite(bytes.data(), 1, bytes.size(), file) ==
+                       bytes.size();
+        });
+    } catch (...) {
+        std::fclose(file);
+        ::unlink(tmp.c_str());
+        throw;
+    }
     ok = std::fflush(file) == 0 && ok;
     ok = ::fsync(::fileno(file)) == 0 && ok;
     ok = std::fclose(file) == 0 && ok;
@@ -60,6 +74,13 @@ publishFileAtomic(const std::string &path, std::string_view bytes)
         return false;
     }
     return true;
+}
+
+bool
+publishFileAtomic(const std::string &path, std::string_view bytes)
+{
+    return publishFileAtomic(
+        path, [bytes](const ByteSink &sink) { return sink(bytes); });
 }
 
 } // namespace util

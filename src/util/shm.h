@@ -8,10 +8,12 @@
  * process on a host maps read-only, so N workers share one page-cache
  * copy of the staircase bytes instead of N private decoded heaps.
  * Immutability is what makes the sharing trivially safe — a segment
- * file is never modified in place; publishers write a complete new
- * image to "<path>.tmp" and rename it over the old one
+ * file is never modified in place; publishers stream a complete new
+ * image into "<path>.tmp" and rename it over the old one
  * (publishFileAtomic), so a reader either maps the previous complete
- * generation or the new complete generation, never a torn mix.
+ * generation or the new complete generation, never a torn mix. The
+ * image is written as its producer hands over its pieces, so a
+ * publisher never holds a whole image in memory.
  * Existing mappings keep the *old* inode alive until they unmap
  * (POSIX rename semantics), so a publish never invalidates a worker
  * mid-read; workers pick up new generations by re-opening
@@ -22,6 +24,7 @@
 #define MCLP_UTIL_SHM_H
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -84,12 +87,24 @@ class MappedFile
     size_t size_ = 0;
 };
 
+/** Takes the next bytes of a file being written; false once a write
+ * has failed. */
+using ByteSink = std::function<bool(std::string_view)>;
+
 /**
- * Publish @p bytes as the complete new contents of @p path: write to
- * "<path>.tmp", fsync, rename atomically. On any failure the previous
- * file survives untouched and false is returned. Readers holding a
- * mapping of the old file keep reading the old (complete) image.
+ * Publish the bytes @p write hands to its sink, in order, as the
+ * complete new contents of @p path: they are written to "<path>.tmp"
+ * through a buffer as they arrive, then the file is fsync'd and
+ * renamed atomically over @p path. When a write fails, @p write
+ * returns false or throws (the exception is rethrown), the tmp file is
+ * removed and the previous file survives untouched; false is returned
+ * for every failure that does not throw. Readers holding a mapping of
+ * the old file keep reading the old (complete) image.
  */
+bool publishFileAtomic(const std::string &path,
+                       const std::function<bool(const ByteSink &)> &write);
+
+/** publishFileAtomic() of one buffer. */
 bool publishFileAtomic(const std::string &path, std::string_view bytes);
 
 } // namespace util

@@ -3,21 +3,23 @@
  * The persistent frontier cache must trade only process-start warmth,
  * never correctness: designs answered from an mmap-warm cache diff
  * byte for byte against cold runs (fixed and random networks), and
- * every way the segment can be wrong — truncated, bit-rotted, forged
- * with a recomputed checksum, stale layout version, stale model
- * fingerprint, put back from an older flush, raced by concurrent
- * writers — must degrade to a cold build: never a crash, never
- * different bytes.
+ * every way the segment can be wrong — truncated, bit-rotted in its
+ * slot table or in one record, forged with a recomputed checksum,
+ * stale layout version, stale model fingerprint, put back from an
+ * older flush, raced by concurrent writers — must degrade to a cold
+ * build of what it cannot serve: never a crash, never different bytes.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <climits>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -246,9 +248,10 @@ TEST(FrontierCache, CorruptPayloadByteFallsBackToColdBuild)
 {
     ScratchDir scratch;
     std::string cold = populate(scratch);
+    std::string damaged_image;
     {
-        // Flip a byte deep in the payload blob: the image checksum
-        // catches it.
+        // Flip a byte deep in the payload blob: only the record holding
+        // it fails its check, so the image still maps.
         std::FILE *file =
             std::fopen(scratch.segmentFile().c_str(), "r+b");
         ASSERT_NE(file, nullptr);
@@ -257,8 +260,31 @@ TEST(FrontierCache, CorruptPayloadByteFallsBackToColdBuild)
         ASSERT_EQ(std::fseek(file, -1, SEEK_CUR), 0);
         std::fputc(byte ^ 0x5a, file);
         std::fclose(file);
+        damaged_image = readFileBytes(scratch.segmentFile());
     }
-    expectDamagedButCold(scratch, cold);
+    auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
+    EXPECT_TRUE(cache->stats().segmentMapped);
+    EXPECT_TRUE(cache->stats().loadedClean) << "open reads no record";
+    {
+        core::SessionRegistry registry(4, 0, 1, cache);
+        EXPECT_EQ(service::encodeResponse(service::answerRequest(
+                      service::decodeRequest(kPopulateLine), &registry)),
+                  cold);
+        // The damaged record read as absent and was rebuilt cold; the
+        // rest answered from the image.
+        EXPECT_FALSE(cache->stats().loadedClean);
+        EXPECT_GT(registry.rowStore()->stats().mmapHits, 0u);
+    }
+    // The drain's flush put the rebuilt record in the damaged one's
+    // place: a fresh process is clean and answers with every row warm.
+    EXPECT_NE(readFileBytes(scratch.segmentFile()), damaged_image);
+    auto healed = std::make_shared<core::FrontierCache>(scratch.dir());
+    core::SessionRegistry registry(4, 0, 1, healed);
+    EXPECT_EQ(service::encodeResponse(service::answerRequest(
+                  service::decodeRequest(kPopulateLine), &registry)),
+              cold);
+    EXPECT_TRUE(healed->stats().loadedClean);
+    EXPECT_EQ(registry.rowStore()->stats().misses, 0u);
 }
 
 /** A small deterministic staircase (direct-cache tests below bypass
@@ -297,13 +323,16 @@ segmentSlotHash(uint8_t kind, const std::vector<int64_t> &key)
 }
 
 /**
- * A complete, checksummed version-1 segment image holding one row:
- * 24-byte slots without hit counters, exactly what the binaries
- * before counters-in-the-image published.
+ * A complete, checksummed segment image of an older layout holding
+ * one row, exactly what older binaries published: version 1 has
+ * 24-byte slots without hit counters; version 2 adds the counters.
+ * Both cover everything after the header with one checksum and give
+ * records no check of their own.
  */
 std::string
-v1SegmentImage(uint64_t fingerprint, const std::vector<int64_t> &key,
-               const core::ShapeFrontier &row)
+olderSegmentImage(uint32_t version, uint64_t fingerprint,
+                  const std::vector<int64_t> &key,
+                  const core::ShapeFrontier &row)
 {
     std::string payload;
     core::encodeRowPayload(payload, row);
@@ -319,12 +348,16 @@ v1SegmentImage(uint64_t fingerprint, const std::vector<int64_t> &key,
                       : 0);
         body.u32(0);  // payload offset
         body.u32(live ? static_cast<uint32_t>(payload.size()) : 0);
+        if (version >= 2) {
+            body.u32(live ? 3 : 0);  // hits
+            body.u32(live ? 1 : 0);  // last-hit generation
+        }
     }
     body.i64Words(key.data(), key.size());
     std::string tail = body.bytes() + payload;
     util::ByteWriter header;
     header.u64(core::kFrontierSegmentMagic);
-    header.u32(1);  // layout version 1
+    header.u32(version);
     header.u32(kSlots);
     header.u64(fingerprint);
     header.u64(1);  // generation
@@ -356,7 +389,7 @@ TEST(FrontierCache, WrongVersionOrFingerprintIsIgnoredWholesale)
 {
     uint64_t fingerprint = core::modelFormulaFingerprint();
     std::vector<int64_t> key = {2, 2880, 3, 64, 121, 1};
-    for (int variant = 0; variant < 4; ++variant) {
+    for (int variant = 0; variant < 5; ++variant) {
         ScratchDir scratch;
         std::string image;
         if (variant == 0) {
@@ -374,7 +407,11 @@ TEST(FrontierCache, WrongVersionOrFingerprintIsIgnoredWholesale)
                 {{core::kCacheRecordRow, key, payload, 0, 0}});
         } else if (variant == 2) {
             // The version-1 layout (no counters in the slots).
-            image = v1SegmentImage(fingerprint, key, *makeRow(2));
+            image = olderSegmentImage(1, fingerprint, key, *makeRow(2));
+        } else if (variant == 4) {
+            // The version-2 layout (one checksum over everything after
+            // the header, no record checks).
+            image = olderSegmentImage(2, fingerprint, key, *makeRow(2));
         } else {
             // Not our file at all.
             image = bogusSegment(core::kFrontierSegmentMagic ^ 0xff,
@@ -644,8 +681,8 @@ TEST(FrontierCache, LegacyV3FileUpgradesToV4OnFirstFlush)
     }
     ASSERT_TRUE(util::publishFileAtomic(
         scratch.segmentFile(),
-        v1SegmentImage(core::modelFormulaFingerprint(), v3_row_key,
-                       *row)));
+        olderSegmentImage(1, core::modelFormulaFingerprint(), v3_row_key,
+                          *row)));
 
     auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
     EXPECT_TRUE(cache->stats().loadedClean);
@@ -727,7 +764,7 @@ imageCounters(const ScratchDir &scratch, const std::vector<int64_t> &key,
     core::FrontierCacheSegment::open(scratch.segmentFile(),
                                      core::modelFormulaFingerprint())
         .forEach([&](const core::FrontierCacheSegment::Entry &entry) {
-            if (entry.kind == kind && entry.key == key)
+            if (entry.kind == kind && std::ranges::equal(entry.key, key))
                 counters = {entry.hits, entry.lastGen};
         });
     return counters;
@@ -1069,13 +1106,42 @@ setImageField(std::string &image, size_t offset, size_t bytes,
         image[offset + i] = static_cast<char>(value >> (8 * i));
 }
 
-/** Recompute the body checksum, so only the structural checks stand
- * between a forged image and the readers. */
+/** Recompute the header checksum (the header's first 56 bytes, then
+ * the slot table the header describes, as far as the image holds
+ * it), so only the structural checks stand between a forged image and
+ * the readers. */
 void
 resealImage(std::string &image)
 {
-    setImageField(image, 56, 8,
-                  util::fnv1aBytes(image.data() + 64, image.size() - 64));
+    size_t slots = std::min<size_t>(imageField(image, 12, 4),
+                                    (image.size() - 64) / 32);
+    util::WordFold fold(0);
+    fold.add(image.data(), 56);
+    fold.add(image.data() + 64, slots * 32);
+    setImageField(image, 56, 8, fold.finish());
+}
+
+/** Recompute the check word of the record at slot offset @p slot (its
+ * kind, key words, then payload), so a forged record passes it. */
+void
+resealRecord(std::string &image, size_t slot)
+{
+    const size_t key_blob = 64 + imageField(image, 12, 4) * size_t{32};
+    const size_t payload_blob = key_blob + imageField(image, 40, 8) * 8;
+    const uint64_t kind_words = imageField(image, slot + 12, 4);
+    const size_t record = key_blob + imageField(image, slot + 8, 4) * 8;
+    util::WordFold fold(kind_words >> 24);
+    fold.add(image.data() + record + 8, (kind_words & 0xffffff) * 8);
+    fold.add(image.data() + payload_blob + imageField(image, slot + 16, 4),
+             imageField(image, slot + 20, 4));
+    setImageField(image, record, 8, fold.finish());
+}
+
+/** A copy of a segment entry's key words. */
+std::vector<int64_t>
+entryKey(const core::FrontierCacheSegment::Entry &entry)
+{
+    return {entry.key.begin(), entry.key.end()};
 }
 
 TEST(FrontierCache, CorruptV3RowKeyLoadsUnclean)
@@ -1120,12 +1186,13 @@ TEST(FrontierCache, CorruptV3RowKeyLoadsUnclean)
 TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
 {
     // The segment is the only persisted form and the flush merge
-    // reads it back, so it must survive images whose checksum was
-    // recomputed after the damage. Each seeded forgery is either
-    // refused as damaged (unclean, cold) or — for hostile counters,
-    // which are legal values — served with exactly the stored
-    // payloads; either way a flush over it publishes a valid image
-    // and the answers stay cold-identical.
+    // reads it back, so it must survive images whose header checksum
+    // was recomputed after the damage. Each seeded slot forgery is
+    // either refused as damaged (unclean, cold) or — for hostile
+    // counters, which are legal values — served with exactly the
+    // stored payloads. Damaged record bytes leave the image mapped and
+    // refuse only that record. Either way a flush over it publishes a
+    // valid image and the answers stay cold-identical.
     ScratchDir scratch;
     const std::string line =
         "dse id=h net=mini layers=a:3:16:14:14:3:1;b:16:24:7:7:3:1;"
@@ -1140,7 +1207,7 @@ TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
         stored;
     core::FrontierCacheSegment::open(scratch.segmentFile(), fingerprint)
         .forEach([&](const core::FrontierCacheSegment::Entry &entry) {
-            stored[{entry.kind, entry.key}] = std::string(entry.payload);
+            stored[{entry.kind, entryKey(entry)}] = std::string(entry.payload);
         });
     ASSERT_GT(stored.size(), 2u);
 
@@ -1165,6 +1232,7 @@ TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
         EntryCount,
         FullTable,
         HostileCounters,
+        RecordBytes,
         kForgeries
     };
     util::SplitMix64 rng(20170624);
@@ -1175,6 +1243,8 @@ TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
             64 + live[rng.nextInt(0, live.size() - 1)] * size_t{32};
         uint64_t words = imageField(bad, slot + 12, 4) & 0xffffff;
         uint64_t p_off = imageField(bad, slot + 16, 4);
+        /** The record RecordBytes damages. */
+        std::pair<uint8_t, std::vector<int64_t>> damaged;
         switch (forgery) {
         case KeyOffset:
             setImageField(bad, slot + 8, 4,
@@ -1223,6 +1293,26 @@ TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
                 }
             }
             break;
+        case RecordBytes: {
+            // One byte of the chosen record's key words or payload;
+            // its check word no longer matches.
+            const size_t key_blob = 64 + slot_count * size_t{32};
+            const size_t record =
+                key_blob + imageField(bad, slot + 8, 4) * 8;
+            damaged.first =
+                static_cast<uint8_t>(imageField(bad, slot + 12, 4) >> 24);
+            for (uint64_t w = 0; w < words; ++w)
+                damaged.second.push_back(static_cast<int64_t>(
+                    imageField(bad, record + 8 + w * 8, 8)));
+            uint64_t pick = rng.nextInt(
+                0, words * 8 + imageField(bad, slot + 20, 4) - 1);
+            size_t at = pick < words * 8
+                            ? record + 8 + pick
+                            : key_blob + key_words * 8 + p_off +
+                                  (pick - words * 8);
+            bad[at] = static_cast<char>(bad[at] ^ (1 + rng.nextInt(0, 254)));
+            break;
+        }
         case kForgeries:
             break;
         }
@@ -1234,20 +1324,28 @@ TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
         core::FrontierCacheSegment segment =
             core::FrontierCacheSegment::open(scratch.segmentFile(),
                                              fingerprint);
-        bool accepted = forgery == HostileCounters;
+        bool accepted = forgery == HostileCounters || forgery == RecordBytes;
         EXPECT_EQ(segment.state(), accepted
                                        ? core::SegmentState::Valid
                                        : core::SegmentState::Damaged);
-        // Every view a forged image serves is an honest payload.
-        for (const auto &[id, payload] : stored)
-            EXPECT_EQ(std::string(segment.find(id.first, id.second)),
-                      accepted ? payload : std::string());
+        // Every view a forged image serves is an honest payload; the
+        // damaged record reads as absent.
+        for (const auto &[id, payload] : stored) {
+            bool damage = false;
+            EXPECT_EQ(std::string(segment.find(id.first, id.second,
+                                               nullptr, &damage)),
+                      accepted && id != damaged ? payload : std::string());
+            EXPECT_EQ(damage, id == damaged);
+        }
         std::map<std::vector<int64_t>, uint32_t> forged_hits;
         segment.forEach([&](const core::FrontierCacheSegment::Entry &e) {
-            EXPECT_EQ(std::string(e.payload), (stored[{e.kind, e.key}]));
-            forged_hits[e.key] = e.hits;
+            EXPECT_EQ(std::string(e.payload), (stored[{e.kind, entryKey(e)}]));
+            forged_hits[entryKey(e)] = e.hits;
         });
-        EXPECT_EQ(forged_hits.size(), accepted ? stored.size() : 0u);
+        EXPECT_EQ(forged_hits.size(),
+                  !accepted                ? 0u
+                  : forgery == RecordBytes ? stored.size() - 1
+                                           : stored.size());
 
         // A flush whose merge base is the forged image.
         {
@@ -1258,6 +1356,8 @@ TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
             EXPECT_EQ(service::encodeResponse(service::answerRequest(
                           service::decodeRequest(line), &registry)),
                       cold);
+            // Answering read the damaged record, which cleared clean.
+            EXPECT_EQ(cache->stats().loadedClean, forgery == HostileCounters);
             // A row the image lacks forces a real merge even when the
             // forged image served every lookup.
             cache->noteRow({-1 - round, 5, 5}, makeRow(round));
@@ -1271,11 +1371,16 @@ TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
         EXPECT_GE(healed.entryCount(), stored.size() + 1);
         // Folded hits saturate: a forged maximum never wraps.
         healed.forEach([&](const core::FrontierCacheSegment::Entry &e) {
-            auto it = forged_hits.find(e.key);
+            auto it = forged_hits.find(entryKey(e));
             if (it != forged_hits.end() && it->second == UINT32_MAX) {
                 EXPECT_EQ(e.hits, UINT32_MAX);
             }
         });
+        if (forgery == RecordBytes) {
+            // The rebuilt record took the damaged one's place.
+            EXPECT_EQ(std::string(healed.find(damaged.first, damaged.second)),
+                      stored[damaged]);
+        }
         EXPECT_EQ(cachedResponse(line, scratch.dir()), cold);
         // Back to the honest image for the next forgery.
         ASSERT_TRUE(util::publishFileAtomic(scratch.segmentFile(), good));
@@ -1327,12 +1432,12 @@ TEST(FrontierCache, ForgedTraceStepCountIsReplacedByTheNextFlush)
 
 TEST(FrontierCache, UndecodableRowSurvivesEviction)
 {
-    // A valid image whose record for some row fails to decode: the
-    // store misses it and builds the row cold. The cache does not pin
-    // that row (the image already holds its key, so nothing is
-    // pending), yet with a cache attached tables never release rows:
-    // evicting the session that built it must not free it, and
-    // re-answering the network must build nothing.
+    // A valid image whose record for some row passes its check but
+    // fails to decode: the store misses it and builds the row cold,
+    // and the cache logs the build to replace the broken record.
+    // Evicting the session that built it must not cost a rebuild —
+    // the row decodes from the log — and the next flush publishes it
+    // in the broken record's place.
     ScratchDir scratch;
     const std::string line =
         "dse id=u net=mini layers=a:3:16:14:14:3:1;b:16:24:7:7:3:1;"
@@ -1344,7 +1449,7 @@ TEST(FrontierCache, UndecodableRowSurvivesEviction)
     ASSERT_EQ(cachedResponse(line, scratch.dir()), cold);
 
     // Forge the first row record's payload into bytes no decoder
-    // accepts (an unterminated varint), checksum recomputed.
+    // accepts (an unterminated varint), its record check recomputed.
     std::string image = readFileBytes(scratch.segmentFile());
     const uint32_t slot_count =
         static_cast<uint32_t>(imageField(image, 12, 4));
@@ -1356,16 +1461,16 @@ TEST(FrontierCache, UndecodableRowSurvivesEviction)
         uint64_t kind_words = imageField(image, slot + 12, 4);
         if ((kind_words >> 24) != core::kCacheRecordRow)
             continue;
-        size_t key_at = key_blob + imageField(image, slot + 8, 4) * 8;
+        size_t key_at = key_blob + imageField(image, slot + 8, 4) * 8 + 8;
         for (uint64_t w = 0; w < (kind_words & 0xffffff); ++w)
             key.push_back(static_cast<int64_t>(
                 imageField(image, key_at + w * 8, 8)));
         image.replace(payload_blob + imageField(image, slot + 16, 4),
                       imageField(image, slot + 20, 4),
                       imageField(image, slot + 20, 4), '\xff');
+        resealRecord(image, slot);
     }
     ASSERT_FALSE(key.empty());
-    resealImage(image);
     ASSERT_TRUE(util::publishFileAtomic(scratch.segmentFile(), image));
 
     auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
@@ -1384,8 +1489,10 @@ TEST(FrontierCache, UndecodableRowSurvivesEviction)
         // session's tables are the row's only holders besides the
         // store.
         ASSERT_NE(store->lookup(key), nullptr);
-        EXPECT_EQ(cache->stats().rowsPending, 0u)
-            << "the image already holds the key";
+        EXPECT_EQ(cache->stats().rowsPending, 1u)
+            << "the row waits in the log to replace the broken record";
+        EXPECT_TRUE(cache->stats().loadedClean)
+            << "the record passed its check";
 
         // Evict the session that built the row: the store keeps it,
         // and re-answering the network builds nothing.
@@ -1396,6 +1503,9 @@ TEST(FrontierCache, UndecodableRowSurvivesEviction)
         EXPECT_EQ(answer(line), cold);
         EXPECT_EQ(store->stats().misses, misses);
     }
+    // The registry's flush replaced the broken record.
+    EXPECT_EQ(cache->stats().rowsPending, 0u);
+    EXPECT_NE(core::FrontierCache(scratch.dir()).loadRow(key), nullptr);
 }
 
 TEST(FrontierCache, FailedPublishKeepsThePendingLog)
@@ -1460,6 +1570,58 @@ TEST(FrontierCache, FailedPublishKeepsThePendingLog)
             << request << ": every row must decode (tier_cold == 0)";
         EXPECT_GT(registry.rowStore()->stats().mmapHits, 0u);
     }
+}
+
+/** Address space this process has mapped (VmSize). */
+size_t
+mappedBytes()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stoul(line.substr(7)) * 1024;
+    return 0;
+}
+
+/**
+ * Note 100000 rows, cap the address space at what the process has
+ * mapped plus 1 MiB, so planning the image cannot allocate, and
+ * flush: exit status 0 when flush() reported a failed publish and
+ * kept the log.
+ */
+[[noreturn]] void
+flushUnderAddressLimit(const std::string &dir)
+{
+    core::FrontierCache cache(dir);
+    auto row = makeRow(7);
+    for (int64_t k = 0; k < 100000; ++k)
+        cache.noteRow({2, k, 3, 64, 121, 1}, row);
+    size_t pending = cache.stats().rowsPending;
+    rlimit limit{mappedBytes() + (size_t{1} << 20), RLIM_INFINITY};
+    bool limited = ::setrlimit(RLIMIT_AS, &limit) == 0;
+    bool published = cache.flush();
+    bool kept = cache.stats().rowsPending == pending;
+    std::_Exit(limited && !published && kept ? 0 : 1);
+}
+
+TEST(FrontierCache, FlushThatCannotAllocateIsAFailedPublish)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "sanitizer shadow memory needs the address space";
+#endif
+    // A bad_alloc out of the registry's destructor would end the
+    // process and lose every row: flush() must report a failed
+    // publish instead, and keep the log. The child re-runs only this
+    // test, so no memory an earlier test freed lets the flush fit.
+    ScratchDir scratch;
+    std::string &style = ::testing::GTEST_FLAG(death_test_style);
+    const std::string saved = style;
+    style = "threadsafe";
+    EXPECT_EXIT(flushUnderAddressLimit(scratch.dir()),
+                ::testing::ExitedWithCode(0), "out of memory");
+    style = saved;
+    EXPECT_FALSE(fs::exists(scratch.segmentFile()));
 }
 
 TEST(FrontierCache, PendingLogHoldsEachKeyOnceAndServesIt)
@@ -1564,7 +1726,7 @@ TEST(FrontierCache, ConcurrentNotesAndFlushesPublishEachKeyOnce)
     segment.forEach([&](const core::FrontierCacheSegment::Entry &entry) {
         ++records;
         EXPECT_EQ(entry.kind, core::kCacheRecordRow);
-        stored[entry.key] = std::string(entry.payload);
+        stored[entryKey(entry)] = std::string(entry.payload);
     });
     EXPECT_EQ(records, size_t{kKeys});
     ASSERT_EQ(stored.size(), size_t{kKeys});

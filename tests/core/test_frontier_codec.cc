@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <optional>
 #include <string>
@@ -768,7 +769,9 @@ TEST(FrontierCacheSegment, TwoMappingsServeByteIdenticalViews)
         EXPECT_NE(via_a.data(), via_b.data());
     }
     // Absent keys and wrong kinds answer empty, not garbage.
-    EXPECT_TRUE(a.find(core::kCacheRecordRow, {123456, 7}).empty());
+    EXPECT_TRUE(
+        a.find(core::kCacheRecordRow, std::vector<int64_t>{123456, 7})
+            .empty());
     EXPECT_TRUE(
         a.find(core::kCacheRecordTrace, fixture.keys[0]).empty());
 }
@@ -788,18 +791,46 @@ TEST(FrontierCacheSegment, CorruptionAndMismatchesRefuseToMap)
                   .state(),
               core::SegmentState::Stale);
 
-    // Any single flipped byte fails the checksum (or the header
-    // validation that precedes it).
+    // A flipped byte in the header or the slot table fails the header
+    // checksum (or the header validation that precedes it): the image
+    // does not map. One in a key word, a check word or a payload fails
+    // the check of the record holding it: the image maps, that record
+    // reads as absent and says it is damaged, and every other record
+    // serves its payload.
+    uint32_t slot_count = 0;
+    std::memcpy(&slot_count, image.data() + 12, sizeof slot_count);
+    const size_t table_end = 64 + size_t{slot_count} * 32;
+    ASSERT_LT(table_end, image.size());
     for (size_t i = 0; i < image.size();
          i += std::max<size_t>(1, image.size() / 64)) {
         std::string bad = image;
         bad[i] = static_cast<char>(bad[i] ^ 0x80);
         ASSERT_TRUE(
             util::publishFileAtomic(scratch.path.string(), bad));
-        EXPECT_FALSE(core::FrontierCacheSegment::open(
-                         scratch.path.string(), 0xbeef)
-                         .valid())
-            << "flip at " << i;
+        core::FrontierCacheSegment segment =
+            core::FrontierCacheSegment::open(scratch.path.string(), 0xbeef);
+        if (i < table_end) {
+            EXPECT_FALSE(segment.valid()) << "flip at " << i;
+            continue;
+        }
+        ASSERT_TRUE(segment.valid()) << "flip at " << i;
+        size_t absent = 0;
+        for (size_t k = 0; k < fixture.keys.size(); ++k) {
+            bool damaged = false;
+            std::string_view payload = segment.find(
+                core::kCacheRecordRow, fixture.keys[k], nullptr, &damaged);
+            EXPECT_EQ(damaged, payload.empty()) << "flip at " << i;
+            if (payload.empty())
+                ++absent;
+            else
+                EXPECT_EQ(std::string(payload), fixture.payloads[k]);
+        }
+        EXPECT_EQ(absent, 1u) << "flip at " << i;
+        size_t intact = 0;
+        segment.forEach([&](const core::FrontierCacheSegment::Entry &) {
+            ++intact;
+        });
+        EXPECT_EQ(intact, fixture.keys.size() - 1) << "flip at " << i;
     }
 
     // Truncations never map.
@@ -812,6 +843,100 @@ TEST(FrontierCacheSegment, CorruptionAndMismatchesRefuseToMap)
                          .valid())
             << "truncation at " << cut;
     }
+}
+
+/** Resident file-backed KiB of this process (RssFile). */
+size_t
+residentFileKiB()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("RssFile:", 0) == 0)
+            return std::stoul(line.substr(8));
+    return 0;
+}
+
+TEST(FrontierCacheSegment, OpenReadsTheSlotTableNotTheRecords)
+{
+    // A valid image followed by 64 MiB of bytes no slot references (a
+    // sparse tail, so writing it costs nothing): open() checks the
+    // header and the slot table only, so mapping the image makes only
+    // those resident, however large the rest of the file is.
+    ScratchSegment scratch;
+    SegmentFixture fixture(200);
+    std::string image =
+        core::FrontierCacheSegment::build(0xfeedULL, 1, fixture.records);
+    uint32_t slot_count = 0;
+    std::memcpy(&slot_count, image.data() + 12, sizeof slot_count);
+    const size_t table_bytes = size_t{slot_count} * 32;
+    const uint64_t file_bytes = image.size() + (uint64_t{64} << 20);
+    for (size_t i = 0; i < 8; ++i)
+        image[48 + i] = static_cast<char>(file_bytes >> (8 * i));
+    util::WordFold checksum(0);
+    checksum.add(image.data(), 56);
+    checksum.add(image.data() + 64, table_bytes);
+    const uint64_t sealed = checksum.finish();
+    for (size_t i = 0; i < 8; ++i)
+        image[56 + i] = static_cast<char>(sealed >> (8 * i));
+    ASSERT_TRUE(util::publishFileAtomic(scratch.path.string(), image));
+    fs::resize_file(scratch.path, file_bytes);
+
+    size_t before = residentFileKiB();
+    core::FrontierCacheSegment segment =
+        core::FrontierCacheSegment::open(scratch.path.string(), 0xfeed);
+    size_t grown = residentFileKiB() - before;
+    ASSERT_TRUE(segment.valid());
+    EXPECT_EQ(segment.bytes(), file_bytes);
+    EXPECT_LT(grown, (64 + table_bytes) / 1024 + 1024)
+        << "open made " << grown << " KiB of the file resident";
+    // The records still serve, each checked as it is read.
+    for (size_t i = 0; i < fixture.keys.size(); ++i)
+        EXPECT_EQ(std::string(
+                      segment.find(core::kCacheRecordRow, fixture.keys[i])),
+                  fixture.payloads[i]);
+}
+
+TEST(FrontierCacheSegment, PlanEvictsPastWhatSlotOffsetsAddress)
+{
+    // Slots store 32-bit offsets, so an image stops at 4 GiB - 1 even
+    // under an unbounded budget: past it, the least recently hit
+    // records go as under any byte budget. The plan sizes records from
+    // their views and never reads these payloads, which have no bytes
+    // behind them.
+    static const char kNoBytes[1] = {};
+    const uint64_t kGiB = uint64_t{1} << 30;
+    const std::vector<std::vector<int64_t>> keys = {{1, 2}, {3, 4}, {5, 6}};
+    const uint64_t sizes[] = {3 * kGiB / 2, 2 * kGiB, kGiB};
+    auto plan_all = [&] {
+        core::SegmentPlan plan(keys.size());
+        for (size_t i = 0; i < keys.size(); ++i)
+            plan.add({core::kCacheRecordRow, keys[i],
+                      std::string_view(kNoBytes, sizes[i]), 0,
+                      static_cast<uint32_t>(i + 1)});
+        return plan;
+    };
+    const uint64_t overhead = 64 + 8 * 32 + 3 * (8 + 16);
+
+    core::SegmentPlan over = plan_all();
+    EXPECT_EQ(over.imageBytes(), overhead + 9 * kGiB / 2);
+    size_t calls = 0;
+    EXPECT_FALSE(over.write(1, 1, [&](std::string_view) {
+        ++calls;
+        return true;
+    }));
+    EXPECT_EQ(calls, 0u) << "an image past the offsets writes nothing";
+
+    // Unbounded: the oldest record (1.5 GiB) goes, and 3 GiB stay.
+    core::SegmentPlan unbounded = plan_all();
+    EXPECT_EQ(unbounded.fitTo(UINT64_MAX), 1u);
+    EXPECT_EQ(unbounded.imageBytes(), overhead - (8 + 16) + 3 * kGiB);
+    EXPECT_LE(unbounded.imageBytes(), core::kFrontierSegmentMaxBytes);
+
+    // A smaller budget evicts further, in the same order.
+    core::SegmentPlan budgeted = plan_all();
+    EXPECT_EQ(budgeted.fitTo(2 * kGiB), 2u);
+    EXPECT_EQ(budgeted.imageBytes(), overhead - 2 * (8 + 16) + kGiB);
 }
 
 } // namespace

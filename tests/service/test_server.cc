@@ -16,9 +16,11 @@
  * real mclp-serve workers — what mclp-front runs. CMake points
  * MCLP_TEST_BINARY_DIR at the build tree for the worker binary.
  *
- * `ServeProcess.*` runs the real mclp-serve under a resource limit set
- * between fork and exec: out of file descriptors it must not spin,
- * and over a file-size limit its cache publish must fail cleanly.
+ * `ServeProcess.*` runs the real mclp-serve (and mclp-front) under a
+ * resource limit set between fork and exec: out of file descriptors
+ * it must not spin, over a file-size limit its cache publish must
+ * fail cleanly, and under an address-space limit its drain must still
+ * publish the cache.
  */
 
 #include <gtest/gtest.h>
@@ -577,24 +579,33 @@ SERVER_TEST(TwoClientsPipeliningOneNetworkAreNeverShedBusy)
 }
 
 /**
- * A real mclp-serve child with one resource limited to @p limit, set
- * between fork and exec. Its stdin and stdout are pipes and its stderr
- * goes to @p stderr_path; only those three descriptors cross the exec,
- * so an fd limit counts the server's own. A test that stops early
- * kills the child.
+ * A real mclp-serve (or @p binary) child with one resource limited to
+ * @p limit, set between fork and exec, and @p env ("NAME=value")
+ * added to its environment. Its stdin and stdout are pipes and its
+ * stderr goes to @p stderr_path; only those three descriptors cross
+ * the exec, so an fd limit counts the server's own. A test that stops
+ * early kills the child.
  */
 class ServeChild
 {
   public:
     ServeChild(std::vector<std::string> flags, int resource, rlim_t limit,
-               const std::string &stderr_path)
+               const std::string &stderr_path,
+               const std::string &binary = "mclp-serve",
+               std::vector<std::string> env = {})
     {
         flags.insert(flags.begin(),
-                     std::string(MCLP_TEST_BINARY_DIR) + "/mclp-serve");
+                     std::string(MCLP_TEST_BINARY_DIR) + "/" + binary);
         std::vector<char *> argv;
         for (std::string &flag : flags)
             argv.push_back(flag.data());
         argv.push_back(nullptr);
+        std::vector<char *> envp;
+        for (std::string &var : env)
+            envp.push_back(var.data());
+        for (char **var = environ; *var; ++var)
+            envp.push_back(*var);
+        envp.push_back(nullptr);
         int in[2] = {-1, -1}, out[2] = {-1, -1};
         EXPECT_EQ(::pipe(in), 0);
         EXPECT_EQ(::pipe(out), 0);
@@ -611,7 +622,7 @@ class ServeChild
             struct rlimit rl = {limit, limit};
             if (::setrlimit(resource, &rl) != 0)
                 _exit(126);
-            ::execv(argv[0], argv.data());
+            ::execve(argv[0], argv.data(), envp.data());
             _exit(127);
         }
         EXPECT_GT(pid_, 0);
@@ -695,17 +706,23 @@ cpuSeconds(pid_t pid)
     return ticks / static_cast<double>(::sysconf(_SC_CLK_TCK));
 }
 
-TEST(ServeProcess, FdExhaustionPausesAcceptsInsteadOfSpinning)
+/**
+ * Run @p binary on a socket with @p fds descriptors and flood it with
+ * @p clients connections: it accepts what fits, the rest wait in the
+ * listen backlog, so the listener stays readable. It must sit idle,
+ * warn about the episode once under its own name, keep answering a
+ * connection it accepted before, and accept again once clients leave.
+ */
+void
+expectFdExhaustionPausesAccepts(const std::string &binary,
+                                std::vector<std::string> flags,
+                                rlim_t fds, int clients)
 {
-    // With 24 descriptors the server accepts about 18 clients of 40;
-    // the rest wait in the listen backlog, so the listener stays
-    // readable. The server must sit idle, warn about the episode
-    // once, and keep answering a connection it accepted before.
     std::string sock = socketPath("nofile");
     std::string err_path = sock + ".stderr";
     ::unlink(sock.c_str());
-    ServeChild child({"--socket", sock, "--threads", "1"}, RLIMIT_NOFILE,
-                     24, err_path);
+    flags.insert(flags.begin(), {"--socket", sock});
+    ServeChild child(flags, RLIMIT_NOFILE, fds, err_path, binary);
     ASSERT_GT(child.pid(), 0);
     util::ScopedFd first;
     for (int64_t deadline = util::monotonicMs() + 30000;
@@ -722,7 +739,7 @@ TEST(ServeProcess, FdExhaustionPausesAcceptsInsteadOfSpinning)
     EXPECT_EQ(reply, coldReference(kCheap));
 
     std::vector<util::ScopedFd> flood;
-    for (int i = 0; i < 40; ++i) {
+    for (int i = 0; i < clients; ++i) {
         flood.emplace_back(util::connectUnix(sock));
         ASSERT_TRUE(flood.back().valid()) << "client " << i;
     }
@@ -747,6 +764,9 @@ TEST(ServeProcess, FdExhaustionPausesAcceptsInsteadOfSpinning)
     std::string errors = fileText(err_path);
     EXPECT_LT(std::count(errors.begin(), errors.end(), '\n'), 10)
         << errors.substr(0, 400);
+    EXPECT_NE(errors.find(binary + ": accept(): Too many open files"),
+              std::string::npos)
+        << errors.substr(0, 400);
 
     // Once the clients leave, accepting resumes: a newcomer queued
     // behind every waiting connection is accepted and answered. Only
@@ -766,6 +786,21 @@ TEST(ServeProcess, FdExhaustionPausesAcceptsInsteadOfSpinning)
         << "wait status " << status << ": " << fileText(err_path);
     ::unlink(err_path.c_str());
     ::unlink(sock.c_str());
+}
+
+TEST(ServeProcess, FdExhaustionPausesAcceptsInsteadOfSpinning)
+{
+    // With 24 descriptors mclp-serve accepts about 18 clients of 40.
+    expectFdExhaustionPausesAccepts("mclp-serve", {"--threads", "1"}, 24,
+                                    40);
+}
+
+TEST(ServeProcess, FrontFdExhaustionPausesAcceptsAndSaysItIsTheFront)
+{
+    // mclp-front runs the same loop; its warnings name mclp-front, so
+    // its own transport faults read apart from its workers'.
+    expectFdExhaustionPausesAccepts("mclp-front", {"--workers", "1"}, 40,
+                                    60);
 }
 
 TEST(ServeProcess, FileSizeLimitFailsThePublishNotTheProcess)
@@ -812,6 +847,125 @@ TEST(ServeProcess, FileSizeLimitFailsThePublishNotTheProcess)
               std::string::npos);
     std::filesystem::remove_all(dir);
     ::unlink(err_path.c_str());
+}
+
+/** Address space @p pid has mapped at its peak so far (VmPeak). */
+size_t
+peakMappedBytes(pid_t pid)
+{
+    std::istringstream status(
+        fileText("/proc/" + std::to_string(pid) + "/status"));
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("VmPeak:", 0) == 0)
+            return std::stoul(line.substr(7)) * 1024;
+    return 0;
+}
+
+TEST(ServeProcess, AddressSpaceLimitStillPublishesTheCache)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "sanitizer shadow memory needs the address space";
+#endif
+    // Fifteen zoo sessions leave a segment of more than 30 MiB. An
+    // unlimited run measures the address space serving them maps
+    // (VmPeak before the drain) and the segment's size; a second run
+    // gets that peak plus half the segment as its address-space limit,
+    // so serving fits and a whole image held in memory does not. Its
+    // drain must still publish, and a fresh server must answer every
+    // request warm from that segment with cold bytes. Both runs use
+    // one malloc arena: a thread arena reserves 64 MiB at a time, and
+    // reserved room would hide what the drain allocates.
+    std::vector<std::string> requests;
+    const char *zoo[] = {"alexnet",  "vggnet-e",     "squeezenet",
+                         "googlenet", "resnet50",    "mobilenet-v1",
+                         "resnext-tiny"};
+    for (size_t n = 0; n < std::size(zoo); ++n) {
+        for (size_t fixed = 0; fixed < 2; ++fixed) {
+            bool large = (n + fixed) % 2 == 1;
+            requests.push_back(util::strprintf(
+                "dse id=z%zu net=%s device=%s type=%s budgets=%s",
+                requests.size(), zoo[n], large ? "690t" : "485t",
+                fixed ? "fixed" : "float",
+                large ? "1800,2880" : "1500,2240"));
+        }
+    }
+    std::vector<std::string> cold;
+    for (const std::string &request : requests)
+        cold.push_back(coldReference(request));
+
+    std::string sock = socketPath("as");
+    std::string dir = sock + ".cache";
+    std::string err_path = sock + ".stderr";
+    std::string segment = dir + "/" + core::kFrontierSegmentFileName;
+    // Answer every request over the socket under @p limit, note the
+    // serving peak, then drain; the child's wait status.
+    auto serve = [&](rlim_t limit, size_t *serving_peak) {
+        std::filesystem::remove_all(dir);
+        ::unlink(sock.c_str());
+        ServeChild child({"--socket", sock, "--cache-dir", dir, "--threads",
+                          "1"},
+                         RLIMIT_AS, limit, err_path, "mclp-serve",
+                         {"MALLOC_ARENA_MAX=1"});
+        util::ScopedFd fd;
+        for (int64_t deadline = util::monotonicMs() + 30000; !fd.valid();
+             ::usleep(20 * 1000)) {
+            if (util::monotonicMs() > deadline)
+                return -1;
+            fd.reset(util::connectUnix(sock));
+        }
+        boundReads(fd);
+        std::string batch;
+        for (const std::string &request : requests)
+            batch += request + "\n";
+        EXPECT_TRUE(util::writeAll(fd.get(), batch.data(), batch.size()));
+        for (size_t i = 0; i < requests.size(); ++i) {
+            std::string reply;
+            EXPECT_TRUE(readLine(fd.get(), &reply));
+            EXPECT_EQ(reply, cold[i]);
+        }
+        *serving_peak = peakMappedBytes(child.pid());
+        fd.reset();
+        return child.reap(SIGTERM);
+    };
+
+    size_t serving_peak = 0;
+    int status = serve(RLIM_INFINITY, &serving_peak);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "wait status " << status << ": " << fileText(err_path);
+    size_t image_bytes = std::filesystem::file_size(segment);
+    ASSERT_GE(image_bytes, size_t{30} << 20);
+    ASSERT_GT(serving_peak, 0u);
+
+    size_t limited_peak = 0;
+    status = serve(serving_peak + image_bytes / 2, &limited_peak);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "wait status " << status << ": " << fileText(err_path);
+    ASSERT_TRUE(std::filesystem::exists(segment));
+
+    ServeChild warm({"--cache-dir", dir}, RLIMIT_AS, RLIM_INFINITY,
+                    err_path);
+    std::string batch;
+    for (const std::string &request : requests)
+        batch += request + "\n";
+    batch += "cache-stats\n";
+    EXPECT_TRUE(util::writeAll(warm.in().get(), batch.data(), batch.size()));
+    warm.in().reset();
+    std::string replies;
+    EXPECT_TRUE(util::readAll(warm.out().get(), &replies));
+    std::vector<std::string> lines = splitLines(replies);
+    ASSERT_EQ(lines.size(), requests.size() + 1);
+    for (size_t i = 0; i < requests.size(); ++i)
+        EXPECT_EQ(lines[i], cold[i]);
+    EXPECT_NE(lines.back().find(" tier_cold=0 "), std::string::npos)
+        << lines.back();
+    EXPECT_NE(lines.back().find(" clean=1"), std::string::npos)
+        << lines.back();
+    status = warm.reap();
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    std::filesystem::remove_all(dir);
+    ::unlink(err_path.c_str());
+    ::unlink(sock.c_str());
 }
 
 } // namespace

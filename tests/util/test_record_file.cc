@@ -95,6 +95,40 @@ slurp(const std::string &path)
     return bytes.str();
 }
 
+TEST(WordFold, AnyWholeWordSplitFoldsAlikeAndAnyFlipShows)
+{
+    // The segment's writer folds its slot table one slot at a time
+    // while open() folds it in one call, and a record check folds key
+    // words then payload: splits at whole words must agree, and every
+    // flipped byte, the seed and the length must change the check.
+    std::string bytes(203, '\0');
+    for (size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<char>(i * 37 + 11);
+    auto fold = [](const std::string &data, std::vector<size_t> cuts,
+                   uint64_t seed) {
+        util::WordFold folded(seed);
+        size_t at = 0;
+        cuts.push_back(data.size());
+        for (size_t cut : cuts) {
+            folded.add(data.data() + at, cut - at);
+            at = cut;
+        }
+        return folded.finish();
+    };
+    const uint64_t whole = fold(bytes, {}, 7);
+    for (std::vector<size_t> cuts :
+         {std::vector<size_t>{8}, {24, 32, 96}, {8, 16, 24, 32, 200},
+          {0, 0, 56}})
+        EXPECT_EQ(fold(bytes, cuts, 7), whole);
+    EXPECT_NE(fold(bytes, {}, 8), whole);
+    EXPECT_NE(fold(bytes.substr(0, 202), {}, 7), whole);
+    for (size_t i = 0; i < bytes.size(); ++i) {
+        std::string flipped = bytes;
+        flipped[i] = static_cast<char>(flipped[i] ^ 0x10);
+        EXPECT_NE(fold(flipped, {}, 7), whole) << "byte " << i;
+    }
+}
+
 TEST(RecordFile, FileLockSerializesWriters)
 {
     ScratchDir dir;
