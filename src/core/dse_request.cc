@@ -268,7 +268,6 @@ requestOptions(const DseRequest &request)
     options.maxClps = request.maxClps;
     options.singleClp = request.mode == DseMode::SingleClp;
     options.adjacentLayers = request.mode == DseMode::Latency;
-    options.threads = request.threads;
     if (request.referenceEngine)
         options.engine = OptimizerEngine::Reference;
     return options;

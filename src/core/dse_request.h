@@ -129,9 +129,11 @@ struct DseRequest
     bool referenceEngine = false;
 
     /**
-     * Optimizer worker threads for this request (0 = hardware
-     * concurrency). Execution knob only — thread count never changes
-     * the response — so the codec omits it at the default.
+     * The wire's `threads=` key (0 = hardware concurrency), validated
+     * >= 0 and round-tripped by the codec, which omits it at the
+     * default. Nothing executes by it: a run's threads are the pool
+     * its front end lends (service::answerRequest), so no client can
+     * size a server's threads.
      */
     int threads = 1;
 
@@ -217,7 +219,8 @@ void applyJointWeights(std::vector<DseSubNet> &subnets,
  */
 std::vector<fpga::ResourceBudget> requestBudgets(const DseRequest &request);
 
-/** OptimizerOptions equivalent to the request's mode and knobs. */
+/** OptimizerOptions equivalent to the request's mode and knobs. The
+ * pool stays null: the front end that runs the request lends one. */
 OptimizerOptions requestOptions(const DseRequest &request);
 
 /**

@@ -69,7 +69,6 @@ DseCaches::memoryBytes()
 }
 
 DseSession::DseSession(const nn::Network &network, fpga::DataType type,
-                       int threads,
                        std::shared_ptr<FrontierRowStore> store,
                        std::shared_ptr<FrontierCache> cache)
     : network_(network), type_(type),
@@ -77,10 +76,6 @@ DseSession::DseSession(const nn::Network &network, fpga::DataType type,
                                           std::move(store),
                                           std::move(cache)))
 {
-    if (threads < 0)
-        util::fatal("DseSession: threads must be >= 0");
-    if (util::resolveThreads(threads) > 1)
-        pool_ = std::make_unique<util::ThreadPool>(threads);
 }
 
 OptimizationResult
@@ -102,19 +97,13 @@ DseSession::sweep(const std::vector<fpga::ResourceBudget> &budgets,
     for (const fpga::ResourceBudget &budget : budgets)
         caches_->reserveDspBudget(budget.dspSlices);
 
-    std::vector<OptimizationResult> results(budgets.size());
-    if (pool_ && budgets.size() > 1) {
-        // Budget-level fan-out; each run stays single-threaded so the
-        // pool is not oversubscribed by nested heuristic fan-outs.
-        OptimizerOptions per_run = options;
-        per_run.threads = 1;
-        pool_->parallelFor(budgets.size(), [&](size_t i) {
-            results[i] = optimize(budgets[i], per_run);
-        });
-    } else {
-        for (size_t i = 0; i < budgets.size(); ++i)
-            results[i] = optimize(budgets[i], options);
-    }
+    // Rungs run in order, each fanning its heuristics and frontier
+    // rows out over options.pool. ROADMAP item 9 has ladder timings
+    // against running the rungs concurrently, one per pool thread.
+    std::vector<OptimizationResult> results;
+    results.reserve(budgets.size());
+    for (const fpga::ResourceBudget &budget : budgets)
+        results.push_back(optimize(budget, options));
     return results;
 }
 

@@ -14,10 +14,11 @@
  * bit-identical to cold MultiClpOptimizer runs, which
  * tests/core/test_dse_session.cc pins.
  *
- * Sessions are thread safe: sweep() fans independent budgets out over
- * a util::ThreadPool when constructed with threads != 1, and the
- * shared caches are value-preserving, so thread count never changes
- * results.
+ * Sessions own no threads. sweep() runs its rungs in order, and each
+ * rung fans its heuristics and frontier rows out over the pool its
+ * OptimizerOptions lend (the front end's one pool). Sessions are
+ * thread safe, and the shared caches are value-preserving, so neither
+ * the pool nor concurrent requests ever change results.
  */
 
 #ifndef MCLP_CORE_DSE_SESSION_H
@@ -33,7 +34,6 @@
 #include "core/optimizer.h"
 #include "fpga/device.h"
 #include "nn/network.h"
-#include "util/thread_pool.h"
 
 namespace mclp {
 namespace core {
@@ -124,8 +124,6 @@ class DseSession
 {
   public:
     /**
-     * @param threads worker threads for sweep() fan-out (0 = hardware
-     * concurrency, 1 = serial). Thread count never changes results.
      * @param store optional cross-network frontier-row pool shared
      * with other sessions (see DseCaches).
      * @param cache optional persistent frontier cache shared with
@@ -133,7 +131,6 @@ class DseSession
      * how warm a fresh process starts.
      */
     DseSession(const nn::Network &network, fpga::DataType type,
-               int threads = 1,
                std::shared_ptr<FrontierRowStore> store = nullptr,
                std::shared_ptr<FrontierCache> cache = nullptr);
 
@@ -147,9 +144,10 @@ class DseSession
 
     /**
      * Optimize every budget of a ladder, reusing one frontier build
-     * across all of them; fans out over the session pool when
-     * threads != 1. results[i] corresponds to budgets[i] and is
-     * bit-identical to an independent cold optimize of budgets[i].
+     * across all of them. Rungs run in order; within a rung the run
+     * fans out over @p options.pool when one is lent. results[i]
+     * corresponds to budgets[i] and is bit-identical to an
+     * independent cold optimize of budgets[i].
      */
     std::vector<OptimizationResult>
     sweep(const std::vector<fpga::ResourceBudget> &budgets,
@@ -175,7 +173,6 @@ class DseSession
     const nn::Network &network_;
     fpga::DataType type_;
     std::shared_ptr<DseCaches> caches_;
-    std::unique_ptr<util::ThreadPool> pool_;
 };
 
 /**

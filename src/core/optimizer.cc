@@ -48,8 +48,12 @@ MultiClpOptimizer::MultiClpOptimizer(const nn::Network &network,
         util::fatal("MultiClpOptimizer: maxClps must be >= 1");
     if (options_.targetStep <= 0.0 || options_.targetStep >= 1.0)
         util::fatal("MultiClpOptimizer: targetStep must be in (0, 1)");
-    if (options_.threads < 0)
-        util::fatal("MultiClpOptimizer: threads must be >= 0");
+    // Checked here, on the caller's thread: run() may execute
+    // runWithOrder() as a pool task, which must not throw.
+    if (model::macBudget(budget_.dspSlices, type_) < 1)
+        util::fatal("MultiClpOptimizer: DSP budget %lld cannot build a "
+                    "single MAC unit",
+                    static_cast<long long>(budget_.dspSlices));
     if (network_.numLayers() == 0)
         util::fatal("MultiClpOptimizer: network has no layers");
 }
@@ -157,10 +161,6 @@ MultiClpOptimizer::runWithOrder(OrderHeuristic heuristic,
                                            : nullptr);
 
     int64_t units = model::macBudget(budget_.dspSlices, type_);
-    if (units < 1)
-        util::fatal("MultiClpOptimizer: DSP budget %lld cannot build a "
-                    "single MAC unit",
-                    static_cast<long long>(budget_.dspSlices));
     int64_t cycles_min = model::minimumPossibleCycles(network_, units);
 
     std::vector<double> targets =
@@ -301,9 +301,7 @@ MultiClpOptimizer::run() const
     }
 
     bool frontier = options_.engine == OptimizerEngine::Frontier;
-    std::unique_ptr<util::ThreadPool> pool;
-    if (frontier && util::resolveThreads(options_.threads) > 1)
-        pool = std::make_unique<util::ThreadPool>(options_.threads);
+    util::ThreadPool *pool = frontier ? options_.pool : nullptr;
     // One tiling memo across heuristic runs: the same layer lands on
     // the same shapes under different orders. The Reference engine
     // keeps per-run tables so its timings stay closer to the seed
@@ -319,7 +317,7 @@ MultiClpOptimizer::run() const
     std::vector<std::optional<OptimizationResult>> results(
         heuristics.size());
     auto evaluate = [&](size_t hi) {
-        results[hi] = runWithOrder(heuristics[hi], pool.get(), cache);
+        results[hi] = runWithOrder(heuristics[hi], pool, cache);
     };
     if (pool && heuristics.size() > 1) {
         pool->parallelFor(heuristics.size(), evaluate);

@@ -38,9 +38,9 @@ enum class OptimizerEngine
 {
     /**
      * Pareto-frontier shape cache, galloping + bisection over the
-     * monotone target sequence, and (with threads > 1) parallel
-     * frontier construction and heuristic runs. Produces the same
-     * designs as Reference. Default.
+     * monotone target sequence, and (with OptimizerOptions::pool)
+     * heuristic runs and frontier construction fanned out over one
+     * borrowed pool. Produces the same designs as Reference. Default.
      */
     Frontier,
     /**
@@ -61,10 +61,12 @@ struct OptimizerOptions
     OptimizerEngine engine = OptimizerEngine::Frontier;
 
     /**
-     * Worker threads for the Frontier engine (0 = hardware
-     * concurrency). Thread count never changes results.
+     * Borrowed pool for the Frontier engine: heuristic runs and their
+     * frontier rows (FrontierTable::prepare) fan out over it. Never
+     * owned; the front end that made it keeps it alive across the
+     * run. Null runs serially. The pool never changes results.
      */
-    int threads = 1;
+    util::ThreadPool *pool = nullptr;
 
     /** Target decrement per iteration (Listing 3's `step`). */
     double targetStep = 0.005;

@@ -13,11 +13,9 @@ namespace mclp {
 namespace core {
 
 SessionRegistry::SessionRegistry(size_t max_sessions, size_t max_bytes,
-                                 int session_threads,
-                                 std::shared_ptr<FrontierCache> cache)
+                                 int, std::shared_ptr<FrontierCache> cache)
     : maxSessions_(std::max<size_t>(1, max_sessions)),
-      maxBytes_(max_bytes), sessionThreads_(session_threads),
-      cache_(std::move(cache)),
+      maxBytes_(max_bytes), cache_(std::move(cache)),
       store_(std::make_shared<FrontierRowStore>(cache_))
 {
 }
@@ -122,7 +120,7 @@ SessionRegistry::session(const nn::Network &network,
         auto entry = std::make_shared<Entry>();
         entry->network = network;
         entry->session = std::make_unique<DseSession>(
-            entry->network, type, sessionThreads_, store_, cache_);
+            entry->network, type, store_, cache_);
         it = entries_.emplace(std::move(key), std::move(entry)).first;
     } else {
         ++hits_;

@@ -94,17 +94,17 @@ class SessionRegistry
      * either way an evicted session's rows leave with its tables. A
      * cache's pending write-back records do not count (only a flush
      * frees them).
-     * @param session_threads worker threads each session uses for
-     * budget-ladder fan-out (1 = serial; thread count never changes
-     * results).
      * @param cache optional persistent frontier cache: attached to
      * the shared row store and to every session's tradeoff-curve
      * cache, and flushed when the registry dies. Warmth only — never
      * results.
+     *
+     * The unnamed int is ignored: sessions own no threads, and a run
+     * borrows its front end's pool through OptimizerOptions::pool. It
+     * stays only for callers that still pass it.
      */
     explicit SessionRegistry(size_t max_sessions = 8,
-                             size_t max_bytes = 0,
-                             int session_threads = 1,
+                             size_t max_bytes = 0, int = 1,
                              std::shared_ptr<FrontierCache> cache =
                                  nullptr);
 
@@ -194,7 +194,6 @@ class SessionRegistry
     std::mutex mutex_;
     size_t maxSessions_;
     size_t maxBytes_;
-    int sessionThreads_;
     std::shared_ptr<FrontierCache> cache_;
     std::shared_ptr<FrontierRowStore> store_;
     uint64_t tick_ = 0;

@@ -824,8 +824,8 @@ FrontierTable::prepare(int64_t dsp_budget, int64_t cycle_target,
             pending.push_back(i);
     }
     // Each task locks only its own row, so concurrent prepare() calls
-    // (a sweep fanning budgets over a pool) extend disjoint rows in
-    // parallel and collide — briefly — only on shared rows.
+    // (requests on a server's crew) extend disjoint rows in parallel
+    // and collide — briefly — only on shared rows.
     auto extend = [&](size_t p) {
         size_t i = pending[p];
         std::lock_guard<std::mutex> lock(rowLocks_[i]);

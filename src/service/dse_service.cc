@@ -47,7 +47,7 @@ trimmedLine(const std::string &line)
 
 core::DseResponse
 answerRequest(const core::DseRequest &request,
-              core::SessionRegistry *registry)
+              core::SessionRegistry *registry, util::ThreadPool *pool)
 {
     core::DseResponse response;
     response.id = request.id.empty() ? "-" : request.id;
@@ -67,6 +67,7 @@ answerRequest(const core::DseRequest &request,
         std::vector<fpga::ResourceBudget> budgets =
             core::requestBudgets(request);
         core::OptimizerOptions options = core::requestOptions(request);
+        options.pool = pool;
 
         std::vector<core::OptimizationResult> results;
         std::shared_ptr<core::DseSession> session;  // pins its network
@@ -178,13 +179,8 @@ DseService::DseService(ServiceOptions options)
                  ? nullptr
                  : std::make_shared<core::FrontierCache>(
                        options.cacheDir, options.cacheMaxBytes)),
-      // Sessions stay serial: requests already run concurrently on
-      // the dispatcher's threads, and a session pool per request
-      // would oversubscribe them.
       registry_(options.maxSessions, options.maxBytes, 1, cache_)
 {
-    if (util::resolveThreads(options_.threads) > 1)
-        pool_ = std::make_unique<util::ThreadPool>(options_.threads);
     if (cache_ && options_.cacheFlushIntervalMs > 0)
         flushTimer_ = std::make_unique<CacheFlushTimer>(
             *this, options_.cacheFlushIntervalMs);
@@ -280,14 +276,8 @@ DseService::handleLine(const std::string &line)
     if (text == "shutdown")
         return "ok shutdown";
     try {
-        core::DseRequest request = decodeRequest(text);
-        // Execution resources are the dispatcher's policy, not the
-        // client's: sessions stay serial under concurrent serving, and
-        // a wire-supplied thread count must never be able to exhaust
-        // the host.
-        request.threads = 1;
         return encodeResponse(answerRequest(
-            request, options_.cold ? nullptr : &registry_));
+            decodeRequest(text), options_.cold ? nullptr : &registry_));
     } catch (const util::FatalError &err) {
         core::DseResponse response;
         response.id = scavengeId(text);
@@ -310,14 +300,11 @@ std::vector<std::string>
 DseService::handleBatch(const std::vector<std::string> &lines)
 {
     std::vector<std::string> responses(lines.size());
-    if (pool_ && lines.size() > 1) {
-        pool_->parallelFor(lines.size(), [&](size_t i) {
-            responses[i] = handleLine(lines[i]);
-        });
-    } else {
-        for (size_t i = 0; i < lines.size(); ++i)
-            responses[i] = handleLine(lines[i]);
-    }
+    // handleLine never throws, as parallelFor requires.
+    util::ThreadPool pool(options_.threads);
+    pool.parallelFor(lines.size(), [&](size_t i) {
+        responses[i] = handleLine(lines[i]);
+    });
     return responses;
 }
 

@@ -5,13 +5,15 @@
  * serving layer between the warm session machinery (core/dse_session)
  * and the mclp-serve front end.
  *
- * Requests arrive one per line (see service/dse_codec.h), fan out
- * over a work-stealing pool, and are answered strictly in input
- * order. Answers never depend on concurrency, batch composition, or
- * registry warmth: every response is bit-identical to a cold
- * MultiClpOptimizer run of the same request, which
- * tests/service/test_dse_service.cc pins and the CI smoke re-checks
- * end to end against mclp-opt --response.
+ * Requests arrive one per line (see service/dse_codec.h) and are
+ * answered strictly in input order. The service starts no compute
+ * threads of its own: the socket server's crew runs each request
+ * serially, and a stdin batch fans its lines out over a pool that
+ * lives only while the batch runs. Answers never depend on
+ * concurrency, batch composition, or registry warmth: every response
+ * is bit-identical to a cold MultiClpOptimizer run of the same
+ * request, which tests/service/test_dse_service.cc pins and the CI
+ * smoke re-checks end to end against mclp-opt --response.
  */
 
 #ifndef MCLP_SERVICE_DSE_SERVICE_H
@@ -36,12 +38,16 @@ namespace service {
  * budget ladder, optimize every rung, and package designs + metrics.
  * With @p registry the run goes through the warm session for the
  * request's (network dims, device, type) key; without it every rung
- * is an independent cold MultiClpOptimizer run. Both paths produce
- * bit-identical responses. User errors (unknown network, impossible
- * budget) come back as an err response, never an exception.
+ * is an independent cold MultiClpOptimizer run. Rungs run in order,
+ * each fanning out over @p pool (borrowed, never owned; null runs
+ * serially). request.threads is never read: the caller's pool is the
+ * run's only source of threads. Every path produces bit-identical
+ * responses. User errors (unknown network, impossible budget) come
+ * back as an err response, never an exception.
  */
 core::DseResponse answerRequest(const core::DseRequest &request,
-                                core::SessionRegistry *registry);
+                                core::SessionRegistry *registry,
+                                util::ThreadPool *pool = nullptr);
 
 /** Best-effort id= recovery from a line that never decoded (shed,
  * overlong, or malformed lines still answer with the client's id
@@ -71,8 +77,9 @@ struct TransportStats
 /** Dispatcher knobs (mclp-serve flags map onto these). */
 struct ServiceOptions
 {
-    /** Request fan-out worker threads (0 = hardware concurrency,
-     * 1 = serial). Never changes responses. */
+    /** Request threads (0 = hardware concurrency, 1 = serial): the
+     * socket server's crew, or a stdin batch's pool while it runs.
+     * Never changes responses. */
     int threads = 1;
 
     /** SessionRegistry LRU capacity. */
@@ -136,8 +143,10 @@ class DseService
     std::string handleLine(const std::string &line);
 
     /**
-     * Answer a batch of lines concurrently; responses[i] always
-     * corresponds to lines[i] (deterministic ordered responses).
+     * Answer a batch of lines concurrently, over a pool of
+     * ServiceOptions::threads that lives only for this call;
+     * responses[i] always corresponds to lines[i] (deterministic
+     * ordered responses).
      */
     std::vector<std::string>
     handleBatch(const std::vector<std::string> &lines);
@@ -174,7 +183,6 @@ class DseService
     ServiceOptions options_;
     std::shared_ptr<core::FrontierCache> cache_;  ///< before registry_
     core::SessionRegistry registry_;
-    std::unique_ptr<util::ThreadPool> pool_;
     const TransportStats *transportStats_ = nullptr;
     /** Declared last: destroyed (joined) first, so the timer thread
      * can never call flushCache() into a half-dead service. */

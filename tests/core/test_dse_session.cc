@@ -5,8 +5,8 @@
  * tiling options, shared tradeoff curves — has to produce designs
  * bit-identical to independent cold MultiClpOptimizer runs per
  * budget, for fixed and randomized networks, compute- and
- * bandwidth-bound budgets, BRAM-starved budgets, and any thread
- * count. These tests pin exactly that, plus the budget-free frontier
+ * bandwidth-bound budgets, BRAM-starved budgets, and any lent pool.
+ * These tests pin exactly that, plus the budget-free frontier
  * truncation the reuse rests on.
  */
 
@@ -22,6 +22,7 @@
 #include "test_helpers.h"
 #include "util/logging.h"
 #include "util/math.h"
+#include "util/thread_pool.h"
 
 namespace mclp {
 namespace {
@@ -171,10 +172,13 @@ TEST(DseSession, ThreadCountNeverChangesResults)
 
     core::OptimizerOptions multi;
     multi.maxClps = 6;
-    core::DseSession serial(network, fpga::DataType::Float32, 1);
-    core::DseSession threaded(network, fpga::DataType::Float32, 4);
+    util::ThreadPool pool(4);
+    core::OptimizerOptions pooled = multi;
+    pooled.pool = &pool;
+    core::DseSession serial(network, fpga::DataType::Float32);
+    core::DseSession threaded(network, fpga::DataType::Float32);
     auto a = serial.sweep(budgets, multi);
-    auto b = threaded.sweep(budgets, multi);
+    auto b = threaded.sweep(budgets, pooled);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i)
         expectSameResult(a[i], b[i],

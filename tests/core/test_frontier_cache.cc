@@ -39,6 +39,7 @@
 #include "util/record_file.h"
 #include "util/shm.h"
 #include "util/string_utils.h"
+#include "util/thread_pool.h"
 
 namespace mclp {
 namespace {
@@ -88,15 +89,17 @@ struct ScratchDir
 const std::set<std::string> kPublishedFiles = {
     core::kFrontierSegmentFileName, core::kFrontierCacheLockName};
 
-/** Wire-encode a request answered through a cache-backed registry. */
+/** Wire-encode a request answered through a cache-backed registry,
+ * over @p pool when one is lent. */
 std::string
-cachedResponse(const std::string &line, const std::string &cache_dir)
+cachedResponse(const std::string &line, const std::string &cache_dir,
+               util::ThreadPool *pool = nullptr)
 {
     auto cache = std::make_shared<core::FrontierCache>(cache_dir);
     core::SessionRegistry registry(4, 0, 1, cache);
     core::DseRequest request = service::decodeRequest(line);
     return service::encodeResponse(
-        service::answerRequest(request, &registry));
+        service::answerRequest(request, &registry, pool));
     // Registry destruction flushes the cache.
 }
 
@@ -131,6 +134,7 @@ TEST(FrontierCache, DiskWarmMatchesColdByteForByte)
         "budgets=1000,2880",
         "dse id=l net=alexnet budgets=500,2000 mode=latency",
     };
+    util::ThreadPool pool(4);
     for (const std::string &line : requests) {
         std::string cold = coldResponse(line);
         // Populating pass (cold cache) and disk-warm pass (fresh
@@ -142,6 +146,10 @@ TEST(FrontierCache, DiskWarmMatchesColdByteForByte)
         std::string populated = readFileBytes(scratch.segmentFile());
         EXPECT_EQ(cachedResponse(line, scratch.dir()), cold) << line;
         EXPECT_EQ(readFileBytes(scratch.segmentFile()), populated)
+            << line;
+        // A pooled warm pass: heuristic and row fan-out share one
+        // pool while rows load from the segment.
+        EXPECT_EQ(cachedResponse(line, scratch.dir(), &pool), cold)
             << line;
     }
 

@@ -21,6 +21,7 @@
 #include "nn/zoo.h"
 #include "test_helpers.h"
 #include "util/math.h"
+#include "util/thread_pool.h"
 
 namespace mclp {
 namespace {
@@ -385,15 +386,15 @@ TEST(ShapeFrontier, EnginesAgreeUnderBandwidthCap)
     EXPECT_EQ(a.design.toString(net), b.design.toString(net));
 }
 
-/** Thread count must never change results. */
+/** A lent pool must never change results. */
 TEST(ShapeFrontier, ThreadCountDoesNotChangeResults)
 {
     nn::Network net = nn::makeSqueezeNet();
     auto budget = fpga::standardBudget(fpga::virtex7_690t(), 170.0);
     core::OptimizerOptions one;
-    one.threads = 1;
+    util::ThreadPool pool(8);
     core::OptimizerOptions many;
-    many.threads = 8;
+    many.pool = &pool;
     auto a = core::MultiClpOptimizer(net, fpga::DataType::Fixed16,
                                      budget, one)
                  .run();

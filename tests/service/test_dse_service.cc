@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -33,6 +34,7 @@
 #include "service/dse_service.h"
 #include "service/server.h"
 #include "util/string_utils.h"
+#include "util/thread_pool.h"
 
 namespace mclp {
 namespace {
@@ -126,9 +128,9 @@ TEST(DseService, MalformedLinesAnswerInPlace)
 TEST(DseService, WireThreadCountIsServerPolicyNotClientChoice)
 {
     // A hostile threads= value must not be able to exhaust the host:
-    // the dispatcher overrides it with its own session policy, and
-    // the answer matches the plain request bit for bit (thread count
-    // never changes results anyway).
+    // answerRequest never reads it (a run's threads are the pool its
+    // front end lends), and the answer matches the plain request bit
+    // for bit.
     service::DseService dse{service::ServiceOptions{}};
     std::string greedy = dse.handleLine(
         "dse id=t net=alexnet budgets=500 threads=500000");
@@ -136,6 +138,63 @@ TEST(DseService, WireThreadCountIsServerPolicyNotClientChoice)
     std::string plain =
         dse.handleLine("dse id=t net=alexnet budgets=500");
     EXPECT_EQ(greedy, plain);
+}
+
+/**
+ * Answer a ladder whose last rung cannot build one MAC unit through a
+ * registry over a 4-thread pool: exit status 0 only on the err line
+ * that names the MAC unit.
+ */
+[[noreturn]] void
+answerMacStarvedLadder()
+{
+    core::SessionRegistry registry(1);
+    util::ThreadPool pool(4);
+    std::string answer = service::encodeResponse(service::answerRequest(
+        service::decodeRequest(
+            "dse id=x net=squeezenet device=690t budgets=2880,1"),
+        &registry, &pool));
+    std::fprintf(stderr, "%s\n", answer.c_str());
+    bool named = util::startsWith(answer, "err id=x ") &&
+                 answer.find("single MAC unit") != std::string::npos;
+    std::_Exit(named ? 0 : 1);
+}
+
+TEST(DseService, RungTooSmallForOneMacUnitFailsTheRequestNotTheProcess)
+{
+    // Input checks run on the caller's thread: a FatalError thrown
+    // inside a pool task cannot reach answerRequest's catch and
+    // would terminate the process.
+    std::string &style = ::testing::GTEST_FLAG(death_test_style);
+    const std::string saved = style;
+    style = "threadsafe";
+    EXPECT_EXIT(answerMacStarvedLadder(), ::testing::ExitedWithCode(0),
+                "single MAC unit");
+    style = saved;
+}
+
+/** The Threads: line of /proc/self/status. */
+int
+liveThreads()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("Threads:", 0) == 0)
+            return std::stoi(line.substr(8));
+    return -1;
+}
+
+TEST(DseService, StartsNoComputeThreadsUntilABatchRuns)
+{
+    // Socket serving runs requests on the server's crew, so a service
+    // holds no pool of its own: handleBatch makes one per batch.
+    int before = liveThreads();
+    ASSERT_GT(before, 0);
+    service::ServiceOptions options;
+    options.threads = 4;
+    service::DseService dse(options);
+    EXPECT_EQ(liveThreads(), before);
 }
 
 TEST(DseService, StreamModeAnswersEveryRequestLine)

@@ -4,7 +4,8 @@
  *
  * A thin client of the DSE plan layer: flags build a core::DseRequest,
  * service::answerRequest() executes it (through a local one-session
- * registry, so budget ladders stay warm), and this file only renders.
+ * registry, so budget ladders stay warm) over the process's one
+ * thread pool, and this file only renders.
  * mclp-serve runs the same answerRequest() on the same requests, which
  * is why --response output (independent cold runs, wire-encoded) can
  * be diffed byte for byte against server responses.
@@ -47,6 +48,7 @@
 #include "util/prof.h"
 #include "util/string_utils.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 using namespace mclp;
 
@@ -84,8 +86,11 @@ printUsage()
         "  --bandwidth-gbps X   off-chip bandwidth cap (default: "
         "unconstrained)\n"
         "  --max-clps N         CLP limit (default 6)\n"
-        "  --threads N          optimizer worker threads (0 = all\n"
-        "                       cores; default 0)\n"
+        "  --threads N          threads of the process's one pool,\n"
+        "                       lent to every run: each budget fans\n"
+        "                       its heuristics and frontier rows out\n"
+        "                       over it, and ladder rungs run in\n"
+        "                       order (0 = all cores; default 0)\n"
         "  --engine E           frontier | reference (default\n"
         "                       frontier; both give identical designs)\n"
         "  --single             Single-CLP baseline mode\n"
@@ -123,6 +128,7 @@ struct Options
     core::DseRequest request;
     std::optional<std::string> layersFile;
     std::optional<std::string> cacheDir;
+    int threads = 0;  ///< the process pool's size (0 = all cores)
     bool response = false;
     bool sim = false;
     bool dumpLayers = false;
@@ -136,7 +142,6 @@ parseArgs(int argc, char **argv)
     Options opts;
     core::DseRequest &request = opts.request;
     request.device = "690t";
-    request.threads = 0;
     auto need_value = [&](int &i, const char *flag) -> const char * {
         if (i + 1 >= argc)
             util::fatal("%s needs a value", flag);
@@ -179,7 +184,7 @@ parseArgs(int argc, char **argv)
             request.maxClps = static_cast<int>(util::parseIntFlag(
                 "--max-clps", need_value(i, "--max-clps"), 1, 1 << 20));
         } else if (arg == "--threads") {
-            request.threads = static_cast<int>(util::parseIntFlag(
+            opts.threads = static_cast<int>(util::parseIntFlag(
                 "--threads", need_value(i, "--threads"), 0, 4096));
         } else if (arg == "--engine") {
             std::string engine = need_value(i, "--engine");
@@ -334,6 +339,10 @@ runTool(const Options &opts)
         return 0;
     }
 
+    // The process's one pool, lent to every run below (results never
+    // depend on its size).
+    util::ThreadPool pool(opts.threads);
+
     // One shared persistent cache per invocation (results never
     // change; only how warm this process starts). The registry dtor
     // flushes new rows/traces back to the directory.
@@ -348,9 +357,9 @@ runTool(const Options &opts)
         // invariant, which CI diffs byte for byte).
         std::optional<core::SessionRegistry> registry;
         if (cache)
-            registry.emplace(1, 0, request.threads, cache);
+            registry.emplace(1, 0, 1, cache);
         core::DseResponse response = service::answerRequest(
-            request, registry ? &*registry : nullptr);
+            request, registry ? &*registry : nullptr, &pool);
         registry.reset();  // flush the cache before printing
         std::printf("%s\n", service::encodeResponse(response).c_str());
         return response.ok ? 0 : 1;
@@ -380,9 +389,9 @@ runTool(const Options &opts)
 
     // One-session registry: single runs behave like a cold optimizer,
     // ladders reuse one frontier build across every rung.
-    core::SessionRegistry registry(1, 0, request.threads, cache);
+    core::SessionRegistry registry(1, 0, 1, cache);
     core::DseResponse response =
-        service::answerRequest(request, &registry);
+        service::answerRequest(request, &registry, &pool);
     if (!response.ok) {
         std::fprintf(stderr, "mclp-opt: %s\n", response.error.c_str());
         return 1;
