@@ -76,16 +76,20 @@ answerAll(core::SessionRegistry &registry,
 
 /**
  * The bytes the segment's records would occupy as legacy SoA records:
- * every record decoded out of the mapping and re-encoded through the
- * legacy encoder, with the legacy format's 12-byte record frame.
+ * every record's key unpacked back to words and its payload decoded
+ * out of the mapping, then re-encoded through the legacy encoder, with
+ * the legacy format's 12-byte record frame.
  */
 size_t
 legacyEquivalentBytes(const std::string &path, size_t *records)
 {
     size_t legacy = 0;
+    std::vector<int64_t> key;
     core::FrontierCacheSegment::open(path, core::modelFormulaFingerprint())
         .forEach([&](const core::FrontierCacheSegment::Entry &entry) {
-            std::vector<int64_t> key(entry.key.begin(), entry.key.end());
+            ++*records;
+            if (!core::unpackKey(entry.key, key))
+                return;  // not a key this binary wrote: no legacy form
             if (entry.kind == core::kCacheRecordRow) {
                 if (auto row = core::decodeRowPayload(entry.payload))
                     legacy +=
@@ -97,7 +101,6 @@ legacyEquivalentBytes(const std::string &path, size_t *records)
                     legacy +=
                         12 + core::encodeLegacyTraceRecord(key, image).size();
             }
-            ++*records;
         });
     return legacy;
 }

@@ -6,7 +6,6 @@
 #include <deque>
 #include <filesystem>
 #include <new>
-#include <span>
 #include <string_view>
 #include <utility>
 
@@ -15,6 +14,7 @@
 #include "model/cycle_model.h"
 #include "model/dsp_model.h"
 #include "nn/conv_layer.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/record_file.h"
 #include "util/shm.h"
@@ -172,14 +172,13 @@ FrontierCache::pinImage() const
 }
 
 std::shared_ptr<const ShapeFrontier>
-FrontierCache::loadRow(const std::vector<int64_t> &key)
+FrontierCache::loadRow(std::string_view key, uint64_t hash)
 {
     // The row store keeps a loaded row while some table holds it, so a
     // key reaches here about once per residency (more only when
     // threads race on one row). One lock pins the image and copies out
     // a pending payload (a flush may free the log's record once the
     // lock is gone); the decode runs with no lock held.
-    size_t hash = util::hashInt64Words(key.data(), key.size());
     thread_local std::string pending;
     std::shared_ptr<Image> image;
     {
@@ -196,7 +195,7 @@ FrontierCache::loadRow(const std::vector<int64_t> &key)
     uint32_t slot = 0;
     bool damaged = false;
     std::string_view payload =
-        image->segment.find(kCacheRecordRow, key, &slot, &damaged);
+        image->segment.find(kCacheRecordRow, key, hash, &slot, &damaged);
     if (damaged)
         noteDamagedRecord();
     // An absent or undecodable row is built cold, and noteRow() logs
@@ -209,6 +208,38 @@ FrontierCache::loadRow(const std::vector<int64_t> &key)
     return std::make_shared<const ShapeFrontier>(std::move(*row));
 }
 
+namespace {
+
+/** Whole words @p bytes take. */
+constexpr size_t
+wordsFor(size_t bytes)
+{
+    return (bytes + 7) / 8;
+}
+
+/** The parts of a pending log record (see PendingLog). */
+struct LogRecord
+{
+    uint64_t hash;
+    std::string_view key;
+    std::string_view payload;
+    size_t words;  ///< the whole record's
+};
+
+inline LogRecord
+readLogRecord(const uint64_t *record)
+{
+    size_t key_bytes = static_cast<size_t>(record[1] >> 32);
+    size_t payload_bytes = static_cast<size_t>(record[1] & 0xffffffffu);
+    const char *key = reinterpret_cast<const char *>(record + 2);
+    return {record[0],
+            {key, key_bytes},
+            {key + 8 * wordsFor(key_bytes), payload_bytes},
+            2 + wordsFor(key_bytes) + wordsFor(payload_bytes)};
+}
+
+} // namespace
+
 template <class Fn>
 void
 FrontierCache::PendingLog::forEach(Fn &&fn) const
@@ -217,49 +248,39 @@ FrontierCache::PendingLog::forEach(Fn &&fn) const
         const uint64_t *word = chunk.words.get();
         const uint64_t *end = word + chunk.used;
         while (word < end) {
-            size_t key_words = static_cast<size_t>(*word >> 32);
-            size_t payload = static_cast<size_t>(*word & 0xffffffffu);
-            const uint64_t *key = word + 1;
-            fn(std::span<const int64_t>(
-                   reinterpret_cast<const int64_t *>(key), key_words),
-               std::string_view(reinterpret_cast<const char *>(key + key_words),
-                                payload));
-            word = key + key_words + (payload + 7) / 8;
+            LogRecord record = readLogRecord(word);
+            fn(record.key, record.hash, record.payload);
+            word += record.words;
         }
     }
 }
 
 size_t
-FrontierCache::PendingLog::probe(std::span<const int64_t> key,
-                                 size_t hash) const
+FrontierCache::PendingLog::probe(std::string_view key, uint64_t hash) const
 {
     size_t mask = index_.size() - 1;
     for (size_t i = hash & mask;; i = (i + 1) & mask) {
         const Slot &slot = index_[i];
         if (!slot.record ||
-            (slot.hash == hash && slot.record[0] >> 32 == key.size() &&
-             std::memcmp(slot.record + 1, key.data(),
-                         sizeof(int64_t) * key.size()) == 0))
+            (slot.hash == hash && readLogRecord(slot.record).key == key))
             return i;
     }
 }
 
 std::string_view
-FrontierCache::PendingLog::find(std::span<const int64_t> key,
-                                size_t hash) const
+FrontierCache::PendingLog::find(std::string_view key, uint64_t hash) const
 {
     if (index_.empty())
         return {};
     const uint64_t *record = index_[probe(key, hash)].record;
     if (!record)
         return {};
-    return {reinterpret_cast<const char *>(record + 1 + key.size()),
-            static_cast<size_t>(record[0] & 0xffffffffu)};
+    return readLogRecord(record).payload;
 }
 
 void
-FrontierCache::PendingLog::append(std::span<const int64_t> key,
-                                  size_t hash, std::string_view payload)
+FrontierCache::PendingLog::append(std::string_view key, uint64_t hash,
+                                  std::string_view payload)
 {
     // Keep the index at most half full: double it (re-placing slots by
     // their stored hashes) before the insert that would pass that.
@@ -284,7 +305,8 @@ FrontierCache::PendingLog::append(std::span<const int64_t> key,
     // set when a record lands on it. A record larger than a chunk gets
     // one of its own.
     constexpr size_t kChunkWords = (size_t{1} << 20) / sizeof(uint64_t);
-    size_t words = 1 + key.size() + (payload.size() + 7) / 8;
+    size_t key_words = wordsFor(key.size());
+    size_t words = 2 + key_words + wordsFor(payload.size());
     if (chunks_.empty() ||
         chunks_.back().capacity - chunks_.back().used < words) {
         size_t capacity = std::max(kChunkWords, words);
@@ -294,10 +316,13 @@ FrontierCache::PendingLog::append(std::span<const int64_t> key,
     }
     Chunk &chunk = chunks_.back();
     uint64_t *record = chunk.words.get() + chunk.used;
-    record[0] = uint64_t{key.size()} << 32 | payload.size();
-    record[words - 1] = 0;  // the payload's padding
-    std::memcpy(record + 1, key.data(), sizeof(int64_t) * key.size());
-    std::memcpy(record + 1 + key.size(), payload.data(), payload.size());
+    // Zero the last word of the key and of the payload: their padding.
+    record[1 + key_words] = 0;
+    record[words - 1] = 0;
+    record[0] = hash;
+    record[1] = uint64_t{key.size()} << 32 | payload.size();
+    std::memcpy(record + 2, key.data(), key.size());
+    std::memcpy(record + 2 + key_words, payload.data(), payload.size());
     chunk.used += words;
     slot = {hash, record};
     ++records_;
@@ -309,29 +334,28 @@ FrontierCache::PendingLog::prepend(PendingLog older)
     // Only a failed publish puts a log back, so copying this (newer)
     // log's records behind the older ones is fine: it keeps the log at
     // one record per key when a row was noted again during the flush.
-    forEach([&](std::span<const int64_t> key, std::string_view payload) {
-        older.append(key, util::hashInt64Words(key.data(), key.size()),
-                     payload);
+    forEach([&](std::string_view key, uint64_t hash,
+                std::string_view payload) {
+        older.append(key, hash, payload);
     });
     *this = std::move(older);
 }
 
 void
-FrontierCache::noteRow(const std::vector<int64_t> &key,
+FrontierCache::noteRow(std::string_view key, uint64_t hash,
                        const std::shared_ptr<const ShapeFrontier> &row)
 {
-    // Encode and hash outside every lock.
+    // Encode outside every lock.
     thread_local std::string payload;
     payload.clear();
     encodeRowPayload(payload, *row);
-    size_t hash = util::hashInt64Words(key.data(), key.size());
 
     // Already persistent under these bytes (published since the miss):
     // nothing to write. An absent record, one that fails its check, or
     // one holding other bytes (a payload loadRow() could not decode: a
     // record is a pure function of its key) is what the log replaces.
     std::shared_ptr<Image> image = pinImage();
-    if (image->segment.find(kCacheRecordRow, key) == payload)
+    if (image->segment.find(kCacheRecordRow, key, hash) == payload)
         return;
     std::lock_guard<std::mutex> lock(mutex_);
     log_.append(key, hash, payload);
@@ -344,10 +368,12 @@ FrontierCache::seedTrace(const std::vector<int64_t> &key,
     // As loadRow(): the lock only pins the image; the find and the
     // decode run unlocked, and the decoded steps move into the trace.
     std::shared_ptr<Image> image = pinImage();
+    std::string packed = packKey(key);
     uint32_t slot = 0;
     bool damaged = false;
-    std::string_view payload =
-        image->segment.find(kCacheRecordTrace, key, &slot, &damaged);
+    std::string_view payload = image->segment.find(
+        kCacheRecordTrace, packed, keyHash(kCacheRecordTrace, packed),
+        &slot, &damaged);
     if (damaged)
         noteDamagedRecord();
     FrontierTraceImage decoded;
@@ -369,13 +395,18 @@ FrontierCache::noteTrace(
     const std::vector<int64_t> &key,
     std::shared_ptr<TradeoffCurveCache::PartitionTrace> trace)
 {
+    // Packed outside the lock, once per noted trace: every flush reads
+    // the key and its hash from here.
+    std::string packed = packKey(key);
+    uint64_t hash = keyHash(kCacheRecordTrace, packed);
     std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, inserted] = notedTraces_.try_emplace(key, trace);
+    auto [it, inserted] =
+        notedTraces_.try_emplace(std::move(packed), NotedTrace{hash, trace});
     // A held trace only the cache still references belongs to a session
     // that is gone: the new one, seeded from whatever disk holds, is
     // the one that can grow now.
-    if (!inserted && it->second.use_count() == 1)
-        it->second = std::move(trace);
+    if (!inserted && it->second.trace.use_count() == 1)
+        it->second.trace = std::move(trace);
 }
 
 void
@@ -392,22 +423,26 @@ FrontierCache::flush()
     // Phase 1: snapshot under our mutex (never hold it across file
     // I/O or trace mutexes — walks holding a trace mutex re-enter
     // other caches).
-    std::vector<std::pair<std::vector<int64_t>,
-                          std::weak_ptr<TradeoffCurveCache::PartitionTrace>>>
-        noted;
+    struct Noted
+    {
+        std::string key;  ///< packed
+        uint64_t hash = 0;
+        std::weak_ptr<TradeoffCurveCache::PartitionTrace> trace;
+    };
+    std::vector<Noted> noted;
     uint64_t known_gen = 0;
     bool rows_noted = false;
-    std::vector<std::pair<const std::vector<int64_t> *, FrontierTraceImage>>
-        trace_images;
-    std::vector<std::pair<const std::vector<int64_t> *,
-                          std::weak_ptr<TradeoffCurveCache::PartitionTrace>>>
-        finished;
+    /** A trace that went deeper than the pinned image, and its walk. */
+    std::vector<std::pair<const Noted *, FrontierTraceImage>> trace_images;
+    std::vector<const Noted *> finished;
     try {
         std::shared_ptr<Image> pinned;  ///< what disk held at open/last flush
         {
             std::lock_guard<std::mutex> lock(mutex_);
             rows_noted = !log_.empty();
-            noted.assign(notedTraces_.begin(), notedTraces_.end());
+            noted.reserve(notedTraces_.size());
+            for (const auto &[key, entry] : notedTraces_)
+                noted.push_back({key, entry.hash, entry.trace});
             pinned = image_;
             known_gen = generation_;
         }
@@ -420,14 +455,14 @@ FrontierCache::flush()
         // go of it. The snapshot holds traces weakly, so noteTrace()
         // sees a gone session's trace held by the cache alone while
         // the flush runs.
-        for (const auto &[key, noted_trace] : noted) {
+        for (const Noted &entry : noted) {
             std::shared_ptr<TradeoffCurveCache::PartitionTrace> trace =
-                noted_trace.lock();
+                entry.trace.lock();
             if (!trace)
                 continue;  // replaced by a successor's trace meanwhile
             std::lock_guard<std::mutex> trace_lock(trace->mutex);
             if (trace.use_count() == 2)
-                finished.emplace_back(&key, noted_trace);
+                finished.push_back(&entry);
             if (!trace->initialized)
                 continue;
             // A record failing its check reads as absent: the walk
@@ -435,19 +470,21 @@ FrontierCache::flush()
             bool disk_complete = false;
             size_t disk_steps = 0;
             std::string_view stored =
-                pinned->segment.find(kCacheRecordTrace, key);
+                pinned->segment.find(kCacheRecordTrace, entry.key,
+                                     entry.hash);
             if (!stored.empty() &&
                 peekTraceMeta(stored, &disk_complete, &disk_steps) &&
                 (disk_steps > trace->steps.size() ||
                  (disk_steps == trace->steps.size() &&
                   disk_complete == trace->complete)))
                 continue;
-            FrontierTraceImage image;
+            FrontierTraceImage &image =
+                trace_images.emplace_back(&entry, FrontierTraceImage())
+                    .second;
             image.complete = trace->complete;
             image.initialBram = trace->initialBram;
             image.initialPeak = trace->initialPeak;
             image.steps = trace->steps;
-            trace_images.emplace_back(&key, std::move(image));
         }
     } catch (const std::bad_alloc &) {
         // Nothing was taken yet: the log and the traces wait for the
@@ -460,9 +497,10 @@ FrontierCache::flush()
     // Under mutex_: stop tracking the finished traces, except one a
     // successor's trace has replaced since.
     auto forget_finished = [&] {
-        for (const auto &[key, trace] : finished) {
-            auto it = notedTraces_.find(*key);
-            if (it != notedTraces_.end() && it->second == trace.lock())
+        for (const Noted *entry : finished) {
+            auto it = notedTraces_.find(entry->key);
+            if (it != notedTraces_.end() &&
+                it->second.trace == entry->trace.lock())
                 notedTraces_.erase(it);
         }
     };
@@ -524,23 +562,27 @@ FrontierCache::flush()
         const uint32_t gen = static_cast<uint32_t>(new_gen);
         SegmentPlan plan(base.entryCount() + log.records() +
                          trace_images.size());
+        std::vector<int64_t> words;
         base.forEach([&](const FrontierCacheSegment::Entry &entry) {
-            // A record of unknown kind, or a trace whose header does
-            // not parse, cannot be served; dropping it costs a cold
-            // rebuild.
+            // A record of unknown kind, or a trace whose key does not
+            // unpack or whose header does not parse, cannot be served
+            // (seedTrace() looks traces up by their words, packed);
+            // dropping it costs a cold rebuild. Entries carry their
+            // slot's hash, so nothing here hashes a key.
             bool complete = false;
             size_t steps = 0;
             if (entry.kind == kCacheRecordRow ||
                 (entry.kind == kCacheRecordTrace &&
+                 unpackKey(entry.key, words) &&
                  peekTraceMeta(entry.payload, &complete, &steps)))
-                plan.add({entry.kind, entry.key, entry.payload, entry.hits,
-                          entry.lastGen});
+                plan.add({entry.kind, entry.key, entry.hash, entry.payload,
+                          entry.hits, entry.lastGen});
         });
-        log.forEach([&](std::span<const int64_t> key,
+        log.forEach([&](std::string_view key, uint64_t hash,
                         std::string_view payload) {
-            size_t at = plan.find(kCacheRecordRow, key);
+            size_t at = plan.find(kCacheRecordRow, key, hash);
             if (at == SegmentPlan::npos) {
-                plan.add({kCacheRecordRow, key, payload, 0, gen});
+                plan.add({kCacheRecordRow, key, hash, payload, 0, gen});
                 rewrite = true;
             } else if (plan.record(at).payload != payload) {
                 // A published record loadRow() could not decode: the
@@ -553,8 +595,8 @@ FrontierCache::flush()
             // this process's previous log when it was noted.
         });
         std::deque<std::string> fresh;  ///< owns new trace payloads
-        for (const auto &[key, image] : trace_images) {
-            size_t at = plan.find(kCacheRecordTrace, *key);
+        for (const auto &[entry, image] : trace_images) {
+            size_t at = plan.find(kCacheRecordTrace, entry->key, entry->hash);
             bool disk_complete = false;
             size_t disk_steps = 0;
             if (at != SegmentPlan::npos)
@@ -577,7 +619,8 @@ FrontierCache::flush()
             if (at != SegmentPlan::npos)
                 plan.setPayload(at, fresh.back());
             else
-                plan.add({kCacheRecordTrace, *key, fresh.back(), 0, gen});
+                plan.add({kCacheRecordTrace, entry->key, entry->hash,
+                          fresh.back(), 0, gen});
             rewrite = true;
         }
 
@@ -590,7 +633,7 @@ FrontierCache::flush()
             current->takeHits([&](uint32_t slot, uint32_t delta,
                                   const FrontierCacheSegment::Entry &entry) {
                 folded.emplace_back(slot, delta);
-                size_t at = plan.find(entry.kind, entry.key);
+                size_t at = plan.find(entry.kind, entry.key, entry.hash);
                 if (at == SegmentPlan::npos)
                     return;
                 uint32_t hits = plan.record(at).hits;
@@ -676,7 +719,8 @@ FrontierCache::flush()
         current->takeHits([&](uint32_t, uint32_t late,
                               const FrontierCacheSegment::Entry &entry) {
             uint32_t slot = 0;
-            if (!next->segment.find(entry.kind, entry.key, &slot).empty())
+            if (!next->segment.find(entry.kind, entry.key, entry.hash, &slot)
+                     .empty())
                 next->addHits(slot, late);
         });
         image_ = std::move(next);

@@ -11,12 +11,15 @@
  * budget-independent artifacts to disk:
  *
  *  - ShapeFrontier staircases, keyed by the FrontierRowStore's
- *    dims-sequence keys (type, units cap, per-layer n/m/r*c*k^2/g) —
- *    network identity never enters, so a cache populated by one CNN
- *    warms dims-identical ranges of another;
+ *    packed row keys (core/frontier_codec.h RowKey: type, units cap,
+ *    per-layer n/m/r*c*k^2/g as varint bytes, with their hash carried
+ *    along) — network identity never enters, so a cache populated by
+ *    one CNN warms dims-identical ranges of another;
  *  - MemoryOptimizer greedy-walk traces, keyed by the
  *    TradeoffCurveCache partition signatures (type, per-group shape
- *    and layer tiling dims).
+ *    and layer tiling dims), which stay word vectors in the walk
+ *    caches and are packed at this cache's boundary, when a trace is
+ *    seeded or noted.
  *
  * The cache's one on-disk artifact is the **segment**
  * (frontier_cache.seg, core/frontier_cache_segment.h): an immutable,
@@ -66,9 +69,9 @@
  * image from those sources into a temp file that is renamed
  * atomically, so a flush never holds a whole image in memory and a
  * crash never leaves a half-written cache.
- * A noted row waits only as the record the flush will write — its key
- * words and encoded payload, appended to one chunked log that holds
- * each key once — never as a decoded row, so the row store frees rows
+ * A noted row waits only as the record the flush will write — its
+ * packed key and encoded payload, appended to one chunked log that
+ * holds each key once — never as a decoded row, so the row store frees rows
  * under a cache exactly as it does without one, and a released row
  * needed again before the flush decodes from its log record.
  * SessionRegistry flushes on destruction, which covers mclp-opt and
@@ -96,7 +99,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -106,7 +108,6 @@
 #include "core/frontier_codec.h"
 #include "core/memory_optimizer.h"
 #include "core/shape_frontier.h"
-#include "util/hash.h"
 
 namespace mclp {
 namespace core {
@@ -168,7 +169,7 @@ class FrontierCache
      * empty (cold) cache; construction never throws for file reasons.
      *
      * @param max_bytes byte budget for the segment image (0 =
-     * unbounded): header, slot table, key words and payloads. When a
+     * unbounded): header, slot table, packed keys and payloads. When a
      * flush would exceed it, the least-recently-hit records (oldest
      * last-hit generation, then fewest hits) are evicted until the
      * image fits; records touched this session survive first. Every
@@ -180,36 +181,40 @@ class FrontierCache
     const std::string &dir() const { return dir_; }
 
     /**
-     * The staircase noted or persisted under a FrontierRowStore key,
-     * decoded from its pending log record or from the mapped image, or
-     * null. Takes the cache mutex once, to pin the current image and
-     * copy out a pending payload: the find, the record check and the
-     * decode run unlocked, so callers may decode concurrently. A record
-     * that fails its check (which clears Stats::loadedClean) or does
-     * not decode is a miss.
+     * The staircase noted or persisted under a FrontierRowStore key —
+     * packed bytes whose keyHash(kCacheRecordRow, ...) is @p hash, as
+     * RowKey carries them — decoded from its pending log record or from
+     * the mapped image, or null. Neither the log nor the segment hashes
+     * the key again. Takes the cache mutex once, to pin the current
+     * image and copy out a pending payload: the find, the record check
+     * and the decode run unlocked, so callers may decode concurrently.
+     * A record that fails its check (which clears Stats::loadedClean)
+     * or does not decode is a miss.
      */
-    std::shared_ptr<const ShapeFrontier>
-    loadRow(const std::vector<int64_t> &key);
+    std::shared_ptr<const ShapeFrontier> loadRow(std::string_view key,
+                                                 uint64_t hash);
 
     /**
-     * Record a freshly built staircase for the next flush(). The row
-     * is encoded and its key hashed outside every lock; under the
-     * cache mutex its record is only appended to the pending log, so
-     * the cache keeps no reference to @p row. A key the log already
+     * Record a freshly built staircase under packed row key @p key
+     * (hash @p hash, as loadRow() takes them) for the next flush().
+     * The row is encoded outside every lock; under the cache mutex its
+     * record is only appended to the pending log, so the cache keeps
+     * no reference to @p row. A key the log already
      * holds, or the mapped image holds under the same bytes, is not
      * logged again. An image record that fails its check or holds
      * other bytes (a payload loadRow() could not decode) is replaced:
      * the row is logged, loadRow() serves it from the log, and the
      * next flush publishes it in the record's place.
      */
-    void noteRow(const std::vector<int64_t> &key,
+    void noteRow(std::string_view key, uint64_t hash,
                  const std::shared_ptr<const ShapeFrontier> &row);
 
     /**
-     * Seed a just-created PartitionTrace from disk. @p trace must not
-     * be shared with other threads yet (it is filled unlocked). Like
-     * loadRow(), the cache mutex is held only to pin the image; the
-     * find and the decode run unlocked. Returns false — leaving the
+     * Seed a just-created PartitionTrace from disk, finding it under
+     * @p key packed. @p trace must not be shared with other threads yet
+     * (it is filled unlocked). Like loadRow(), the cache mutex is held
+     * only to pin the image; the packing, the find and the decode run
+     * unlocked. Returns false — leaving the
      * trace untouched — when the key is absent or the stored trace
      * fails validation.
      */
@@ -217,7 +222,8 @@ class FrontierCache
                    TradeoffCurveCache::PartitionTrace &trace);
 
     /**
-     * Track a live trace for write-back: at flush() time its current
+     * Track a live trace for write-back, under @p key packed (once,
+     * here, outside the lock): at flush() time its current
      * walk prefix is serialized when it goes deeper than the record
      * of the image mapped when the flush began. Tracking keeps the
      * trace alive past its session, so an evicted session's walk
@@ -294,24 +300,27 @@ class FrontierCache
 
     /**
      * Rows noted since the last flush, held as the records the flush
-     * writes, at most one per key: one word [key word count << 32 |
-     * payload length], the key words, then the payload padded to a
-     * whole word. Records fill 1 MiB chunks in note order and never
-     * move, so an open-addressed index of (key hash, record) slots
-     * finds a key by comparing its words in place, copying none. A
-     * flush takes the whole log, index included.
+     * writes, at most one per key, each in whole words:
+     *
+     *   [key hash | key bytes << 32 | payload bytes |
+     *    packed key, zero-padded | payload, zero-padded]
+     *
+     * The hash is the one the key carried in, so neither the index nor
+     * the flush ever hashes a key. Records fill 1 MiB chunks in note
+     * order and never move, so an open-addressed index of (key hash,
+     * record) slots finds a key by comparing its bytes in place,
+     * copying none. A flush takes the whole log, index included.
      */
     class PendingLog
     {
       public:
-        /** The payload logged under @p key, whose hashInt64Words() is
-         * @p hash, or an empty view. */
-        std::string_view find(std::span<const int64_t> key,
-                              size_t hash) const;
+        /** The payload logged under packed key @p key, whose keyHash()
+         * is @p hash, or an empty view. */
+        std::string_view find(std::string_view key, uint64_t hash) const;
 
         /** Log @p payload under @p key (hash @p hash) unless a record
          * of that key is already logged. */
-        void append(std::span<const int64_t> key, size_t hash,
+        void append(std::string_view key, uint64_t hash,
                     std::string_view payload);
 
         /** Put @p older's records in front of this log's, dropping
@@ -321,7 +330,8 @@ class FrontierCache
         size_t records() const { return records_; }
         bool empty() const { return records_ == 0; }
 
-        /** Visit every record in note order as (key words, payload). */
+        /** Visit every record in note order as (key, key hash,
+         * payload). */
         template <class Fn>
         void forEach(Fn &&fn) const;
 
@@ -335,13 +345,13 @@ class FrontierCache
 
         struct Slot
         {
-            size_t hash = 0;
+            uint64_t hash = 0;
             const uint64_t *record = nullptr;  ///< null: empty slot
         };
 
         /** Index of the slot holding @p key's record, or of the empty
          * slot where it would go. The index is not empty. */
-        size_t probe(std::span<const int64_t> key, size_t hash) const;
+        size_t probe(std::string_view key, uint64_t hash) const;
 
         std::vector<Chunk> chunks_;
         /** Power-of-two table at most half full, probed linearly. */
@@ -366,14 +376,17 @@ class FrontierCache
     mutable std::mutex mutex_;
     std::shared_ptr<Image> image_;  ///< this directory's; never null
     PendingLog log_;  ///< rows noted since the last flush
-    /** Traces to serialize at flush; deduped by key, first noted
-     * wins while its session holds it (concurrent sessions converge
-     * on one trace per key in their own caches anyway). */
-    std::unordered_map<
-        std::vector<int64_t>,
-        std::shared_ptr<TradeoffCurveCache::PartitionTrace>,
-        util::Int64VectorHash>
-        notedTraces_;
+    /** A trace tracked for write-back, and its packed key's hash. */
+    struct NotedTrace
+    {
+        uint64_t hash = 0;
+        std::shared_ptr<TradeoffCurveCache::PartitionTrace> trace;
+    };
+    /** Traces to serialize at flush, by packed key (noteTrace() packs
+     * it once); deduped by key, first noted wins while its session
+     * holds it (concurrent sessions converge on one trace per key in
+     * their own caches anyway). */
+    std::unordered_map<std::string, NotedTrace> notedTraces_;
     uint64_t generation_ = 0;  ///< of the image mapped or last published
     std::atomic<size_t> segmentRowHits_{0};    ///< counted unlocked
     std::atomic<size_t> segmentTraceHits_{0};  ///< counted unlocked

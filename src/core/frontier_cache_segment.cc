@@ -12,11 +12,11 @@
 namespace mclp {
 namespace core {
 
-// Key words go between memory and the image as they lie, and the
-// record check folds host-order words, while the header and the slots
-// are written little-endian: the two agree on little-endian hosts only.
+// The record check folds key and payload bytes as host-order words,
+// while the header and the slots are written little-endian: the two
+// agree on little-endian hosts only.
 static_assert(std::endian::native == std::endian::little,
-              "segment images copy key words as they lie in memory");
+              "segment record checks fold host-order words");
 
 namespace {
 
@@ -24,36 +24,52 @@ namespace {
 constexpr size_t kHeaderBytes = 64;
 /** The header bytes before its checksum, which folds them first. */
 constexpr size_t kHeaderCheckedBytes = 56;
-/** Slot: u64 hash | u32 keyOff | u32 kind<<24|keyWords | u32
+/** Slot: u64 hash | u32 keyOff | u32 kind<<24|keyBytes | u32
  * payloadOff | u32 payloadLen | u32 hits | u32 lastGen. keyOff (in
- * words) names the record's check word, which its key words follow.
- * kindWords == 0 marks an empty slot (keys are never empty). */
+ * words) names the record's check word, which its packed key follows,
+ * zero-padded to a word. kindBytes == 0 marks an empty slot (keys are
+ * never empty). */
 constexpr size_t kSlotBytes = 32;
 
-uint64_t
-slotHash(uint8_t kind, std::span<const int64_t> key)
+/** Largest key a slot's 24-bit length field holds. */
+constexpr size_t kMaxKeyBytes = 0xffffff;
+
+/** Key blob words a record of a @p key_bytes-byte key takes: its
+ * check word and its key, padded. */
+constexpr uint64_t
+recordWords(uint64_t key_bytes)
 {
-    // Prefix the kind so a row and a trace with identical key words
-    // (impossible today, cheap to rule out forever) never collide.
-    uint64_t hash = 1469598103934665603ULL;
-    hash ^= kind;
-    hash *= 1099511628211ULL;
-    for (int64_t word : key) {
-        hash ^= static_cast<uint64_t>(word);
-        hash *= 1099511628211ULL;
-    }
-    return hash;
+    return 1 + (key_bytes + 7) / 8;
 }
 
-/** A record's check word: its kind, key words and payload, folded. */
+/**
+ * A record's check word: its kind and key length, its key padded to a
+ * word, then its payload, folded. @p tail is the key's last word as
+ * the image holds it, padding included — the mapping's own bytes for
+ * a reader, so nonzero padding fails the check, and a zero-filled
+ * copy for the writer; unused when the key ends on a word.
+ */
 uint64_t
-recordCheck(uint8_t kind, std::span<const int64_t> key,
+recordCheck(uint8_t kind, std::string_view key, const char *tail,
             std::string_view payload)
 {
-    util::WordFold fold(kind);
-    fold.add(key.data(), key.size_bytes());
+    util::WordFold fold(uint64_t{kind} << 24 | key.size());
+    size_t whole = key.size() & ~size_t{7};
+    fold.add(key.data(), whole);
+    if (whole < key.size())
+        fold.add(tail, 8);
     fold.add(payload.data(), payload.size());
     return fold.finish();
+}
+
+/** @p key's last partial word, zero-padded (all zero when the key
+ * ends on a word), as the writer lays it out. */
+void
+paddedTail(std::string_view key, char (&tail)[8])
+{
+    std::memset(tail, 0, sizeof tail);
+    size_t whole = key.size() & ~size_t{7};
+    std::memcpy(tail, key.data() + whole, key.size() - whole);
 }
 
 /** Slots for @p records: a power of two, at most half full, so every
@@ -110,42 +126,41 @@ SegmentPlan::SegmentPlan(size_t capacity)
 }
 
 size_t
-SegmentPlan::probe(uint8_t kind, std::span<const int64_t> key,
-                   uint64_t hash) const
+SegmentPlan::probe(uint8_t kind, std::string_view key, uint64_t hash) const
 {
     size_t mask = index_.size() - 1;
     for (size_t i = hash & mask;; i = (i + 1) & mask) {
         if (index_[i] == 0)
             return i;
-        const Entry &entry = entries_[index_[i] - 1];
-        if (entry.hash == hash && entry.record.kind == kind &&
-            std::ranges::equal(entry.record.key, key))
+        const SegmentRecord &record = entries_[index_[i] - 1].record;
+        if (record.hash == hash && record.kind == kind && record.key == key)
             return i;
     }
 }
 
 size_t
-SegmentPlan::find(uint8_t kind, std::span<const int64_t> key) const
+SegmentPlan::find(uint8_t kind, std::string_view key, uint64_t hash) const
 {
-    uint32_t at = index_[probe(kind, key, slotHash(kind, key))];
+    uint32_t at = index_[probe(kind, key, hash)];
     return at == 0 ? npos : at - 1;
 }
 
 size_t
 SegmentPlan::add(const SegmentRecord &record)
 {
-    uint64_t hash = slotHash(record.kind, record.key);
-    size_t pos = probe(record.kind, record.key, hash);
+    if (record.key.empty() || record.key.size() > kMaxKeyBytes)
+        return npos;  // no slot can hold it: it stays out of the image
+    size_t pos = probe(record.kind, record.key, record.hash);
     if (index_[pos] != 0)
         return index_[pos] - 1;
     // A full index would leave probe() no empty position to stop at.
     if (2 * (entries_.size() + 1) > index_.size())
         util::panic("SegmentPlan: more than its capacity of %zu records",
                     index_.size() / 2);
-    entries_.push_back({record, hash});
+    entries_.push_back({record});
     index_[pos] = static_cast<uint32_t>(entries_.size());
     ++live_;
-    keyWords_ += 1 + record.key.size();
+    keyWords_ += recordWords(record.key.size());
     payloadBytes_ += record.payload.size();
     return entries_.size() - 1;
 }
@@ -185,7 +200,7 @@ SegmentPlan::fitTo(uint64_t budget)
         if (!entries_[i].dropped)
             order.push_back(static_cast<uint32_t>(i));
     auto bytes = [](const SegmentRecord &r) {
-        return 8 * r.key.size() + r.payload.size();
+        return 8 * recordWords(r.key.size()) + r.payload.size();
     };
     std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
         const SegmentRecord &x = entries_[a].record;
@@ -198,7 +213,7 @@ SegmentPlan::fitTo(uint64_t budget)
             return bytes(x) > bytes(y);
         if (x.kind != y.kind)
             return x.kind < y.kind;
-        return std::ranges::lexicographical_compare(x.key, y.key);
+        return x.key < y.key;
     });
     size_t dropped = 0;
     for (uint32_t i : order) {
@@ -207,7 +222,7 @@ SegmentPlan::fitTo(uint64_t budget)
         Entry &entry = entries_[i];
         entry.dropped = true;
         --live_;
-        keyWords_ -= 1 + entry.record.key.size();
+        keyWords_ -= recordWords(entry.record.key.size());
         payloadBytes_ -= entry.record.payload.size();
         ++dropped;
     }
@@ -237,12 +252,12 @@ SegmentPlan::write(uint64_t fingerprint, uint64_t generation,
         const Entry &entry = entries_[i];
         if (entry.dropped)
             continue;
-        uint32_t s = static_cast<uint32_t>(entry.hash) & mask;
+        uint32_t s = static_cast<uint32_t>(entry.record.hash) & mask;
         while (at[s] != 0)
             s = (s + 1) & mask;
         at[s] = static_cast<uint32_t>(i + 1);
         offsets[i] = key_off << 32 | payload_off;
-        key_off += 1 + entry.record.key.size();
+        key_off += recordWords(entry.record.key.size());
         payload_off += entry.record.payload.size();
     }
 
@@ -263,9 +278,8 @@ SegmentPlan::write(uint64_t fingerprint, uint64_t generation,
         for (uint32_t s = 0; s < slot_count; ++s) {
             std::memset(slot, 0, sizeof slot);
             if (at[s] != 0) {
-                const Entry &entry = entries_[at[s] - 1];
-                const SegmentRecord &record = entry.record;
-                storeU64(slot, entry.hash);
+                const SegmentRecord &record = entries_[at[s] - 1].record;
+                storeU64(slot, record.hash);
                 storeU32(slot + 8,
                          static_cast<uint32_t>(offsets[at[s] - 1] >> 32));
                 storeU32(slot + 12,
@@ -297,12 +311,15 @@ SegmentPlan::write(uint64_t fingerprint, uint64_t generation,
         if (entry.dropped)
             continue;
         const SegmentRecord &record = entry.record;
+        char tail[8];
+        paddedTail(record.key, tail);
         char check[8];
         storeU64(check,
-                 recordCheck(record.kind, record.key, record.payload));
+                 recordCheck(record.kind, record.key, tail, record.payload));
+        size_t whole = record.key.size() & ~size_t{7};
         if (!sink({check, sizeof check}) ||
-            !sink({reinterpret_cast<const char *>(record.key.data()),
-                   record.key.size_bytes()}))
+            !sink(record.key.substr(0, whole)) ||
+            (whole < record.key.size() && !sink({tail, sizeof tail})))
             return false;
     }
     for (const Entry &entry : entries_)
@@ -346,9 +363,9 @@ FrontierCacheSegment::open(const std::string &path, uint64_t fingerprint)
     const unsigned char *base = map.data();
     if (map.size() < 12 || loadU64(base) != kFrontierSegmentMagic)
         return segment;
-    // Our file under another layout version (v1 and v2 images
-    // included) is an expected invalidation, as is another binary's
-    // model fingerprint.
+    // Our file under another layout version (v1 to v3 images, v3's
+    // word keys included) is an expected invalidation, as is another
+    // binary's model fingerprint.
     if (loadU32(base + 8) != kFrontierSegmentVersion) {
         segment.state_ = SegmentState::Stale;
         return segment;
@@ -367,8 +384,8 @@ FrontierCacheSegment::open(const std::string &path, uint64_t fingerprint)
     uint64_t checksum = loadU64(base + kHeaderCheckedBytes);
     if (file_bytes != map.size())
         return segment;
-    // Geometry: power-of-two slot table, then 8-aligned key blob,
-    // then payloads to end of file.
+    // Geometry: power-of-two slot table, then the key blob in whole
+    // words, then payloads to end of file.
     if (slot_count == 0 || (slot_count & (slot_count - 1)) != 0 ||
         slot_count > (map.size() - kHeaderBytes) / kSlotBytes)
         return segment;
@@ -389,15 +406,15 @@ FrontierCacheSegment::open(const std::string &path, uint64_t fingerprint)
     size_t live = 0;
     for (uint32_t s = 0; s < slot_count; ++s) {
         const unsigned char *slot = base + slots_off + s * kSlotBytes;
-        uint32_t kind_words = loadU32(slot + 12);
-        if (kind_words == 0)
+        uint32_t kind_bytes = loadU32(slot + 12);
+        if (kind_bytes == 0)
             continue;
-        uint32_t words = kind_words & 0xffffff;
+        uint32_t bytes = kind_bytes & kMaxKeyBytes;
         uint32_t k_off = loadU32(slot + 8);
         uint32_t p_off = loadU32(slot + 16);
         uint32_t p_len = loadU32(slot + 20);
-        if (words == 0 || k_off > key_words ||
-            key_words - k_off < uint64_t{words} + 1 ||
+        if (bytes == 0 || k_off > key_words ||
+            key_words - k_off < recordWords(bytes) ||
             p_off > payload_bytes || p_len > payload_bytes - p_off)
             return segment;
         ++live;
@@ -411,38 +428,38 @@ FrontierCacheSegment::open(const std::string &path, uint64_t fingerprint)
     segment.generation_ = generation;
     segment.slotCount_ = slot_count;
     segment.entryCount_ = static_cast<size_t>(entry_count);
-    segment.keyWordsOff_ = key_off;
+    segment.keyBlobOff_ = key_off;
     segment.payloadOff_ = payload_off;
     return segment;
 }
 
 std::string_view
-FrontierCacheSegment::find(uint8_t kind, std::span<const int64_t> key,
-                           uint32_t *slot_out, bool *damaged) const
+FrontierCacheSegment::find(uint8_t kind, std::string_view key,
+                           uint64_t hash, uint32_t *slot_out,
+                           bool *damaged) const
 {
-    if (!valid() || key.empty() || key.size() > 0xffffff)
+    if (!valid() || key.empty() || key.size() > kMaxKeyBytes)
         return {};
-    uint64_t hash = slotHash(kind, key);
     uint32_t mask = slotCount_ - 1;
     for (uint32_t probe = 0; probe < slotCount_; ++probe) {
         uint32_t s = (static_cast<uint32_t>(hash) + probe) & mask;
         const unsigned char *slot =
             map_.data() + kHeaderBytes + s * kSlotBytes;
-        uint32_t kind_words = loadU32(slot + 12);
-        if (kind_words == 0)
+        uint32_t kind_bytes = loadU32(slot + 12);
+        if (kind_bytes == 0)
             return {};  // empty slot terminates the probe chain
-        if (loadU64(slot) != hash ||
-            (kind_words >> 24) != kind ||
-            (kind_words & 0xffffff) != key.size())
+        if (loadU64(slot) != hash || (kind_bytes >> 24) != kind)
             continue;
         // The slot's hash is @p key's. A record holding other key
-        // words under it is either a 64-bit collision, which passes
-        // its check, or @p key's record with damaged key words.
+        // bytes under it — another length included — is either a
+        // 64-bit collision, which passes its check, or @p key's record
+        // with damaged key bytes or length.
         Entry entry;
+        const char *tail = nullptr;
         uint64_t check = 0;
-        readSlot(s, entry, check);
-        bool same_key = std::ranges::equal(entry.key, key);
-        if (recordCheck(kind, entry.key, entry.payload) != check) {
+        readSlot(s, entry, tail, check);
+        bool same_key = entry.key == key;
+        if (recordCheck(kind, entry.key, tail, entry.payload) != check) {
             if (damaged)
                 *damaged = true;
             if (same_key)
@@ -459,37 +476,37 @@ FrontierCacheSegment::find(uint8_t kind, std::span<const int64_t> key,
 }
 
 bool
-FrontierCacheSegment::readSlot(uint32_t s, Entry &entry,
+FrontierCacheSegment::readSlot(uint32_t s, Entry &entry, const char *&tail,
                                uint64_t &check) const
 {
     const unsigned char *base = map_.data();
     const unsigned char *slot = base + kHeaderBytes + s * kSlotBytes;
-    uint32_t kind_words = loadU32(slot + 12);
-    if (kind_words == 0)
+    uint32_t kind_bytes = loadU32(slot + 12);
+    if (kind_bytes == 0)
         return false;
-    const unsigned char *record =
-        base + keyWordsOff_ + size_t{loadU32(slot + 8)} * 8;
-    entry.kind = static_cast<uint8_t>(kind_words >> 24);
-    // Key words are read in place: the key blob is 8-aligned in a
-    // page-aligned mapping that, like memory from malloc, holds no
-    // other objects, and nothing writes it.
-    entry.key = {reinterpret_cast<const int64_t *>(record + 8),
-                 kind_words & 0xffffff};
+    const char *record = reinterpret_cast<const char *>(base) +
+                         keyBlobOff_ + size_t{loadU32(slot + 8)} * 8;
+    size_t key_bytes = kind_bytes & kMaxKeyBytes;
+    entry.kind = static_cast<uint8_t>(kind_bytes >> 24);
+    entry.key = {record + 8, key_bytes};
+    entry.hash = loadU64(slot);
     entry.payload = {reinterpret_cast<const char *>(base) + payloadOff_ +
                          loadU32(slot + 16),
                      loadU32(slot + 20)};
     entry.hits = loadU32(slot + 24);
     entry.lastGen = loadU32(slot + 28);
-    check = loadU64(record);
+    tail = record + 8 + (key_bytes & ~size_t{7});
+    check = loadU64(reinterpret_cast<const unsigned char *>(record));
     return true;
 }
 
 bool
 FrontierCacheSegment::entryAt(uint32_t s, Entry &entry) const
 {
+    const char *tail = nullptr;
     uint64_t check = 0;
-    return s < slotCount_ && readSlot(s, entry, check) &&
-           recordCheck(entry.kind, entry.key, entry.payload) == check;
+    return s < slotCount_ && readSlot(s, entry, tail, check) &&
+           recordCheck(entry.kind, entry.key, tail, entry.payload) == check;
 }
 
 void

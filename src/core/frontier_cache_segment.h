@@ -7,17 +7,24 @@
  *   [64-byte header | slot table | key blob | payload blob]
  *
  * The slot table is an open-addressed, linearly probed hash table
- * over an FNV-1a hash of (kind, key words), so find() is a probe walk
- * plus one key compare and one record check, no allocation, no
- * decode; it reports the slot it matched, and entryAt() reads a
- * record back by slot. Each slot also carries the record's hit
- * counter and the generation of its last hit, which the byte budget's
- * least-recently-hit eviction reads at the next flush. The key blob
- * holds each record's check word followed by its key words; payloads
- * are the delta staircase encodings of core/frontier_codec.h, decoded
- * lazily by whoever actually needs the row. N workers mapping one
- * segment share one page-cache copy of the bytes and touch only what
- * they read.
+ * over the records' key hashes (core/frontier_codec.h keyHash():
+ * FNV-1a over the kind, then the packed key bytes). find() takes the
+ * hash from its caller — a row key carries its own — so a lookup is a
+ * probe walk plus one byte compare and one record check, no hashing,
+ * no allocation, no decode; it reports the slot it matched, and
+ * entryAt() reads a record back by slot. Each 32-byte slot holds
+ *
+ *   u64 hash | u32 key offset (words) | u32 kind << 24 | key bytes |
+ *   u32 payload offset | u32 payload bytes | u32 hits | u32 last gen
+ *
+ * so it also carries the record's hit counter and the generation of
+ * its last hit, which the byte budget's least-recently-hit eviction
+ * reads at the next flush. The key blob holds one record per slot,
+ * [check word | packed key, zero-padded to a word]; payloads are the
+ * delta staircase encodings of core/frontier_codec.h, decoded lazily
+ * by whoever actually needs the row. N workers mapping one segment
+ * share one page-cache copy of the bytes and touch only what they
+ * read.
  *
  * Checks come in two sizes, so opening costs the slot table and
  * reading a record costs that record:
@@ -26,8 +33,9 @@
  *    forEach() never read outside the mapping however the file was
  *    damaged; damage there refuses the whole image. open() never
  *    touches the key or payload blob.
- *  - each record's check word covers its kind, key words and payload
- *    (util::WordFold) and is verified wherever the record is read:
+ *  - each record's check word covers its kind, its key length, its
+ *    key bytes with their padding, and its payload (util::WordFold),
+ *    and is verified wherever the record is read:
  *    find(), entryAt(), forEach(). A record that fails reads as
  *    absent, and find() says so, so the cache rebuilds it cold and
  *    reports the damage.
@@ -42,8 +50,8 @@
  * temp file that util::publishFileAtomic renames over the old one, so
  * a reader maps either the previous complete generation or the new
  * one, never a torn mix, and no writer holds a whole image in memory.
- * Key words and payloads are copied as they lie in memory, so images
- * are little-endian throughout.
+ * Header and slot fields are little-endian; keys and payloads are
+ * byte strings.
  */
 
 #ifndef MCLP_CORE_FRONTIER_CACHE_SEGMENT_H
@@ -51,7 +59,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,8 +74,11 @@ constexpr uint64_t kFrontierSegmentMagic = 0x3130475350434C4DULL;
 /** Bump on any change to the segment layout. v2: each slot carries
  * the record's hit counter and last-hit generation (24 -> 32 bytes).
  * v3: the header checksum covers only the header and the slot table,
- * and a check word of its own leads each record's key words. */
-constexpr uint32_t kFrontierSegmentVersion = 3;
+ * and a check word of its own leads each record's key words. v4: keys
+ * are packed varint bytes (core/frontier_codec.h), zero-padded to a
+ * word in the key blob; the slot's length counts key bytes, and the
+ * record check covers that length and the padding. */
+constexpr uint32_t kFrontierSegmentVersion = 4;
 
 /** Largest image a plan writes (4 GiB - 1): every offset and length a
  * slot stores then fits its 32-bit field. */
@@ -80,11 +90,14 @@ constexpr const char *kFrontierSegmentFileName = "frontier_cache.seg";
 /** One record of a segment image under construction. Key and payload
  * are borrowed views (a flush plans from the published image's
  * mapping, its pending log and its trace encodings, which own the
- * bytes); the payload is a delta encoding from core/frontier_codec.h. */
+ * bytes): a packed key and a delta payload from core/frontier_codec.h.
+ * The hash is the key's keyHash(), which the writer stores and never
+ * recomputes. */
 struct SegmentRecord
 {
     uint8_t kind = 0;
-    std::span<const int64_t> key;
+    std::string_view key;
+    uint64_t hash = 0;
     std::string_view payload;
     uint32_t hits = 0;     ///< lookups answered from disk, all time
     uint32_t lastGen = 0;  ///< generation of the most recent hit
@@ -114,11 +127,13 @@ class SegmentPlan
     /** A plan for at most @p capacity records. */
     explicit SegmentPlan(size_t capacity);
 
-    /** Index of the planned record of (@p kind, @p key), or npos. */
-    size_t find(uint8_t kind, std::span<const int64_t> key) const;
+    /** Index of the planned record of (@p kind, @p key), whose
+     * keyHash() is @p hash, or npos. */
+    size_t find(uint8_t kind, std::string_view key, uint64_t hash) const;
 
     /** Plan @p record and return its index; a (kind, key) planned
-     * already keeps its record. */
+     * already keeps its record. An empty key, or one longer than a
+     * slot's 24-bit length holds, is not planned (npos). */
     size_t add(const SegmentRecord &record);
 
     const SegmentRecord &record(size_t index) const
@@ -159,21 +174,21 @@ class SegmentPlan
     struct Entry
     {
         SegmentRecord record;
-        uint64_t hash = 0;
         bool dropped = false;  ///< evicted by fitTo()
     };
 
     /** Position in index_ of (kind, key)'s entry, or of the empty
      * position where it would go. */
-    size_t probe(uint8_t kind, std::span<const int64_t> key,
-                 uint64_t hash) const;
+    size_t probe(uint8_t kind, std::string_view key, uint64_t hash) const;
 
     std::vector<Entry> entries_;
     /** Open-addressed over entries_, sized for the capacity at most
      * half full: entry index plus one, 0 for an empty position. */
     std::vector<uint32_t> index_;
     size_t live_ = 0;  ///< planned records fitTo() kept
-    uint64_t keyWords_ = 0;  ///< of live records, check words included
+    /** Key blob words of live records, check words and padding
+     * included. */
+    uint64_t keyWords_ = 0;
     uint64_t payloadBytes_ = 0;  ///< of live records
 };
 
@@ -190,8 +205,9 @@ class FrontierCacheSegment
     struct Entry
     {
         uint8_t kind = 0;
-        std::span<const int64_t> key;  ///< aliases the mapping
-        std::string_view payload;      ///< aliases the mapping
+        std::string_view key;      ///< packed; aliases the mapping
+        uint64_t hash = 0;         ///< the slot's keyHash() of key
+        std::string_view payload;  ///< aliases the mapping
         uint32_t hits = 0;
         uint32_t lastGen = 0;
     };
@@ -225,17 +241,18 @@ class FrontierCacheSegment
     uint32_t slotCount() const { return slotCount_; }
 
     /**
-     * The stored delta payload for (kind, key), or an empty view; on a
-     * match, @p slot (when given) receives the slot it matched, which
-     * is how the cache counts hits per record without copying keys. A
-     * record that fails its check reads as absent and sets
-     * @p damaged (when given). The view aliases the mapping and stays
-     * valid for the segment's lifetime. Lock-free and allocation-free
-     * — the image is immutable, so concurrent finds need no
-     * coordination.
+     * The stored delta payload for (kind, packed key), or an empty
+     * view. @p hash must be the key's keyHash(); find() probes with it
+     * and never hashes the key itself. On a match, @p slot (when
+     * given) receives the slot it matched, which is how the cache
+     * counts hits per record without copying keys. A record that fails
+     * its check reads as absent and sets @p damaged (when given). The
+     * view aliases the mapping and stays valid for the segment's
+     * lifetime. Lock-free and allocation-free — the image is
+     * immutable, so concurrent finds need no coordination.
      */
-    std::string_view find(uint8_t kind, std::span<const int64_t> key,
-                          uint32_t *slot = nullptr,
+    std::string_view find(uint8_t kind, std::string_view key,
+                          uint64_t hash, uint32_t *slot = nullptr,
                           bool *damaged = nullptr) const;
 
     /**
@@ -251,17 +268,19 @@ class FrontierCacheSegment
     void forEach(const std::function<void(const Entry &)> &fn) const;
 
   private:
-    /** Fill @p entry from slot @p slot (below slotCount()) and
+    /** Fill @p entry from slot @p slot (below slotCount()), @p tail
+     * with where its key's last word lies, padding included, and
      * @p check with its record's check word, without checking the
      * record; false for an empty slot. */
-    bool readSlot(uint32_t slot, Entry &entry, uint64_t &check) const;
+    bool readSlot(uint32_t slot, Entry &entry, const char *&tail,
+                  uint64_t &check) const;
 
     util::MappedFile map_;
     SegmentState state_ = SegmentState::Missing;
     uint64_t generation_ = 0;
     uint32_t slotCount_ = 0;
     size_t entryCount_ = 0;
-    size_t keyWordsOff_ = 0;   ///< byte offset of the key blob
+    size_t keyBlobOff_ = 0;    ///< byte offset of the key blob
     size_t payloadOff_ = 0;    ///< byte offset of the payload blob
 };
 

@@ -7,15 +7,6 @@
 namespace mclp {
 namespace core {
 
-size_t
-traceKeyGroups(const std::vector<int64_t> &key)
-{
-    return static_cast<size_t>(
-        std::count(key.begin(), key.end(), int64_t{-1}));
-}
-
-// ---------------------------------------------------- delta payloads
-
 namespace {
 
 /** Row payload flag: some Tn/Tm exceeds 16 bits, so the shape lanes
@@ -35,15 +26,132 @@ putVarint(char *out, uint64_t value)
     return out;
 }
 
-/** Bytes a varint of a value under 2^63 can take (a zig-zag delta of
- * two positive int64 values, or a count). */
+/** Most bytes a varint of a 64-bit value takes. */
 constexpr size_t kMaxVarintBytes = 10;
 
 /** Fewest bytes a trace step takes: four one-byte varints and an f64.
  * A step count the remaining bytes cannot hold is refused. */
 constexpr size_t kMinTraceStepBytes = 4 + 8;
 
+/** 64-bit FNV-1a. */
+constexpr uint64_t kFnvBasis = 1469598103934665603ULL;
+constexpr uint64_t kFnvPrime = 1099511628211ULL;
+
+inline uint64_t
+fnvBytes(uint64_t hash, const char *bytes, size_t count)
+{
+    for (size_t i = 0; i < count; ++i) {
+        hash ^= static_cast<unsigned char>(bytes[i]);
+        hash *= kFnvPrime;
+    }
+    return hash;
+}
+
 } // namespace
+
+// ------------------------------------------------------- packed keys
+
+std::string
+packKey(std::span<const int64_t> words)
+{
+    std::string out(words.size() * kMaxVarintBytes, '\0');
+    char *p = out.data();
+    for (int64_t word : words)
+        p = putVarint(p, util::zigzagEncode(word));
+    out.resize(static_cast<size_t>(p - out.data()));
+    return out;
+}
+
+bool
+unpackKey(std::string_view key, std::vector<int64_t> &words)
+{
+    // First pass: check every varint and count them, so nothing is
+    // allocated for bytes that are not a key. The 10th byte of a varint
+    // holds bit 63 alone: anything above 1 there carries bits past the
+    // 64th or announces an 11th byte.
+    size_t count = 0;
+    size_t length = 0;  ///< bytes of the varint being read
+    for (char c : key) {
+        unsigned char byte = static_cast<unsigned char>(c);
+        if (++length == kMaxVarintBytes && byte > 1)
+            return false;
+        if (!(byte & 0x80)) {
+            ++count;
+            length = 0;
+        }
+    }
+    if (length != 0)
+        return false;  // the bytes end inside a varint
+
+    words.resize(count);
+    uint64_t value = 0;
+    int shift = 0;
+    size_t w = 0;
+    for (char c : key) {
+        unsigned char byte = static_cast<unsigned char>(c);
+        value |= static_cast<uint64_t>(byte & 0x7f) << shift;
+        if (byte & 0x80) {
+            shift += 7;
+        } else {
+            words[w++] = util::zigzagDecode(value);
+            value = 0;
+            shift = 0;
+        }
+    }
+    return true;
+}
+
+uint64_t
+keyHash(uint8_t kind, std::string_view key)
+{
+    uint64_t hash = (kFnvBasis ^ kind) * kFnvPrime;
+    return fnvBytes(hash, key.data(), key.size());
+}
+
+RowKey
+RowKey::root(fpga::DataType type, int64_t units_cap)
+{
+    RowKey key;
+    key.hash_ = keyHash(kCacheRecordRow, {});
+    key.put(static_cast<int64_t>(type));
+    key.put(units_cap);
+    return key;
+}
+
+void
+RowKey::append(const nn::ConvLayer &layer)
+{
+    put(layer.n);
+    put(layer.m);
+    put(layer.r * layer.c * layer.k * layer.k);
+    put(layer.g);
+}
+
+void
+RowKey::truncate(size_t bytes, uint64_t hash)
+{
+    bytes_.resize(bytes);
+    hash_ = hash;
+}
+
+void
+RowKey::put(int64_t word)
+{
+    char varint[kMaxVarintBytes];
+    size_t count = static_cast<size_t>(
+        putVarint(varint, util::zigzagEncode(word)) - varint);
+    bytes_.append(varint, count);
+    hash_ = fnvBytes(hash_, varint, count);
+}
+
+size_t
+traceKeyGroups(const std::vector<int64_t> &key)
+{
+    return static_cast<size_t>(
+        std::count(key.begin(), key.end(), int64_t{-1}));
+}
+
+// ---------------------------------------------------- delta payloads
 
 void
 encodeRowPayload(std::string &out, const ShapeFrontier &row)

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "core/frontier_cache.h"
+#include "core/frontier_codec.h"
 #include "model/dsp_model.h"
 #include "util/logging.h"
 #include "util/math.h"
@@ -513,26 +514,20 @@ FrontierRowStore::FrontierRowStore(std::shared_ptr<FrontierCache> cache)
 {
 }
 
-FrontierRowStore::Shard &
-FrontierRowStore::shardOf(const std::vector<int64_t> &key)
-{
-    return shards_[util::Int64VectorHash{}(key) % kShards];
-}
-
 size_t
 FrontierRowStore::rowBytesLocked(const RowMap::value_type &row)
 {
-    return row.first.capacity() * sizeof(int64_t) + 4 * sizeof(void *) +
+    return row.first.bytes.capacity() + 4 * sizeof(void *) +
            row.second->memoryBytes();
 }
 
 std::shared_ptr<const ShapeFrontier>
-FrontierRowStore::lookup(const std::vector<int64_t> &key)
+FrontierRowStore::lookup(std::string_view key, uint64_t hash)
 {
-    Shard &shard = shardOf(key);
+    Shard &shard = shardOf(hash);
     {
         std::lock_guard<std::mutex> lock(shard.mutex);
-        auto it = shard.rows.find(key);
+        auto it = shard.rows.find(KeyView{key, hash});
         if (it != shard.rows.end()) {
             ++shard.hits;
             return it->second;
@@ -549,13 +544,14 @@ FrontierRowStore::lookup(const std::vector<int64_t> &key)
     // as a hit — no build happened. The first insert wins, as in
     // insert(); only the winner counts as an mmap hit, so cache-stats
     // splits the ladder by resident rows.
-    std::shared_ptr<const ShapeFrontier> row = cache_->loadRow(key);
+    std::shared_ptr<const ShapeFrontier> row = cache_->loadRow(key, hash);
     std::lock_guard<std::mutex> lock(shard.mutex);
     if (!row) {
         ++shard.misses;
         return nullptr;
     }
-    auto [it, inserted] = shard.rows.emplace(key, std::move(row));
+    auto [it, inserted] =
+        shard.rows.emplace(Key{std::string(key), hash}, std::move(row));
     if (inserted) {
         shard.bytes += rowBytesLocked(*it);
         ++shard.mmapHits;
@@ -565,16 +561,17 @@ FrontierRowStore::lookup(const std::vector<int64_t> &key)
 }
 
 std::shared_ptr<const ShapeFrontier>
-FrontierRowStore::insert(const std::vector<int64_t> &key,
+FrontierRowStore::insert(std::string_view key, uint64_t hash,
                          ShapeFrontier frontier)
 {
     auto row = std::make_shared<const ShapeFrontier>(std::move(frontier));
-    Shard &shard = shardOf(key);
+    Shard &shard = shardOf(hash);
     {
         std::lock_guard<std::mutex> lock(shard.mutex);
         // The first insert wins, so racing builders (which produced
         // bit-identical frontiers anyway) converge on one shared row.
-        auto [it, inserted] = shard.rows.try_emplace(key, std::move(row));
+        auto [it, inserted] =
+            shard.rows.try_emplace(Key{std::string(key), hash}, std::move(row));
         if (!inserted)
             return it->second;
         shard.bytes += rowBytesLocked(*it);
@@ -584,16 +581,16 @@ FrontierRowStore::insert(const std::vector<int64_t> &key,
     // record with the shard's mutex released: the store never holds
     // one of its locks while it calls into the cache.
     if (cache_)
-        cache_->noteRow(key, row);
+        cache_->noteRow(key, hash, row);
     return row;
 }
 
 void
-FrontierRowStore::release(const std::vector<int64_t> &key)
+FrontierRowStore::release(std::string_view key, uint64_t hash)
 {
-    Shard &shard = shardOf(key);
+    Shard &shard = shardOf(hash);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.rows.find(key);
+    auto it = shard.rows.find(KeyView{key, hash});
     if (it == shard.rows.end() || it->second.use_count() != 1)
         return;
     shard.bytes -= rowBytesLocked(*it);
@@ -624,6 +621,29 @@ FrontierRowStore::memoryBytes() const
     }
     return bytes;
 }
+
+struct FrontierTable::Row
+{
+    /** Incremental scratch over the row's suffix: made at the row's
+     * first store miss, dropped once the row is exhausted. */
+    std::unique_ptr<ShapeFrontier::Builder> builder;
+    /** Frontiers of [i..i], [i..i+1], ... (suffix-only rows store just
+     * [i..count-1] at slot 0); shared via the row store. */
+    std::vector<std::shared_ptr<const ShapeFrontier>> frontiers;
+    /** With a store: the packed store key of the longest range built
+     * or being built, grown a layer per slot. Slot s's key is its
+     * first keyEnds[s].bytes bytes. */
+    RowKey key;
+    struct KeyEnd
+    {
+        size_t bytes = 0;
+        uint64_t hash = 0;
+    };
+    /** Per slot, its key's length in key and that key's hash. */
+    std::vector<KeyEnd> keyEnds;
+    bool exhausted = false;  ///< row is complete to its last range
+    int64_t builtUnits = 0;  ///< units cap the frontiers hold
+};
 
 FrontierTable::FrontierTable(const nn::Network &network,
                              fpga::DataType type, std::vector<size_t> order,
@@ -659,33 +679,19 @@ FrontierTable::usable(size_t i, size_t j) const
            (maxClps_ >= 2 && (i == 0 || j == count - 1)) || maxClps_ >= 3;
 }
 
-std::vector<int64_t>
+RowKey
 FrontierTable::rangeKey(size_t i, size_t j, int64_t units_cap) const
 {
     // Everything a range frontier depends on: data type (DSP per MAC),
     // the cap it was built under, and per layer the two breakpoint
     // dimensions plus the per-ceiling cycle weight R*C*K^2 and the
-    // group count (cache key format v4: the g lane makes grouped and
-    // plain layers distinct rows). Network identity and layer indices
-    // never enter, so dims-identical ranges of different networks
-    // share one row.
-    std::vector<int64_t> key;
-    key.reserve(2 + 4 * (j - i + 1));
-    key.push_back(static_cast<int64_t>(type_));
-    key.push_back(units_cap);
+    // group count (RowKey::append()). Network identity and layer
+    // indices never enter, so dims-identical ranges of different
+    // networks share one row.
+    RowKey key = RowKey::root(type_, units_cap);
     for (size_t p = i; p <= j; ++p)
-        appendLayerKey(key, p);
+        key.append(network_.layer(order_[p]));
     return key;
-}
-
-void
-FrontierTable::appendLayerKey(std::vector<int64_t> &key, size_t p) const
-{
-    const nn::ConvLayer &layer = network_.layer(order_[p]);
-    key.push_back(layer.n);
-    key.push_back(layer.m);
-    key.push_back(layer.r * layer.c * layer.k * layer.k);
-    key.push_back(layer.g);
 }
 
 void
@@ -695,23 +701,11 @@ FrontierTable::releaseRowLocked(size_t i)
     Row &row = rows_[i];
     if (!store_ || row.frontiers.empty())
         return;
-    size_t slots = row.frontiers.size();
     row.frontiers.clear();  // the store frees only rows it holds alone
-    // Slot s holds [i..i+s] on a contiguous row, else the full suffix
-    // (see extendRowLocked()), stored at the row's current cap. The
-    // contiguous keys are prefixes of one another, so one key grows by
-    // a layer per slot.
-    if (!usable(i, i)) {
-        store_->release(rangeKey(i, order_.size() - 1, row.builtUnits));
-        return;
-    }
-    std::vector<int64_t> key = rangeKey(i, i, row.builtUnits);
-    key.reserve(2 + 4 * slots);
-    for (size_t s = 0; s < slots; ++s) {
-        if (s > 0)
-            appendLayerKey(key, i + s);
-        store_->release(key);
-    }
+    // Each slot's key is a prefix of the row's, stored with its hash.
+    for (const Row::KeyEnd &end : row.keyEnds)
+        store_->release(row.key.bytes().substr(0, end.bytes), end.hash);
+    row.keyEnds.clear();
 }
 
 void
@@ -742,10 +736,6 @@ FrontierTable::extendRowLocked(size_t i, int64_t dsp_budget,
         row.exhausted = true;
         row.builder.reset();
     };
-    // The store key of the range being extended: built once, then
-    // grown by a layer per iteration (j advances one at a time), and
-    // shared by a miss's lookup and insert.
-    std::vector<int64_t> key;
     while (true) {
         if (!row.frontiers.empty() &&
             row.frontiers.back()->minCycles(dsp_budget) > cycle_target)
@@ -757,16 +747,23 @@ FrontierTable::extendRowLocked(size_t i, int64_t dsp_budget,
             exhaust();  // next usable j is not contiguous
             return;
         }
-        // Bring the incremental builder up to [i..j], unless the row
-        // store already has this range (then the grid work waits until
-        // a miss actually needs it).
+        // The store key of [i..j] is the row's key grown by layer j (j
+        // advances one at a time), shared by a miss's lookup and
+        // insert. A lookup, build or slot that threw may have left the
+        // key or its ends past the last slot, so both are cut back to
+        // it first. The incremental builder comes up to [i..j] only on
+        // a store miss, so the grid work waits until one needs it.
         std::shared_ptr<const ShapeFrontier> frontier;
         if (store_) {
-            if (key.empty())
-                key = rangeKey(i, j, row.builtUnits);
-            else
-                appendLayerKey(key, j);
-            frontier = store_->lookup(key);
+            row.keyEnds.resize(row.frontiers.size());
+            if (row.frontiers.empty()) {
+                row.key = rangeKey(i, j, row.builtUnits);
+            } else {
+                const Row::KeyEnd &last = row.keyEnds.back();
+                row.key.truncate(last.bytes, last.hash);
+                row.key.append(network_.layer(order_[j]));
+            }
+            frontier = store_->lookup(row.key.bytes(), row.key.hash());
         }
         if (!frontier) {
             if (!row.builder) {
@@ -787,10 +784,14 @@ FrontierTable::extendRowLocked(size_t i, int64_t dsp_budget,
                                       breakpoints_);
             ShapeFrontier built =
                 row.builder->build(type_, row.builtUnits);
-            frontier = store_ ? store_->insert(key, std::move(built))
+            frontier = store_ ? store_->insert(row.key.bytes(),
+                                               row.key.hash(),
+                                               std::move(built))
                               : std::make_shared<const ShapeFrontier>(
                                     std::move(built));
         }
+        if (store_)
+            row.keyEnds.push_back({row.key.bytes().size(), row.key.hash()});
         row.frontiers.push_back(std::move(frontier));
         // No affordable shape at any target (sub-MAC cap only) means
         // no extension can have one either: the row is finished.

@@ -45,6 +45,8 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -52,7 +54,6 @@
 #include "fpga/data_type.h"
 #include "model/clp_config.h"
 #include "nn/network.h"
-#include "util/hash.h"
 #include "util/thread_pool.h"
 
 namespace mclp {
@@ -393,18 +394,25 @@ class ShapeFrontier::Builder
 /**
  * Cross-table pool of built range frontiers, keyed by what a frontier
  * actually depends on — the layer-dims sequence of the range (per
- * layer: N, M, R*C*K^2), the data type, and the units cap it was
+ * layer: N, M, R*C*K^2, G), the data type, and the units cap it was
  * built under — never by network identity. Fire modules repeated
  * within SqueezeNet, inception twins within GoogLeNet, and identical
  * module stacks across network *variants* all hash to the same rows,
  * so a registry serving many networks builds each distinct range
  * exactly once (the same sharing TilingOptionCache already performs
  * for tiling signatures). Entries are immutable ShapeFrontiers, so a
- * hit is bit-identical to a private rebuild. Thread safe: the rows are
- * split over kShards shards by key hash, each under its own mutex, so
- * threads acquiring different rows seldom wait on one another (with
- * one store-wide mutex, four threads loading a warm GoogLeNet spent
- * more time queued on it than decoding).
+ * hit is bit-identical to a private rebuild.
+ *
+ * The key is the packed row key of core/frontier_codec.h (RowKey):
+ * the dims as varint bytes, a few bytes a layer, with the hash the
+ * table carried as it grew the key. The store hashes nothing: that
+ * hash picks the shard and the bucket, a lookup compares bytes in
+ * place and copies no key, and only an insert copies the bytes once.
+ * Thread safe: the rows are split over kShards shards by key hash,
+ * each under its own mutex, so threads acquiring different rows
+ * seldom wait on one another (with one store-wide mutex, four threads
+ * loading a warm GoogLeNet spent more time queued on it than
+ * decoding).
  *
  * Rows leave by ownership, never by a scan of the store: a
  * FrontierTable hands its rows back (release()) when it dies and when
@@ -417,6 +425,7 @@ class ShapeFrontier::Builder
  * that record before the flush and from the mapped image after it.
  */
 class FrontierCache;
+class RowKey;
 
 class FrontierRowStore
 {
@@ -446,37 +455,38 @@ class FrontierRowStore
     explicit FrontierRowStore(std::shared_ptr<FrontierCache> cache = nullptr);
 
     /**
-     * The stored frontier for @p key, or nullptr (counts hit/miss).
-     * A miss reads through to the cache with the shard's mutex released,
-     * so concurrent lookups decode in parallel; the decoded row is
-     * then inserted, and the first insert wins.
+     * The stored frontier for packed row key @p key, whose carried
+     * hash is @p hash (RowKey::bytes() and hash()), or nullptr (counts
+     * hit/miss). A miss reads through to the cache with the shard's
+     * mutex released, so concurrent lookups decode in parallel; the
+     * decoded row is then inserted, and the first insert wins.
      */
-    std::shared_ptr<const ShapeFrontier>
-    lookup(const std::vector<int64_t> &key);
+    std::shared_ptr<const ShapeFrontier> lookup(std::string_view key,
+                                                uint64_t hash);
 
     /**
-     * Add a freshly built frontier; returns the canonical entry (the
-     * first insert wins, so concurrent builders converge on one row).
-     * A winning insert notes the row with the cache after releasing
-     * the shard's mutex.
+     * Add a freshly built frontier under @p key (hash @p hash); returns
+     * the canonical entry (the first insert wins, so concurrent
+     * builders converge on one row). A winning insert notes the row
+     * with the cache after releasing the shard's mutex.
      */
     std::shared_ptr<const ShapeFrontier>
-    insert(const std::vector<int64_t> &key, ShapeFrontier frontier);
+    insert(std::string_view key, uint64_t hash, ShapeFrontier frontier);
 
     /**
      * Hand back a row a table has dropped its reference to: the row
-     * under @p key is erased when the store now holds it alone (use
-     * count 1). A key already gone, or a row another table still
-     * holds, is left — the last holder's release frees it.
+     * under @p key (hash @p hash) is erased when the store now holds it
+     * alone (use count 1). A key already gone, or a row another table
+     * still holds, is left — the last holder's release frees it.
      */
-    void release(const std::vector<int64_t> &key);
+    void release(std::string_view key, uint64_t hash);
 
     Stats stats() const;
 
     /**
      * Rough resident bytes of the stored rows, kept as a running
-     * total. Per row: the key, four pointers of map overhead, and the
-     * staircase, with or without a cache — every row is released with
+     * total. Per row: the packed key, four pointers of map overhead,
+     * and the staircase, with or without a cache — every row is released with
      * its last table, so the SessionRegistry's byte budget bounds the
      * rows. A cache's pending records are not counted: only a flush
      * frees them, so evicting sessions for them could not help.
@@ -484,9 +494,44 @@ class FrontierRowStore
     size_t memoryBytes() const;
 
   private:
-    using RowMap = std::unordered_map<std::vector<int64_t>,
+    /** A stored row's key: its packed bytes and their carried hash. */
+    struct Key
+    {
+        std::string bytes;
+        uint64_t hash = 0;
+    };
+
+    /** A key to look up, compared in place. */
+    struct KeyView
+    {
+        std::string_view bytes;
+        uint64_t hash = 0;
+    };
+
+    /** Buckets by the carried hash; both hash and equality take a
+     * KeyView, so find() copies no key. */
+    struct KeyHash
+    {
+        using is_transparent = void;
+        size_t operator()(const Key &key) const { return key.hash; }
+        size_t operator()(const KeyView &key) const { return key.hash; }
+    };
+
+    struct KeyEqual
+    {
+        using is_transparent = void;
+        template <class A, class B>
+        bool
+        operator()(const A &a, const B &b) const
+        {
+            return a.hash == b.hash &&
+                   std::string_view(a.bytes) == std::string_view(b.bytes);
+        }
+    };
+
+    using RowMap = std::unordered_map<Key,
                                       std::shared_ptr<const ShapeFrontier>,
-                                      util::Int64VectorHash>;
+                                      KeyHash, KeyEqual>;
 
     /** One slice of the rows, with the counters its rows move. */
     struct Shard
@@ -501,8 +546,13 @@ class FrontierRowStore
 
     static constexpr size_t kShards = 16;
 
-    /** The shard that holds @p key. */
-    Shard &shardOf(const std::vector<int64_t> &key);
+    /** The shard that holds the key of hash @p hash: the hash's high
+     * bits, which FNV-1a mixes best. */
+    Shard &
+    shardOf(uint64_t hash)
+    {
+        return shards_[(hash >> 32) % kShards];
+    }
 
     /** What @p row adds to memoryBytes(). Caller holds its shard's
      * mutex. */
@@ -533,8 +583,11 @@ class FrontierRowStore
  * still read bit-identical answers. When @p store is given, built
  * rows are shared through it across tables and networks, and the
  * table hands them back (FrontierRowStore::release()) when it dies or
- * rebuilds a row at a larger cap. The network must outlive the table:
- * the release recomputes each row's store keys from its dims.
+ * rebuilds a row at a larger cap. A row's store keys are prefixes of
+ * one another — [i..i], [i..i+1], ... — so each row keeps the packed
+ * key of its longest range, grown a layer per extension, and each
+ * slot's length in it and hash: the release re-derives and hashes
+ * nothing. The network must outlive the table.
  */
 class FrontierTable
 {
@@ -592,17 +645,8 @@ class FrontierTable
     size_t memoryBytes() const;
 
   private:
-    struct Row
-    {
-        /** Incremental scratch over the row's suffix: made at the
-         * row's first store miss, dropped once the row is exhausted. */
-        std::unique_ptr<ShapeFrontier::Builder> builder;
-        /** Frontiers of [i..i], [i..i+1], ... (suffix-only rows store
-         * just [i..count-1] at slot 0); shared via the row store. */
-        std::vector<std::shared_ptr<const ShapeFrontier>> frontiers;
-        bool exhausted = false;  ///< row is complete to its last range
-        int64_t builtUnits = 0;  ///< units cap the frontiers hold
-    };
+    /** One start row's frontiers and store keys (shape_frontier.cc). */
+    struct Row;
 
     bool usable(size_t i, size_t j) const;
 
@@ -615,19 +659,15 @@ class FrontierTable
     void extendRowLocked(size_t i, int64_t dsp_budget,
                          int64_t cycle_target);
 
-    /** Store key of order_[i..j] at @p units_cap (dims, type, cap). */
-    std::vector<int64_t> rangeKey(size_t i, size_t j,
-                                  int64_t units_cap) const;
-
-    /** Append order_[p]'s four key lanes to @p key. */
-    void appendLayerKey(std::vector<int64_t> &key, size_t p) const;
+    /** Store key of order_[i..j] at @p units_cap (type, cap, dims). */
+    RowKey rangeKey(size_t i, size_t j, int64_t units_cap) const;
 
     /**
      * Drop row @p i's frontiers and hand them back to the store under
-     * the keys they were stored with (recomputed slot by slot at the
-     * row's builtUnits), so it frees each one this table held last.
-     * No-op without a store. Caller holds rowLocks_[i] (or owns the
-     * table alone).
+     * the keys they were stored with — each slot's prefix of the row's
+     * key, with the hash it had — so the store frees each one this
+     * table held last. No-op without a store. Caller holds
+     * rowLocks_[i] (or owns the table alone).
      */
     void releaseRowLocked(size_t i);
 

@@ -2,10 +2,11 @@
  * @file
  * The int64-sequence hash shared by the optimizer's memo tables.
  *
- * Every cross-run cache in the DSE stack (tiling options, tradeoff
- * curves, frontier rows) keys entries by a flattened sequence of
- * layer dimensions; this is the one hash they all use, so a key built
- * in one layer of the stack hashes identically everywhere.
+ * The in-process memo caches of the memory optimizer (tiling options,
+ * tradeoff curves, walk traces) key entries by a flattened sequence of
+ * layer dimensions; this is the one hash they all use. Frontier rows
+ * and everything persisted key by packed bytes instead, with the hash
+ * of core/frontier_codec.h.
  */
 
 #ifndef MCLP_UTIL_HASH_H

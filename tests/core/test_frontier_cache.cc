@@ -314,11 +314,41 @@ makeRow(int seed, size_t count = 30)
         std::move(*row));
 }
 
-/** The segment hash (FNV-1a over kind, then key words) — repeated
- * here so the test can author images exactly as older binaries laid
- * them out. */
+/** @p words packed as a row key, with the hash a RowKey carries. */
+struct PackedRowKey
+{
+    std::string bytes;
+    uint64_t hash = 0;
+
+    explicit PackedRowKey(const std::vector<int64_t> &words)
+        : bytes(core::packKey(words)),
+          hash(core::keyHash(core::kCacheRecordRow, bytes))
+    {
+    }
+};
+
+/** FrontierCache::loadRow() under the row key of @p words. */
+std::shared_ptr<const core::ShapeFrontier>
+loadRow(core::FrontierCache &cache, const std::vector<int64_t> &words)
+{
+    PackedRowKey key(words);
+    return cache.loadRow(key.bytes, key.hash);
+}
+
+/** FrontierCache::noteRow() under the row key of @p words. */
+void
+noteRow(core::FrontierCache &cache, const std::vector<int64_t> &words,
+        const std::shared_ptr<const core::ShapeFrontier> &row)
+{
+    PackedRowKey key(words);
+    cache.noteRow(key.bytes, key.hash, row);
+}
+
+/** The v1-v3 segment hash (FNV-1a over kind, then key words) —
+ * repeated here so the test can author images exactly as older
+ * binaries laid them out. */
 uint64_t
-segmentSlotHash(uint8_t kind, const std::vector<int64_t> &key)
+wordSlotHash(uint8_t kind, const std::vector<int64_t> &key)
 {
     uint64_t hash = 1469598103934665603ULL;
     hash ^= kind;
@@ -332,10 +362,12 @@ segmentSlotHash(uint8_t kind, const std::vector<int64_t> &key)
 
 /**
  * A complete, checksummed segment image of an older layout holding
- * one row, exactly what older binaries published: version 1 has
- * 24-byte slots without hit counters; version 2 adds the counters.
- * Both cover everything after the header with one checksum and give
- * records no check of their own.
+ * one row under word key @p key, exactly what older binaries
+ * published: version 1 has 24-byte slots without hit counters;
+ * version 2 adds the counters. Both cover everything after the header
+ * with one checksum and give records no check of their own. Version 3
+ * checks the header and the slot table only, and leads each record's
+ * key words with a check word over its kind, key words and payload.
  */
 std::string
 olderSegmentImage(uint32_t version, uint64_t fingerprint,
@@ -345,24 +377,31 @@ olderSegmentImage(uint32_t version, uint64_t fingerprint,
     std::string payload;
     core::encodeRowPayload(payload, row);
     constexpr uint32_t kSlots = 8;
-    uint64_t hash = segmentSlotHash(core::kCacheRecordRow, key);
-    util::ByteWriter body;
+    uint64_t hash = wordSlotHash(core::kCacheRecordRow, key);
+    util::ByteWriter slots;
     for (uint32_t s = 0; s < kSlots; ++s) {
         bool live = s == (static_cast<uint32_t>(hash) & (kSlots - 1));
-        body.u64(live ? hash : 0);
-        body.u32(0);  // key offset (words)
-        body.u32(live ? (uint32_t{core::kCacheRecordRow} << 24) |
-                            static_cast<uint32_t>(key.size())
-                      : 0);
-        body.u32(0);  // payload offset
-        body.u32(live ? static_cast<uint32_t>(payload.size()) : 0);
+        slots.u64(live ? hash : 0);
+        slots.u32(0);  // key offset (words)
+        slots.u32(live ? (uint32_t{core::kCacheRecordRow} << 24) |
+                             static_cast<uint32_t>(key.size())
+                       : 0);
+        slots.u32(0);  // payload offset
+        slots.u32(live ? static_cast<uint32_t>(payload.size()) : 0);
         if (version >= 2) {
-            body.u32(live ? 3 : 0);  // hits
-            body.u32(live ? 1 : 0);  // last-hit generation
+            slots.u32(live ? 3 : 0);  // hits
+            slots.u32(live ? 1 : 0);  // last-hit generation
         }
     }
-    body.i64Words(key.data(), key.size());
-    std::string tail = body.bytes() + payload;
+    util::ByteWriter keys;
+    if (version >= 3) {
+        util::WordFold check(core::kCacheRecordRow);
+        check.add(key.data(), key.size() * sizeof(int64_t));
+        check.add(payload.data(), payload.size());
+        keys.u64(check.finish());
+    }
+    keys.i64Words(key.data(), key.size());
+    std::string tail = slots.bytes() + keys.bytes() + payload;
     util::ByteWriter header;
     header.u64(core::kFrontierSegmentMagic);
     header.u32(version);
@@ -370,9 +409,16 @@ olderSegmentImage(uint32_t version, uint64_t fingerprint,
     header.u64(fingerprint);
     header.u64(1);  // generation
     header.u64(1);  // entries
-    header.u64(key.size());
+    header.u64(keys.bytes().size() / 8);
     header.u64(64 + tail.size());
-    header.u64(util::fnv1aBytes(tail.data(), tail.size()));
+    uint64_t checksum = util::fnv1aBytes(tail.data(), tail.size());
+    if (version >= 3) {
+        util::WordFold fold(0);
+        fold.add(header.bytes().data(), header.bytes().size());
+        fold.add(slots.bytes().data(), slots.bytes().size());
+        checksum = fold.finish();
+    }
+    header.u64(checksum);
     return header.bytes() + tail;
 }
 
@@ -397,7 +443,8 @@ TEST(FrontierCache, WrongVersionOrFingerprintIsIgnoredWholesale)
 {
     uint64_t fingerprint = core::modelFormulaFingerprint();
     std::vector<int64_t> key = {2, 2880, 3, 64, 121, 1};
-    for (int variant = 0; variant < 5; ++variant) {
+    const PackedRowKey packed(key);
+    for (int variant = 0; variant < 6; ++variant) {
         ScratchDir scratch;
         std::string image;
         if (variant == 0) {
@@ -412,7 +459,8 @@ TEST(FrontierCache, WrongVersionOrFingerprintIsIgnoredWholesale)
             core::encodeRowPayload(payload, *makeRow(1));
             image = core::FrontierCacheSegment::build(
                 fingerprint ^ 1, 3,
-                {{core::kCacheRecordRow, key, payload, 0, 0}});
+                {{core::kCacheRecordRow, packed.bytes, packed.hash, payload,
+                  0, 0}});
         } else if (variant == 2) {
             // The version-1 layout (no counters in the slots).
             image = olderSegmentImage(1, fingerprint, key, *makeRow(2));
@@ -420,6 +468,10 @@ TEST(FrontierCache, WrongVersionOrFingerprintIsIgnoredWholesale)
             // The version-2 layout (one checksum over everything after
             // the header, no record checks).
             image = olderSegmentImage(2, fingerprint, key, *makeRow(2));
+        } else if (variant == 5) {
+            // The version-3 layout: a valid image of word keys, each
+            // record checked, under today's fingerprint.
+            image = olderSegmentImage(3, fingerprint, key, *makeRow(2));
         } else {
             // Not our file at all.
             image = bogusSegment(core::kFrontierSegmentMagic ^ 0xff,
@@ -434,12 +486,17 @@ TEST(FrontierCache, WrongVersionOrFingerprintIsIgnoredWholesale)
                                : core::SegmentState::Stale)
             << "variant " << variant;
 
+        // A stale image is an *expected* invalidation, not damage: no
+        // warning — except the wrong-magic case, which is not our file
+        // at all.
+        testing::internal::CaptureStderr();
         auto cache =
             std::make_shared<core::FrontierCache>(scratch.dir());
+        std::string opened = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(opened.find("warn:") == std::string::npos, variant != 3)
+            << "variant " << variant << ": " << opened;
         EXPECT_FALSE(cache->stats().segmentMapped);
-        EXPECT_EQ(cache->loadRow(key), nullptr) << "variant " << variant;
-        // A stale image is an *expected* invalidation, not damage —
-        // except the wrong-magic case, which is not our file at all.
+        EXPECT_EQ(loadRow(*cache, key), nullptr) << "variant " << variant;
         EXPECT_EQ(cache->stats().loadedClean, variant != 3)
             << "variant " << variant;
 
@@ -634,7 +691,7 @@ TEST(FrontierCache, LegacyV2FileUpgradesOnFirstFlush)
     EXPECT_TRUE(cache->stats().loadedClean);
     EXPECT_FALSE(cache->stats().segmentMapped);
     EXPECT_EQ(cache->stats().generation, 0u);
-    EXPECT_EQ(cache->loadRow(row_key), nullptr);
+    EXPECT_EQ(loadRow(*cache, row_key), nullptr);
     core::TradeoffCurveCache::PartitionTrace seeded;
     EXPECT_FALSE(cache->seedTrace(trace_key, seeded));
     EXPECT_EQ(seeded.steps.size(), 0u);
@@ -646,7 +703,7 @@ TEST(FrontierCache, LegacyV2FileUpgradesOnFirstFlush)
 
     // The cold rebuild's row is what the first real flush publishes,
     // and the leftover goes with it.
-    cache->noteRow(row_key, row);
+    noteRow(*cache, row_key, row);
     ASSERT_TRUE(cache->flush());
     EXPECT_EQ(scratch.entries(), kPublishedFiles);
 
@@ -655,7 +712,7 @@ TEST(FrontierCache, LegacyV2FileUpgradesOnFirstFlush)
     EXPECT_TRUE(upgraded->stats().segmentMapped);
     EXPECT_EQ(upgraded->stats().segmentEntries, 1u);
     EXPECT_EQ(upgraded->stats().generation, 1u);
-    auto reloaded = upgraded->loadRow(row_key);
+    auto reloaded = loadRow(*upgraded, row_key);
     ASSERT_NE(reloaded, nullptr);
     expectSameRow(*reloaded, *row);
 }
@@ -697,11 +754,11 @@ TEST(FrontierCache, LegacyV3FileUpgradesToV4OnFirstFlush)
     EXPECT_FALSE(cache->stats().segmentMapped);
     EXPECT_EQ(cache->stats().generation, 0u);
     for (const auto &key : {v3_row_key, v4_row_key})
-        EXPECT_EQ(cache->loadRow(key), nullptr);
+        EXPECT_EQ(loadRow(*cache, key), nullptr);
 
     // The cold rebuild answers under the four-lane key, and that is
     // what the first real flush publishes.
-    cache->noteRow(v4_row_key, row);
+    noteRow(*cache, v4_row_key, row);
     ASSERT_TRUE(cache->flush());
     EXPECT_EQ(scratch.entries(), kPublishedFiles);
 
@@ -710,9 +767,9 @@ TEST(FrontierCache, LegacyV3FileUpgradesToV4OnFirstFlush)
     EXPECT_TRUE(upgraded->stats().segmentMapped);
     EXPECT_EQ(upgraded->stats().segmentEntries, 1u);
     EXPECT_EQ(upgraded->stats().generation, 1u);
-    EXPECT_EQ(upgraded->loadRow(v3_row_key), nullptr)
+    EXPECT_EQ(loadRow(*upgraded, v3_row_key), nullptr)
         << "three-lane keys must not answer after the upgrade";
-    auto reloaded = upgraded->loadRow(v4_row_key);
+    auto reloaded = loadRow(*upgraded, v4_row_key);
     ASSERT_NE(reloaded, nullptr);
     expectSameRow(*reloaded, *row);
 }
@@ -727,7 +784,7 @@ TEST(FrontierCache, ByteBudgetEvictsTheLeastRecentlyHitRecords)
         auto cache = std::make_shared<core::FrontierCache>(
             scratch.dir());
         for (int i = 0; i < 20; ++i)
-            cache->noteRow(keys[i], makeRow(i));
+            noteRow(*cache, keys[i], makeRow(i));
         ASSERT_TRUE(cache->flush());
     }
     size_t full_bytes = fs::file_size(scratch.segmentFile());
@@ -741,8 +798,8 @@ TEST(FrontierCache, ByteBudgetEvictsTheLeastRecentlyHitRecords)
         auto cache = std::make_shared<core::FrontierCache>(
             scratch.dir(), budget);
         for (int i = 0; i < 5; ++i)
-            ASSERT_NE(cache->loadRow(keys[i]), nullptr);
-        cache->noteRow({999, 999, 999}, makeRow(99));
+            ASSERT_NE(loadRow(*cache, keys[i]), nullptr);
+        noteRow(*cache, {999, 999, 999}, makeRow(99));
         ASSERT_TRUE(cache->flush());
         EXPECT_GE(cache->stats().evictedLastFlush, 5u);
         EXPECT_LE(fs::file_size(scratch.segmentFile()), budget);
@@ -753,11 +810,11 @@ TEST(FrontierCache, ByteBudgetEvictsTheLeastRecentlyHitRecords)
     auto reopened = std::make_shared<core::FrontierCache>(scratch.dir());
     EXPECT_TRUE(reopened->stats().loadedClean);
     for (int i = 0; i < 5; ++i)
-        EXPECT_NE(reopened->loadRow(keys[i]), nullptr) << i;
-    EXPECT_NE(reopened->loadRow({999, 999, 999}), nullptr);
+        EXPECT_NE(loadRow(*reopened, keys[i]), nullptr) << i;
+    EXPECT_NE(loadRow(*reopened, {999, 999, 999}), nullptr);
     size_t cold_survivors = 0;
     for (int i = 5; i < 20; ++i)
-        if (reopened->loadRow(keys[i]) != nullptr)
+        if (loadRow(*reopened, keys[i]) != nullptr)
             ++cold_survivors;
     EXPECT_LT(cold_survivors, 15u);
 }
@@ -769,10 +826,11 @@ imageCounters(const ScratchDir &scratch, const std::vector<int64_t> &key,
               uint8_t kind = core::kCacheRecordRow)
 {
     std::pair<uint32_t, uint32_t> counters{0, 0};
+    const std::string packed = core::packKey(key);
     core::FrontierCacheSegment::open(scratch.segmentFile(),
                                      core::modelFormulaFingerprint())
         .forEach([&](const core::FrontierCacheSegment::Entry &entry) {
-            if (entry.kind == kind && std::ranges::equal(entry.key, key))
+            if (entry.kind == kind && entry.key == packed)
                 counters = {entry.hits, entry.lastGen};
         });
     return counters;
@@ -785,7 +843,7 @@ TEST(FrontierCache, CounterOnlyFlushLeavesTheFileUntouched)
     {
         auto cache = std::make_shared<core::FrontierCache>(
             scratch.dir());
-        cache->noteRow(key, makeRow(1));
+        noteRow(*cache, key, makeRow(1));
         ASSERT_TRUE(cache->flush());
     }
     std::string segment_before = readFileBytes(scratch.segmentFile());
@@ -800,7 +858,7 @@ TEST(FrontierCache, CounterOnlyFlushLeavesTheFileUntouched)
         auto cache = std::make_shared<core::FrontierCache>(
             scratch.dir());
         for (int i = 0; i < 3; ++i)
-            ASSERT_NE(cache->loadRow(key), nullptr);
+            ASSERT_NE(loadRow(*cache, key), nullptr);
         ASSERT_TRUE(cache->flush());
         EXPECT_EQ(cache->stats().flushes, 0u);
     }
@@ -813,8 +871,8 @@ TEST(FrontierCache, CounterOnlyFlushLeavesTheFileUntouched)
         auto cache = std::make_shared<core::FrontierCache>(
             scratch.dir());
         for (int i = 0; i < 2; ++i)
-            ASSERT_NE(cache->loadRow(key), nullptr);
-        cache->noteRow({16, 23, 42}, makeRow(2));
+            ASSERT_NE(loadRow(*cache, key), nullptr);
+        noteRow(*cache, {16, 23, 42}, makeRow(2));
         ASSERT_TRUE(cache->flush());
         EXPECT_EQ(cache->stats().flushes, 1u);
         EXPECT_EQ(cache->stats().generation, 2u);
@@ -834,19 +892,19 @@ TEST(FrontierCache, RowHitsAfterARewriteFoldIntoTheNextOne)
     {
         auto cache = std::make_shared<core::FrontierCache>(
             scratch.dir());
-        cache->noteRow(key, makeRow(1));
+        noteRow(*cache, key, makeRow(1));
         ASSERT_TRUE(cache->flush());
     }
     auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
     for (int i = 0; i < 2; ++i)
-        ASSERT_NE(cache->loadRow(key), nullptr);
-    cache->noteRow({16, 23, 42}, makeRow(2));
+        ASSERT_NE(loadRow(*cache, key), nullptr);
+    noteRow(*cache, {16, 23, 42}, makeRow(2));
     ASSERT_TRUE(cache->flush());
     EXPECT_EQ(imageCounters(scratch, key),
               (std::pair<uint32_t, uint32_t>{2, 2}));
     for (int i = 0; i < 3; ++i)
-        ASSERT_NE(cache->loadRow(key), nullptr);
-    cache->noteRow({99, 1, 1}, makeRow(3));
+        ASSERT_NE(loadRow(*cache, key), nullptr);
+    noteRow(*cache, {99, 1, 1}, makeRow(3));
     ASSERT_TRUE(cache->flush());
     EXPECT_EQ(cache->stats().generation, 3u);
     EXPECT_EQ(imageCounters(scratch, key),
@@ -886,13 +944,13 @@ TEST(FrontierCache, TraceHitsAfterARewriteFoldIntoTheNextOne)
     };
     for (int i = 0; i < 2; ++i)
         ASSERT_TRUE(seed());
-    cache->noteRow({16, 23, 42}, makeRow(2));
+    noteRow(*cache, {16, 23, 42}, makeRow(2));
     ASSERT_TRUE(cache->flush());
     EXPECT_EQ(imageCounters(scratch, key, core::kCacheRecordTrace),
               (std::pair<uint32_t, uint32_t>{2, 2}));
     for (int i = 0; i < 3; ++i)
         ASSERT_TRUE(seed());
-    cache->noteRow({99, 1, 1}, makeRow(3));
+    noteRow(*cache, {99, 1, 1}, makeRow(3));
     ASSERT_TRUE(cache->flush());
     EXPECT_EQ(imageCounters(scratch, key, core::kCacheRecordTrace),
               (std::pair<uint32_t, uint32_t>{5, 3}));
@@ -1015,7 +1073,7 @@ TEST(FrontierCache, ConcurrentWarmReadersMatchColdWhileFlushesSwapTheImage)
         std::atomic<bool> done{false};
         std::thread flusher([&] {
             for (int64_t i = 0; !done.load(); ++i) {
-                cache->noteRow({-1 - i, 7, 7},
+                noteRow(*cache, {-1 - i, 7, 7},
                                makeRow(static_cast<int>(i % 50)));
                 EXPECT_TRUE(cache->flush());
             }
@@ -1061,14 +1119,14 @@ TEST(FrontierCache, OlderImagePutBackServesWarmAndMergesForward)
     {
         auto cache = std::make_shared<core::FrontierCache>(
             scratch.dir());
-        cache->noteRow(old_key, makeRow(3));
+        noteRow(*cache, old_key, makeRow(3));
         ASSERT_TRUE(cache->flush());
     }
     std::string old_segment = readFileBytes(scratch.segmentFile());
     {
         auto cache = std::make_shared<core::FrontierCache>(
             scratch.dir());
-        cache->noteRow(new_key, makeRow(4));
+        noteRow(*cache, new_key, makeRow(4));
         ASSERT_TRUE(cache->flush());
         EXPECT_EQ(cache->stats().generation, 2u);
     }
@@ -1080,18 +1138,18 @@ TEST(FrontierCache, OlderImagePutBackServesWarmAndMergesForward)
     EXPECT_TRUE(cache->stats().segmentMapped);
     EXPECT_EQ(cache->stats().segmentEntries, 1u);
     EXPECT_EQ(cache->stats().generation, 1u);
-    EXPECT_NE(cache->loadRow(old_key), nullptr);
-    EXPECT_EQ(cache->loadRow(new_key), nullptr);
+    EXPECT_NE(loadRow(*cache, old_key), nullptr);
+    EXPECT_EQ(loadRow(*cache, new_key), nullptr);
 
     // The cold rebuild is noted and merged on top of the older image.
-    cache->noteRow(new_key, makeRow(4));
+    noteRow(*cache, new_key, makeRow(4));
     ASSERT_TRUE(cache->flush());
     auto healed = std::make_shared<core::FrontierCache>(scratch.dir());
     EXPECT_TRUE(healed->stats().segmentMapped);
     EXPECT_EQ(healed->stats().segmentEntries, 2u);
     EXPECT_EQ(healed->stats().generation, 2u);
-    EXPECT_NE(healed->loadRow(old_key), nullptr);
-    EXPECT_NE(healed->loadRow(new_key), nullptr);
+    EXPECT_NE(loadRow(*healed, old_key), nullptr);
+    EXPECT_NE(loadRow(*healed, new_key), nullptr);
 }
 
 /** Little-endian field access into a segment image. */
@@ -1129,27 +1187,38 @@ resealImage(std::string &image)
     setImageField(image, 56, 8, fold.finish());
 }
 
+/** Whole words @p bytes take. */
+size_t
+wordsFor(size_t bytes)
+{
+    return (bytes + 7) / 8;
+}
+
 /** Recompute the check word of the record at slot offset @p slot (its
- * kind, key words, then payload), so a forged record passes it. */
+ * kind and key length, its key padded to a word, then its payload), so
+ * a forged record passes it. */
 void
 resealRecord(std::string &image, size_t slot)
 {
     const size_t key_blob = 64 + imageField(image, 12, 4) * size_t{32};
     const size_t payload_blob = key_blob + imageField(image, 40, 8) * 8;
-    const uint64_t kind_words = imageField(image, slot + 12, 4);
+    const uint64_t kind_bytes = imageField(image, slot + 12, 4);
     const size_t record = key_blob + imageField(image, slot + 8, 4) * 8;
-    util::WordFold fold(kind_words >> 24);
-    fold.add(image.data() + record + 8, (kind_words & 0xffffff) * 8);
+    util::WordFold fold(kind_bytes);
+    fold.add(image.data() + record + 8,
+             8 * wordsFor(kind_bytes & 0xffffff));
     fold.add(image.data() + payload_blob + imageField(image, slot + 16, 4),
              imageField(image, slot + 20, 4));
     setImageField(image, record, 8, fold.finish());
 }
 
-/** A copy of a segment entry's key words. */
+/** A segment entry's key words, unpacked. */
 std::vector<int64_t>
 entryKey(const core::FrontierCacheSegment::Entry &entry)
 {
-    return {entry.key.begin(), entry.key.end()};
+    std::vector<int64_t> words;
+    EXPECT_TRUE(core::unpackKey(entry.key, words));
+    return words;
 }
 
 TEST(FrontierCache, CorruptV3RowKeyLoadsUnclean)
@@ -1157,7 +1226,7 @@ TEST(FrontierCache, CorruptV3RowKeyLoadsUnclean)
     // A row key the reader cannot carry makes the load unclean rather
     // than being patched up. The v3 record file's malformed keys have
     // no reader any more; the one a current image can hold is a live
-    // row slot with no key words, here under a recomputed checksum so
+    // row slot with no key bytes, here under a recomputed checksum so
     // only the slot check stands in the way. The whole image is
     // refused — clean=0, cold-identical answers — and the drain's
     // flush publishes a valid image again.
@@ -1198,9 +1267,11 @@ TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
     // was recomputed after the damage. Each seeded slot forgery is
     // either refused as damaged (unclean, cold) or — for hostile
     // counters, which are legal values — served with exactly the
-    // stored payloads. Damaged record bytes leave the image mapped and
-    // refuse only that record. Either way a flush over it publishes a
-    // valid image and the answers stay cold-identical.
+    // stored payloads. Damaged record bytes, padding included, and a
+    // key length reaching past the record's padding into the next
+    // record's leave the image mapped and refuse only that record.
+    // Either way a flush over it publishes a valid image and the
+    // answers stay cold-identical.
     ScratchDir scratch;
     const std::string line =
         "dse id=h net=mini layers=a:3:16:14:14:3:1;b:16:24:7:7:3:1;"
@@ -1210,18 +1281,26 @@ TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
     const std::string good = readFileBytes(scratch.segmentFile());
     const uint64_t fingerprint = core::modelFormulaFingerprint();
 
-    /** What the honest image stores: (kind, key) -> payload bytes. */
-    std::map<std::pair<uint8_t, std::vector<int64_t>>, std::string>
-        stored;
+    /** What the honest image stores: (kind, packed key) -> payload. */
+    using RecordId = std::pair<uint8_t, std::string>;
+    std::map<RecordId, std::string> stored;
     core::FrontierCacheSegment::open(scratch.segmentFile(), fingerprint)
         .forEach([&](const core::FrontierCacheSegment::Entry &entry) {
-            stored[{entry.kind, entryKey(entry)}] = std::string(entry.payload);
+            stored[{entry.kind, std::string(entry.key)}] =
+                std::string(entry.payload);
         });
     ASSERT_GT(stored.size(), 2u);
+    auto find = [](const core::FrontierCacheSegment &segment,
+                   const RecordId &id, bool *damaged = nullptr) {
+        return std::string(segment.find(id.first, id.second,
+                                        core::keyHash(id.first, id.second),
+                                        nullptr, damaged));
+    };
 
     const uint32_t slot_count =
         static_cast<uint32_t>(imageField(good, 12, 4));
     const uint64_t key_words = imageField(good, 40, 8);
+    const size_t key_blob = 64 + slot_count * size_t{32};
     const uint64_t payload_bytes =
         good.size() - 64 - uint64_t{slot_count} * 32 - key_words * 8;
     std::vector<uint32_t> live, empty;
@@ -1236,6 +1315,8 @@ TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
         PayloadOffset,
         PayloadLength,
         KeyLength,
+        KeyLengthZero,
+        KeyLengthPastPadding,
         SlotCount,
         EntryCount,
         FullTable,
@@ -1249,14 +1330,28 @@ TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
         std::string bad = good;
         size_t slot =
             64 + live[rng.nextInt(0, live.size() - 1)] * size_t{32};
-        uint64_t words = imageField(bad, slot + 12, 4) & 0xffffff;
-        uint64_t p_off = imageField(bad, slot + 16, 4);
-        /** The record RecordBytes damages. */
-        std::pair<uint8_t, std::vector<int64_t>> damaged;
+        const uint64_t kind_bytes = imageField(bad, slot + 12, 4);
+        const uint64_t key_bytes = kind_bytes & 0xffffff;
+        const uint64_t k_off = imageField(bad, slot + 8, 4);
+        const size_t record = key_blob + k_off * 8;
+        const uint64_t p_off = imageField(bad, slot + 16, 4);
+        const RecordId id{static_cast<uint8_t>(kind_bytes >> 24),
+                          bad.substr(record + 8, key_bytes)};
+        /** The record the forgery damages, when the image still maps. */
+        RecordId damaged;
+        /** The image still maps: hostile counters are legal values,
+         * and record damage refuses that record only. */
+        bool accepted = false;
+        auto setKeyBytes = [&](uint64_t bytes) {
+            setImageField(bad, slot + 12, 4,
+                          (kind_bytes & 0xff000000) | bytes);
+        };
         switch (forgery) {
         case KeyOffset:
+            // The record's check word and padded key run past the blob.
             setImageField(bad, slot + 8, 4,
-                          key_words - words + 1 + rng.nextInt(0, 999));
+                          key_words - (1 + wordsFor(key_bytes)) + 1 +
+                              rng.nextInt(0, 999));
             break;
         case PayloadOffset:
             setImageField(bad, slot + 16, 4,
@@ -1268,10 +1363,23 @@ TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
                               rng.nextInt(0, 999));
             break;
         case KeyLength:
-            setImageField(bad, slot + 12, 4,
-                          (imageField(bad, slot + 12, 4) & 0xff000000) |
-                              (key_words + 1 + rng.nextInt(0, 99)));
+            // Past the key blob.
+            setKeyBytes((key_words - k_off - 1) * 8 + 1 +
+                        rng.nextInt(0, 99));
             break;
+        case KeyLengthZero:
+            setKeyBytes(0);
+            break;
+        case KeyLengthPastPadding: {
+            // Into the next record's words: in bounds unless this is
+            // the blob's last record, but failing this record's check.
+            uint64_t forged = 8 * wordsFor(key_bytes) + 1 + rng.nextInt(0, 7);
+            setKeyBytes(forged);
+            accepted = 1 + wordsFor(forged) <= key_words - k_off;
+            if (accepted)
+                damaged = id;
+            break;
+        }
         case SlotCount:
             // Strictly between two powers of two.
             setImageField(bad, 12, 4,
@@ -1291,6 +1399,7 @@ TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
             setImageField(bad, 32, 8, slot_count);
             break;
         case HostileCounters:
+            accepted = true;
             for (uint32_t s : live) {
                 for (size_t field : {24, 28}) {
                     int64_t pick = rng.nextInt(0, 2);
@@ -1302,22 +1411,16 @@ TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
             }
             break;
         case RecordBytes: {
-            // One byte of the chosen record's key words or payload;
-            // its check word no longer matches.
-            const size_t key_blob = 64 + slot_count * size_t{32};
-            const size_t record =
-                key_blob + imageField(bad, slot + 8, 4) * 8;
-            damaged.first =
-                static_cast<uint8_t>(imageField(bad, slot + 12, 4) >> 24);
-            for (uint64_t w = 0; w < words; ++w)
-                damaged.second.push_back(static_cast<int64_t>(
-                    imageField(bad, record + 8 + w * 8, 8)));
+            // One byte of the chosen record's key, its padding, or its
+            // payload; its check word no longer matches.
+            accepted = true;
+            damaged = id;
+            const uint64_t padded = 8 * wordsFor(key_bytes);
             uint64_t pick = rng.nextInt(
-                0, words * 8 + imageField(bad, slot + 20, 4) - 1);
-            size_t at = pick < words * 8
-                            ? record + 8 + pick
-                            : key_blob + key_words * 8 + p_off +
-                                  (pick - words * 8);
+                0, padded + imageField(bad, slot + 20, 4) - 1);
+            size_t at = pick < padded ? record + 8 + pick
+                                      : key_blob + key_words * 8 + p_off +
+                                            (pick - padded);
             bad[at] = static_cast<char>(bad[at] ^ (1 + rng.nextInt(0, 254)));
             break;
         }
@@ -1332,28 +1435,28 @@ TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
         core::FrontierCacheSegment segment =
             core::FrontierCacheSegment::open(scratch.segmentFile(),
                                              fingerprint);
-        bool accepted = forgery == HostileCounters || forgery == RecordBytes;
         EXPECT_EQ(segment.state(), accepted
                                        ? core::SegmentState::Valid
                                        : core::SegmentState::Damaged);
         // Every view a forged image serves is an honest payload; the
         // damaged record reads as absent.
-        for (const auto &[id, payload] : stored) {
+        for (const auto &[stored_id, payload] : stored) {
             bool damage = false;
-            EXPECT_EQ(std::string(segment.find(id.first, id.second,
-                                               nullptr, &damage)),
-                      accepted && id != damaged ? payload : std::string());
-            EXPECT_EQ(damage, id == damaged);
+            EXPECT_EQ(find(segment, stored_id, &damage),
+                      accepted && stored_id != damaged ? payload
+                                                       : std::string());
+            EXPECT_EQ(damage, stored_id == damaged);
         }
-        std::map<std::vector<int64_t>, uint32_t> forged_hits;
+        std::map<std::string, uint32_t> forged_hits;
         segment.forEach([&](const core::FrontierCacheSegment::Entry &e) {
-            EXPECT_EQ(std::string(e.payload), (stored[{e.kind, entryKey(e)}]));
-            forged_hits[entryKey(e)] = e.hits;
+            EXPECT_EQ(std::string(e.payload),
+                      (stored[{e.kind, std::string(e.key)}]));
+            forged_hits[std::string(e.key)] = e.hits;
         });
         EXPECT_EQ(forged_hits.size(),
                   !accepted                ? 0u
-                  : forgery == RecordBytes ? stored.size() - 1
-                                           : stored.size());
+                  : damaged.second.empty() ? stored.size()
+                                           : stored.size() - 1);
 
         // A flush whose merge base is the forged image.
         {
@@ -1368,7 +1471,7 @@ TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
             EXPECT_EQ(cache->stats().loadedClean, forgery == HostileCounters);
             // A row the image lacks forces a real merge even when the
             // forged image served every lookup.
-            cache->noteRow({-1 - round, 5, 5}, makeRow(round));
+            noteRow(*cache, {-1 - round, 5, 5}, makeRow(round));
             ASSERT_TRUE(cache->flush());
         }
         EXPECT_EQ(scratch.entries(), kPublishedFiles);
@@ -1379,16 +1482,15 @@ TEST(FrontierCache, ForgedSegmentsAreRefusedOrServeInBoundsAndFlushHeals)
         EXPECT_GE(healed.entryCount(), stored.size() + 1);
         // Folded hits saturate: a forged maximum never wraps.
         healed.forEach([&](const core::FrontierCacheSegment::Entry &e) {
-            auto it = forged_hits.find(entryKey(e));
+            auto it = forged_hits.find(std::string(e.key));
             if (it != forged_hits.end() && it->second == UINT32_MAX) {
                 EXPECT_EQ(e.hits, UINT32_MAX);
             }
         });
-        if (forgery == RecordBytes) {
-            // The rebuilt record took the damaged one's place.
-            EXPECT_EQ(std::string(healed.find(damaged.first, damaged.second)),
-                      stored[damaged]);
-        }
+        // Every honest record is back, the rebuilt one in the damaged
+        // one's place.
+        for (const auto &[stored_id, payload] : stored)
+            EXPECT_EQ(find(healed, stored_id), payload);
         EXPECT_EQ(cachedResponse(line, scratch.dir()), cold);
         // Back to the honest image for the next forgery.
         ASSERT_TRUE(util::publishFileAtomic(scratch.segmentFile(), good));
@@ -1403,6 +1505,7 @@ TEST(FrontierCache, ForgedTraceStepCountIsReplacedByTheNextFlush)
     // it instead of keeping it over every walk.
     ScratchDir scratch;
     const std::vector<int64_t> key = {1, -1, 8, 8, 3, 3, 3, 1, 1};
+    const std::string packed = core::packKey(key);
     util::ByteWriter forged;
     forged.u8(1);
     forged.varint(100);
@@ -1412,7 +1515,9 @@ TEST(FrontierCache, ForgedTraceStepCountIsReplacedByTheNextFlush)
         scratch.segmentFile(),
         core::FrontierCacheSegment::build(
             core::modelFormulaFingerprint(), 1,
-            {{core::kCacheRecordTrace, key, forged.bytes()}})));
+            {{core::kCacheRecordTrace, packed,
+              core::keyHash(core::kCacheRecordTrace, packed),
+              forged.bytes()}})));
 
     auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
     ASSERT_TRUE(cache->stats().segmentMapped);
@@ -1463,27 +1568,27 @@ TEST(FrontierCache, UndecodableRowSurvivesEviction)
         static_cast<uint32_t>(imageField(image, 12, 4));
     const size_t key_blob = 64 + slot_count * size_t{32};
     const size_t payload_blob = key_blob + imageField(image, 40, 8) * 8;
-    std::vector<int64_t> key;
+    std::string key;  // packed, as the row store holds it
     for (uint32_t s = 0; s < slot_count && key.empty(); ++s) {
         size_t slot = 64 + s * size_t{32};
-        uint64_t kind_words = imageField(image, slot + 12, 4);
-        if ((kind_words >> 24) != core::kCacheRecordRow)
+        uint64_t kind_bytes = imageField(image, slot + 12, 4);
+        if ((kind_bytes >> 24) != core::kCacheRecordRow)
             continue;
         size_t key_at = key_blob + imageField(image, slot + 8, 4) * 8 + 8;
-        for (uint64_t w = 0; w < (kind_words & 0xffffff); ++w)
-            key.push_back(static_cast<int64_t>(
-                imageField(image, key_at + w * 8, 8)));
+        key = image.substr(key_at, kind_bytes & 0xffffff);
         image.replace(payload_blob + imageField(image, slot + 16, 4),
                       imageField(image, slot + 20, 4),
                       imageField(image, slot + 20, 4), '\xff');
         resealRecord(image, slot);
     }
     ASSERT_FALSE(key.empty());
+    const uint64_t hash = core::keyHash(core::kCacheRecordRow, key);
     ASSERT_TRUE(util::publishFileAtomic(scratch.segmentFile(), image));
 
     auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
     ASSERT_TRUE(cache->stats().segmentMapped);
-    EXPECT_EQ(cache->loadRow(key), nullptr) << "the payload must not decode";
+    EXPECT_EQ(cache->loadRow(key, hash), nullptr)
+        << "the payload must not decode";
     {
         core::SessionRegistry registry(1, 0, 1, cache);
         auto answer = [&](const std::string &request) {
@@ -1496,7 +1601,7 @@ TEST(FrontierCache, UndecodableRowSurvivesEviction)
         // Built cold; hold no reference past this line, so the
         // session's tables are the row's only holders besides the
         // store.
-        ASSERT_NE(store->lookup(key), nullptr);
+        ASSERT_NE(store->lookup(key, hash), nullptr);
         EXPECT_EQ(cache->stats().rowsPending, 1u)
             << "the row waits in the log to replace the broken record";
         EXPECT_TRUE(cache->stats().loadedClean)
@@ -1507,13 +1612,13 @@ TEST(FrontierCache, UndecodableRowSurvivesEviction)
         answer(other);
         ASSERT_GE(registry.stats().evictions, 1u);
         size_t misses = store->stats().misses;
-        EXPECT_NE(store->lookup(key), nullptr);
+        EXPECT_NE(store->lookup(key, hash), nullptr);
         EXPECT_EQ(answer(line), cold);
         EXPECT_EQ(store->stats().misses, misses);
     }
     // The registry's flush replaced the broken record.
     EXPECT_EQ(cache->stats().rowsPending, 0u);
-    EXPECT_NE(core::FrontierCache(scratch.dir()).loadRow(key), nullptr);
+    EXPECT_NE(core::FrontierCache(scratch.dir()).loadRow(key, hash), nullptr);
 }
 
 TEST(FrontierCache, FailedPublishKeepsThePendingLog)
@@ -1604,7 +1709,7 @@ flushUnderAddressLimit(const std::string &dir)
     core::FrontierCache cache(dir);
     auto row = makeRow(7);
     for (int64_t k = 0; k < 100000; ++k)
-        cache.noteRow({2, k, 3, 64, 121, 1}, row);
+        noteRow(cache, {2, k, 3, 64, 121, 1}, row);
     size_t pending = cache.stats().rowsPending;
     rlimit limit{mappedBytes() + (size_t{1} << 20), RLIM_INFINITY};
     bool limited = ::setrlimit(RLIMIT_AS, &limit) == 0;
@@ -1645,23 +1750,23 @@ TEST(FrontierCache, PendingLogHoldsEachKeyOnceAndServesIt)
     auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
     for (int pass = 0; pass < 2; ++pass)
         for (int k = 0; k < kKeys; ++k)
-            cache->noteRow(keyOf(k), makeRow(k % 50, 20 + k % 30));
+            noteRow(*cache, keyOf(k), makeRow(k % 50, 20 + k % 30));
     EXPECT_EQ(cache->stats().rowsPending, size_t{kKeys});
     for (int k = 0; k < kKeys; ++k) {
         SCOPED_TRACE("key " + std::to_string(k));
-        auto row = cache->loadRow(keyOf(k));
+        auto row = loadRow(*cache, keyOf(k));
         ASSERT_NE(row, nullptr);
         expectSameRow(*row, *makeRow(k % 50, 20 + k % 30));
     }
-    EXPECT_EQ(cache->loadRow(keyOf(kKeys)), nullptr);
-    EXPECT_EQ(cache->loadRow({2, 100, 3, 64}), nullptr)
+    EXPECT_EQ(loadRow(*cache, keyOf(kKeys)), nullptr);
+    EXPECT_EQ(loadRow(*cache, {2, 100, 3, 64}), nullptr)
         << "a prefix of a logged key is another key";
     EXPECT_EQ(cache->stats().segmentRowHits, 0u);
 
     ASSERT_TRUE(cache->flush());
     EXPECT_EQ(cache->stats().rowsPending, 0u);
     EXPECT_EQ(cache->stats().segmentEntries, size_t{kKeys});
-    auto row = cache->loadRow(keyOf(7));
+    auto row = loadRow(*cache, keyOf(7));
     ASSERT_NE(row, nullptr);
     expectSameRow(*row, *makeRow(7, 27));
     EXPECT_EQ(cache->stats().segmentRowHits, 1u);
@@ -1708,7 +1813,7 @@ TEST(FrontierCache, ConcurrentNotesAndFlushesPublishEachKeyOnce)
                 for (int k = 0; k < kKeys; ++k)
                     if (k % kThreads == t ||
                         k % kThreads == (t + 1) % kThreads)
-                        cache->noteRow(keyOf(k),
+                        noteRow(*cache, keyOf(k),
                                        makeRow(k % 50, 20 + k % 30));
             });
         }

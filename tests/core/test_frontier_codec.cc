@@ -29,6 +29,7 @@
 #include "core/frontier_cache_segment.h"
 #include "core/frontier_codec.h"
 #include "core/session_registry.h"
+#include "nn/zoo.h"
 #include "service/dse_codec.h"
 #include "service/dse_service.h"
 #include "util/math.h"
@@ -201,22 +202,25 @@ TEST(FrontierCodec, DeltaAtLeastHalvesTheLegacySoAEncoding)
     // The ROADMAP's compaction claim on realistic rows: staircases
     // whose lanes move in the small steps real frontiers take. The
     // delta side is the whole segment image the records publish as —
-    // header, sparse slot table, counters, and key words included
+    // header, sparse slot table, counters, and packed keys included
     // — so the ratio is file-honest against the legacy records.
     util::SplitMix64 rng(20170703);
     size_t legacy_bytes = 0;
-    std::vector<std::vector<int64_t>> keys;
+    std::vector<std::string> keys;
     std::vector<std::string> payloads;
     for (int trial = 0; trial < 50; ++trial) {
         core::ShapeFrontier row = randomStaircase(rng);
-        keys.push_back({rng.nextInt(1, 1 << 20), rng.nextInt(1, 1 << 20)});
-        legacy_bytes +=
-            core::encodeLegacyRowRecord(keys.back(), row).size();
+        std::vector<int64_t> words{rng.nextInt(1, 1 << 20),
+                                   rng.nextInt(1, 1 << 20)};
+        legacy_bytes += core::encodeLegacyRowRecord(words, row).size();
+        keys.push_back(core::packKey(words));
         payloads.push_back(encodeRow(row));
     }
     std::vector<core::SegmentRecord> records;
     for (size_t i = 0; i < keys.size(); ++i)
-        records.push_back({core::kCacheRecordRow, keys[i], payloads[i]});
+        records.push_back({core::kCacheRecordRow, keys[i],
+                           core::keyHash(core::kCacheRecordRow, keys[i]),
+                           payloads[i]});
     size_t delta_bytes =
         core::FrontierCacheSegment::build(1, 1, records).size();
     EXPECT_GE(legacy_bytes, 2 * delta_bytes)
@@ -479,31 +483,47 @@ mutatePayload(const std::string &payload, util::SplitMix64 &rng,
     return bad;
 }
 
-/** Row payloads a real flush publishes, read back out of the segment. */
-std::vector<std::string>
-realRowPayloads()
+/** What real flushes publish (AlexNet, SqueezeNet and GoogLeNet
+ * ladders), read back out of the segment once per test process. */
+struct RealRecords
 {
-    fs::path dir = fs::temp_directory_path() /
-                   ("mclp_codec_rows_" + std::to_string(::getpid()));
-    {
-        auto cache = std::make_shared<core::FrontierCache>(dir.string());
-        core::SessionRegistry registry(4, 0, 1, cache);
-        for (const char *line :
-             {"dse id=a net=alexnet device=690t budgets=1000,2880",
-              "dse id=s net=squeezenet device=690t budgets=1000,2880",
-              "dse id=g net=googlenet device=690t budgets=2880"})
-            service::answerRequest(service::decodeRequest(line), &registry);
-    }  // the registry flushes
-    std::vector<std::string> payloads;
-    core::FrontierCacheSegment::open(
-        (dir / core::kFrontierSegmentFileName).string(),
-        core::modelFormulaFingerprint())
-        .forEach([&](const core::FrontierCacheSegment::Entry &entry) {
-            if (entry.kind == core::kCacheRecordRow)
-                payloads.emplace_back(entry.payload);
-        });
-    fs::remove_all(dir);
-    return payloads;
+    std::vector<std::string> rowPayloads;
+    std::vector<std::string> rowKeys;    ///< packed
+    std::vector<std::string> traceKeys;  ///< packed
+};
+
+const RealRecords &
+realRecords()
+{
+    static const RealRecords records = [] {
+        fs::path dir = fs::temp_directory_path() /
+                       ("mclp_codec_rows_" + std::to_string(::getpid()));
+        {
+            auto cache = std::make_shared<core::FrontierCache>(dir.string());
+            core::SessionRegistry registry(4, 0, 1, cache);
+            for (const char *line :
+                 {"dse id=a net=alexnet device=690t budgets=1000,2880",
+                  "dse id=s net=squeezenet device=690t budgets=1000,2880",
+                  "dse id=g net=googlenet device=690t budgets=2880"})
+                service::answerRequest(service::decodeRequest(line),
+                                       &registry);
+        }  // the registry flushes
+        RealRecords read;
+        core::FrontierCacheSegment::open(
+            (dir / core::kFrontierSegmentFileName).string(),
+            core::modelFormulaFingerprint())
+            .forEach([&](const core::FrontierCacheSegment::Entry &entry) {
+                if (entry.kind == core::kCacheRecordRow) {
+                    read.rowPayloads.emplace_back(entry.payload);
+                    read.rowKeys.emplace_back(entry.key);
+                } else {
+                    read.traceKeys.emplace_back(entry.key);
+                }
+            });
+        fs::remove_all(dir);
+        return read;
+    }();
+    return records;
 }
 
 TEST(FrontierCodec, OnePassDecoderAgreesWithTheTwoPassReference)
@@ -513,7 +533,7 @@ TEST(FrontierCodec, OnePassDecoderAgreesWithTheTwoPassReference)
     // decoders must accept and reject the same bytes, and what they
     // accept must be the same lanes.
     util::SplitMix64 rng(20170708);
-    std::vector<std::string> real = realRowPayloads();
+    const std::vector<std::string> &real = realRecords().rowPayloads;
     ASSERT_GT(real.size(), 100u);
     std::vector<std::string> payloads;
     for (int i = 0; i < 48; ++i)
@@ -554,14 +574,188 @@ TEST(FrontierCodec, OnePassDecoderAgreesWithTheTwoPassReference)
     EXPECT_GT(rejected, 0u);
 }
 
+/**
+ * The plain reading of a packed key: zig-zag LEB128 varints back to
+ * back, each at most ten bytes, the tenth holding bit 63 alone; any
+ * other byte string is refused. The oracle unpackKey() must agree
+ * with.
+ */
+std::optional<std::vector<int64_t>>
+referenceUnpackKey(std::string_view key)
+{
+    std::vector<int64_t> words;
+    size_t i = 0;
+    while (i < key.size()) {
+        uint64_t value = 0;
+        for (int b = 0;; ++b) {
+            if (i == key.size() || b == 10)
+                return std::nullopt;  // truncated, or an 11th byte
+            unsigned char byte = static_cast<unsigned char>(key[i++]);
+            if (b == 9 && (byte & 0x7f) > 1)
+                return std::nullopt;  // bits past the 64th
+            value |= static_cast<uint64_t>(byte & 0x7f) << (7 * b);
+            if (!(byte & 0x80))
+                break;
+        }
+        words.push_back(util::zigzagDecode(value));
+    }
+    return words;
+}
+
+/** A seeded mutation of packed key @p key, named in @p what. */
+std::string
+mutateKey(const std::string &key, util::SplitMix64 &rng, std::string *what)
+{
+    std::string bad = key;
+    auto at = [&](size_t size) {
+        return static_cast<size_t>(
+            rng.nextInt(0, static_cast<int64_t>(size) - 1));
+    };
+    // Bytes that end, continue, or overflow a varint.
+    const char edges[] = {'\x00', '\x01', '\x02', '\x7f', '\x80', '\x81',
+                          '\xff'};
+    switch (rng.nextInt(0, 5)) {
+    case 0:
+        *what = "byte flip";
+        bad[at(bad.size())] ^= static_cast<char>(rng.nextInt(1, 255));
+        break;
+    case 1:
+        *what = "truncation";
+        bad.resize(at(bad.size()));
+        break;
+    case 2:
+        *what = "insertion";
+        bad.insert(at(bad.size() + 1), 1,
+                   rng.nextInt(0, 1) ? edges[at(std::size(edges))]
+                                     : static_cast<char>(rng.nextInt(0, 255)));
+        break;
+    case 3:
+        *what = "deletion";
+        bad.erase(at(bad.size()), 1);
+        break;
+    case 4: {
+        // A run of continuation bytes, then an edge byte: a varint of
+        // eight to twelve bytes whose last may overflow.
+        *what = "long varint";
+        std::string run(static_cast<size_t>(rng.nextInt(7, 11)), '\xff');
+        run.push_back(edges[at(std::size(edges))]);
+        bad.insert(at(bad.size() + 1), run);
+        break;
+    }
+    default:
+        *what = "stray tail";
+        bad.push_back(edges[at(std::size(edges))]);
+        break;
+    }
+    return bad;
+}
+
+TEST(FrontierCodec, UnpackKeyAgreesWithAPlainReferenceOnMutatedRealKeys)
+{
+    // Real packed keys, rows and traces, as flushed: each unpacks to
+    // words that pack back to the same bytes. Seeded byte flips,
+    // truncations, insertions and deletions of them must get the same
+    // verdict and words from unpackKey() as from the plain reference,
+    // and a refused key leaves the caller's words untouched.
+    const RealRecords &real = realRecords();
+    ASSERT_GT(real.rowKeys.size(), 100u);
+    ASSERT_GT(real.traceKeys.size(), 10u);
+    util::SplitMix64 rng(20170710);
+    std::vector<std::string> keys;
+    for (int i = 0; i < 64; ++i)
+        keys.push_back(real.rowKeys[rng.nextInt(0, real.rowKeys.size() - 1)]);
+    for (int i = 0; i < 32; ++i)
+        keys.push_back(
+            real.traceKeys[rng.nextInt(0, real.traceKeys.size() - 1)]);
+
+    const std::vector<int64_t> sentinel = {-7, 7};
+    size_t accepted = 0, rejected = 0;
+    for (size_t k = 0; k < keys.size(); ++k) {
+        for (int trial = 0; trial <= 48; ++trial) {
+            std::string what = "unmutated";
+            std::string bytes =
+                trial == 0 ? keys[k] : mutateKey(keys[k], rng, &what);
+            SCOPED_TRACE("key " + std::to_string(k) + " trial " +
+                         std::to_string(trial) + ": " + what);
+            auto reference = referenceUnpackKey(bytes);
+            std::vector<int64_t> words = sentinel;
+            bool unpacked = core::unpackKey(bytes, words);
+            ASSERT_EQ(unpacked, reference.has_value());
+            ASSERT_TRUE(trial > 0 || unpacked);
+            if (!unpacked) {
+                EXPECT_EQ(words, sentinel);
+                ++rejected;
+                continue;
+            }
+            ++accepted;
+            EXPECT_EQ(words, *reference);
+            if (trial == 0) {
+                EXPECT_EQ(core::packKey(words), bytes);
+            }
+        }
+    }
+    // Both verdicts occur among the mutations, not just the originals.
+    EXPECT_GT(accepted, keys.size());
+    EXPECT_GT(rejected, 0u);
+
+    // The edges of a 64-bit varint, each way.
+    std::vector<int64_t> words;
+    for (int64_t word : {int64_t{0}, int64_t{-1}, int64_t{1} << 62,
+                         std::numeric_limits<int64_t>::min(),
+                         std::numeric_limits<int64_t>::max()}) {
+        std::string packed = core::packKey(std::vector<int64_t>{word});
+        ASSERT_TRUE(core::unpackKey(packed, words)) << word;
+        EXPECT_EQ(words, std::vector<int64_t>{word});
+    }
+    EXPECT_EQ(core::packKey(std::vector<int64_t>{
+                  std::numeric_limits<int64_t>::min()}),
+              std::string(9, '\xff') + '\x01');
+    for (const std::string &bad :
+         {std::string(9, '\xff') + '\x02', std::string(10, '\xff') + '\x00',
+          std::string(1, '\x80'), std::string("\x02\x80", 2)})
+        EXPECT_FALSE(core::unpackKey(bad, words));
+}
+
+TEST(FrontierCodec, RowKeyGrowsAsPackKeyPacksAndCarriesItsHash)
+{
+    // A RowKey grown layer by layer holds exactly packKey()'s bytes for
+    // its words and carries keyHash() of them; cut back to a prefix it
+    // held, it is that prefix again.
+    nn::Network network = nn::makeGoogLeNet();
+    for (fpga::DataType type :
+         {fpga::DataType::Float32, fpga::DataType::Fixed16}) {
+        core::RowKey key = core::RowKey::root(type, 1234);
+        std::vector<int64_t> words = {static_cast<int64_t>(type), 1234};
+        std::vector<std::pair<size_t, uint64_t>> ends;
+        for (size_t i = 0; i < network.numLayers(); ++i) {
+            const nn::ConvLayer &layer = network.layer(i);
+            key.append(layer);
+            words.insert(words.end(), {layer.n, layer.m,
+                                       layer.r * layer.c * layer.k * layer.k,
+                                       layer.g});
+            ASSERT_EQ(key.bytes(), core::packKey(words)) << "layer " << i;
+            ASSERT_EQ(key.hash(),
+                      core::keyHash(core::kCacheRecordRow, key.bytes()));
+            ends.emplace_back(key.bytes().size(), key.hash());
+        }
+        // Packed, GoogLeNet's longest key is a fraction of its words.
+        EXPECT_LT(key.bytes().size(), words.size() * sizeof(int64_t) / 4);
+        std::string whole(key.bytes());
+        key.truncate(ends[3].first, ends[3].second);
+        EXPECT_EQ(key.bytes(), whole.substr(0, ends[3].first));
+        EXPECT_EQ(key.hash(),
+                  core::keyHash(core::kCacheRecordRow, key.bytes()));
+    }
+}
+
 TEST(FrontierCodec, AppendingEncoderMatchesTheByteWriterReference)
 {
-    // The bytes are the segment format (its version and slot hash are
-    // unchanged), so the appending encoder must write exactly what the
-    // ByteWriter encoder wrote: for the rows a real flush publishes,
-    // random staircases (wide ones included), and the empty row.
+    // The bytes are the segment's payload format, so the appending
+    // encoder must write exactly what the ByteWriter encoder wrote:
+    // for the rows a real flush publishes, random staircases (wide
+    // ones included), and the empty row.
     std::vector<core::ShapeFrontier> rows;
-    for (const std::string &payload : realRowPayloads()) {
+    for (const std::string &payload : realRecords().rowPayloads) {
         auto row = core::decodeRowPayload(payload);
         ASSERT_TRUE(row.has_value());
         // What the flush published is itself the appending encoder's.
@@ -715,7 +909,7 @@ struct ScratchSegment
 /** Build and publish a small segment; returns the record inputs. */
 struct SegmentFixture
 {
-    std::vector<std::vector<int64_t>> keys;
+    std::vector<std::string> keys;  ///< packed
     std::vector<std::string> payloads;
     std::vector<core::SegmentRecord> records;
 
@@ -723,13 +917,29 @@ struct SegmentFixture
     {
         util::SplitMix64 rng(20170706);
         for (size_t i = 0; i < entries; ++i) {
-            keys.push_back({static_cast<int64_t>(i), rng.nextInt(1, 99),
-                            rng.nextInt(1, 99)});
+            keys.push_back(core::packKey(std::vector<int64_t>{
+                static_cast<int64_t>(i), rng.nextInt(1, 99),
+                rng.nextInt(1, 99)}));
             payloads.push_back(encodeRow(randomStaircase(rng)));
         }
         for (size_t i = 0; i < entries; ++i)
             records.push_back({core::kCacheRecordRow, keys[i],
-                               payloads[i]});
+                               rowHash(keys[i]), payloads[i]});
+    }
+
+    static uint64_t
+    rowHash(std::string_view key)
+    {
+        return core::keyHash(core::kCacheRecordRow, key);
+    }
+
+    /** The segment's row payload for fixture key @p i. */
+    std::string_view
+    find(const core::FrontierCacheSegment &segment, size_t i,
+         bool *damaged = nullptr) const
+    {
+        return segment.find(core::kCacheRecordRow, keys[i],
+                            rowHash(keys[i]), nullptr, damaged);
     }
 };
 
@@ -755,10 +965,8 @@ TEST(FrontierCacheSegment, TwoMappingsServeByteIdenticalViews)
     EXPECT_EQ(a.entryCount(), fixture.keys.size());
     EXPECT_EQ(a.bytes(), b.bytes());
     for (size_t i = 0; i < fixture.keys.size(); ++i) {
-        std::string_view via_a =
-            a.find(core::kCacheRecordRow, fixture.keys[i]);
-        std::string_view via_b =
-            b.find(core::kCacheRecordRow, fixture.keys[i]);
+        std::string_view via_a = fixture.find(a, i);
+        std::string_view via_b = fixture.find(b, i);
         ASSERT_FALSE(via_a.empty());
         ASSERT_EQ(via_a.size(), via_b.size());
         EXPECT_EQ(std::memcmp(via_a.data(), via_b.data(),
@@ -769,11 +977,14 @@ TEST(FrontierCacheSegment, TwoMappingsServeByteIdenticalViews)
         EXPECT_NE(via_a.data(), via_b.data());
     }
     // Absent keys and wrong kinds answer empty, not garbage.
-    EXPECT_TRUE(
-        a.find(core::kCacheRecordRow, std::vector<int64_t>{123456, 7})
-            .empty());
-    EXPECT_TRUE(
-        a.find(core::kCacheRecordTrace, fixture.keys[0]).empty());
+    const std::string absent = core::packKey(std::vector<int64_t>{123456, 7});
+    EXPECT_TRUE(a.find(core::kCacheRecordRow, absent,
+                       SegmentFixture::rowHash(absent))
+                    .empty());
+    EXPECT_TRUE(a.find(core::kCacheRecordTrace, fixture.keys[0],
+                       core::keyHash(core::kCacheRecordTrace,
+                                     fixture.keys[0]))
+                    .empty());
 }
 
 TEST(FrontierCacheSegment, CorruptionAndMismatchesRefuseToMap)
@@ -793,10 +1004,10 @@ TEST(FrontierCacheSegment, CorruptionAndMismatchesRefuseToMap)
 
     // A flipped byte in the header or the slot table fails the header
     // checksum (or the header validation that precedes it): the image
-    // does not map. One in a key word, a check word or a payload fails
-    // the check of the record holding it: the image maps, that record
-    // reads as absent and says it is damaged, and every other record
-    // serves its payload.
+    // does not map. One in a key, its padding, a check word or a
+    // payload fails the check of the record holding it: the image
+    // maps, that record reads as absent and says it is damaged, and
+    // every other record serves its payload.
     uint32_t slot_count = 0;
     std::memcpy(&slot_count, image.data() + 12, sizeof slot_count);
     const size_t table_end = 64 + size_t{slot_count} * 32;
@@ -817,8 +1028,7 @@ TEST(FrontierCacheSegment, CorruptionAndMismatchesRefuseToMap)
         size_t absent = 0;
         for (size_t k = 0; k < fixture.keys.size(); ++k) {
             bool damaged = false;
-            std::string_view payload = segment.find(
-                core::kCacheRecordRow, fixture.keys[k], nullptr, &damaged);
+            std::string_view payload = fixture.find(segment, k, &damaged);
             EXPECT_EQ(damaged, payload.empty()) << "flip at " << i;
             if (payload.empty())
                 ++absent;
@@ -892,9 +1102,7 @@ TEST(FrontierCacheSegment, OpenReadsTheSlotTableNotTheRecords)
         << "open made " << grown << " KiB of the file resident";
     // The records still serve, each checked as it is read.
     for (size_t i = 0; i < fixture.keys.size(); ++i)
-        EXPECT_EQ(std::string(
-                      segment.find(core::kCacheRecordRow, fixture.keys[i])),
-                  fixture.payloads[i]);
+        EXPECT_EQ(std::string(fixture.find(segment, i)), fixture.payloads[i]);
 }
 
 TEST(FrontierCacheSegment, PlanEvictsPastWhatSlotOffsetsAddress)
@@ -906,17 +1114,21 @@ TEST(FrontierCacheSegment, PlanEvictsPastWhatSlotOffsetsAddress)
     // behind them.
     static const char kNoBytes[1] = {};
     const uint64_t kGiB = uint64_t{1} << 30;
-    const std::vector<std::vector<int64_t>> keys = {{1, 2}, {3, 4}, {5, 6}};
+    // Two-word keys pack into two bytes, padded to one word.
+    std::vector<std::string> keys;
+    for (int64_t k : {1, 3, 5})
+        keys.push_back(core::packKey(std::vector<int64_t>{k, k + 1}));
     const uint64_t sizes[] = {3 * kGiB / 2, 2 * kGiB, kGiB};
     auto plan_all = [&] {
         core::SegmentPlan plan(keys.size());
         for (size_t i = 0; i < keys.size(); ++i)
             plan.add({core::kCacheRecordRow, keys[i],
+                      SegmentFixture::rowHash(keys[i]),
                       std::string_view(kNoBytes, sizes[i]), 0,
                       static_cast<uint32_t>(i + 1)});
         return plan;
     };
-    const uint64_t overhead = 64 + 8 * 32 + 3 * (8 + 16);
+    const uint64_t overhead = 64 + 8 * 32 + 3 * (8 + 8);
 
     core::SegmentPlan over = plan_all();
     EXPECT_EQ(over.imageBytes(), overhead + 9 * kGiB / 2);
@@ -930,13 +1142,13 @@ TEST(FrontierCacheSegment, PlanEvictsPastWhatSlotOffsetsAddress)
     // Unbounded: the oldest record (1.5 GiB) goes, and 3 GiB stay.
     core::SegmentPlan unbounded = plan_all();
     EXPECT_EQ(unbounded.fitTo(UINT64_MAX), 1u);
-    EXPECT_EQ(unbounded.imageBytes(), overhead - (8 + 16) + 3 * kGiB);
+    EXPECT_EQ(unbounded.imageBytes(), overhead - (8 + 8) + 3 * kGiB);
     EXPECT_LE(unbounded.imageBytes(), core::kFrontierSegmentMaxBytes);
 
     // A smaller budget evicts further, in the same order.
     core::SegmentPlan budgeted = plan_all();
     EXPECT_EQ(budgeted.fitTo(2 * kGiB), 2u);
-    EXPECT_EQ(budgeted.imageBytes(), overhead - 2 * (8 + 16) + kGiB);
+    EXPECT_EQ(budgeted.imageBytes(), overhead - 2 * (8 + 8) + kGiB);
 }
 
 } // namespace

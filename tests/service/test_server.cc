@@ -867,8 +867,8 @@ TEST(ServeProcess, AddressSpaceLimitStillPublishesTheCache)
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
     GTEST_SKIP() << "sanitizer shadow memory needs the address space";
 #endif
-    // Fifteen zoo sessions leave a segment of more than 30 MiB. An
-    // unlimited run measures the address space serving them maps
+    // Twenty-eight zoo sessions leave a segment of more than 30 MiB.
+    // An unlimited run measures the address space serving them maps
     // (VmPeak before the drain) and the segment's size; a second run
     // gets that peak plus half the segment as its address-space limit,
     // so serving fits and a whole image held in memory does not. Its
@@ -882,12 +882,13 @@ TEST(ServeProcess, AddressSpaceLimitStillPublishesTheCache)
                          "resnext-tiny"};
     for (size_t n = 0; n < std::size(zoo); ++n) {
         for (size_t fixed = 0; fixed < 2; ++fixed) {
-            bool large = (n + fixed) % 2 == 1;
-            requests.push_back(util::strprintf(
-                "dse id=z%zu net=%s device=%s type=%s budgets=%s",
-                requests.size(), zoo[n], large ? "690t" : "485t",
-                fixed ? "fixed" : "float",
-                large ? "1800,2880" : "1500,2240"));
+            for (bool large : {false, true}) {
+                requests.push_back(util::strprintf(
+                    "dse id=z%zu net=%s device=%s type=%s budgets=%s",
+                    requests.size(), zoo[n], large ? "690t" : "485t",
+                    fixed ? "fixed" : "float",
+                    large ? "1800,2880" : "1500,2240"));
+            }
         }
     }
     std::vector<std::string> cold;
