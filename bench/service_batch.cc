@@ -28,7 +28,11 @@
  * non-zero when, after any request of the cached leg, the row store's
  * resident bytes exceed the budget by more than the rows of the one
  * session the registry must keep (what a fresh uncached service holds
- * after answering that request alone).
+ * after answering that request alone). And the pending log's payloads
+ * must wait on disk, not in the heap: the binary exits non-zero when
+ * the process's RssAnon grows over the cached leg, up to its last
+ * request, by more than half the payload bytes the leg noted
+ * (bytes_pending before the shutdown flush), a same-run ratio too.
  *
  * A replay leg then sends the first kReplayNetworks of those networks
  * kReplayPasses times over, in order, through a cached service of the
@@ -48,6 +52,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <numeric>
 
 #include "bench_common.h"
@@ -73,6 +78,9 @@ constexpr size_t kCachedBudgetBytes = size_t{8} << 20;
 constexpr size_t kReplayNetworks = 16;
 /** Times the replay leg sends its networks. */
 constexpr int kReplayPasses = 4;
+/** Largest RssAnon growth over the cached churn leg, as a share of the
+ * payload bytes it noted. */
+constexpr double kPendingRssShareLimit = 0.5;
 
 std::vector<std::string>
 mixedBatch()
@@ -127,6 +135,18 @@ churnLine(util::SplitMix64 &rng, int index)
         spec.c_str());
 }
 
+/** Resident anonymous memory of this process (RssAnon), in bytes. */
+size_t
+residentAnonBytes()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("RssAnon:", 0) == 0)
+            return std::stoul(line.substr(8)) * 1024;
+    return 0;
+}
+
 /** Row-store bytes a fresh uncached service holds after answering
  * @p line alone: the rows of that one session. */
 size_t
@@ -142,8 +162,10 @@ aloneRowBytes(const std::string &line)
  * @p max_sessions sessions and a byte budget of @p max_bytes (0 =
  * none), with a temporary cache directory when @p cached; true when
  * every answer was an ok line, the last/first quarter ratio stayed
- * within kChurnRatioLimit, and under a budget no request left the row
- * store over it by more than its own session's rows.
+ * within kChurnRatioLimit, under a budget no request left the row
+ * store over it by more than its own session's rows, and with a cache
+ * RssAnon grew by at most kPendingRssShareLimit of the payload bytes
+ * pending at the end.
  */
 bool
 runChurn(const std::vector<std::string> &lines, bool cached,
@@ -159,6 +181,9 @@ runChurn(const std::vector<std::string> &lines, bool cached,
     size_t evictions = 0;
     size_t peak_rows = 0;   ///< largest resident row bytes seen
     size_t over_budget = 0; ///< requests that broke the byte gate
+    size_t rss_before = residentAnonBytes();
+    size_t rss_growth = 0;     ///< RssAnon growth up to the last request
+    size_t pending_bytes = 0;  ///< payload bytes noted, before the flush
     {
         service::ServiceOptions options;
         options.maxSessions = max_sessions;
@@ -186,6 +211,11 @@ runChurn(const std::vector<std::string> &lines, bool cached,
                 ++over_budget;
         }
         evictions = service.registry().stats().evictions;
+        if (cached) {
+            size_t rss_after = residentAnonBytes();
+            rss_growth = rss_after - std::min(rss_after, rss_before);
+            pending_bytes = service.cache()->stats().bytesPending;
+        }
     }  // the service flushes the cache here, outside the timings
     fs::remove_all(dir);
 
@@ -200,7 +230,10 @@ runChurn(const std::vector<std::string> &lines, bool cached,
                                   request_ms.end(), 0.0) /
                   static_cast<double>(quarter);
     double ratio = last / first;
-    bool pass = failed == 0 && ratio <= kChurnRatioLimit && over_budget == 0;
+    bool rss_ok = static_cast<double>(rss_growth) <=
+                  kPendingRssShareLimit * static_cast<double>(pending_bytes);
+    bool pass = failed == 0 && ratio <= kChurnRatioLimit &&
+                over_budget == 0 && rss_ok;
 
     util::TextTable table({"quarter", "requests", "mean request (ms)"});
     table.setTitle(util::strprintf(
@@ -225,6 +258,12 @@ runChurn(const std::vector<std::string> &lines, bool cached,
             "resident rows peaked at %zu KiB; %zu requests left them over "
             "the budget by more than their own session's rows",
             peak_rows / 1024, over_budget));
+    if (cached)
+        table.addNote(util::strprintf(
+            "RssAnon grew %zu KiB while %zu KiB of row payloads waited "
+            "for the flush (limit %.0f%% of them): %s",
+            rss_growth / 1024, pending_bytes / 1024,
+            100.0 * kPendingRssShareLimit, rss_ok ? "PASS" : "FAIL"));
     std::printf("%s\n", table.render().c_str());
     return pass;
 }

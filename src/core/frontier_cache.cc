@@ -1,6 +1,7 @@
 #include "core/frontier_cache.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstddef>
 #include <cstring>
 #include <deque>
@@ -135,6 +136,10 @@ FrontierCache::FrontierCache(std::string dir, size_t max_bytes)
         util::warn("frontier cache: %s is truncated or corrupt; "
                    "starting cold", segmentPath_.c_str());
         break;
+    case SegmentState::Unmapped:
+        util::warn("frontier cache: no address space to map %s; "
+                   "starting cold", segmentPath_.c_str());
+        break;
     }
     image_ = std::make_shared<Image>(std::move(segment));
 }
@@ -176,15 +181,32 @@ FrontierCache::loadRow(std::string_view key, uint64_t hash)
 {
     // The row store keeps a loaded row while some table holds it, so a
     // key reaches here about once per residency (more only when
-    // threads race on one row). One lock pins the image and copies out
-    // a pending payload (a flush may free the log's record once the
-    // lock is gone); the decode runs with no lock held.
+    // threads race on one row). One lock pins the image and finds a
+    // pending payload: one still in the write buffer is copied out (a
+    // flush may free the log once the lock is gone), one in the spill
+    // is read after the lock is released, with the spill pinned as the
+    // image is. The decode runs with no lock held.
     thread_local std::string pending;
+    pending.clear();
     std::shared_ptr<Image> image;
+    std::shared_ptr<const util::ScratchFile> spill;
+    SpilledPayload spilled;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         image = image_;
-        pending.assign(log_.find(key, hash));
+        if (const SpilledPayload *at = log_.find(key, hash)) {
+            if (log_.spilled(*at)) {
+                spill = log_.spill();
+                spilled = *at;
+            } else {
+                pending.assign(log_.buffered(*at));
+            }
+        }
+    }
+    if (spill) {
+        pending.resize(spilled.bytes);
+        if (!spill->read(spilled.offset, pending.data(), spilled.bytes))
+            pending.clear();  // read as absent: built cold
     }
     if (!pending.empty()) {
         // This process's own encoding of the row, so it decodes.
@@ -208,38 +230,6 @@ FrontierCache::loadRow(std::string_view key, uint64_t hash)
     return std::make_shared<const ShapeFrontier>(std::move(*row));
 }
 
-namespace {
-
-/** Whole words @p bytes take. */
-constexpr size_t
-wordsFor(size_t bytes)
-{
-    return (bytes + 7) / 8;
-}
-
-/** The parts of a pending log record (see PendingLog). */
-struct LogRecord
-{
-    uint64_t hash;
-    std::string_view key;
-    std::string_view payload;
-    size_t words;  ///< the whole record's
-};
-
-inline LogRecord
-readLogRecord(const uint64_t *record)
-{
-    size_t key_bytes = static_cast<size_t>(record[1] >> 32);
-    size_t payload_bytes = static_cast<size_t>(record[1] & 0xffffffffu);
-    const char *key = reinterpret_cast<const char *>(record + 2);
-    return {record[0],
-            {key, key_bytes},
-            {key + 8 * wordsFor(key_bytes), payload_bytes},
-            2 + wordsFor(key_bytes) + wordsFor(payload_bytes)};
-}
-
-} // namespace
-
 template <class Fn>
 void
 FrontierCache::PendingLog::forEach(Fn &&fn) const
@@ -248,9 +238,9 @@ FrontierCache::PendingLog::forEach(Fn &&fn) const
         const uint64_t *word = chunk.words.get();
         const uint64_t *end = word + chunk.used;
         while (word < end) {
-            LogRecord record = readLogRecord(word);
-            fn(record.key, record.hash, record.payload);
-            word += record.words;
+            const Record *record = reinterpret_cast<const Record *>(word);
+            fn(record->key(), record->hash, record->payload);
+            word += sizeof(Record) / 8 + (record->keyBytes + 7) / 8;
         }
     }
 }
@@ -260,53 +250,50 @@ FrontierCache::PendingLog::probe(std::string_view key, uint64_t hash) const
 {
     size_t mask = index_.size() - 1;
     for (size_t i = hash & mask;; i = (i + 1) & mask) {
-        const Slot &slot = index_[i];
-        if (!slot.record ||
-            (slot.hash == hash && readLogRecord(slot.record).key == key))
+        const Record *record = index_[i];
+        if (!record || (record->hash == hash && record->key() == key))
             return i;
     }
 }
 
-std::string_view
+const SpilledPayload *
 FrontierCache::PendingLog::find(std::string_view key, uint64_t hash) const
 {
     if (index_.empty())
-        return {};
-    const uint64_t *record = index_[probe(key, hash)].record;
-    if (!record)
-        return {};
-    return readLogRecord(record).payload;
+        return nullptr;
+    const Record *record = index_[probe(key, hash)];
+    return record ? &record->payload : nullptr;
 }
 
 void
 FrontierCache::PendingLog::append(std::string_view key, uint64_t hash,
                                   std::string_view payload)
 {
-    // Keep the index at most half full: double it (re-placing slots by
-    // their stored hashes) before the insert that would pass that.
+    // Keep the index at most half full: double it (re-placing records
+    // by their stored hashes) before the insert that would pass that.
     if (2 * (records_ + 1) > index_.size()) {
-        std::vector<Slot> grown(std::max<size_t>(64, 2 * index_.size()));
+        std::vector<const Record *> grown(
+            std::max<size_t>(64, 2 * index_.size()));
         size_t mask = grown.size() - 1;
-        for (const Slot &slot : index_) {
-            if (!slot.record)
+        for (const Record *record : index_) {
+            if (!record)
                 continue;
-            size_t i = slot.hash & mask;
-            while (grown[i].record)
+            size_t i = record->hash & mask;
+            while (grown[i])
                 i = (i + 1) & mask;
-            grown[i] = slot;
+            grown[i] = record;
         }
         index_ = std::move(grown);
     }
-    Slot &slot = index_[probe(key, hash)];
-    if (slot.record)
-        return;  // already logged, under the same bytes
+    const Record *&slot = index_[probe(key, hash)];
 
     // 1 MiB chunks, allocated uninitialized: a page joins the resident
     // set when a record lands on it. A record larger than a chunk gets
     // one of its own.
     constexpr size_t kChunkWords = (size_t{1} << 20) / sizeof(uint64_t);
-    size_t key_words = wordsFor(key.size());
-    size_t words = 2 + key_words + wordsFor(payload.size());
+    static_assert(sizeof(Record) % 8 == 0, "keys start on a word");
+    size_t key_words = (key.size() + 7) / 8;
+    size_t words = sizeof(Record) / 8 + key_words;
     if (chunks_.empty() ||
         chunks_.back().capacity - chunks_.back().used < words) {
         size_t capacity = std::max(kChunkWords, words);
@@ -314,31 +301,96 @@ FrontierCache::PendingLog::append(std::string_view key, uint64_t hash,
             {std::unique_ptr<uint64_t[]>(new uint64_t[capacity]), capacity,
              0});
     }
+    if (buffer_.capacity() < kSpillBufferBytes)
+        buffer_.reserve(kSpillBufferBytes);
     Chunk &chunk = chunks_.back();
-    uint64_t *record = chunk.words.get() + chunk.used;
-    // Zero the last word of the key and of the payload: their padding.
-    record[1 + key_words] = 0;
-    record[words - 1] = 0;
-    record[0] = hash;
-    record[1] = uint64_t{key.size()} << 32 | payload.size();
-    std::memcpy(record + 2, key.data(), key.size());
-    std::memcpy(record + 2 + key_words, payload.data(), payload.size());
+    uint64_t *at = chunk.words.get() + chunk.used;
+    at[words - 1] = 0;  // the key's padding
+    Record *record = new (at) Record{
+        hash,
+        {spilledBytes_ + buffer_.size(), static_cast<uint32_t>(payload.size())},
+        static_cast<uint32_t>(key.size())};
+    std::memcpy(record + 1, key.data(), key.size());
+    buffer_.append(payload);
     chunk.used += words;
-    slot = {hash, record};
+    slot = record;
     ++records_;
+    payloadBytes_ += payload.size();
+}
+
+std::shared_ptr<const util::ScratchFile>
+FrontierCache::PendingLog::writeBuffer(const std::string &dir) const
+{
+    std::shared_ptr<const util::ScratchFile> spill = spill_;
+    if (!spill)
+        spill = util::ScratchFile::create(dir);
+    if (!spill || !spill->write(spilledBytes_, buffer_))
+        return nullptr;
+    return spill;
 }
 
 void
-FrontierCache::PendingLog::prepend(PendingLog older)
+FrontierCache::PendingLog::settleBuffer(
+    std::shared_ptr<const util::ScratchFile> spill)
 {
-    // Only a failed publish puts a log back, so copying this (newer)
-    // log's records behind the older ones is fine: it keeps the log at
-    // one record per key when a row was noted again during the flush.
-    forEach([&](std::string_view key, uint64_t hash,
-                std::string_view payload) {
-        older.append(key, hash, payload);
-    });
-    *this = std::move(older);
+    if (!spill) {
+        spillFailed_ = true;
+        return;
+    }
+    spill_ = std::move(spill);
+    spilledBytes_ += buffer_.size();
+    buffer_.clear();
+}
+
+bool
+FrontierCache::PendingLog::view(const SpilledPayload &at, Window &window,
+                                std::string_view &bytes) const
+{
+    if (!spilled(at)) {
+        bytes = buffered(at);
+        return true;
+    }
+    if (at.offset < window.at ||
+        at.offset + at.bytes > window.at + window.bytes.size()) {
+        // No payload straddles the buffer, so the spill holds at least
+        // this payload from its offset on.
+        window.bytes.resize(std::max<uint64_t>(
+            at.bytes,
+            std::min<uint64_t>(kSpillBufferBytes, spilledBytes_ - at.offset)));
+        window.at = at.offset;
+        if (!spill_->read(at.offset, window.bytes.data(),
+                          window.bytes.size())) {
+            window.bytes.clear();
+            return false;
+        }
+    }
+    bytes = std::string_view(window.bytes)
+                .substr(at.offset - window.at, at.bytes);
+    return true;
+}
+
+bool
+FrontierCache::spillBuffer(PendingLog &log,
+                           std::unique_lock<std::mutex> *lock)
+{
+    if (log.spillFailed())
+        return false;
+    // Appenders wait on appendMutex_ meanwhile; lookups copy buffered
+    // payloads out under mutex_, which only reads the buffer too.
+    if (lock)
+        lock->unlock();
+    std::shared_ptr<const util::ScratchFile> spill = log.writeBuffer(dir_);
+    int error = errno;
+    if (lock)
+        lock->lock();
+    log.settleBuffer(spill);
+    if (spill)
+        return true;
+    util::warn("frontier cache: cannot spill pending rows to %s (%s); "
+               "rows noted past the write buffer go unlogged until the "
+               "next flush",
+               dir_.c_str(), std::strerror(error));
+    return false;
 }
 
 void
@@ -357,8 +409,43 @@ FrontierCache::noteRow(std::string_view key, uint64_t hash,
     std::shared_ptr<Image> image = pinImage();
     if (image->segment.find(kCacheRecordRow, key, hash) == payload)
         return;
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> appending(appendMutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (log_.find(key, hash))
+        return;  // already logged, under the same bytes
+    if (!log_.fits(payload.size()) && !spillBuffer(log_, &lock))
+        return;
     log_.append(key, hash, payload);
+}
+
+void
+FrontierCache::putBack(PendingLog taken)
+{
+    // Only a failed publish puts a log back, so copying the rows noted
+    // meanwhile behind the taken ones is fine: it keeps the log at one
+    // record per key when a row was noted again during the flush. The
+    // copy reads and writes spills, so it holds appendMutex_ alone, and
+    // lookups keep reading the newer log until the swap. Putting the
+    // log back allocates only when rows were noted during the flush,
+    // and then for those rows.
+    std::lock_guard<std::mutex> appending(appendMutex_);
+    try {
+        PendingLog::Window window;
+        log_.forEach([&](std::string_view key, uint64_t hash,
+                         const SpilledPayload &at) {
+            std::string_view payload;
+            if (taken.find(key, hash) || !log_.view(at, window, payload))
+                return;
+            if (taken.fits(payload.size()) || spillBuffer(taken, nullptr))
+                taken.append(key, hash, payload);
+        });
+    } catch (const std::bad_alloc &) {
+        // The rows noted meanwhile stay logged; the taken ones rebuild
+        // cold when they are needed again.
+        return;
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    log_ = std::move(taken);
 }
 
 bool
@@ -532,6 +619,7 @@ FrontierCache::flush()
     std::shared_ptr<Image> current;
     PendingLog log;
     {
+        std::lock_guard<std::mutex> appending(appendMutex_);
         std::lock_guard<std::mutex> lock_state(mutex_);
         current = image_;
         log = std::exchange(log_, PendingLog());
@@ -553,9 +641,16 @@ FrontierCache::flush()
     bool published = false;
     bool out_of_memory = false;
     std::vector<std::pair<uint32_t, uint32_t>> folded;  ///< slot, hits
+    // Reads the log's spilled payloads in note order: the merge's
+    // compares, then the writer's two passes.
+    PendingLog::Window window;
     try {
         FrontierCacheSegment base =
             FrontierCacheSegment::open(segmentPath_, fingerprint_);
+        // An image that cannot be mapped cannot be merged: publishing
+        // without its records would drop them.
+        if (base.state() == SegmentState::Unmapped)
+            throw std::bad_alloc();
         // Every publish advances the generation past both the image
         // it replaces and anything this process published or mapped.
         new_gen = std::max(base.generation(), known_gen) + 1;
@@ -579,20 +674,25 @@ FrontierCache::flush()
                           entry.hits, entry.lastGen});
         });
         log.forEach([&](std::string_view key, uint64_t hash,
-                        std::string_view payload) {
+                        const SpilledPayload &payload) {
             size_t at = plan.find(kCacheRecordRow, key, hash);
             if (at == SegmentPlan::npos) {
-                plan.add({kCacheRecordRow, key, hash, payload, 0, gen});
+                plan.add({kCacheRecordRow, key, hash, {}, 0, gen, &payload});
                 rewrite = true;
-            } else if (plan.record(at).payload != payload) {
-                // A published record loadRow() could not decode: the
-                // cold build takes its place and its hit history.
-                plan.setPayload(at, payload);
-                rewrite = true;
+                return;
             }
             // Equal bytes were published since the row was noted: by
             // a concurrent CLI, or by the flush that was publishing
             // this process's previous log when it was noted.
+            std::string_view logged;
+            std::string_view stored = plan.record(at).payload;
+            if (stored.size() == payload.bytes &&
+                log.view(payload, window, logged) && logged == stored)
+                return;
+            // A published record loadRow() could not decode: the cold
+            // build takes its place and its hit history.
+            plan.setPayload(at, {}, &payload);
+            rewrite = true;
         });
         std::deque<std::string> fresh;  ///< owns new trace payloads
         for (const auto &[entry, image] : trace_images) {
@@ -652,7 +752,12 @@ FrontierCache::flush()
                              evicted);
             published = util::publishFileAtomic(
                 segmentPath_, [&](const util::ByteSink &sink) {
-                    return plan.write(fingerprint_, new_gen, sink);
+                    return plan.write(
+                        fingerprint_, new_gen, sink,
+                        [&](const SpilledPayload &at,
+                            std::string_view &bytes) {
+                            return log.view(at, window, bytes);
+                        });
                 });
         }
     } catch (const std::bad_alloc &) {
@@ -675,17 +780,11 @@ FrontierCache::flush()
                    out_of_memory ? " (out of memory)" : "");
         // The folded counts and the logged rows never reached disk:
         // the counts stay counted, and the log goes back in front of
-        // any rows noted since. Putting it back allocates only when
-        // rows were noted during this flush, and then for those rows.
+        // any rows noted since.
         for (const auto &[slot, delta] : folded)
             current->addHits(slot, delta);
-        std::lock_guard<std::mutex> lock_state(mutex_);
-        try {
-            log_.prepend(std::move(log));
-        } catch (const std::bad_alloc &) {
-            // The rows noted meanwhile stay logged; the taken ones
-            // rebuild cold when they are needed again.
-        }
+        window = PendingLog::Window();
+        putBack(std::move(log));
         return false;
     }
     log = PendingLog();
@@ -734,6 +833,7 @@ FrontierCache::stats() const
     std::lock_guard<std::mutex> lock(mutex_);
     Stats stats;
     stats.rowsPending = log_.records();
+    stats.bytesPending = log_.payloadBytes();
     stats.tracesNoted = notedTraces_.size();
     stats.flushes = flushes_;
     stats.loadedClean = loadedClean_.load(std::memory_order_relaxed);

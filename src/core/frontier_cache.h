@@ -69,11 +69,18 @@
  * image from those sources into a temp file that is renamed
  * atomically, so a flush never holds a whole image in memory and a
  * crash never leaves a half-written cache.
- * A noted row waits only as the record the flush will write — its
- * packed key and encoded payload, appended to one chunked log that
- * holds each key once — never as a decoded row, so the row store frees rows
- * under a cache exactly as it does without one, and a released row
- * needed again before the flush decodes from its log record.
+ * A noted row waits only as the record the flush will write, never as
+ * a decoded row, so the row store frees rows under a cache exactly as
+ * it does without one, and a released row needed again before the
+ * flush decodes from its log record. The log (PendingLog) holds each
+ * key once and keeps only keys and payload locations in the heap: the
+ * payloads go through one 1 MiB write buffer into a spill file in the
+ * cache directory that never has a name (util::ScratchFile), so pending
+ * rows cost the heap about their keys, and no exit leaves a spill
+ * behind. No file I/O happens under the cache mutex: a full buffer is
+ * written out under the append lock alone, a spilled payload is read
+ * with the spill pinned, and the flush streams the spill back front
+ * to back through one bounded window.
  * SessionRegistry flushes on destruction, which covers mclp-opt and
  * mclp-serve shutdown alike. Hits are counted in one atomic counter
  * per slot of the mapped image, never by copying a key. A flush with
@@ -108,6 +115,7 @@
 #include "core/frontier_codec.h"
 #include "core/memory_optimizer.h"
 #include "core/shape_frontier.h"
+#include "util/shm.h"
 
 namespace mclp {
 namespace core {
@@ -139,6 +147,9 @@ class FrontierCache
     {
         /** Row records noted since the last flush, one per key. */
         size_t rowsPending = 0;
+        /** Payload bytes of those records: in the write buffer or the
+         * spill, not the heap (see PendingLog). */
+        size_t bytesPending = 0;
         size_t tracesNoted = 0;    ///< live traces tracked for flush
         size_t flushes = 0;        ///< successful flush() commits
         /** Segment was absent, valid, or stale (another version or
@@ -186,10 +197,12 @@ class FrontierCache
      * RowKey carries them — decoded from its pending log record or from
      * the mapped image, or null. Neither the log nor the segment hashes
      * the key again. Takes the cache mutex once, to pin the current
-     * image and copy out a pending payload: the find, the record check
-     * and the decode run unlocked, so callers may decode concurrently.
-     * A record that fails its check (which clears Stats::loadedClean)
-     * or does not decode is a miss.
+     * image and either copy out a payload still in the log's write
+     * buffer or pin the spill holding it: the spill read, the find, the
+     * record check and the decode run unlocked, so callers may decode
+     * concurrently. A record that fails its check (which clears
+     * Stats::loadedClean) or does not decode, or a spill read that
+     * fails, is a miss.
      */
     std::shared_ptr<const ShapeFrontier> loadRow(std::string_view key,
                                                  uint64_t hash);
@@ -198,8 +211,13 @@ class FrontierCache
      * Record a freshly built staircase under packed row key @p key
      * (hash @p hash, as loadRow() takes them) for the next flush().
      * The row is encoded outside every lock; under the cache mutex its
-     * record is only appended to the pending log, so the cache keeps
-     * no reference to @p row. A key the log already
+     * record is only appended to the pending log, its payload to the
+     * log's write buffer, so the cache keeps no reference to @p row. A
+     * full buffer is first written out to the spill under the append
+     * lock alone. When that write-out fails (ENOSPC, EFBIG), the log
+     * warns once and stops spilling: this row and later ones that do
+     * not fit the buffer go unlogged until a flush takes the log,
+     * which costs warmth, never an answer. A key the log already
      * holds, or the mapped image holds under the same bytes, is not
      * logged again. An image record that fails its check or holds
      * other bytes (a payload loadRow() could not decode) is replaced:
@@ -243,12 +261,16 @@ class FrontierCache
      * concurrent CLI may have flushed since we opened), fold this
      * process's hit counts into the image's counters, evict past the
      * byte budget, and publish the new image atomically. The flush
-     * takes the whole log once it holds the file lock (rows noted
-     * meanwhile start a new one), plans the new slot table, and
-     * streams keys and payloads from the published mapping, the log
-     * and the trace encodings to the file without re-encoding or
-     * copying them; a key the published image already holds keeps its
-     * record unless the log holds other bytes for it. No-op
+     * takes the whole log, spill included, once it holds the file lock
+     * (rows noted meanwhile start a new one), plans the new slot table
+     * from the log's keys, and streams keys and payloads from the
+     * published mapping, the log's spill (read front to back through
+     * a bounded window, twice: for the record checks, then for the
+     * payload blob) and the trace encodings to the file without
+     * re-encoding them; a key the published image already holds keeps
+     * its record unless the log holds other bytes for it. An image
+     * that exists but cannot be mapped fails the flush, since
+     * publishing without its records would drop them. No-op
      * (returning true) when nothing but hit counters changed — counter
      * updates ride the next real rewrite. False on I/O failure or a
      * failed allocation — the previous image survives, and so do the
@@ -299,39 +321,116 @@ class FrontierCache
     };
 
     /**
-     * Rows noted since the last flush, held as the records the flush
-     * writes, at most one per key, each in whole words:
+     * Rows noted since the last flush, at most one per key. The heap
+     * holds only each record's key hash, packed key and payload
+     * location, in note order in 1 MiB chunks of whole words:
      *
-     *   [key hash | key bytes << 32 | payload bytes |
-     *    packed key, zero-padded | payload, zero-padded]
+     *   [key hash | payload offset | payload bytes | key bytes |
+     *    packed key, zero-padded]
      *
      * The hash is the one the key carried in, so neither the index nor
-     * the flush ever hashes a key. Records fill 1 MiB chunks in note
-     * order and never move, so an open-addressed index of (key hash,
-     * record) slots finds a key by comparing its bytes in place,
-     * copying none. A flush takes the whole log, index included.
+     * the flush ever hashes a key. Records never move, so an
+     * open-addressed index of record pointers finds a key by comparing
+     * its hash and bytes in place, copying none. The payloads go, in
+     * note order, through one write buffer of kSpillBufferBytes into
+     * the *spill*: a util::ScratchFile in the cache directory, created
+     * when the first buffer fills, so a log that fits the buffer never
+     * touches the disk and no spill ever has a name. A payload's offset
+     * counts bytes from the log's first payload on: the bytes the
+     * buffer's write-outs have spilled are in the spill, the rest in
+     * the buffer, and no payload straddles the two. A flush takes the
+     * whole log, index, buffer and spill included.
+     *
+     * Reads (find, view, spill) need either lock of the owning cache;
+     * changes need both (mutex_ and appendMutex_), except that the
+     * buffer's write-out reads with appendMutex_ alone.
      */
     class PendingLog
     {
       public:
-        /** The payload logged under packed key @p key, whose keyHash()
-         * is @p hash, or an empty view. */
-        std::string_view find(std::string_view key, uint64_t hash) const;
+        /** Bytes the write buffer holds before it is written out. */
+        static constexpr size_t kSpillBufferBytes = size_t{1} << 20;
 
-        /** Log @p payload under @p key (hash @p hash) unless a record
-         * of that key is already logged. */
+        /** The location of the payload logged under packed key
+         * @p key, whose keyHash() is @p hash, or null. */
+        const SpilledPayload *find(std::string_view key,
+                                   uint64_t hash) const;
+
+        /** Whether a payload of @p bytes fits the write buffer. When
+         * it does not, the buffer must be written out first
+         * (FrontierCache::spillBuffer). An empty buffer takes any
+         * payload. */
+        bool
+        fits(size_t bytes) const
+        {
+            return buffer_.empty() ||
+                   buffer_.size() + bytes <= kSpillBufferBytes;
+        }
+
+        /** Log @p payload under @p key (hash @p hash), which find()
+         * does not hold, into the buffer, which fits() it. */
         void append(std::string_view key, uint64_t hash,
                     std::string_view payload);
 
-        /** Put @p older's records in front of this log's, dropping
-         * this log's record of any key @p older holds. */
-        void prepend(PendingLog older);
+        /** Write the buffer out to the spill, creating the spill in
+         * @p dir first when the log has none: file I/O that changes
+         * nothing here. The spill written to, or null with errno set. */
+        std::shared_ptr<const util::ScratchFile>
+        writeBuffer(const std::string &dir) const;
+
+        /** Settle writeBuffer()'s outcome: with @p spill, the buffered
+         * payloads are in it and the buffer is empty; without, the
+         * log stops spilling (spillFailed()). */
+        void settleBuffer(std::shared_ptr<const util::ScratchFile> spill);
+
+        /** A write-out failed: the buffer stays as it is, and payloads
+         * that do not fit it go unlogged until a flush takes the log. */
+        bool spillFailed() const { return spillFailed_; }
+
+        /** Whether @p at lies in the spill (else in the buffer). */
+        bool spilled(const SpilledPayload &at) const
+        {
+            return at.offset < spilledBytes_;
+        }
+
+        /** The bytes of @p at, which lies in the buffer. */
+        std::string_view
+        buffered(const SpilledPayload &at) const
+        {
+            return std::string_view(buffer_).substr(
+                at.offset - spilledBytes_, at.bytes);
+        }
+
+        const std::shared_ptr<const util::ScratchFile> &spill() const
+        {
+            return spill_;
+        }
+
+        /** A caller's bounded window over a log's spill, for view(). */
+        struct Window
+        {
+            std::string bytes;
+            uint64_t at = 0;  ///< spill offset of bytes[0]
+        };
+
+        /**
+         * Point @p bytes at the payload of @p at: into the buffer, or
+         * into @p window, refilled from the spill at @p at with the
+         * next kSpillBufferBytes (or the payload, when larger) when it
+         * does not hold the payload. Reading in note order thus reads
+         * the spill front to back, once, through one bounded window.
+         * False on a failed read.
+         */
+        bool view(const SpilledPayload &at, Window &window,
+                  std::string_view &bytes) const;
 
         size_t records() const { return records_; }
+        size_t payloadBytes() const { return payloadBytes_; }
         bool empty() const { return records_ == 0; }
 
         /** Visit every record in note order as (key, key hash,
-         * payload). */
+         * payload location). The location stays put as long as the
+         * log does. */
         template <class Fn>
         void forEach(Fn &&fn) const;
 
@@ -343,10 +442,19 @@ class FrontierCache
             size_t used = 0;      ///< words
         };
 
-        struct Slot
+        /** A record's fixed part; its packed key follows. */
+        struct Record
         {
-            uint64_t hash = 0;
-            const uint64_t *record = nullptr;  ///< null: empty slot
+            uint64_t hash;
+            SpilledPayload payload;
+            uint32_t keyBytes;
+
+            std::string_view
+            key() const
+            {
+                return {reinterpret_cast<const char *>(this + 1),
+                        keyBytes};
+            }
         };
 
         /** Index of the slot holding @p key's record, or of the empty
@@ -354,13 +462,35 @@ class FrontierCache
         size_t probe(std::string_view key, uint64_t hash) const;
 
         std::vector<Chunk> chunks_;
-        /** Power-of-two table at most half full, probed linearly. */
-        std::vector<Slot> index_;
+        /** Power-of-two table of records, null for an empty slot, at
+         * most half full, probed linearly from the key hash; a probe
+         * reads a slot's hash out of its record. */
+        std::vector<const Record *> index_;
         size_t records_ = 0;
+        size_t payloadBytes_ = 0;
+        /** Payload bytes not yet written out, from spilledBytes_ on. */
+        std::string buffer_;
+        uint64_t spilledBytes_ = 0;
+        std::shared_ptr<const util::ScratchFile> spill_;
+        bool spillFailed_ = false;
     };
 
     /** The current image, pinned under mutex_. */
     std::shared_ptr<Image> pinImage() const;
+
+    /**
+     * Write @p log's buffer out to its spill and settle the outcome,
+     * warning once per log when the write-out fails. File I/O, so the
+     * caller holds appendMutex_ and, when @p log is log_, passes the
+     * held @p lock on mutex_, released around the I/O; for a log no
+     * other thread sees, @p lock is null. False when the log does not
+     * spill (any more): the payload in hand stays unlogged.
+     */
+    bool spillBuffer(PendingLog &log, std::unique_lock<std::mutex> *lock);
+
+    /** A failed publish returns the log it took: put @p taken back in
+     * front of the rows noted since, keeping one record per key. */
+    void putBack(PendingLog taken);
 
     /** A record read from the image failed its check: clear
      * loadedClean_, warning the first time. */
@@ -373,6 +503,10 @@ class FrontierCache
     size_t maxBytes_;
     uint64_t fingerprint_;
 
+    /** Serializes changes to log_: appends, the buffer's write-out
+     * (file I/O, so outside mutex_) and the flush taking the log.
+     * Lock order: the flush's file lock, appendMutex_, mutex_. */
+    std::mutex appendMutex_;
     mutable std::mutex mutex_;
     std::shared_ptr<Image> image_;  ///< this directory's; never null
     PendingLog log_;  ///< rows noted since the last flush

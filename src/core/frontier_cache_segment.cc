@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cstring>
 
 #include "util/logging.h"
@@ -161,17 +162,21 @@ SegmentPlan::add(const SegmentRecord &record)
     index_[pos] = static_cast<uint32_t>(entries_.size());
     ++live_;
     keyWords_ += recordWords(record.key.size());
-    payloadBytes_ += record.payload.size();
+    payloadBytes_ += record.payloadBytes();
     return entries_.size() - 1;
 }
 
 void
-SegmentPlan::setPayload(size_t index, std::string_view payload)
+SegmentPlan::setPayload(size_t index, std::string_view payload,
+                        const SpilledPayload *spilled)
 {
     Entry &entry = entries_[index];
     if (!entry.dropped)
-        payloadBytes_ += payload.size() - entry.record.payload.size();
+        payloadBytes_ -= entry.record.payloadBytes();
     entry.record.payload = payload;
+    entry.record.spilled = spilled;
+    if (!entry.dropped)
+        payloadBytes_ += entry.record.payloadBytes();
 }
 
 void
@@ -200,7 +205,7 @@ SegmentPlan::fitTo(uint64_t budget)
         if (!entries_[i].dropped)
             order.push_back(static_cast<uint32_t>(i));
     auto bytes = [](const SegmentRecord &r) {
-        return 8 * recordWords(r.key.size()) + r.payload.size();
+        return 8 * recordWords(r.key.size()) + r.payloadBytes();
     };
     std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
         const SegmentRecord &x = entries_[a].record;
@@ -223,7 +228,7 @@ SegmentPlan::fitTo(uint64_t budget)
         entry.dropped = true;
         --live_;
         keyWords_ -= recordWords(entry.record.key.size());
-        payloadBytes_ -= entry.record.payload.size();
+        payloadBytes_ -= entry.record.payloadBytes();
         ++dropped;
     }
     return dropped;
@@ -231,7 +236,8 @@ SegmentPlan::fitTo(uint64_t budget)
 
 bool
 SegmentPlan::write(uint64_t fingerprint, uint64_t generation,
-                   const util::ByteSink &sink) const
+                   const util::ByteSink &sink,
+                   const SpillReader &spill) const
 {
     uint64_t image_bytes = imageBytes();
     if (image_bytes > kFrontierSegmentMaxBytes)
@@ -258,7 +264,7 @@ SegmentPlan::write(uint64_t fingerprint, uint64_t generation,
         at[s] = static_cast<uint32_t>(i + 1);
         offsets[i] = key_off << 32 | payload_off;
         key_off += recordWords(entry.record.key.size());
-        payload_off += entry.record.payload.size();
+        payload_off += entry.record.payloadBytes();
     }
 
     char header[kHeaderBytes] = {};
@@ -288,7 +294,7 @@ SegmentPlan::write(uint64_t fingerprint, uint64_t generation,
                 storeU32(slot + 16,
                          static_cast<uint32_t>(offsets[at[s] - 1]));
                 storeU32(slot + 20,
-                         static_cast<uint32_t>(record.payload.size()));
+                         static_cast<uint32_t>(record.payloadBytes()));
                 storeU32(slot + 24, record.hits);
                 storeU32(slot + 28, record.lastGen);
             }
@@ -307,15 +313,27 @@ SegmentPlan::write(uint64_t fingerprint, uint64_t generation,
     if (!sink({header, kHeaderBytes}) || !slots(sink))
         return false;
 
+    // A record's payload: its view, or its bytes read from the spill.
+    auto payloadOf = [&](const SegmentRecord &record,
+                         std::string_view &bytes) {
+        if (!record.spilled) {
+            bytes = record.payload;
+            return true;
+        }
+        return spill && spill(*record.spilled, bytes) &&
+               bytes.size() == record.spilled->bytes;
+    };
+    std::string_view payload;
     for (const Entry &entry : entries_) {
         if (entry.dropped)
             continue;
         const SegmentRecord &record = entry.record;
+        if (!payloadOf(record, payload))
+            return false;
         char tail[8];
         paddedTail(record.key, tail);
         char check[8];
-        storeU64(check,
-                 recordCheck(record.kind, record.key, tail, record.payload));
+        storeU64(check, recordCheck(record.kind, record.key, tail, payload));
         size_t whole = record.key.size() & ~size_t{7};
         if (!sink({check, sizeof check}) ||
             !sink(record.key.substr(0, whole)) ||
@@ -323,7 +341,8 @@ SegmentPlan::write(uint64_t fingerprint, uint64_t generation,
             return false;
     }
     for (const Entry &entry : entries_)
-        if (!entry.dropped && !sink(entry.record.payload))
+        if (!entry.dropped &&
+            (!payloadOf(entry.record, payload) || !sink(payload)))
             return false;
     return true;
 }
@@ -354,9 +373,12 @@ FrontierCacheSegment::open(const std::string &path, uint64_t fingerprint)
     util::MappedFile map = util::MappedFile::map(path);
     if (!map.valid()) {
         // Absent is a clean cold start; present but unmappable (empty,
-        // unreadable) is damage.
+        // unreadable) is damage, unless the address space is what ran
+        // out, which says nothing about the file.
+        int error = errno;
         if (::access(path.c_str(), F_OK) == 0)
-            segment.state_ = SegmentState::Damaged;
+            segment.state_ = error == ENOMEM ? SegmentState::Unmapped
+                                             : SegmentState::Damaged;
         return segment;
     }
     segment.state_ = SegmentState::Damaged;

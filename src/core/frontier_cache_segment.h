@@ -50,6 +50,8 @@
  * temp file that util::publishFileAtomic renames over the old one, so
  * a reader maps either the previous complete generation or the new
  * one, never a torn mix, and no writer holds a whole image in memory.
+ * Payloads that wait in a spill file come through the writer's
+ * SpillReader as it reaches them.
  * Header and slot fields are little-endian; keys and payloads are
  * byte strings.
  */
@@ -87,12 +89,29 @@ constexpr uint64_t kFrontierSegmentMaxBytes = UINT32_MAX;
 /** Segment file name inside the cache directory. */
 constexpr const char *kFrontierSegmentFileName = "frontier_cache.seg";
 
+/** Where a payload that is not in memory waits: @c bytes bytes at
+ * @c offset of a spill file (the frontier cache's pending log keeps
+ * its rows' payloads in one), read back through a SpillReader. */
+struct SpilledPayload
+{
+    uint64_t offset = 0;
+    uint32_t bytes = 0;
+};
+
+/** Reads spilled payloads for SegmentPlan::write(): points @p bytes at
+ * the payload of @p at, valid until the next call; false on a failed
+ * read. write() asks in plan order, twice: once to fold each record's
+ * check, once to stream the payload blob. */
+using SpillReader =
+    std::function<bool(const SpilledPayload &at, std::string_view &bytes)>;
+
 /** One record of a segment image under construction. Key and payload
  * are borrowed views (a flush plans from the published image's
  * mapping, its pending log and its trace encodings, which own the
  * bytes): a packed key and a delta payload from core/frontier_codec.h.
- * The hash is the key's keyHash(), which the writer stores and never
- * recomputes. */
+ * A pending row's payload is not in memory: @c spilled says where it
+ * waits, and @c payload is empty. The hash is the key's keyHash(),
+ * which the writer stores and never recomputes. */
 struct SegmentRecord
 {
     uint8_t kind = 0;
@@ -101,6 +120,12 @@ struct SegmentRecord
     std::string_view payload;
     uint32_t hits = 0;     ///< lookups answered from disk, all time
     uint32_t lastGen = 0;  ///< generation of the most recent hit
+    const SpilledPayload *spilled = nullptr;  ///< borrowed, like the views
+
+    size_t payloadBytes() const
+    {
+        return spilled ? spilled->bytes : payload.size();
+    }
 };
 
 /** What open() found at the path. */
@@ -109,6 +134,7 @@ enum class SegmentState
     Missing,  ///< no file: a clean cold start
     Stale,    ///< our magic, another version or fingerprint: clean cold
     Damaged,  ///< short, foreign, header/slot checksum or bounds failure
+    Unmapped, ///< present, but the address space had no room to map it
     Valid,    ///< mapped and validated
 };
 
@@ -141,9 +167,10 @@ class SegmentPlan
         return entries_[index].record;
     }
 
-    /** Give planned record @p index other payload bytes (its key and
-     * hit history stay). */
-    void setPayload(size_t index, std::string_view payload);
+    /** Give planned record @p index other payload bytes, in memory or
+     * @p spilled (its key and hit history stay). */
+    void setPayload(size_t index, std::string_view payload,
+                    const SpilledPayload *spilled = nullptr);
 
     void setCounters(size_t index, uint32_t hits, uint32_t last_gen);
 
@@ -163,12 +190,16 @@ class SegmentPlan
      * Stream the image through @p sink in file order: header, slot
      * table, key blob, payload blob. The record bytes go from the
      * borrowed views straight to the sink, each record's check word
-     * folded from them on the way. False when the sink fails,
-     * or when the image is past kFrontierSegmentMaxBytes (nothing is
-     * written then).
+     * folded from them on the way; spilled payloads come through
+     * @p spill, which the key blob's checks and then the payload blob
+     * read in the same order, so a spill is read twice, front to back.
+     * False when the sink or @p spill fails (a spilled record and no
+     * @p spill included), or when the image is past
+     * kFrontierSegmentMaxBytes (nothing is written then).
      */
     bool write(uint64_t fingerprint, uint64_t generation,
-               const util::ByteSink &sink) const;
+               const util::ByteSink &sink,
+               const SpillReader &spill = nullptr) const;
 
   private:
     struct Entry

@@ -191,6 +191,23 @@ TradeoffCurveCache::TradeoffCurveCache(std::shared_ptr<FrontierCache> cache)
 {
 }
 
+TradeoffCurveCache::~TradeoffCurveCache()
+{
+    // A trace the disk cache tracks outlives its session until a flush
+    // writes it, and the flush reads only the walk. The groups' option
+    // tables and probe memos serve walks and state rebuilds, which only
+    // this memo's session runs, so they go with the session: an evicted
+    // session's traces wait for the flush as their steps alone.
+    for (auto &[key, trace] : traces_) {
+        if (trace.use_count() == 1)
+            continue;
+        std::lock_guard<std::mutex> lock(trace->mutex);
+        std::vector<std::vector<TilingOptionCache::Options>>().swap(
+            trace->groupOptions);
+        std::vector<std::shared_ptr<GroupCurve>>().swap(trace->groupCurves);
+    }
+}
+
 const TradeoffCurveCache::ProbePair *
 TradeoffCurveCache::GroupCurve::find(int64_t in_cap,
                                      int64_t out_cap) const

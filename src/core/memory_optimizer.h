@@ -165,6 +165,10 @@ class TradeoffCurveCache
     explicit TradeoffCurveCache(
         std::shared_ptr<FrontierCache> cache = nullptr);
 
+    /** Frees the walk lookups of every trace the disk cache still
+     * tracks: it writes only their walks. */
+    ~TradeoffCurveCache();
+
     /** One group's memoized walk states: (inCap, outCap) -> probes. */
     class GroupCurve
     {

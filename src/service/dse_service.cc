@@ -263,13 +263,13 @@ DseService::handleLine(const std::string &line)
             "segment_mapped=%d segment_entries=%zu segment_bytes=%zu "
             "tier_process=%zu tier_mmap=%zu tier_cold=%zu "
             "segment_row_hits=%zu segment_trace_hits=%zu "
-            "rows_pending=%zu traces_noted=%zu flushes=%zu "
-            "evicted_last_flush=%zu clean=%d",
+            "rows_pending=%zu bytes_pending=%zu traces_noted=%zu "
+            "flushes=%zu evicted_last_flush=%zu clean=%d",
             static_cast<unsigned long long>(stats.generation),
             stats.segmentMapped ? 1 : 0, stats.segmentEntries,
             stats.segmentBytes, rows.hits - rows.mmapHits,
             rows.mmapHits, rows.misses, stats.segmentRowHits,
-            stats.segmentTraceHits, stats.rowsPending,
+            stats.segmentTraceHits, stats.rowsPending, stats.bytesPending,
             stats.tracesNoted, stats.flushes, stats.evictedLastFlush,
             stats.loadedClean ? 1 : 0);
     }

@@ -5,7 +5,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 
 namespace mclp {
 namespace util {
@@ -18,15 +20,20 @@ MappedFile::map(const std::string &path)
     if (fd < 0)
         return mapped;
     struct stat st;
-    if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
+    int error = ::fstat(fd, &st) != 0 ? errno : st.st_size <= 0 ? EINVAL : 0;
+    if (error != 0) {
         ::close(fd);
+        errno = error;
         return mapped;
     }
     size_t size = static_cast<size_t>(st.st_size);
     void *addr = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
+    error = errno;
     ::close(fd);  // the mapping pins the inode; the fd is done
-    if (addr == MAP_FAILED)
+    if (addr == MAP_FAILED) {
+        errno = error;
         return mapped;
+    }
     mapped.addr_ = addr;
     mapped.size_ = size;
     return mapped;
@@ -81,6 +88,65 @@ publishFileAtomic(const std::string &path, std::string_view bytes)
 {
     return publishFileAtomic(
         path, [bytes](const ByteSink &sink) { return sink(bytes); });
+}
+
+std::shared_ptr<const ScratchFile>
+ScratchFile::create(const std::string &dir)
+{
+    // Allocate first, so a failed allocation leaves no descriptor open.
+    std::shared_ptr<ScratchFile> file(new ScratchFile());
+    file->fd_ = ::open(dir.c_str(), O_TMPFILE | O_RDWR | O_CLOEXEC, 0600);
+    if (file->fd_ < 0) {
+        // No O_TMPFILE on this filesystem: a name exists only between
+        // mkostemp and unlink.
+        std::string name = dir + "/.scratch.XXXXXX";
+        file->fd_ = ::mkostemp(name.data(), O_CLOEXEC);
+        if (file->fd_ < 0)
+            return nullptr;
+        ::unlink(name.c_str());
+    }
+    return file;
+}
+
+ScratchFile::~ScratchFile()
+{
+    if (fd_ >= 0)
+        ::close(fd_);
+}
+
+bool
+ScratchFile::write(uint64_t offset, std::string_view bytes) const
+{
+    while (!bytes.empty()) {
+        ssize_t wrote = ::pwrite(fd_, bytes.data(), bytes.size(),
+                                 static_cast<off_t>(offset));
+        if (wrote < 0 && errno == EINTR)
+            continue;
+        if (wrote <= 0) {
+            if (wrote == 0)
+                errno = ENOSPC;
+            return false;
+        }
+        bytes.remove_prefix(static_cast<size_t>(wrote));
+        offset += static_cast<uint64_t>(wrote);
+    }
+    return true;
+}
+
+bool
+ScratchFile::read(uint64_t offset, char *out, size_t count) const
+{
+    while (count > 0) {
+        ssize_t got = ::pread(fd_, out, count, static_cast<off_t>(offset));
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got <= 0)
+            return false;
+        out += got;
+        count -= static_cast<size_t>(got);
+        offset += static_cast<uint64_t>(got);
+    }
+    return true;
 }
 
 } // namespace util

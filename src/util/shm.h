@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared-memory primitives for the persistent cache: read-only file
- * mappings and atomic whole-file publication.
+ * mappings, atomic whole-file publication, and nameless scratch files.
  *
  * The frontier-cache segment (core/frontier_cache_segment.h) is the
  * cache's only on-disk form: an immutable image that every worker
@@ -24,7 +24,9 @@
 #define MCLP_UTIL_SHM_H
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -65,7 +67,8 @@ class MappedFile
     /**
      * Map @p path read-only in its entirety. An absent, empty, or
      * unmappable file yields an invalid (empty) mapping — callers
-     * treat that as "no segment", never an error.
+     * treat that as "no segment", never an error — with errno saying
+     * why (EINVAL for an empty file, ENOMEM for a full address space).
      */
     static MappedFile map(const std::string &path);
 
@@ -106,6 +109,39 @@ bool publishFileAtomic(const std::string &path,
 
 /** publishFileAtomic() of one buffer. */
 bool publishFileAtomic(const std::string &path, std::string_view bytes);
+
+/**
+ * A read-write scratch file in a directory that no name there points
+ * at once create() returns: opened O_TMPFILE, or, where the filesystem
+ * refuses that, made by mkostemp and unlinked at once; O_CLOEXEC
+ * either way. Its bytes go with the descriptor, which closes with the
+ * object, so no exit of the process, SIGKILL included, leaves it
+ * behind. Reads and writes are positional, so threads may read while
+ * one writes elsewhere in the file.
+ */
+class ScratchFile
+{
+  public:
+    /** A new empty scratch file in @p dir, or null with errno set. */
+    static std::shared_ptr<const ScratchFile> create(const std::string &dir);
+
+    ~ScratchFile();
+    ScratchFile(const ScratchFile &) = delete;
+    ScratchFile &operator=(const ScratchFile &) = delete;
+
+    /** Write all of @p bytes at @p offset; false with errno set
+     * (EFBIG past a file-size limit, ENOSPC on a full disk). */
+    bool write(uint64_t offset, std::string_view bytes) const;
+
+    /** Read exactly @p count bytes at @p offset into @p out; false on
+     * an error or past the end of the file. */
+    bool read(uint64_t offset, char *out, size_t count) const;
+
+  private:
+    ScratchFile() = default;
+
+    int fd_ = -1;
+};
 
 } // namespace util
 } // namespace mclp

@@ -46,7 +46,13 @@ ThreadPool::runJob(Job &job)
         if (i >= job.n)
             return;
         (*job.fn)(i);
-        job.done.fetch_add(1, std::memory_order_release);
+        if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 == job.n) {
+            // The caller checks done under the mutex before it sleeps,
+            // so taking the mutex here orders this wake after that
+            // check: the wake cannot be lost.
+            std::lock_guard<std::mutex> lock(mutex_);
+            wake_.notify_all();
+        }
     }
 }
 
@@ -107,21 +113,26 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn)
 
     // Claim our own indices first, then steal from other active jobs
     // while stragglers finish ours (keeps nested loops deadlock free
-    // and this thread useful).
+    // and this thread useful), and sleep while there is nothing to
+    // steal: the last index of our job, or a newly posted job, wakes
+    // us.
     runJob(*job);
-    while (job->done.load(std::memory_order_acquire) < n) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
         std::shared_ptr<Job> other;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
+        wake_.wait(lock, [&] {
+            if (job->done.load(std::memory_order_acquire) == n)
+                return true;
             other = stealLocked(job.get());
-        }
-        if (other)
-            runJob(*other);
-        else
-            std::this_thread::yield();
+            return other != nullptr;
+        });
+        if (!other)
+            break;
+        lock.unlock();
+        runJob(*other);
+        other.reset();
+        lock.lock();
     }
-
-    std::lock_guard<std::mutex> lock(mutex_);
     jobs_.erase(std::find(jobs_.begin(), jobs_.end(), job));
 }
 

@@ -7,10 +7,13 @@
  * Parallel loops are published as jobs on a shared board; idle workers
  * steal iteration indices from the oldest unfinished job through an
  * atomic cursor, so load balances at index granularity without
- * per-iteration locking. Waiting threads help execute outstanding
- * work instead of blocking, so nested parallelFor calls (a heuristic
- * task fanning out frontier builds) cannot deadlock, and a 1-thread
- * pool degenerates to plain serial execution on the caller.
+ * per-iteration locking. A caller whose own indices are all claimed
+ * helps with other jobs' unclaimed indices, so nested parallelFor
+ * calls (a heuristic task fanning out frontier builds) cannot
+ * deadlock, and sleeps on the pool's condition variable while none
+ * are left, until its job's last index completes or a job with
+ * unclaimed indices appears: a straggler's wait costs no core. A
+ * 1-thread pool degenerates to plain serial execution on the caller.
  */
 
 #ifndef MCLP_UTIL_THREAD_POOL_H
@@ -65,7 +68,9 @@ class ThreadPool
     };
 
     void workerLoop(size_t self);
-    static void runJob(Job &job);
+    /** Run @p job's unclaimed indices; the thread completing its last
+     * index wakes the job's waiting caller. */
+    void runJob(Job &job);
 
     /** Oldest job with unclaimed indices, excluding @p except. */
     std::shared_ptr<Job> stealLocked(const Job *except);

@@ -1042,6 +1042,56 @@ TEST(FrontierCache, GoneSessionsTracesLeaveAndTheirSuccessorsReachDisk)
         << "only the live successor's trace is still tracked";
 }
 
+TEST(FrontierCache, GoneSessionsTracesWaitForTheFlushAsTheirWalksAlone)
+{
+    // A session's curve memo fills each trace's per-group option tables
+    // and probe memos as it walks. When the session goes, a trace the
+    // disk cache still tracks keeps only what the flush writes: its
+    // walk. The flush then publishes that walk unchanged.
+    ScratchDir scratch;
+    nn::Network net = nn::makeAlexNet();
+    const fpga::DataType type = fpga::DataType::Float32;
+    core::ComputePartition partition;
+    core::ComputeGroup group;
+    group.shape = {8, 64};
+    group.layers = {1, 2, 3};
+    partition.groups.push_back(group);
+
+    auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
+    std::shared_ptr<core::TradeoffCurveCache::PartitionTrace> trace;
+    std::vector<core::TradeoffCurveCache::PartitionStep> walked;
+    {
+        auto curves = std::make_shared<core::TradeoffCurveCache>(cache);
+        core::MemoryOptimizer optimizer(net, type, nullptr, curves);
+        EXPECT_FALSE(optimizer.tradeoffCurve(partition).empty());
+        trace = curves->partitionTrace(type, net, partition);
+        std::lock_guard<std::mutex> lock(trace->mutex);
+        ASSERT_FALSE(trace->steps.empty());
+        EXPECT_FALSE(trace->groupOptions.empty());
+        EXPECT_FALSE(trace->groupCurves.empty());
+        walked = trace->steps;
+    }
+    EXPECT_EQ(cache->stats().tracesNoted, 1u);
+    EXPECT_TRUE(trace->groupOptions.empty());
+    EXPECT_TRUE(trace->groupCurves.empty());
+    ASSERT_EQ(trace->steps.size(), walked.size());
+    trace.reset();
+
+    ASSERT_TRUE(cache->flush());
+    EXPECT_EQ(cache->stats().tracesNoted, 0u);
+    core::TradeoffCurveCache reopened(
+        std::make_shared<core::FrontierCache>(scratch.dir()));
+    auto seeded = reopened.partitionTrace(type, net, partition);
+    ASSERT_EQ(seeded->steps.size(), walked.size());
+    for (size_t i = 0; i < walked.size(); ++i) {
+        EXPECT_EQ(seeded->steps[i].clp, walked[i].clp);
+        EXPECT_EQ(seeded->steps[i].inCap, walked[i].inCap);
+        EXPECT_EQ(seeded->steps[i].outCap, walked[i].outCap);
+        EXPECT_EQ(seeded->steps[i].totalBram, walked[i].totalBram);
+        EXPECT_EQ(seeded->steps[i].totalPeak, walked[i].totalPeak);
+    }
+}
+
 TEST(FrontierCache, ConcurrentWarmReadersMatchColdWhileFlushesSwapTheImage)
 {
     // Warm rows and walk traces decode outside the store and cache
@@ -1772,16 +1822,101 @@ TEST(FrontierCache, PendingLogHoldsEachKeyOnceAndServesIt)
     EXPECT_EQ(cache->stats().segmentRowHits, 1u);
 }
 
-TEST(FrontierCache, ConcurrentNotesAndFlushesPublishEachKeyOnce)
+/** Resident anonymous memory of this process (RssAnon), in bytes. */
+size_t
+residentAnonBytes()
 {
-    // Four threads note rows, every key by two of them, while a fifth
-    // flushes in a loop, so logs are taken, spliced and restarted
-    // under concurrent appends. In the first round every publish
-    // fails (a directory sits where the temp file goes), so each flush
-    // puts its log back in front of the rows noted meanwhile, and the
-    // log must still hold each key once; in the second the publishes
-    // succeed. Afterwards the segment holds each key exactly once,
-    // under the payload of the row noted for it.
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("RssAnon:", 0) == 0)
+            return std::stoul(line.substr(8)) * 1024;
+    return 0;
+}
+
+/** Whether @p loaded holds exactly @p row's points. */
+bool
+sameRow(const std::shared_ptr<const core::ShapeFrontier> &loaded,
+        const core::ShapeFrontier &row)
+{
+    if (!loaded || loaded->size() != row.size())
+        return false;
+    for (size_t i = 0; i < row.size(); ++i)
+        if (loaded->point(i).shape != row.point(i).shape ||
+            loaded->point(i).dsp != row.point(i).dsp ||
+            loaded->point(i).cycles != row.point(i).cycles)
+            return false;
+    return true;
+}
+
+TEST(FrontierCache, PendingPayloadsWaitInTheSpillNotTheHeap)
+{
+    // Noting 32 MiB of row payloads must not grow the heap by them: a
+    // pending payload goes through the log's write buffer into a spill
+    // file that has no name, and the heap keeps its key and location.
+    // Each row loads back equal right after its note (from the buffer)
+    // and after the last note (most from the spill); a flush publishes
+    // them all, and the directory never lists a spill.
+    ScratchDir scratch;
+    constexpr size_t kNotedBytes = size_t{32} << 20;
+    std::vector<std::shared_ptr<const core::ShapeFrontier>> rows;
+    for (int seed = 0; seed < 8; ++seed)
+        rows.push_back(makeRow(seed, 2000));
+    auto keyOf = [](int k) {
+        return std::vector<int64_t>{2, 1000 + k, 3, 64, 121, 1};
+    };
+    auto rowOf = [&](int k) { return rows[k % rows.size()]; };
+
+    auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
+    // Sanitizer shadow memory and quarantines skew RSS: those builds
+    // check everything but the growth.
+    [[maybe_unused]] size_t before = residentAnonBytes();
+    int keys = 0;
+    size_t pending = 0;
+    for (; pending < kNotedBytes; ++keys) {
+        noteRow(*cache, keyOf(keys), rowOf(keys));
+        ASSERT_TRUE(sameRow(loadRow(*cache, keyOf(keys)), *rowOf(keys)))
+            << "key " << keys << ", just noted";
+        pending = cache->stats().bytesPending;
+    }
+    [[maybe_unused]] size_t after = residentAnonBytes();
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+    EXPECT_LT(after - std::min(after, before), pending / 4)
+        << "RssAnon " << before / 1024 << " -> " << after / 1024
+        << " KiB noting " << pending / 1024 << " KiB of payloads";
+#endif
+    EXPECT_EQ(cache->stats().rowsPending, size_t(keys));
+    EXPECT_EQ(scratch.entries(), std::set<std::string>{})
+        << "a spill must have no name";
+    for (int k = 0; k < keys; ++k)
+        ASSERT_TRUE(sameRow(loadRow(*cache, keyOf(k)), *rowOf(k)))
+            << "key " << k << ", after every note";
+    EXPECT_EQ(cache->stats().segmentRowHits, 0u);
+
+    ASSERT_TRUE(cache->flush());
+    EXPECT_EQ(cache->stats().rowsPending, 0u);
+    EXPECT_EQ(cache->stats().bytesPending, 0u);
+    EXPECT_EQ(scratch.entries(), kPublishedFiles);
+    core::FrontierCache reopened(scratch.dir());
+    EXPECT_EQ(reopened.stats().segmentEntries, size_t(keys));
+    for (int k = 0; k < keys; ++k)
+        ASSERT_TRUE(sameRow(loadRow(reopened, keyOf(k)), *rowOf(k)))
+            << "key " << k << ", published";
+}
+
+/**
+ * Four threads note rows of @p points plus up to 29 points each, every
+ * key by two of them, while a fifth flushes in a loop, so logs are
+ * taken, spliced and restarted under concurrent appends. In the first
+ * round every publish fails (a directory sits where the temp file
+ * goes), so each flush puts its log back in front of the rows noted
+ * meanwhile, and the log must still hold each key once; in the second
+ * the publishes succeed. Afterwards the segment holds each key exactly
+ * once, under the payload of the row noted for it.
+ */
+void
+expectConcurrentNotesAndFlushesPublishEachKeyOnce(size_t points)
+{
     ScratchDir scratch;
     constexpr int kThreads = 4;
     constexpr int kKeys = 400;
@@ -1814,7 +1949,7 @@ TEST(FrontierCache, ConcurrentNotesAndFlushesPublishEachKeyOnce)
                     if (k % kThreads == t ||
                         k % kThreads == (t + 1) % kThreads)
                         noteRow(*cache, keyOf(k),
-                                       makeRow(k % 50, 20 + k % 30));
+                                       makeRow(k % 50, points + k % 30));
             });
         }
         for (std::thread &noter : noters)
@@ -1849,8 +1984,21 @@ TEST(FrontierCache, ConcurrentNotesAndFlushesPublishEachKeyOnce)
         ASSERT_NE(it, stored.end());
         auto row = core::decodeRowPayload(it->second);
         ASSERT_TRUE(row.has_value());
-        expectSameRow(*row, *makeRow(k % 50, 20 + k % 30));
+        expectSameRow(*row, *makeRow(k % 50, points + k % 30));
     }
+}
+
+TEST(FrontierCache, ConcurrentNotesAndFlushesPublishEachKeyOnce)
+{
+    expectConcurrentNotesAndFlushesPublishEachKeyOnce(20);
+}
+
+TEST(FrontierCache, ConcurrentSpillingNotesAndFlushesPublishEachKeyOnce)
+{
+    // Rows of about 9 KB: the 400 keys' payloads spill past the write
+    // buffer several times a pass, so failed publishes put spilled logs
+    // back and copy the rows noted meanwhile into their spills.
+    expectConcurrentNotesAndFlushesPublishEachKeyOnce(1500);
 }
 
 } // namespace

@@ -849,6 +849,83 @@ TEST(ServeProcess, FileSizeLimitFailsThePublishNotTheProcess)
     ::unlink(err_path.c_str());
 }
 
+/** The names in directory @p dir. */
+std::vector<std::string>
+dirNames(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    return names;
+}
+
+TEST(ServeProcess, SpillWriteFailureCostsWarmthNotAnswers)
+{
+    // ResNet-50 alone notes about 4.5 MiB of row payloads, which wait
+    // in a spill file behind a 1 MiB write buffer. Under a 256 KiB
+    // file-size limit the buffer's first write-out fails with EFBIG:
+    // the rows noted past the buffer go unlogged, with one warning,
+    // and every answer is still cold bytes. The spill has no name
+    // while the server runs, and the server exits 0 with nothing
+    // left behind but what a flush makes.
+    std::string sock = socketPath("spill");
+    std::string dir = sock + ".cache";
+    std::string err_path = sock + ".stderr";
+    std::filesystem::remove_all(dir);
+    ::unlink(sock.c_str());
+    const std::vector<std::string> requests = {
+        "dse id=r net=resnet50 device=690t budgets=2880",
+        "dse id=g net=googlenet device=690t budgets=2880", kCheap};
+    ServeChild child({"--socket", sock, "--cache-dir", dir, "--threads", "1"},
+                     RLIMIT_FSIZE, 256 * 1024, err_path);
+    util::ScopedFd fd;
+    for (int64_t deadline = util::monotonicMs() + 30000; !fd.valid();
+         ::usleep(20 * 1000)) {
+        ASSERT_LT(util::monotonicMs(), deadline)
+            << "mclp-serve never started listening";
+        fd.reset(util::connectUnix(sock));
+    }
+    boundReads(fd);
+    for (const std::string &request : {requests[0], requests[1], requests[2],
+                                       std::string("cache-stats")}) {
+        std::string line = request + "\n";
+        std::string reply;
+        ASSERT_TRUE(util::writeAll(fd.get(), line.data(), line.size()));
+        ASSERT_TRUE(readLine(fd.get(), &reply));
+        if (request != "cache-stats") {
+            EXPECT_EQ(reply, coldReference(request));
+            continue;
+        }
+        // What waits is what the write buffer held when the write-out
+        // failed, plus what fit it since.
+        size_t at = reply.find(" bytes_pending=");
+        ASSERT_NE(at, std::string::npos) << reply;
+        size_t pending = std::stoul(reply.substr(at + 15));
+        EXPECT_GT(pending, 0u) << reply;
+        EXPECT_LE(pending, size_t{1} << 20) << reply;
+    }
+    EXPECT_EQ(dirNames(dir), std::vector<std::string>{})
+        << "a spill must have no name";
+    fd.reset();
+    int status = child.reap(SIGTERM);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "wait status " << status << ": " << fileText(err_path);
+
+    std::string errors = fileText(err_path);
+    size_t warnings = 0;
+    for (size_t at = errors.find("cannot spill"); at != std::string::npos;
+         at = errors.find("cannot spill", at + 1))
+        ++warnings;
+    EXPECT_EQ(warnings, 1u) << errors.substr(0, 400);
+    for (const std::string &name : dirNames(dir))
+        EXPECT_TRUE(name == core::kFrontierSegmentFileName ||
+                    name == "frontier_cache.lock")
+            << name;
+    std::filesystem::remove_all(dir);
+    ::unlink(err_path.c_str());
+    ::unlink(sock.c_str());
+}
+
 /** Address space @p pid has mapped at its peak so far (VmPeak). */
 size_t
 peakMappedBytes(pid_t pid)

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -70,6 +75,39 @@ TEST(ThreadPool, TinyLoopsNeverHandAWorkerAnExhaustedJob)
         });
         ASSERT_EQ(count.load(), 2) << "round " << round;
     }
+}
+
+/** CPU time the calling thread has used, in milliseconds. */
+double
+threadCpuMs()
+{
+    timespec now{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+    return static_cast<double>(now.tv_sec) * 1e3 +
+           static_cast<double>(now.tv_nsec) / 1e6;
+}
+
+TEST(ThreadPool, WaitingCallerSleepsWhileAWorkerFinishes)
+{
+    // Two indices on a 2-thread pool: the caller's index returns only
+    // once the worker holds the other, which then runs for 200 ms. The
+    // caller has nothing left to run or steal, so it must sleep until
+    // the worker completes the job, not spin through those 200 ms.
+    util::ThreadPool pool(2);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::promise<void> worker_started;
+    std::shared_future<void> started = worker_started.get_future().share();
+    double cpu_before = threadCpuMs();
+    pool.parallelFor(2, [&](size_t) {
+        if (std::this_thread::get_id() == caller) {
+            started.wait();
+            return;
+        }
+        worker_started.set_value();
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    });
+    EXPECT_LT(threadCpuMs() - cpu_before, 50.0)
+        << "the caller spins while the worker finishes its index";
 }
 
 TEST(ThreadPool, ResolveThreads)
